@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -13,10 +13,12 @@ test:
 # the full gate: everything compiles, every suite passes, the
 # crash-consistency smoke matrix comes back fsck-clean, the
 # observability pipeline emits a parseable trace + metrics snapshot,
-# and the committed allocation benchmark is within 20% of its baseline
+# the full-scale default-seed pins hold, and the committed allocation
+# benchmark is within 20% of its baseline
 verify:
 	dune build
 	dune runtest
+	$(MAKE) perf-smoke
 	$(MAKE) crash-matrix
 	$(MAKE) crash-explore
 	$(MAKE) metrics-smoke
@@ -29,6 +31,17 @@ verify:
 	$(MAKE) bench-age-parallel
 	$(MAKE) bench-backend
 	$(MAKE) bench-scrub
+
+# full-scale bit-identity gate: one round of each layered-benchmark
+# workload. Every run checks its default-seed pins (image digests, score
+# CRCs and blocks_allocated of the 300-day serial and parallel replays
+# and of the 30-day seqio images) and exits nonzero on a mismatch.
+# About 2.5 minutes on a 2-CPU machine.
+perf-smoke:
+	@for w in age-serial age-parallel io-aged; do \
+		echo "== perfbench $$w =="; \
+		python3 perfbench/run.py --workload $$w --seconds 1 || exit 1; \
+	done
 
 # crash-consistency smoke: a small ground-truth workload through
 # {0,1,3} injected crashes on both allocators (each crash is torn

@@ -189,7 +189,7 @@ let resolve_backend ~backend ~store_faults ~fault_seed =
   | None -> backend
   | Some plan ->
       Ffs.Store.resilient_spec ~faults:plan
-        ~seed:(Fault.Device.seed_of ~fault_seed)
+        ~seed:(Fault.Plan.device_seed ~fault_seed)
         (Ffs.Store.base_spec backend)
 
 let crashes_term =

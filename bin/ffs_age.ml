@@ -116,7 +116,7 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
       exit 130
   | `Completed cr -> (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
 
-let run days seed nseeds jobs realloc policy alloc_policy backend store_faults
+let run days seed nseeds jobs realloc policy backend store_faults
     scrub_every kind profile_kind quiet params crashes fault_seed checkpoint_every
     checkpoint_dir checkpoint_keep checkpoint_full_every resume trace metrics_out
     image_out csv_out workload_in workload_out =
@@ -126,20 +126,7 @@ let run days seed nseeds jobs realloc policy alloc_policy backend store_faults
     Common.obs_finish ~quiet ~trace ~metrics_out
   end
   else begin
-  (* --policy resolves through the registry and wins over --realloc;
-     --realloc alone keeps working as an alias for --policy realloc *)
-  let config =
-    match alloc_policy with
-    | None -> Common.config_of ~realloc ~policy
-    | Some name -> (
-        match Ffs.Policy.find name with
-        | Some p -> Ffs.Policy.apply p (Common.config_of ~realloc ~policy)
-        | None ->
-            Fmt.epr "unknown policy %S (registered: %s)@." name
-              (String.concat ", " (Ffs.Policy.names ()));
-            exit 2)
-  in
-  let realloc = config.Ffs.Fs.realloc in
+  let config = Common.config_of ~realloc ~policy in
   let ops =
     match workload_in with
     | Some path ->
@@ -317,13 +304,6 @@ let cmd =
                    carrying only the cylinder groups dirtied since the previous \
                    checkpoint ($(b,1) makes every checkpoint full).")
   in
-  let alloc_policy =
-    Arg.(value & opt (some string) None
-         & info [ "policy" ] ~docv:"NAME"
-             ~doc:"Allocation policy, resolved through the $(b,Ffs.Policy) registry \
-                   ($(b,traditional) or $(b,realloc) built in); overrides \
-                   $(b,--realloc).")
-  in
   let resume =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"DIR"
@@ -335,7 +315,7 @@ let cmd =
   let term =
     Term.(
       const run $ Common.days_term $ Common.seed_term $ seeds $ Common.jobs_term
-      $ Common.realloc_term $ Common.policy_term $ alloc_policy $ Common.backend_term
+      $ Common.realloc_term $ Common.policy_term $ Common.backend_term
       $ Common.store_faults_term $ Common.scrub_every_term
       $ Common.workload_kind_term $ Common.profile_kind_term $ Common.quiet_term
       $ Common.params_term $ Common.crashes_term $ Common.fault_seed_term

@@ -436,7 +436,7 @@ type checkpoint = {
   ck_metrics : Obs.Metrics.snapshot;
 }
 
-let ops_fingerprint ops = Recover.Crc32.string (Marshal.to_string (ops : Workload.Op.t array) [])
+let ops_fingerprint ops = Util.Crc32.string (Marshal.to_string (ops : Workload.Op.t array) [])
 
 let checkpoint_day ck = ck.ck_next_day
 let checkpoint_next_op ck = ck.ck_next_op
@@ -601,7 +601,7 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
             ~total_ops:(Array.length ops)
         in
         (* the logical stream is a derived child of --fault-seed, the
-           sibling of the device stream ([Fault.Device.seed_of]), so one
+           sibling of the device stream ([Fault.Plan.device_seed]), so one
            seed reproduces a whole mixed-fault run *)
         let rng = Util.Prng.create ~seed:(Fault.Plan.logical_seed ~fault_seed) in
         let points = Fault.Plan.crash_points ~rng ~n_ops:(Array.length ops) ~crashes in

@@ -34,10 +34,27 @@ let make_schedule ~rng ~ncg ~nblocks ~nfrags ~fpb ~ops =
       | 5 -> Cluster { cg; pref = Util.Prng.int rng nblocks; len = 2 + Util.Prng.int rng 6 }
       | _ -> Free { cg })
 
-(* replay the schedule over [cgs] through the public allocators (the
-   caller picks the search implementation via with_reference_searches),
-   returning (successful allocs, placement-trace checksum) *)
-let replay cgs fpb schedule =
+(* the three allocation entry points of one search implementation *)
+type impl = {
+  block : Ffs.Cg.t -> pref:int option -> int option;
+  frags : Ffs.Cg.t -> pref:int option -> count:int -> int option;
+  cluster :
+    Ffs.Cg.t -> policy:[ `First_fit | `Best_fit ] -> pref:int option -> len:int -> int option;
+}
+
+let indexed_impl =
+  { block = Ffs.Cg.alloc_block; frags = Ffs.Cg.alloc_frags; cluster = Ffs.Cg.alloc_cluster }
+
+let scan_impl =
+  {
+    block = Ffs.Cg.Reference.alloc_block;
+    frags = Ffs.Cg.Reference.alloc_frags;
+    cluster = Ffs.Cg.Reference.alloc_cluster;
+  }
+
+(* replay the schedule over [cgs] through [impl], returning (successful
+   allocs, placement-trace checksum) *)
+let replay impl cgs fpb schedule =
   let held = Array.make (Array.length cgs) [] in
   let allocs = ref 0 and cksum = ref 0 in
   let record pos count =
@@ -48,19 +65,19 @@ let replay cgs fpb schedule =
     (fun op ->
       match op with
       | Block { cg; pref } -> (
-          match Ffs.Cg.alloc_block cgs.(cg) ~pref:(Some pref) with
+          match impl.block cgs.(cg) ~pref:(Some pref) with
           | Some b ->
               record (b * fpb) fpb;
               held.(cg) <- (b * fpb, fpb) :: held.(cg)
           | None -> ())
       | Frags { cg; pref; count } -> (
-          match Ffs.Cg.alloc_frags cgs.(cg) ~pref:(Some pref) ~count with
+          match impl.frags cgs.(cg) ~pref:(Some pref) ~count with
           | Some pos ->
               record pos count;
               held.(cg) <- (pos, count) :: held.(cg)
           | None -> ())
       | Cluster { cg; pref; len } -> (
-          match Ffs.Cg.alloc_cluster cgs.(cg) ~policy:`First_fit ~pref:(Some pref) ~len with
+          match impl.cluster cgs.(cg) ~policy:`First_fit ~pref:(Some pref) ~len with
           | Some b ->
               record (b * fpb) (len * fpb);
               held.(cg) <- (b * fpb, len * fpb) :: held.(cg)
@@ -104,23 +121,20 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () 
      so a single timing is at the mercy of scheduler noise, and the
      regression gate needs a stable figure. The placement trace must
      not vary across repetitions. *)
-  let measure mode =
+  let measure impl =
     let warmup = Array.sub schedule 0 (min (ops / 10) (Array.length schedule)) in
     let one () =
       let cgs = Array.map Ffs.Cg.copy base in
       let warm = Array.map Ffs.Cg.copy base in
-      ignore (replay warm fpb warmup);
+      ignore (replay impl warm fpb warmup);
       let r = ref (0, 0) in
-      let s = timed (fun () -> r := replay cgs fpb schedule) in
+      let s = timed (fun () -> r := replay impl cgs fpb schedule) in
       (!r, s)
     in
-    let rep () =
-      match mode with `Indexed -> one () | `Scan -> Ffs.Cg.with_reference_searches one
-    in
-    let res0, s0 = rep () in
+    let res0, s0 = one () in
     let seconds = ref s0 in
     for _ = 2 to 3 do
-      let res, s = rep () in
+      let res, s = one () in
       if res <> res0 then failwith "alloc bench: repetitions diverged";
       if s < !seconds then seconds := s
     done;
@@ -128,8 +142,8 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(ops = default_ops) () 
     let seconds = !seconds in
     ({ seconds; allocs; allocs_per_sec = float_of_int allocs /. seconds }, cksum)
   in
-  let scan, ck_scan = measure `Scan in
-  let indexed, ck_indexed = measure `Indexed in
+  let scan, ck_scan = measure scan_impl in
+  let indexed, ck_indexed = measure indexed_impl in
   if ck_scan <> ck_indexed || scan.allocs <> indexed.allocs then
     failwith "alloc bench: scan and indexed placement traces diverged";
   {

@@ -65,5 +65,9 @@ val pp : Format.formatter -> spec -> unit
 
 val logical_seed : fault_seed:int -> int
 (** The child seed for the {e logical} fault stream (crash points and
-    metadata corruption draws). Sibling of {!Device.seed_of}, so one
+    metadata corruption draws). Sibling of {!device_seed}, so one
     [--fault-seed] reproduces a whole mixed logical+device fault run. *)
+
+val device_seed : fault_seed:int -> int
+(** The child seed for the {e device} fault stream, the seed of
+    [Ffs.Store]'s fault layer ({!Ffs.Store.Device} plans). *)

@@ -5,8 +5,7 @@ type t = {
   region_base : int;  (* byte offset of the group's region in [store] *)
   frag_used : Bitmap.t;  (* one bit per data fragment; set = allocated *)
   block_used : Bitmap.t;  (* one bit per block slot; set = any fragment used *)
-  runs : Run_index.t;  (* incremental free-run summary (cg_clustersum) *)
-  ext : Extent_index.t;  (* indexed free-space summary over the bitmaps *)
+  ext : Extent_index.t;  (* the one derived free-space index over the bitmaps *)
   inode_used : Bitmap.t;
   mutable nffree : int;
   mutable nbfree : int;
@@ -34,7 +33,6 @@ let create_in ~store ~base params ~index =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.frag_off) ~len:nfrags;
     block_used =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.block_off) ~len:nblocks;
-    runs = Run_index.create nblocks;
     ext = Extent_index.create ~nblocks ~fpb:params.Params.frags_per_block;
     inode_used =
       Bitmap.of_store store ~base:(base + regions.Store.Layout.inode_off) ~len:ninodes;
@@ -69,7 +67,6 @@ let rebind t ~store =
     inode_used =
       Bitmap.of_store store ~base:(Bitmap.base t.inode_used)
         ~len:(Bitmap.length t.inode_used);
-    runs = Run_index.copy t.runs;
     ext = Extent_index.copy t.ext;
   }
 
@@ -114,7 +111,6 @@ let claim_frags t ~pos ~count =
   for b = first_block to last_block do
     if not (Bitmap.get t.block_used b) then begin
       Bitmap.set t.block_used b;
-      Run_index.allocate t.runs b;
       t.nbfree <- t.nbfree - 1
     end
   done;
@@ -130,7 +126,6 @@ let free_frags t ~pos ~count =
     if Bitmap.get t.block_used b && Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb
     then begin
       Bitmap.clear t.block_used b;
-      Run_index.free t.runs b;
       t.nbfree <- t.nbfree + 1
     end
   done;
@@ -149,13 +144,13 @@ let fit_in_block t b ~count =
   end
 
 (* The allocators never touch the bitmaps directly: every placement
-   question goes through one of two interchangeable search strategies.
-   [scan_searches] is the seed's word-by-word bitmap walk, kept verbatim
-   as the placement oracle; [indexed_searches] answers the same queries
-   from the extent index in O(log). The differential suite
-   (test_cg_diff) pins the two bit-identical over random operation
-   scripts, aged images and crash/repair states, so routing the public
-   allocators through the index changes speed and nothing else. *)
+   question goes through one of two search strategies. [scan_searches]
+   is the seed's word-by-word bitmap walk, kept verbatim as the
+   placement oracle behind {!Reference}; [indexed_searches] answers the
+   same queries from the extent index in O(log) and backs the public
+   allocators. The differential suite (test_cg_diff) pins the two
+   bit-identical over random operation scripts and crash/repair states,
+   so the index changes speed and nothing else. *)
 type searches = {
   free_block_wrap : t -> start:int -> int option;
       (* first entirely-free block scanning forward from [start], wrapping *)
@@ -277,11 +272,7 @@ let rec idx_first_fit_from t ~pos ~len =
   | Some s ->
       if s + len > n then None
       else begin
-        let e =
-          match Extent_index.succ_used t.ext ~start:s with
-          | Some u -> u - 1
-          | None -> n - 1
-        in
+        let e = Extent_index.run_end t.ext s in
         if e - s + 1 >= len then Some s else idx_first_fit_from t ~pos:(e + 1) ~len
       end
 
@@ -299,24 +290,16 @@ let idx_cluster_first_fit t ~start ~len =
   end
 
 let idx_cluster_best_fit t ~len =
-  (* the cluster summary knows the shortest adequate run length; the
+  (* the run summary knows the shortest adequate run length; the
      winner is then the first run of exactly that length *)
-  let n = data_blocks t in
-  let rec shortest l =
-    if l > n then None else if Run_index.count_of_length t.runs l > 0 then Some l else shortest (l + 1)
-  in
-  match shortest len with
+  match Extent_index.shortest_run t.ext ~len with
   | None -> None
   | Some target ->
       let rec find pos =
         match Extent_index.succ_free t.ext ~start:pos with
         | None -> None
         | Some s ->
-            let e =
-              match Extent_index.succ_used t.ext ~start:s with
-              | Some u -> u - 1
-              | None -> n - 1
-            in
+            let e = Extent_index.run_end t.ext s in
             if e - s + 1 = target then Some s else find (e + 1)
       in
       find 0
@@ -329,17 +312,6 @@ let indexed_searches =
     cluster_first_fit = idx_cluster_first_fit;
     cluster_best_fit = idx_cluster_best_fit;
   }
-
-(* which strategy the public allocators use; flipped by the differential
-   tests (temporarily) and by {!Policy} instances (for the process) *)
-let current_searches = ref indexed_searches
-
-let set_searches s = current_searches := s
-
-let with_reference_searches f =
-  let saved = !current_searches in
-  current_searches := scan_searches;
-  Fun.protect ~finally:(fun () -> current_searches := saved) f
 
 (* --- allocation ----------------------------------------------------------- *)
 
@@ -393,9 +365,9 @@ let alloc_frags_with s t ~pref ~count =
 
 let alloc_cluster_with s t ~policy ~pref ~len =
   assert (len >= 1);
-  (* the cluster summary rejects hopeless requests without a scan — the
+  (* the run summary rejects hopeless requests without a scan — the
      point of cg_clustersum in the real file system *)
-  if t.nbfree < len || not (Run_index.has_run t.runs ~len) then None
+  if t.nbfree < len || Option.is_none (Extent_index.shortest_run t.ext ~len) then None
   else begin
     let nblocks = data_blocks t in
     let start = match pref with Some b -> b mod nblocks | None -> 0 in
@@ -425,11 +397,11 @@ let alloc_cluster_with s t ~policy ~pref ~len =
         Some b
   end
 
-let alloc_block t ~pref = alloc_block_with !current_searches t ~pref
-let alloc_frags t ~pref ~count = alloc_frags_with !current_searches t ~pref ~count
+let alloc_block t ~pref = alloc_block_with indexed_searches t ~pref
+let alloc_frags t ~pref ~count = alloc_frags_with indexed_searches t ~pref ~count
 
 let alloc_cluster t ~policy ~pref ~len =
-  alloc_cluster_with !current_searches t ~policy ~pref ~len
+  alloc_cluster_with indexed_searches t ~policy ~pref ~len
 
 (* The seed's scan implementation, callable directly: the oracle the
    differential suite and the alloc benchmark compare against. *)
@@ -441,9 +413,9 @@ module Reference = struct
     alloc_cluster_with scan_searches t ~policy ~pref ~len
 end
 
-let longest_free_run t = Run_index.longest t.runs
+let longest_free_run t = Extent_index.longest_run t.ext
 
-let free_run_histogram t ~max = Run_index.histogram t.runs ~max
+let free_run_histogram t ~max = Extent_index.run_histogram t.ext ~max
 
 let extent_histogram t = Extent_index.histogram t.ext
 
@@ -488,7 +460,6 @@ let reset t =
   Bitmap.clear_range t.block_used ~pos:0 ~len:nblocks;
   (* unconditional: the on-store bitmaps may themselves be corrupt
      (device bit rot), so nothing here may be driven by their contents *)
-  Run_index.reset t.runs;
   Extent_index.reset t.ext;
   Bitmap.clear_range t.inode_used ~pos:0 ~len:(Bitmap.length t.inode_used);
   t.nffree <- nfrags;
@@ -500,8 +471,8 @@ let reset t =
 
 (* The corrupt_* operations model torn metadata writes: they change one
    on-disk structure without the coordinated updates a live allocator
-   performs, so counters, bitmaps, the run index and the extent index
-   deliberately fall out of sync. Only {!Check.repair} (via {!reset} and
+   performs, so counters, bitmaps and the extent index deliberately fall
+   out of sync. Only {!Check.repair} (via {!reset} and
    the mark_* rebuilders) restores consistency; no allocation may run in
    between. *)
 
@@ -532,22 +503,9 @@ let corrupt_index_toggle_fit t b ~len = Extent_index.corrupt_toggle_fit t.ext b 
 (* --- consistency ---------------------------------------------------------- *)
 
 let audit_index t =
-  let ext =
-    Extent_index.audit t.ext ~frag_free:(fun f -> not (Bitmap.get t.frag_used f))
-  in
-  let runs =
-    (* audit a copy: [Run_index.check] settles the cached longest-run
-       hint as a side effect, and an fsck audit must not perturb the
-       image it inspects (the differential suite compares marshalled
-       bytes across audits) *)
-    match
-      Run_index.check (Run_index.copy t.runs)
-        ~bitmap_free:(fun b -> not (Bitmap.get t.block_used b))
-    with
-    | () -> []
-    | exception Error.Error (Error.Corrupt msg) -> [ msg ]
-  in
-  ext @ runs
+  Extent_index.audit t.ext
+    ~frag_free:(fun f -> not (Bitmap.get t.frag_used f))
+    ~block_free:(fun b -> not (Bitmap.get t.block_used b))
 
 let check_invariants t =
   assert (t.nffree = Bitmap.count_clear t.frag_used);
@@ -558,8 +516,7 @@ let check_invariants t =
     let any_used = not (Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb) in
     assert (Bitmap.get t.block_used b = any_used)
   done;
-  Run_index.check t.runs ~bitmap_free:(fun b -> not (Bitmap.get t.block_used b));
-  match Extent_index.audit t.ext ~frag_free:(fun f -> not (Bitmap.get t.frag_used f)) with
+  match audit_index t with
   | [] -> ()
   | msg :: _ -> Error.raise_ (Error.Corrupt msg)
 
@@ -567,10 +524,9 @@ let check_invariants t =
 
 (* The group's canonical serialisation: the persisted bytes (the three
    bitmaps, raw) plus the superblock-level counters and the rotor.
-   Derived state — the run summary and the extent index — is rebuilt
-   from the bitmaps on load, exactly as {!Check.repair} rebuilds it, so
-   the form is independent of query history (the lazily-settled
-   longest-run hint never reaches disk) and of the storage backend.
+   Derived state — the extent index — is rebuilt from the bitmaps on
+   load, exactly as {!Check.repair} rebuilds it, so the form is
+   independent of the storage backend.
    Checkpoints, aged images and digests all go through it. *)
 type portable = {
   p_index : int;
@@ -616,9 +572,6 @@ let load_portable t p =
   Bitmap.load t.frag_used p.p_frag_bits;
   Bitmap.load t.block_used p.p_block_bits;
   Bitmap.load t.inode_used p.p_inode_bits;
-  for b = 0 to data_blocks t - 1 do
-    if Bitmap.get t.block_used b then Run_index.allocate t.runs b
-  done;
   sync_index t ~first_block:0 ~last_block:(data_blocks t - 1);
   t.nffree <- p.p_nffree;
   t.nbfree <- p.p_nbfree;

@@ -8,14 +8,16 @@
 
     Every placement question — first free block, nearest-in-cylinder,
     partial-block fragment fit, cluster run — is answered by the group's
-    {!Extent_index} in O(log); the seed's word-by-word bitmap scans are
-    kept verbatim behind {!module-Reference} as the placement oracle,
-    and the differential suite pins the two bit-identical.
+    {!Extent_index} in O(log). It is the group's only derived structure:
+    its run summary doubles as the cluster summary ([cg_clustersum]).
+    The seed's word-by-word bitmap scans are kept verbatim behind
+    {!module-Reference} as the placement oracle, and the differential
+    suite pins the two bit-identical.
 
     Invariants (checked by [check_invariants]):
     - a block-slot bit is set iff any of its fragments is set;
     - [free_frags] and [free_blocks] agree with the bitmaps;
-    - the run index and the extent index agree with the bitmaps. *)
+    - the extent index agrees with the bitmaps. *)
 
 type t
 
@@ -82,40 +84,6 @@ val alloc_cluster :
     adequate run, ties to the first). Returns the starting block index of
     the allocated run. *)
 
-(** {2 Search strategies}
-
-    Every placement question the allocators ask, as a first-class record
-    of searches. Two built-in strategies answer them — the extent
-    index's O(log) queries ({!indexed_searches}, the default) and the
-    seed's word-by-word bitmap scans ({!scan_searches}, the oracle) —
-    and {!Policy} instances may install their own. A strategy only
-    {e searches}; mutation and accounting are shared, so swapping one in
-    changes speed, never placements' bookkeeping. *)
-
-type searches = {
-  free_block_wrap : t -> start:int -> int option;
-      (** first entirely-free block scanning forward from [start],
-          wrapping *)
-  free_in_cylinder : t -> pref:int -> int option;
-      (** rotationally nearest free block in [pref]'s fs cylinder *)
-  partial_fit : t -> start_block:int -> count:int -> int option;
-      (** first in-block [count]-fragment fit, scanning blocks from
-          [start_block] with wrap; never breaks a free block *)
-  cluster_first_fit : t -> start:int -> len:int -> int option;
-      (** first run of [len] free blocks scanning forward from [start],
-          wrapping *)
-  cluster_best_fit : t -> len:int -> int option;
-      (** start of the shortest adequate maximal free run, first
-          occurrence winning ties *)
-}
-
-val indexed_searches : searches
-val scan_searches : searches
-
-val set_searches : searches -> unit
-(** Route every allocator in the process through the given strategy
-    (listed policies call this via {!Policy.install}). *)
-
 (** {2 The scan oracle}
 
     The seed's linear bitmap-scan allocators, unchanged. Same mutation
@@ -130,13 +98,6 @@ module Reference : sig
   val alloc_cluster :
     t -> policy:[ `First_fit | `Best_fit ] -> pref:int option -> len:int -> int option
 end
-
-val with_reference_searches : (unit -> 'a) -> 'a
-(** Run [f] with {e every} allocator in the process ([alloc_block],
-    [Fs], [Aging.Replay], ...) routed through the scan searches instead
-    of the index — the whole-pipeline pin of the differential suite.
-    Restores the indexed searches on exit, exceptional or not. Not
-    reentrant, not thread-safe; test-only. *)
 
 val longest_free_run : t -> int
 
@@ -165,10 +126,10 @@ val add_dir : t -> unit
 val remove_dir : t -> unit
 
 val audit_index : t -> string list
-(** Compare the derived search structures — the extent index and the
-    cluster-run summary — against the bitmaps (ground truth). One
-    message per divergence; [[]] means consistent. Never raises; feeds
-    [Check.run]'s index-consistency pass. *)
+(** Compare the extent index, run summary included, against the bitmaps
+    (ground truth). One message per divergence; [[]] means consistent.
+    Reads only, never raises; feeds [Check.run]'s index-consistency
+    pass. *)
 
 val check_invariants : t -> unit
 (** Raises [Assert_failure] if internal counters disagree with the
@@ -182,12 +143,12 @@ val check_invariants : t -> unit
 
 val reset : t -> unit
 (** Return the group to the everything-free state: bitmaps cleared,
-    run index whole, counters full, directory count zero. The rotor is
-    preserved (it is a search hint, not an invariant). *)
+    extent index whole, counters full, directory count zero. The rotor
+    is preserved (it is a search hint, not an invariant). *)
 
 val mark_frags_used : t -> pos:int -> count:int -> unit
 (** Mark a fragment run allocated, keeping block bits, counters and the
-    run index in sync. The run must currently be free. *)
+    extent index in sync. The run must currently be free. *)
 
 val mark_inode_used : t -> int -> unit
 (** Mark one inode slot allocated. The slot must currently be free. *)
@@ -236,9 +197,8 @@ val corrupt_index_toggle_fit : t -> int -> len:int -> unit
 
     The group's canonical serialisation: the persisted bytes (the three
     bitmaps, raw) plus the counters and the rotor. Derived state — the
-    run summary and the extent index — is rebuilt from the bitmaps on
-    load, so the form is independent of query history and of the storage
-    backend. Checkpoints, aged images and digests all go through it. *)
+    extent index — is rebuilt from the bitmaps on load, so the form is
+    independent of the storage backend. Checkpoints, aged images and digests all go through it. *)
 
 type portable = {
   p_index : int;

@@ -23,9 +23,8 @@ type problem =
   | Bad_run of { inum : int; addr : int; frags : int }
       (** a data run with a nonsensical address or length *)
   | Index_mismatch of { cg : int; what : string }
-      (** a derived search structure (the extent index or the cluster-run
-          summary) disagrees with the group's bitmaps; [what] is the
-          divergence in words *)
+      (** the extent index (run summary included) disagrees with the
+          group's bitmaps; [what] is the divergence in words *)
   | Inode_bitmap_mismatch of { cg : int; slot : int; live : bool }
       (** an inode-bitmap bit contradicts the inode table: [live] means
           a live inode's slot is marked free (the dangerous direction —
@@ -77,7 +76,7 @@ val repair : Fs.t -> (repair_log, Error.t) result
 (** Repair in place, in four deterministic passes: (1) prune invalid and
     double-claimed runs from the inode table, arbitrating in ascending
     inode order (direct runs before indirect blocks); (2) rebuild every
-    group's bitmaps, counters, cluster summary and extent index from the
+    group's bitmaps, counters and extent index from the
     surviving claims; (3) remove directory entries naming dead inodes; (4)
     reattach unreferenced inodes to a [lost+found] directory under the
     root, creating it if needed.

@@ -104,7 +104,36 @@ type t = {
   used : Hier.t;  (* bit set = at least one fragment used *)
   maxrun : Bytes.t;  (* per block: longest in-block free-fragment run *)
   fit : Hier.t array;  (* fit.(l-1): partial blocks with a free run >= l *)
+  lengths : int array;  (* free-block run length, valid at run endpoints only *)
+  counts : int array;  (* counts.(l) = maximal free-block runs of length l *)
+  lens : Hier.t;  (* bit l set iff counts.(l) > 0 *)
 }
+
+let add_run t ~s ~e =
+  let len = e - s + 1 in
+  if len > 0 then begin
+    if t.counts.(len) = 0 then Hier.set t.lens len;
+    t.counts.(len) <- t.counts.(len) + 1;
+    t.lengths.(s) <- len;
+    t.lengths.(e) <- len
+  end
+
+let drop_run t len =
+  t.counts.(len) <- t.counts.(len) - 1;
+  if t.counts.(len) = 0 then Hier.clear t.lens len
+
+let reset t =
+  Hier.clear_all t.used;
+  Array.iter Hier.clear_all t.fit;
+  Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
+  Hier.clear_all t.free;
+  for b = 0 to t.nblocks - 1 do
+    Hier.set t.free b
+  done;
+  Array.fill t.lengths 0 (Array.length t.lengths) 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Hier.clear_all t.lens;
+  add_run t ~s:0 ~e:(t.nblocks - 1)
 
 let create ~nblocks ~fpb =
   assert (nblocks >= 0 && fpb >= 1 && fpb <= 8);
@@ -116,11 +145,12 @@ let create ~nblocks ~fpb =
       used = Hier.create nblocks;
       maxrun = Bytes.make (max 1 nblocks) (Char.chr fpb);
       fit = Array.init (fpb - 1) (fun _ -> Hier.create nblocks);
+      lengths = Array.make (max 1 nblocks) 0;
+      counts = Array.make (nblocks + 1) 0;
+      lens = Hier.create (nblocks + 1);
     }
   in
-  for b = 0 to nblocks - 1 do
-    Hier.set t.free b
-  done;
+  reset t;
   t
 
 let copy t =
@@ -130,22 +160,39 @@ let copy t =
     used = Hier.copy t.used;
     maxrun = Bytes.copy t.maxrun;
     fit = Array.map Hier.copy t.fit;
+    lengths = Array.copy t.lengths;
+    counts = Array.copy t.counts;
+    lens = Hier.copy t.lens;
   }
 
-let reset t =
-  Hier.clear_all t.used;
-  Array.iter Hier.clear_all t.fit;
-  Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
-  Hier.clear_all t.free;
-  for b = 0 to t.nblocks - 1 do
-    Hier.set t.free b
-  done
-
 let block_maxrun t b = Char.code (Bytes.get t.maxrun b)
+let succ_free t ~start = Hier.succ t.free start
+let run_end t b = match Hier.succ t.used b with Some u -> u - 1 | None -> t.nblocks - 1
 
 (* a block is in fit bucket l iff it is partial with maxrun >= l; a
    wholly free block (maxrun = fpb) belongs to no bucket *)
 let fit_degree t m = if m >= t.fpb then 0 else m
+
+(* Block [b] turns used: split its free run around it. The run's bounds
+   come from the used hierarchy and the endpoint lengths, never a walk. *)
+let take_block t b =
+  let e = run_end t b in
+  let s = e - t.lengths.(e) + 1 in
+  drop_run t (e - s + 1);
+  Hier.clear t.free b;
+  Hier.set t.used b;
+  add_run t ~s ~e:(b - 1);
+  add_run t ~s:(b + 1) ~e
+
+(* Block [b] turns free: merge it with the free runs on either side. *)
+let give_block t b =
+  let left = if b > 0 && Hier.mem t.free (b - 1) then t.lengths.(b - 1) else 0 in
+  let right = if b + 1 < t.nblocks && Hier.mem t.free (b + 1) then t.lengths.(b + 1) else 0 in
+  if left > 0 then drop_run t left;
+  if right > 0 then drop_run t right;
+  Hier.set t.free b;
+  Hier.clear t.used b;
+  add_run t ~s:(b - left) ~e:(b + right)
 
 let update t b ~maxrun =
   assert (maxrun >= 0 && maxrun <= t.fpb);
@@ -153,15 +200,7 @@ let update t b ~maxrun =
   if maxrun <> old then begin
     Bytes.set t.maxrun b (Char.chr maxrun);
     let was_free = old = t.fpb and is_free = maxrun = t.fpb in
-    if was_free <> is_free then
-      if is_free then begin
-        Hier.set t.free b;
-        Hier.clear t.used b
-      end
-      else begin
-        Hier.clear t.free b;
-        Hier.set t.used b
-      end;
+    if was_free <> is_free then if is_free then give_block t b else take_block t b;
     let d_old = fit_degree t old and d_new = fit_degree t maxrun in
     for l = d_new + 1 to d_old do
       Hier.clear t.fit.(l - 1) b
@@ -171,42 +210,75 @@ let update t b ~maxrun =
     done
   end
 
-let succ_free t ~start = Hier.succ t.free start
-let succ_used t ~start = Hier.succ t.used start
-
 let succ_fit t ~count ~start =
   assert (count >= 1 && count < t.fpb);
   Hier.succ t.fit.(count - 1) start
 
-let iter_free_extents t f =
-  let rec go pos =
-    match succ_free t ~start:pos with
-    | None -> ()
-    | Some s ->
-        let e = match succ_used t ~start:s with Some u -> u - 1 | None -> t.nblocks - 1 in
-        f ~pos:s ~len:(e - s + 1);
-        go (e + 1)
-  in
-  go 0
+let shortest_run t ~len = Hier.succ t.lens len
+
+let longest_run t =
+  let rec go l = if l = 0 || t.counts.(l) > 0 then l else go (l - 1) in
+  go t.nblocks
+
+let run_histogram t ~max =
+  assert (max >= 1);
+  let out = Array.make max 0 in
+  for len = 1 to t.nblocks do
+    let slot = min len max - 1 in
+    out.(slot) <- out.(slot) + t.counts.(len)
+  done;
+  out
 
 let histogram t =
   let nbuckets =
     let rec go i = if 1 lsl i > max 1 t.nblocks then i else go (i + 1) in
     go 1
   in
-  let counts = Array.make nbuckets 0 in
+  let out = Array.make nbuckets 0 in
   let bucket_of len =
     let rec go i = if 1 lsl (i + 1) > len then i else go (i + 1) in
     go 0
   in
-  iter_free_extents t (fun ~pos:_ ~len ->
-      let i = min (bucket_of len) (nbuckets - 1) in
-      counts.(i) <- counts.(i) + 1);
-  Array.mapi (fun i c -> (1 lsl i, c)) counts
+  for len = 1 to t.nblocks do
+    let i = min (bucket_of len) (nbuckets - 1) in
+    out.(i) <- out.(i) + t.counts.(len)
+  done;
+  Array.mapi (fun i c -> (1 lsl i, c)) out
 
 (* --- consistency ---------------------------------------------------------- *)
 
-let audit t ~frag_free =
+(* The run summary against a recount of the block map: the first
+   divergence only, as one message. *)
+let audit_runs t ~block_free =
+  let recount = Array.make (t.nblocks + 1) 0 in
+  let bad = ref None in
+  let complain fmt = Fmt.kstr (fun m -> if !bad = None then bad := Some m) fmt in
+  let b = ref 0 in
+  while !b < t.nblocks do
+    if block_free !b then begin
+      let s = !b in
+      while !b < t.nblocks && block_free !b do
+        incr b
+      done;
+      let e = !b - 1 in
+      let len = e - s + 1 in
+      recount.(len) <- recount.(len) + 1;
+      if t.lengths.(s) <> len || t.lengths.(e) <> len then
+        complain "runs: endpoint lengths wrong for run [%d,%d] (have %d/%d)" s e
+          t.lengths.(s) t.lengths.(e)
+    end
+    else incr b
+  done;
+  Array.iteri
+    (fun len c ->
+      if c <> t.counts.(len) then
+        complain "runs: count for length %d is %d, expected %d" len t.counts.(len) c
+      else if len > 0 && Hier.mem t.lens len <> (c > 0) then
+        complain "runs: length %d marked %b, count is %d" len (Hier.mem t.lens len) c)
+    recount;
+  Option.to_list !bad
+
+let audit t ~frag_free ~block_free =
   let bad = ref [] in
   let complain fmt = Fmt.kstr (fun m -> bad := m :: !bad) fmt in
   for b = 0 to t.nblocks - 1 do
@@ -242,12 +314,13 @@ let audit t ~frag_free =
   let summaries =
     Hier.audit t.free ~name:"free"
     @ Hier.audit t.used ~name:"used"
+    @ Hier.audit t.lens ~name:"lens"
     @ List.concat
         (List.mapi
            (fun i h -> Hier.audit h ~name:(Fmt.str "fit[%d]" (i + 1)))
            (Array.to_list t.fit))
   in
-  List.rev !bad @ summaries
+  List.rev !bad @ audit_runs t ~block_free @ summaries
 
 (* --- fault injection ------------------------------------------------------ *)
 

@@ -12,7 +12,15 @@
     - {e fit} hierarchies, one per fragment-run length [1 ..
       frags_per_block-1], list the partially-filled blocks whose longest
       in-block free-fragment run is at least that length — the query
-      behind [ffs_alloccg]'s partial-block walk for file tails.
+      behind [ffs_alloccg]'s partial-block walk for file tails;
+    - the {e run summary} — the simulator's [cg_clustersum] — counts
+      the maximal free-block runs of each length, with a {e lengths}
+      hierarchy (bit [l] set iff some run has length [l]) answering
+      "shortest run of at least [l] blocks" in one successor query. Run
+      lengths live at each run's two endpoints; when a block flips
+      between free and used its run's bounds come from the used
+      hierarchy ([e] = next used block - 1, [s = e - length e + 1]), so
+      splitting and merging runs never walks the block map.
 
     Each hierarchy is a tree of 63-bit words: every upper-level bit
     records whether the word below it is nonzero, so a successor query
@@ -40,7 +48,7 @@ val update : t -> int -> maxrun:int -> unit
 (** Record block [b]'s new fragment state, where [maxrun] is the longest
     free-fragment run inside the block ([fpb] = entirely free, [0] =
     entirely used, anything between = partial). Reclassifies the block
-    in the free/used hierarchies and the fit buckets. *)
+    in the free/used hierarchies, the fit buckets and the run summary. *)
 
 val block_maxrun : t -> int -> int
 (** The recorded in-block longest free run (for audits and tests). *)
@@ -50,17 +58,27 @@ val block_maxrun : t -> int -> int
 val succ_free : t -> start:int -> int option
 (** First entirely-free block at index [>= start]. *)
 
-val succ_used : t -> start:int -> int option
-(** First not-entirely-free block at index [>= start] — gives the end of
-    the free run an allocation is considering. *)
+val run_end : t -> int -> int
+(** Last block of the free run holding free block [b]: one successor
+    query on the used hierarchy. *)
 
 val succ_fit : t -> count:int -> start:int -> int option
 (** First partially-filled block at index [>= start] holding a free
     fragment run of [>= count] fragments ([1 <= count < fpb]). *)
 
-val iter_free_extents : t -> (pos:int -> len:int -> unit) -> unit
-(** Every maximal free-block extent in ascending order, enumerated
-    through the hierarchies (not a bitmap scan). *)
+val shortest_run : t -> len:int -> int option
+(** Length of the shortest maximal free-block run of [>= len] blocks, if
+    any — the cluster summary's "can this request succeed" and
+    best-fit's target length in one query. *)
+
+(** {2 Run statistics} — [O(nblocks)], from the run summary. *)
+
+val longest_run : t -> int
+(** Length of the longest free-block run (0 if none). *)
+
+val run_histogram : t -> max:int -> int array
+(** Free-block runs by length: slot [i] holds runs of length [i+1], runs
+    longer than [max] folded into the last slot. *)
 
 val histogram : t -> (int * int) array
 (** Free extents bucketed by power-of-two length: [(bucket_min, count)]
@@ -70,11 +88,13 @@ val histogram : t -> (int * int) array
 
 (** {2 Consistency} *)
 
-val audit : t -> frag_free:(int -> bool) -> string list
-(** Compare every derived structure against the fragment bitmap (ground
-    truth): per-block classification, fit memberships, stored max runs,
-    and the internal summary levels of each hierarchy. Returns one
-    message per divergence; [[]] means consistent. *)
+val audit : t -> frag_free:(int -> bool) -> block_free:(int -> bool) -> string list
+(** Compare every derived structure against the bitmaps (ground truth):
+    per-block classification, fit memberships and stored max runs
+    against the fragment map, the run summary against the block map
+    (at most one message), and the internal summary levels of each
+    hierarchy. Returns one message per divergence; [[]] means
+    consistent. *)
 
 (** {2 Fault injection}
 

@@ -885,9 +885,8 @@ let check_invariants t =
 (* The fs's canonical serialisation: geometry, config, clock, counters,
    each group's {!Cg.portable} (raw bitmap bytes + counters, no derived
    indexes), and the logical tables flattened to sorted association
-   lists. The form is independent of the storage backend, of hashtable
-   internals and of query history (the groups' lazily-settled search
-   hints never appear), so a digest of it is canonical; checkpoints and
+   lists. The form is independent of the storage backend and of
+   hashtable internals, so a digest of it is canonical; checkpoints and
    aged images persist exactly this. *)
 type portable_dir = {
   pd_inum : int;

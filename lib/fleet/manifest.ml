@@ -106,5 +106,5 @@ let aggregate t =
     files_live = !files;
     skipped_ops = !skipped;
     crashes_recovered = !crashes;
-    digest = Recover.Crc32.string (Buffer.contents buf);
+    digest = Util.Crc32.string (Buffer.contents buf);
   }

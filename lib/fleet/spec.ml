@@ -91,7 +91,7 @@ let ops_of_volume v =
   in
   Workload.Profiles.build params v.profile ~days:v.days ~seed:v.seed
 
-let fingerprint t = Recover.Crc32.string (Marshal.to_string t [])
+let fingerprint t = Util.Crc32.string (Marshal.to_string t [])
 
 let pp_volume ppf v =
   Fmt.pf ppf "%s/%s %s %dd seed=%d%s%s" v.geometry

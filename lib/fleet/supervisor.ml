@@ -80,7 +80,7 @@ let summarize (cr : Aging.Replay.crash_result) =
     skipped_ops = r.Aging.Replay.skipped_ops;
     crashes_recovered = List.length cr.Aging.Replay.recoveries;
     score_digest =
-      Recover.Crc32.string
+      Util.Crc32.string
         (Marshal.to_string (scores, r.Aging.Replay.daily_utilization) []);
     image_digest = Ffs.Fs.digest fs;
   }
@@ -104,7 +104,7 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
     | None -> (cfg.backend, 0)
     | Some plan ->
         ( Ffs.Store.resilient_spec ~faults:plan
-            ~seed:(Fault.Device.seed_of ~fault_seed:spec.Spec.fault_seed)
+            ~seed:(Fault.Plan.device_seed ~fault_seed:spec.Spec.fault_seed)
             cfg.backend,
           max 1 cfg.scrub_every )
   in

@@ -79,14 +79,14 @@ let write_parts ~path ~kind parts =
         let payload_len = List.fold_left (fun acc p -> acc + String.length p) 0 parts in
         let hdr = header ~kind ~payload_len in
         output_string oc hdr;
-        let crc = ref Crc32.(update empty hdr ~pos:0 ~len:(String.length hdr)) in
+        let crc = ref Util.Crc32.(update empty hdr ~pos:0 ~len:(String.length hdr)) in
         List.iter
           (fun p ->
             output_string oc p;
-            crc := Crc32.update !crc p ~pos:0 ~len:(String.length p))
+            crc := Util.Crc32.update !crc p ~pos:0 ~len:(String.length p))
           parts;
         let b = Buffer.create 4 in
-        add_u32_le b (Crc32.finish !crc);
+        add_u32_le b (Util.Crc32.finish !crc);
         output_string oc (Buffer.contents b);
         flush oc;
         Unix.fsync (Unix.descr_of_out_channel oc))
@@ -150,7 +150,7 @@ let parse path =
             else begin
               let crc_stored = read_u32_le contents (payload_off + payload_len) in
               let crc_computed =
-                Crc32.(finish (update empty contents ~pos:0 ~len:(payload_off + payload_len)))
+                Util.Crc32.(finish (update empty contents ~pos:0 ~len:(payload_off + payload_len)))
               in
               let info =
                 { version; kind; payload_bytes = payload_len; crc_stored;

@@ -4,17 +4,19 @@
    [Recover] (containers, fingerprints) and [Ffs.Store] (chunk
    checksums) need it, and [Recover] already depends on [Ffs]. *)
 
+(* built eagerly at module initialisation: pool domains checksum
+   concurrently, and forcing a shared [lazy] from two domains at once
+   raises [CamlinternalLazy.Undefined] *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 type t = int32
 (* running state: the ones-complemented register *)
@@ -22,7 +24,6 @@ type t = int32
 let empty : t = 0xFFFFFFFFl
 
 let update (crc : t) s ~pos ~len : t =
-  let table = Lazy.force table in
   let crc = ref crc in
   for i = pos to pos + len - 1 do
     let idx = Int32.to_int (Int32.logand !crc 0xFFl) lxor Char.code s.[i] in

@@ -259,8 +259,8 @@ let test_day_stats_reported () =
 (* the QCheck sweep: any seed's workload ages to the same image at jobs
    1 and jobs 4, and the image is always audit-clean (no double claims,
    consistent bitmaps/counters). The audit runs before the digest
-   comparison on purpose: audits settle lazily-refined caches, and the
-   digest must not care (it normalizes them itself). *)
+   comparison on purpose: an audit only reads, so the digest must come
+   out the same either way. *)
 let qcheck_jobs_identity =
   QCheck.Test.make ~name:"run_parallel jobs-independence over random workloads" ~count:5
     QCheck.(int_bound 100_000)

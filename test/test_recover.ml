@@ -48,13 +48,13 @@ let flip_byte path ~pos ~mask =
 let test_crc32_known_value () =
   (* the standard check value for CRC-32/ISO-HDLC *)
   Alcotest.(check int32) "crc of 123456789" 0xCBF43926l
-    (Recover.Crc32.string "123456789")
+    (Util.Crc32.string "123456789")
 
 let test_crc32_incremental () =
   let s = "the quick brown fox jumps over the lazy dog" in
-  let direct = Recover.Crc32.string s in
+  let direct = Util.Crc32.string s in
   let split =
-    Recover.Crc32.(
+    Util.Crc32.(
       finish (update (update empty s ~pos:0 ~len:10) s ~pos:10 ~len:(String.length s - 10)))
   in
   Alcotest.(check int32) "incremental = one-shot" direct split

@@ -72,12 +72,12 @@ let test_device_spec_round_trip () =
    --fault-seed, and each must be a pure function of it *)
 let test_fault_seed_split () =
   check_bool "logical and device seeds differ" true
-    (Fault.Plan.logical_seed ~fault_seed:42 <> Fault.Device.seed_of ~fault_seed:42);
+    (Fault.Plan.logical_seed ~fault_seed:42 <> Fault.Plan.device_seed ~fault_seed:42);
   check_int "device seed is deterministic"
-    (Fault.Device.seed_of ~fault_seed:42)
-    (Fault.Device.seed_of ~fault_seed:42);
+    (Fault.Plan.device_seed ~fault_seed:42)
+    (Fault.Plan.device_seed ~fault_seed:42);
   check_bool "different fault seeds give different device seeds" true
-    (Fault.Device.seed_of ~fault_seed:1 <> Fault.Device.seed_of ~fault_seed:2)
+    (Fault.Plan.device_seed ~fault_seed:1 <> Fault.Plan.device_seed ~fault_seed:2)
 
 (* ------------------------------------------------------------------ *)
 (* Passthrough: resilient with no plan is bit-identical to raw         *)
@@ -191,7 +191,7 @@ let test_transient_retry () =
 let aged_faulty_fs ~plan ~days ~seed =
   let backend =
     Ffs.Store.resilient_spec ~faults:plan
-      ~seed:(Fault.Device.seed_of ~fault_seed:seed)
+      ~seed:(Fault.Plan.device_seed ~fault_seed:seed)
       Ffs.Store.Heap_backend
   in
   (run_small ~backend ~days ~seed).Aging.Replay.fs
@@ -255,7 +255,7 @@ let test_chaos_no_data_loss () =
   in
   let backend =
     Ffs.Store.resilient_spec ~faults:plan
-      ~seed:(Fault.Device.seed_of ~fault_seed:seed)
+      ~seed:(Fault.Plan.device_seed ~fault_seed:seed)
       Ffs.Store.Heap_backend
   in
   let ops = build_ops ~days ~seed () in
