@@ -272,6 +272,21 @@ let micro_tests () =
            let inum = Ffs.Fs.create_file_exn fs ~dir ~name ~size:(48 * 1024) in
            Ffs.Fs.delete_inum_exn fs inum))
   in
+  (* a long file: the delete half frees its runs as whole spans, so
+     beside the 48KB row this shows how the pair scales with length *)
+  let trad_fs = Ffs.Fs.create params in
+  let long_counter = ref 0 in
+  let long_create_delete =
+    Test.make ~name:"64-block file create+delete"
+      (Staged.stage (fun () ->
+           incr long_counter;
+           let name = "long" ^ string_of_int !long_counter in
+           let inum =
+             Ffs.Fs.create_file_exn trad_fs ~dir:(Ffs.Fs.root trad_fs) ~name
+               ~size:(64 * params.Ffs.Params.block_bytes)
+           in
+           Ffs.Fs.delete_inum_exn trad_fs inum))
+  in
   let aged_small =
     let profile = Workload.Ground_truth.scaled params ~days:5 in
     let gt = Workload.Ground_truth.generate params profile in
@@ -301,6 +316,7 @@ let micro_tests () =
       cluster_gate;
       bitmap_scan;
       create_delete;
+      long_create_delete;
       layout;
       disk_service;
     ]

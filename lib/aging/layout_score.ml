@@ -1,34 +1,46 @@
+(* entries contiguous with their predecessor: the optimal count *)
+let optimal_links (entries : Ffs.Inode.entry array) =
+  let optimal = ref 0 in
+  for i = 1 to Array.length entries - 1 do
+    let prev = entries.(i - 1) and cur = entries.(i) in
+    if cur.Ffs.Inode.addr = prev.Ffs.Inode.addr + prev.Ffs.Inode.frags then incr optimal
+  done;
+  !optimal
+
 let file_counts (ino : Ffs.Inode.t) =
   let entries = ino.Ffs.Inode.entries in
   let n = Array.length entries in
-  if n < 2 then (0, 0)
-  else begin
-    let optimal = ref 0 in
-    for i = 1 to n - 1 do
-      let prev = entries.(i - 1) and cur = entries.(i) in
-      if cur.Ffs.Inode.addr = prev.Ffs.Inode.addr + prev.Ffs.Inode.frags then incr optimal
-    done;
-    (!optimal, n - 1)
-  end
+  if n < 2 then (0, 0) else (optimal_links entries, n - 1)
 
 let file_score ino =
   match file_counts ino with
   | _, 0 -> None
   | optimal, counted -> Some (float_of_int optimal /. float_of_int counted)
 
-let aggregate_counts fold =
-  let optimal, counted =
-    fold (0, 0) (fun (o, c) ino ->
-        let fo, fc = file_counts ino in
-        (o + fo, c + fc))
-  in
+let ratio ~optimal ~counted =
   if counted = 0 then 1.0 else float_of_int optimal /. float_of_int counted
 
-let aggregate fs = aggregate_counts (fun init f -> Ffs.Fs.fold_files fs ~init ~f)
+(* Runs every day of every replay: two integer sums, no per-file tuple. *)
+let aggregate fs =
+  let optimal = ref 0 and counted = ref 0 in
+  Ffs.Fs.iter_files fs (fun ino ->
+      let entries = ino.Ffs.Inode.entries in
+      let n = Array.length entries in
+      if n >= 2 then begin
+        optimal := !optimal + optimal_links entries;
+        counted := !counted + n - 1
+      end);
+  ratio ~optimal:!optimal ~counted:!counted
 
 let aggregate_of fs ~inums =
-  aggregate_counts (fun init f ->
-      List.fold_left (fun acc inum -> f acc (Ffs.Fs.inode fs inum)) init inums)
+  let optimal, counted =
+    List.fold_left
+      (fun (o, c) inum ->
+        let fo, fc = file_counts (Ffs.Fs.inode fs inum) in
+        (o + fo, c + fc))
+      (0, 0) inums
+  in
+  ratio ~optimal ~counted
 
 type size_bucket = { max_bytes : int; score : float; files : int; counted_blocks : int }
 

@@ -120,7 +120,7 @@ let apply e op =
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
           let dir = e.group_dirs.(cg) in
-          Ffs.Fs.create_file e.fs ~dir ~name:(Fmt.str "f%d" ino) ~size
+          Ffs.Fs.create_file e.fs ~dir ~name:("f" ^ string_of_int ino) ~size
           |> Result.map (fun inum -> Hashtbl.replace e.ino_map ino inum)
           |> skip_if_full e op)
   | Workload.Op.Delete { ino; _ } -> (
@@ -204,7 +204,7 @@ let papply e ~deferred op =
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
           let dir = e.group_dirs.(cg) in
-          match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:(Fmt.str "f%d" ino) ~size with
+          match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:("f" ^ string_of_int ino) ~size with
           | Ok inum ->
               globally (fun () -> Hashtbl.replace e.ino_map ino inum);
               count ();

@@ -130,27 +130,29 @@ let clear_range t ~pos ~len =
     incr i
   done
 
-let all_clear t ~pos ~len =
+(* Every bit of [pos ..+ len] equal to [v], whole bytes at a time once
+   aligned. A loop over refs rather than a local recursion: the
+   allocator asserts this on every claim and free, and a closure
+   capturing [t] would be a heap allocation per call. *)
+let all_equal t ~pos ~len v =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
+  let whole = if v then '\255' else '\000' in
   let stop = pos + len in
-  let rec loop i =
-    i >= stop
-    ||
-    if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\000' && loop (i + 8)
-    else (not (get t i)) && loop (i + 1)
-  in
-  loop pos
+  let i = ref pos and ok = ref true in
+  while !ok && !i < stop do
+    if !i land 7 = 0 && stop - !i >= 8 then begin
+      ok := byte t (!i lsr 3) = whole;
+      i := !i + 8
+    end
+    else begin
+      ok := get t !i = v;
+      incr i
+    end
+  done;
+  !ok
 
-let all_set t ~pos ~len =
-  assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  let stop = pos + len in
-  let rec loop i =
-    i >= stop
-    ||
-    if i land 7 = 0 && stop - i >= 8 then byte t (i lsr 3) = '\255' && loop (i + 8)
-    else get t i && loop (i + 1)
-  in
-  loop pos
+let all_clear t ~pos ~len = all_equal t ~pos ~len false
+let all_set t ~pos ~len = all_equal t ~pos ~len true
 
 let popcount_byte =
   let table = Array.make 256 0 in

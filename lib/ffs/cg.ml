@@ -93,7 +93,7 @@ let frag_is_free t f = not (Bitmap.get t.frag_used f)
 let fpb t = t.params.Params.frags_per_block
 
 (* Re-derive the extent-index entry of each block in [first..last] from
-   the fragment bitmap (after claim/free updated it). *)
+   the fragment bitmap (after loading the bitmaps wholesale). *)
 let sync_index t ~first_block ~last_block =
   let fpb = fpb t in
   for b = first_block to last_block do
@@ -101,35 +101,65 @@ let sync_index t ~first_block ~last_block =
       ~maxrun:(Bitmap.max_clear_run t.frag_used ~pos:(b * fpb) ~len:fpb)
   done
 
+(* Re-derive block [b]'s slot bit, the free-block counter and its index
+   entry from the fragment bitmap, after a claim or free touched part
+   of it. *)
+let resync_block t b =
+  let fpb = fpb t in
+  let maxrun = Bitmap.max_clear_run t.frag_used ~pos:(b * fpb) ~len:fpb in
+  let used = maxrun < fpb in
+  if used <> Bitmap.get t.block_used b then
+    if used then begin
+      Bitmap.set t.block_used b;
+      t.nbfree <- t.nbfree - 1
+    end
+    else begin
+      Bitmap.clear t.block_used b;
+      t.nbfree <- t.nbfree + 1
+    end;
+  Extent_index.update t.ext b ~maxrun
+
+(* Bring slot bits, counters and the index in line with a fragment span
+   that was just claimed ([claim]) or freed: the whole blocks inside
+   the span move as one index range — one run split or merge however
+   long the span — and a partial block at either end re-derives. *)
+let sync_span t ~pos ~count ~claim =
+  let fpb = fpb t in
+  let fb = pos / fpb and lb = (pos + count - 1) / fpb in
+  let head = pos <> fb * fpb and tail = pos + count <> (lb + 1) * fpb in
+  let first = if head then fb + 1 else fb and last = if tail then lb - 1 else lb in
+  if first > last then
+    for b = fb to lb do
+      resync_block t b
+    done
+  else begin
+    if head then resync_block t fb;
+    let len = last - first + 1 in
+    if claim then begin
+      Bitmap.set_range t.block_used ~pos:first ~len;
+      t.nbfree <- t.nbfree - len;
+      Extent_index.take_range t.ext ~first ~len
+    end
+    else begin
+      Bitmap.clear_range t.block_used ~pos:first ~len;
+      t.nbfree <- t.nbfree + len;
+      Extent_index.give_range t.ext ~first ~len
+    end;
+    if tail then resync_block t lb
+  end
+
 (* Mark a fragment run used and keep block bits and counters in sync. *)
 let claim_frags t ~pos ~count =
   assert (Bitmap.all_clear t.frag_used ~pos ~len:count);
   Bitmap.set_range t.frag_used ~pos ~len:count;
   t.nffree <- t.nffree - count;
-  let fpb = fpb t in
-  let first_block = pos / fpb and last_block = (pos + count - 1) / fpb in
-  for b = first_block to last_block do
-    if not (Bitmap.get t.block_used b) then begin
-      Bitmap.set t.block_used b;
-      t.nbfree <- t.nbfree - 1
-    end
-  done;
-  sync_index t ~first_block ~last_block
+  sync_span t ~pos ~count ~claim:true
 
 let free_frags t ~pos ~count =
   assert (Bitmap.all_set t.frag_used ~pos ~len:count);
   Bitmap.clear_range t.frag_used ~pos ~len:count;
   t.nffree <- t.nffree + count;
-  let fpb = fpb t in
-  let first_block = pos / fpb and last_block = (pos + count - 1) / fpb in
-  for b = first_block to last_block do
-    if Bitmap.get t.block_used b && Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb
-    then begin
-      Bitmap.clear t.block_used b;
-      t.nbfree <- t.nbfree + 1
-    end
-  done;
-  sync_index t ~first_block ~last_block
+  sync_span t ~pos ~count ~claim:false
 
 (* --- free-space searches -------------------------------------------------- *)
 
@@ -241,7 +271,7 @@ let idx_free_in_cylinder t ~pref =
   let nblocks = data_blocks t in
   let cyl_blocks = t.params.Params.fs_cylinder_blocks in
   let cyl_start = pref / cyl_blocks * cyl_blocks in
-  let cyl_end = min (cyl_start + cyl_blocks) nblocks - 1 in
+  let cyl_end = Int.min (cyl_start + cyl_blocks) nblocks - 1 in
   (* the cyclic scan visits pref+1 .. cyl_end, then cyl_start .. pref-1 *)
   match Extent_index.succ_free t.ext ~start:(pref + 1) with
   | Some b when b <= cyl_end -> Some b
@@ -333,10 +363,10 @@ let alloc_block_with s t ~pref =
     in
     match chosen with
     | None -> None
-    | Some b ->
+    | Some b as r ->
         claim_frags t ~pos:(b * fpb t) ~count:(fpb t);
         t.rotor <- (b + 1) mod data_blocks t;
-        Some b
+        r
   end
 
 let free_block t b = free_frags t ~pos:(b * fpb t) ~count:(fpb t)

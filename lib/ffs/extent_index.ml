@@ -20,30 +20,33 @@ module Hier = struct
   let clear_all t = Array.iter (fun lv -> Array.fill lv 0 (Array.length lv) 0) t.levels
   let mem t i = t.levels.(0).(i / word) land (1 lsl (i mod word)) <> 0
 
+  (* Set/clear bit [i] of level [k], climbing while the word changes
+     between empty and nonempty. Top-level recursions over [levels]: a
+     local [let rec] would capture [t] and allocate a closure per call. *)
+  let rec set_at levels k i =
+    if k < Array.length levels then begin
+      let lv = levels.(k) and w = i / word in
+      let old = lv.(w) in
+      lv.(w) <- old lor (1 lsl (i mod word));
+      (* the word was empty: its summary bit above is not yet set *)
+      if old = 0 then set_at levels (k + 1) w
+    end
+
+  let rec clear_at levels k i =
+    if k < Array.length levels then begin
+      let lv = levels.(k) and w = i / word in
+      let now = lv.(w) land lnot (1 lsl (i mod word)) in
+      lv.(w) <- now;
+      if now = 0 then clear_at levels (k + 1) w
+    end
+
   let set t i =
     assert (i >= 0 && i < t.n);
-    let rec go k i =
-      if k < Array.length t.levels then begin
-        let w = i / word in
-        let old = t.levels.(k).(w) in
-        t.levels.(k).(w) <- old lor (1 lsl (i mod word));
-        (* the word was empty: its summary bit above is not yet set *)
-        if old = 0 then go (k + 1) w
-      end
-    in
-    go 0 i
+    set_at t.levels 0 i
 
   let clear t i =
     assert (i >= 0 && i < t.n);
-    let rec go k i =
-      if k < Array.length t.levels then begin
-        let w = i / word in
-        let now = t.levels.(k).(w) land lnot (1 lsl (i mod word)) in
-        t.levels.(k).(w) <- now;
-        if now = 0 then go (k + 1) w
-      end
-    in
-    go 0 i
+    clear_at t.levels 0 i
 
   (* index of the lowest set bit (x <> 0, bits 0..62) *)
   let lowest_set x =
@@ -56,28 +59,29 @@ module Hier = struct
     if !x land 0x1 = 0 then incr i;
     !i
 
-  (* first set bit at index >= i, or None *)
-  let succ t i =
-    let i = max i 0 in
-    if i >= t.n then None
+  (* First set bit at or after bit [i] of level [k], or -1: find the
+     first nonempty word there, climbing when the rest of this word is
+     empty, then descend back to its lowest set bit. *)
+  let rec succ_at levels k i =
+    let lv = levels.(k) and w = i / word in
+    if w >= Array.length lv then -1
     else begin
-      let nlevels = Array.length t.levels in
-      (* climb: find the first nonempty word at or after bit [i] of
-         level [k], then descend back to its lowest set bit *)
-      let rec up k i =
-        let w = i / word in
-        if w >= Array.length t.levels.(k) then None
-        else begin
-          let masked = t.levels.(k).(w) land ((-1) lsl (i mod word)) in
-          if masked <> 0 then Some ((w * word) + lowest_set masked)
-          else if k + 1 >= nlevels then None
-          else
-            match up (k + 1) (w + 1) with
-            | None -> None
-            | Some j -> Some ((j * word) + lowest_set t.levels.(k).(j))
-        end
-      in
-      match up 0 i with Some j when j < t.n -> Some j | _ -> None
+      let masked = lv.(w) land ((-1) lsl (i mod word)) in
+      if masked <> 0 then (w * word) + lowest_set masked
+      else if k + 1 >= Array.length levels then -1
+      else begin
+        let j = succ_at levels (k + 1) (w + 1) in
+        if j < 0 then -1 else (j * word) + lowest_set lv.(j)
+      end
+    end
+
+  (* first set bit at index >= i, or -1 *)
+  let succ t i =
+    let i = Int.max i 0 in
+    if i >= t.n then -1
+    else begin
+      let j = succ_at t.levels 0 i in
+      if j < t.n then j else -1
     end
 
   (* every summary bit must equal "the word below is nonzero" *)
@@ -166,41 +170,69 @@ let copy t =
   }
 
 let block_maxrun t b = Char.code (Bytes.get t.maxrun b)
-let succ_free t ~start = Hier.succ t.free start
-let run_end t b = match Hier.succ t.used b with Some u -> u - 1 | None -> t.nblocks - 1
+
+(* public queries answer in options; the sentinel stays inside *)
+let opt j = if j < 0 then None else Some j
+
+let succ_free t ~start = opt (Hier.succ t.free start)
+
+let run_end t b =
+  let u = Hier.succ t.used b in
+  if u < 0 then t.nblocks - 1 else u - 1
 
 (* a block is in fit bucket l iff it is partial with maxrun >= l; a
    wholly free block (maxrun = fpb) belongs to no bucket *)
 let fit_degree t m = if m >= t.fpb then 0 else m
 
-(* Block [b] turns used: split its free run around it. The run's bounds
-   come from the used hierarchy and the endpoint lengths, never a walk. *)
-let take_block t b =
-  let e = run_end t b in
+(* Blocks [first ..+ len], all entirely free and so one stretch of a
+   single free run, turn entirely used: one split of that run. Its
+   bounds come from the used hierarchy and the endpoint lengths, never
+   a walk. Free and entirely used blocks belong to no fit bucket, so
+   the buckets do not move. *)
+let take_range t ~first ~len =
+  assert (len >= 1 && first >= 0 && first + len <= t.nblocks);
+  let last = first + len - 1 in
+  let e = run_end t first in
   let s = e - t.lengths.(e) + 1 in
+  assert (s <= first && last <= e);
   drop_run t (e - s + 1);
-  Hier.clear t.free b;
-  Hier.set t.used b;
-  add_run t ~s ~e:(b - 1);
-  add_run t ~s:(b + 1) ~e
+  for b = first to last do
+    Hier.clear t.free b;
+    Hier.set t.used b
+  done;
+  Bytes.fill t.maxrun first len '\000';
+  add_run t ~s ~e:(first - 1);
+  add_run t ~s:(last + 1) ~e
 
-(* Block [b] turns free: merge it with the free runs on either side. *)
-let give_block t b =
-  let left = if b > 0 && Hier.mem t.free (b - 1) then t.lengths.(b - 1) else 0 in
-  let right = if b + 1 < t.nblocks && Hier.mem t.free (b + 1) then t.lengths.(b + 1) else 0 in
+(* Blocks [first ..+ len], none entirely free, turn entirely free: one
+   merge with the free runs on either side. Callers pass entirely used
+   blocks, except {!update}, which then clears a partial block's fit
+   buckets itself. *)
+let give_range t ~first ~len =
+  assert (len >= 1 && first >= 0 && first + len <= t.nblocks);
+  let last = first + len - 1 in
+  let left = if first > 0 && Hier.mem t.free (first - 1) then t.lengths.(first - 1) else 0 in
+  let right = if last + 1 < t.nblocks && Hier.mem t.free (last + 1) then t.lengths.(last + 1) else 0 in
   if left > 0 then drop_run t left;
   if right > 0 then drop_run t right;
-  Hier.set t.free b;
-  Hier.clear t.used b;
-  add_run t ~s:(b - left) ~e:(b + right)
+  for b = first to last do
+    assert (Hier.mem t.used b);
+    Hier.set t.free b;
+    Hier.clear t.used b
+  done;
+  Bytes.fill t.maxrun first len (Char.chr t.fpb);
+  add_run t ~s:(first - left) ~e:(last + right)
 
 let update t b ~maxrun =
   assert (maxrun >= 0 && maxrun <= t.fpb);
   let old = block_maxrun t b in
   if maxrun <> old then begin
-    Bytes.set t.maxrun b (Char.chr maxrun);
     let was_free = old = t.fpb and is_free = maxrun = t.fpb in
-    if was_free <> is_free then if is_free then give_block t b else take_block t b;
+    (* a free/used flip is a one-block range; the range forms set the
+       recorded max run to 0 or [fpb], which the store below corrects *)
+    if was_free && not is_free then take_range t ~first:b ~len:1
+    else if is_free && not was_free then give_range t ~first:b ~len:1;
+    Bytes.set t.maxrun b (Char.chr maxrun);
     let d_old = fit_degree t old and d_new = fit_degree t maxrun in
     for l = d_new + 1 to d_old do
       Hier.clear t.fit.(l - 1) b
@@ -212,9 +244,9 @@ let update t b ~maxrun =
 
 let succ_fit t ~count ~start =
   assert (count >= 1 && count < t.fpb);
-  Hier.succ t.fit.(count - 1) start
+  opt (Hier.succ t.fit.(count - 1) start)
 
-let shortest_run t ~len = Hier.succ t.lens len
+let shortest_run t ~len = opt (Hier.succ t.lens len)
 
 let longest_run t =
   let rec go l = if l = 0 || t.counts.(l) > 0 then l else go (l - 1) in

@@ -50,6 +50,16 @@ val update : t -> int -> maxrun:int -> unit
     entirely used, anything between = partial). Reclassifies the block
     in the free/used hierarchies, the fit buckets and the run summary. *)
 
+val take_range : t -> first:int -> len:int -> unit
+(** Blocks [first ..+ len], all entirely free, become entirely used:
+    their free run splits once around the span, however long it is.
+    The range forms are the index's one run-bookkeeping primitive;
+    {!update}'s free/used flips are ranges of length 1. *)
+
+val give_range : t -> first:int -> len:int -> unit
+(** Blocks [first ..+ len], all entirely used, become entirely free:
+    one merge joins them with the free runs on either side. *)
+
 val block_maxrun : t -> int -> int
 (** The recorded in-block longest free run (for audits and tests). *)
 

@@ -24,8 +24,22 @@ type dir_state = {
   mutable live_entries : int;
 }
 
+(* The address geometry, derived once from [params]: the conversions
+   below run several times per allocated block, and each [Params]
+   accessor recomputes its figure with a chain of integer divisions. *)
+type geometry = { fpg : int; data_off : int; ipg : int; nfrags : int }
+
+let geometry params =
+  {
+    fpg = Params.frags_per_group params;
+    data_off = Params.metadata_frags params;
+    ipg = Params.inodes_per_group params;
+    nfrags = Params.total_frags params;
+  }
+
 type t = {
   params : Params.t;
+  geo : geometry;
   store : Store.t;
       (* the volume's persisted metadata bytes (every cg's bitmaps);
          chunk index = cg index, so [Store.dirty_chunks] is the delta
@@ -43,9 +57,12 @@ type t = {
          also recorded (reverse order) — see [record_journal] *)
 }
 
-(* Record one journal step if a recording is open (one option check per
-   metadata write otherwise — the aging hot path stays unaffected). *)
+(* Record one journal step if a recording is open. *)
 let jot t step = match t.jrec with Some r -> r := step :: !r | None -> ()
+
+(* The per-block and per-entry paths test this before building a step:
+   the step would otherwise be allocated even when nothing records. *)
+let recording t = Option.is_some t.jrec
 
 let record_journal t f =
   assert (t.jrec = None);
@@ -66,6 +83,9 @@ let snapshot_inode ino =
     indirect_addrs = Array.copy ino.Inode.indirect_addrs;
   }
 
+(* an inode-table write; the snapshot is only taken while recording *)
+let jot_inode t ino = if recording t then jot t (Journal.Inode_write { ino = snapshot_inode ino })
+
 let default_config = { realloc = false; cluster_policy = `First_fit }
 let realloc_config = { realloc = true; cluster_policy = `First_fit }
 
@@ -84,16 +104,19 @@ let fresh_stats () =
 (* --- address conversion ------------------------------------------------ *)
 
 let fpb t = t.params.Params.frags_per_block
-let ipg t = Params.inodes_per_group t.params
+let ipg t = t.geo.ipg
+
+(* [Params.data_base] and [Params.group_of_frag] over the cached geometry *)
+let data_base t cg = (cg * t.geo.fpg) + t.geo.data_off
 
 (* global fragment address of local data fragment [f] in group [cg] *)
-let global_of_local t ~cg ~frag = Params.data_base t.params cg + frag
+let global_of_local t ~cg ~frag = data_base t cg + frag
 
-let cg_of_global t addr = Params.group_of_frag t.params addr
+let cg_of_global t addr = addr / t.geo.fpg
 
 let local_of_global t addr =
   let cg = cg_of_global t addr in
-  let frag = addr - Params.data_base t.params cg in
+  let frag = addr - data_base t cg in
   assert (frag >= 0 && frag < Cg.data_frags t.cgs.(cg));
   (cg, frag)
 
@@ -101,42 +124,44 @@ let cg_of_inum t inum = inum / ipg t
 
 (* --- inode allocation --------------------------------------------------- *)
 
+let try_inode_cg t c =
+  match Cg.alloc_inode t.cgs.(c) with
+  | Some local ->
+      Obs.Metrics.inc metrics "ffs_alloc_inodes_total";
+      let inum = (c * ipg t) + local in
+      jot t (Journal.Inode_slot_set { inum });
+      Some inum
+  | None -> None
+
 let alloc_inode_near t ~cg =
   let ncg = t.params.Params.ncg in
-  let try_cg c =
-    match Cg.alloc_inode t.cgs.(c) with
-    | Some local ->
-        Obs.Metrics.inc metrics "ffs_alloc_inodes_total";
-        let inum = (c * ipg t) + local in
-        jot t (Journal.Inode_slot_set { inum });
-        Some inum
-    | None -> None
-  in
   match Locks.pinned () with
   | Some p ->
       (* pinned domains may only touch their own group; a full group
          means the serial phase must place this inode (the overflow
          search reads every group) *)
       if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p });
-      (match try_cg p with
+      (match try_inode_cg t p with
       | Some _ as r -> r
       | None -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p }))
   | None -> (
-      let rec quadratic c i =
-        if i >= ncg then None
-        else begin
-          let c = (c + i) mod ncg in
-          match try_cg c with Some _ as r -> r | None -> quadratic c (i * 2)
-        end
-      in
-      let rec brute c i =
-        if i >= ncg then None
-        else
-          match try_cg (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
-      in
-      match try_cg cg with
+      match try_inode_cg t cg with
       | Some _ as r -> r
       | None -> (
+          let rec quadratic c i =
+            if i >= ncg then None
+            else begin
+              let c = (c + i) mod ncg in
+              match try_inode_cg t c with Some _ as r -> r | None -> quadratic c (i * 2)
+            end
+          in
+          let rec brute c i =
+            if i >= ncg then None
+            else
+              match try_inode_cg t (c mod ncg) with
+              | Some _ as r -> r
+              | None -> brute (c + 1) (i + 1)
+          in
           match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2))
 
 (* --- block and fragment allocation ------------------------------------- *)
@@ -144,42 +169,39 @@ let alloc_inode_near t ~cg =
 (* total free blocks across the file system (27 groups: cheap to sum) *)
 let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_count cg) 0 t.cgs
 
-(* [hashalloc t ~cg ~f] is the FFS cylinder-group overflow discipline:
-   the preferred group, then quadratic rehash, then brute force. [f] gets
-   the group index and must return [None] to mean "nothing here". *)
-let hashalloc t ~cg ~f =
-  (match Locks.pinned () with
-  | Some p ->
-      (* confine the search to the pinned group: a foreign preference or
-         an overflow both mean "needs the whole volume" — defer *)
-      if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p })
-  | None -> ());
+(* A pinned domain may only allocate in its own group: a foreign
+   preference means "needs the whole volume" — defer. *)
+let confine pin ~cg =
+  match pin with
+  | Some p when cg <> p -> Error.raise_ (Error.Cross_cg { cg; pinned = p })
+  | Some _ | None -> ()
+
+(* [overflow t ~cg ~f] is the FFS cylinder-group overflow discipline
+   once the preferred group [cg] came up empty: quadratic rehash, then
+   brute force. [f] gets the group index and must return [None] to mean
+   "nothing here". A pinned domain cannot search other groups, so it
+   defers instead. *)
+let overflow t pin ~cg ~f =
+  if Option.is_some pin then Error.raise_ (Error.Cross_cg { cg = -1; pinned = cg });
   let ncg = t.params.Params.ncg in
-  match f cg with
-  | Some _ as r -> r
-  | None when Locks.pinned () <> None ->
-      Error.raise_ (Error.Cross_cg { cg = -1; pinned = cg })
-  | None ->
-      let rec quadratic c i =
-        if i >= ncg then None
-        else begin
-          let c = (c + i) mod ncg in
-          match f c with Some _ as r -> r | None -> quadratic c (i * 2)
-        end
-      in
-      let rec brute c i =
-        if i >= ncg then None
-        else match f (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
-      in
-      let result =
-        match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2
-      in
-      (match result with
-      | Some _ ->
-          t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
-          Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
-      | None -> ());
-      result
+  let rec quadratic c i =
+    if i >= ncg then None
+    else begin
+      let c = (c + i) mod ncg in
+      match f c with Some _ as r -> r | None -> quadratic c (i * 2)
+    end
+  in
+  let rec brute c i =
+    if i >= ncg then None
+    else match f (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
+  in
+  let result = match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2 in
+  (match result with
+  | Some _ ->
+      t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
+      Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
+  | None -> ());
+  match result with Some addr -> addr | None -> Error.raise_ Error.Out_of_space
 
 (* Preference for the block following global address [prev]: the next
    block slot, which may fall past the end of the group's data area — in
@@ -188,85 +210,135 @@ let pref_after_block t prev =
   (* rotdelay leaves a gap of whole blocks between a file's consecutive
      blocks (0 on the paper's system: its drive has a track buffer) *)
   let g = prev + (fpb t * (1 + t.params.Params.rotdelay_blocks)) in
-  if g >= Params.total_frags t.params then (0, Some 0)
+  if g >= t.geo.nfrags then (0, Some 0)
   else begin
     let cg = cg_of_global t g in
-    let local = g - Params.data_base t.params cg in
+    let local = g - data_base t cg in
     if local < 0 || local >= Cg.data_frags t.cgs.(cg) then ((cg + 1) mod t.params.Params.ncg, Some 0)
     else (cg, Some (local / fpb t))
   end
 
+(* fs-wide counters are superblock state: a plain store serially, the
+   global-lock leaf when a pinned domain is running *)
+let count_block stats ~contig =
+  stats.blocks_allocated <- stats.blocks_allocated + 1;
+  if contig then stats.contiguous_allocations <- stats.contiguous_allocations + 1
+
+let count_frags stats ~count = stats.frags_allocated <- stats.frags_allocated + count
+
+(* The preferred group is tried directly; only a miss builds the
+   overflow search's closure. *)
 let alloc_block t ~pref_cg ~pref_block ~prev =
-  let alloc c =
-    let pref = if c = pref_cg then pref_block else None in
-    Cg.alloc_block t.cgs.(c) ~pref
-    |> Option.map (fun b -> global_of_local t ~cg:c ~frag:(b * fpb t))
+  let pin = Locks.pinned () in
+  confine pin ~cg:pref_cg;
+  let addr =
+    match Cg.alloc_block t.cgs.(pref_cg) ~pref:pref_block with
+    | Some b -> global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
+    | None ->
+        overflow t pin ~cg:pref_cg ~f:(fun c ->
+            let pref = if c = pref_cg then pref_block else None in
+            match Cg.alloc_block t.cgs.(c) ~pref with
+            | Some b -> Some (global_of_local t ~cg:c ~frag:(b * fpb t))
+            | None -> None)
   in
-  match hashalloc t ~cg:pref_cg ~f:alloc with
-  | None -> Error.raise_ Error.Out_of_space
-  | Some addr ->
-      let contig =
-        match prev with Some p -> addr = p + fpb t | None -> false
-      in
-      (* fs-wide counters are superblock state: global-lock leaf when a
-         pinned domain is running, a plain store otherwise *)
-      Locks.globally (fun () ->
-          t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
-          if contig then
-            t.stats.contiguous_allocations <- t.stats.contiguous_allocations + 1);
-      let cg = cg_of_global t addr in
-      jot t (Journal.Data_set { addr; frags = fpb t });
-      Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
-      if contig then Obs.Metrics.inc metrics "ffs_alloc_contiguous_total";
-      Obs.Heatmap.record heat ~cg Obs.Heatmap.Block;
-      if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
-      if Obs.Trace.enabled () then
-        Obs.Trace.event "alloc.block"
-          [
-            Obs.Trace.i "addr" addr;
-            Obs.Trace.i "cg" cg;
-            Obs.Trace.i "pref_cg" pref_cg;
-            Obs.Trace.b "fallback" (cg <> pref_cg);
-            Obs.Trace.b "contig" contig;
-          ];
-      addr
+  let contig = match prev with Some p -> addr = p + fpb t | None -> false in
+  (match pin with
+  | None -> count_block t.stats ~contig
+  | Some _ -> Locks.globally (fun () -> count_block t.stats ~contig));
+  let cg = cg_of_global t addr in
+  if recording t then jot t (Journal.Data_set { addr; frags = fpb t });
+  Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
+  if contig then Obs.Metrics.inc metrics "ffs_alloc_contiguous_total";
+  Obs.Heatmap.record heat ~cg Obs.Heatmap.Block;
+  if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
+  if Obs.Trace.enabled () then
+    Obs.Trace.event "alloc.block"
+      [
+        Obs.Trace.i "addr" addr;
+        Obs.Trace.i "cg" cg;
+        Obs.Trace.i "pref_cg" pref_cg;
+        Obs.Trace.b "fallback" (cg <> pref_cg);
+        Obs.Trace.b "contig" contig;
+      ];
+  addr
 
 let alloc_frags t ~pref_cg ~pref_frag ~count =
-  let alloc c =
-    let pref = if c = pref_cg then pref_frag else None in
-    Cg.alloc_frags t.cgs.(c) ~pref ~count
-    |> Option.map (fun f -> global_of_local t ~cg:c ~frag:f)
+  let pin = Locks.pinned () in
+  confine pin ~cg:pref_cg;
+  let addr =
+    match Cg.alloc_frags t.cgs.(pref_cg) ~pref:pref_frag ~count with
+    | Some f -> global_of_local t ~cg:pref_cg ~frag:f
+    | None ->
+        overflow t pin ~cg:pref_cg ~f:(fun c ->
+            let pref = if c = pref_cg then pref_frag else None in
+            match Cg.alloc_frags t.cgs.(c) ~pref ~count with
+            | Some f -> Some (global_of_local t ~cg:c ~frag:f)
+            | None -> None)
   in
-  match hashalloc t ~cg:pref_cg ~f:alloc with
-  | None -> Error.raise_ Error.Out_of_space
-  | Some addr ->
-      Locks.globally (fun () ->
-          t.stats.frags_allocated <- t.stats.frags_allocated + count);
-      let cg = cg_of_global t addr in
-      jot t (Journal.Data_set { addr; frags = count });
-      Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
-      Obs.Metrics.add metrics "ffs_alloc_frags_total" count;
-      Obs.Heatmap.record heat ~cg Obs.Heatmap.Frag;
-      if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
-      if Obs.Trace.enabled () then
-        Obs.Trace.event "alloc.frags"
-          [
-            Obs.Trace.i "addr" addr;
-            Obs.Trace.i "cg" cg;
-            Obs.Trace.i "pref_cg" pref_cg;
-            Obs.Trace.i "count" count;
-            Obs.Trace.b "fallback" (cg <> pref_cg);
-          ];
-      addr
+  (match pin with
+  | None -> count_frags t.stats ~count
+  | Some _ -> Locks.globally (fun () -> count_frags t.stats ~count));
+  let cg = cg_of_global t addr in
+  if recording t then jot t (Journal.Data_set { addr; frags = count });
+  Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
+  Obs.Metrics.add metrics "ffs_alloc_frags_total" count;
+  Obs.Heatmap.record heat ~cg Obs.Heatmap.Frag;
+  if cg <> pref_cg then Obs.Heatmap.record heat ~cg Obs.Heatmap.Fallback;
+  if Obs.Trace.enabled () then
+    Obs.Trace.event "alloc.frags"
+      [
+        Obs.Trace.i "addr" addr;
+        Obs.Trace.i "cg" cg;
+        Obs.Trace.i "pref_cg" pref_cg;
+        Obs.Trace.i "count" count;
+        Obs.Trace.b "fallback" (cg <> pref_cg);
+      ];
+  addr
 
-let free_run t ~addr ~frags =
-  let cg, frag = local_of_global t addr in
-  (match Locks.pinned () with
-  | Some p when cg <> p -> Error.raise_ (Error.Cross_cg { cg; pinned = p })
-  | _ -> ());
-  jot t (Journal.Data_clear { addr; frags });
+(* Return the fragments [addr ..+ frags] of group [cg] to the free
+   pool. The pin check and the journal steps are the caller's. *)
+let release t ~cg ~addr ~frags =
+  let frag = addr - data_base t cg in
+  assert (frag >= 0 && frag < Cg.data_frags t.cgs.(cg));
   Obs.Metrics.add metrics "ffs_free_frags_total" frags;
   Cg.free_frags t.cgs.(cg) ~pos:frag ~count:frags
+
+(* Free [entries] run-wise: each maximal stretch of physically
+   contiguous entries in one group goes to {!Cg.free_frags} as one span,
+   so its whole blocks leave the index in one merge. The journal still
+   gets one [Data_clear] per entry, in entry order, so crash exploration
+   sees the same steps. *)
+let free_entries t entries =
+  let stop = Array.length entries in
+  let i = ref 0 in
+  while !i < stop do
+    let addr = entries.(!i).Inode.addr in
+    let cg = cg_of_global t addr in
+    confine (Locks.pinned ()) ~cg;
+    let data_end = data_base t cg + Cg.data_frags t.cgs.(cg) in
+    let j = ref (!i + 1) and fin = ref (addr + entries.(!i).Inode.frags) in
+    while !j < stop && entries.(!j).Inode.addr = !fin && !fin < data_end do
+      fin := !fin + entries.(!j).Inode.frags;
+      incr j
+    done;
+    if recording t then
+      for k = !i to !j - 1 do
+        let e = entries.(k) in
+        jot t (Journal.Data_clear { addr = e.Inode.addr; frags = e.Inode.frags })
+      done;
+    release t ~cg ~addr ~frags:(!fin - addr);
+    i := !j
+  done
+
+(* indirect blocks are rarely adjacent: one span each *)
+let free_indirects t addrs =
+  Array.iter
+    (fun addr ->
+      let cg = cg_of_global t addr in
+      confine (Locks.pinned ()) ~cg;
+      if recording t then jot t (Journal.Data_clear { addr; frags = fpb t });
+      release t ~cg ~addr ~frags:(fpb t))
+    addrs
 
 (* --- the write walk ----------------------------------------------------- *)
 
@@ -365,13 +437,15 @@ let flush_window t walk =
                   (Util.Vec.get walk.entries walk.win_start).Inode.addr;
                 Obs.Trace.i "to" (global_of_local t ~cg ~frag:(base_block * fpb t));
               ];
-          for i = 0 to walk.win_len - 1 do
-            let idx = walk.win_start + i in
-            let old = Util.Vec.get walk.entries idx in
-            free_run t ~addr:old.Inode.addr ~frags:old.Inode.frags;
-            let addr = global_of_local t ~cg ~frag:((base_block + i) * fpb t) in
-            Util.Vec.set walk.entries idx { old with Inode.addr }
-          done;
+          let old =
+            Array.init walk.win_len (fun i -> Util.Vec.get walk.entries (walk.win_start + i))
+          in
+          free_entries t old;
+          Array.iteri
+            (fun i e ->
+              let addr = global_of_local t ~cg ~frag:((base_block + i) * fpb t) in
+              Util.Vec.set walk.entries (walk.win_start + i) { e with Inode.addr })
+            old;
           let last = Util.Vec.get walk.entries (walk.win_start + walk.win_len - 1) in
           walk.prev <- Some last.Inode.addr
     end
@@ -403,8 +477,8 @@ let allocate_data t ~home_cg ~size =
   let nfull, tail_frags = Params.blocks_of_size params size in
   let walk = new_walk () in
   let rollback () =
-    Util.Vec.iter (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags) walk.entries;
-    Util.Vec.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) walk.indirects
+    free_entries t (Util.Vec.to_array walk.entries);
+    free_indirects t (Util.Vec.to_array walk.indirects)
   in
   try
     let ndaddr = params.Params.ndaddr in
@@ -445,10 +519,10 @@ let allocate_data t ~home_cg ~size =
         match walk.prev with
         | Some p ->
             let g = p + fpb t in
-            if g >= Params.total_frags params then (home_cg, None)
+            if g >= t.geo.nfrags then (home_cg, None)
             else begin
               let cg = cg_of_global t g in
-              let local = g - Params.data_base params cg in
+              let local = g - data_base t cg in
               if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
                 ((cg + 1) mod params.Params.ncg, None)
               else (cg, Some local)
@@ -488,13 +562,13 @@ let maybe_extend_dir t dir =
       | n ->
           let last = ino.Inode.entries.(n - 1) in
           let g = last.Inode.addr + last.Inode.frags in
-          let lcg = if g >= Params.total_frags t.params then cg else cg_of_global t g in
-          if lcg = cg then Some (g - Params.data_base t.params cg) else None
+          let lcg = if g >= t.geo.nfrags then cg else cg_of_global t g in
+          if lcg = cg then Some (g - data_base t cg) else None
     in
     let addr = alloc_frags t ~pref_cg:cg ~pref_frag:pref ~count:1 in
     ino.Inode.entries <- Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |];
     ino.Inode.size <- ino.Inode.size + t.params.Params.frag_bytes;
-    jot t (Journal.Inode_write { ino = snapshot_inode ino })
+    jot_inode t ino
   end
 
 let add_dir_entry t ~dir ~name ~inum =
@@ -535,7 +609,7 @@ let make_dir_at t ~cg ~time =
       Hashtbl.replace t.dirs inum
         { dir_inum = inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 };
       Cg.add_dir t.cgs.(cg_of_inum t inum);
-      jot t (Journal.Inode_write { ino = snapshot_inode ino });
+      jot_inode t ino;
       jot t (Journal.Dir_count { cg = cg_of_inum t inum; delta = 1 });
       inum
 
@@ -545,6 +619,7 @@ let create ?(config = default_config) ?(backend = Store.Heap_backend) params =
   let t =
     {
       params;
+      geo = geometry params;
       store;
       cgs =
         Array.init params.Params.ncg (fun index ->
@@ -647,7 +722,7 @@ let rmdir_exn t ~parent ~name =
       if inum = t.root_inum then Error.raise_ Error.Cannot_remove_root;
       if d.live_entries > 0 then Error.raise_ (Error.Directory_not_empty { inum });
       let ino = Hashtbl.find t.inodes inum in
-      Array.iter (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags) ino.Inode.entries;
+      free_entries t ino.Inode.entries;
       Hashtbl.remove t.inodes inum;
       Hashtbl.remove t.dirs inum;
       jot t (Journal.Inode_clear { inum });
@@ -698,7 +773,7 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         ino.Inode.entries <- entries;
         ino.Inode.indirect_addrs <- indirects;
         Locks.globally (fun () -> Hashtbl.replace t.inodes inum ino);
-        jot t (Journal.Inode_write { ino = snapshot_inode ino });
+        jot_inode t ino;
         add_dir_entry t ~dir ~name ~inum;
         inum
       with Error.Error (Error.Out_of_space | Error.Cross_cg _) as exn ->
@@ -710,10 +785,8 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         (match !allocated with
         | None -> ()
         | Some (entries, indirects) ->
-            Array.iter
-              (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags)
-              entries;
-            Array.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) indirects);
+            free_entries t entries;
+            free_indirects t indirects);
         Locks.globally (fun () -> Hashtbl.remove t.inodes inum);
         Cg.free_inode t.cgs.(actual_cg) (inum mod ipg t);
         jot t (Journal.Inode_slot_clear { inum });
@@ -723,8 +796,8 @@ let create_file_exn t ~dir ~name ~size =
   create_file_at_exn t ~time:t.clock ~dir ~name ~size
 
 let free_file_data t ino =
-  Array.iter (fun e -> free_run t ~addr:e.Inode.addr ~frags:e.Inode.frags) ino.Inode.entries;
-  Array.iter (fun a -> free_run t ~addr:a ~frags:(fpb t)) ino.Inode.indirect_addrs;
+  free_entries t ino.Inode.entries;
+  free_indirects t ino.Inode.indirect_addrs;
   ino.Inode.entries <- [||];
   ino.Inode.indirect_addrs <- [||];
   ino.Inode.size <- 0
@@ -786,7 +859,7 @@ let rewrite_file_at_exn t ~time ~inum ~size =
       ino.Inode.entries <- entries;
       ino.Inode.indirect_addrs <- indirects;
       ino.Inode.mtime <- time;
-      jot t (Journal.Inode_write { ino = snapshot_inode ino })
+      jot_inode t ino
 
 let rewrite_file_exn t ~inum ~size = rewrite_file_at_exn t ~time:t.clock ~inum ~size
 
@@ -965,6 +1038,7 @@ let of_portable ?(backend = Store.Heap_backend) p =
      a resume is a full one anyway) *)
   {
     params;
+    geo = geometry params;
     store;
     cgs;
     inodes;

@@ -359,6 +359,96 @@ let prop_cluster_summary_consistent =
       && Ffs.Cg.longest_free_run cg = longest
       && Ffs.Cg.free_run_histogram cg ~max:max_bucket = hist)
 
+(* Block-aligned and fragment-level claims and frees, mixed at random:
+   after every step the index must audit clean and its run statistics
+   must equal those of the same group rebuilt from its portable form
+   (bitmaps only, index derived afresh). *)
+let range_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun b len -> `Claim_blocks (b, 1 + len)) (int_bound 500) (int_bound 40));
+        (3, map2 (fun f c -> `Claim_frags (f, 1 + c)) (int_bound 4000) (int_bound 20));
+        (4, map (fun i -> `Free i) (int_bound 1000));
+      ])
+
+let rebuilt cg =
+  let p = Ffs.Cg.to_portable cg in
+  let regions = Ffs.Store.Layout.of_params params in
+  let store =
+    Ffs.Store.heap ~length:regions.Ffs.Store.Layout.region_bytes
+      ~chunk_bytes:regions.Ffs.Store.Layout.region_bytes
+  in
+  Ffs.Cg.of_portable_into ~store ~base:0 params p
+
+let prop_range_updates_match_rebuild =
+  let open QCheck in
+  Test.make ~name:"range claims/frees keep the index equal to a rebuild" ~count:40
+    (make Gen.(list_size (int_bound 80) range_op_gen))
+    (fun script ->
+      let cg = fresh () in
+      let nfrags = Ffs.Cg.data_frags cg in
+      let held = ref [] in
+      (* claim [pos ..+ count] if every fragment of it is free *)
+      let claim pos count =
+        let pos = pos mod nfrags in
+        let count = min count (nfrags - pos) in
+        let free = ref true in
+        for f = pos to pos + count - 1 do
+          if not (Ffs.Cg.frag_is_free cg f) then free := false
+        done;
+        if !free then begin
+          Ffs.Cg.mark_frags_used cg ~pos ~count;
+          held := (pos, count) :: !held
+        end
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Claim_blocks (b, len) -> claim (b * fpb) (len * fpb)
+          | `Claim_frags (f, c) -> claim f c
+          | `Free i -> (
+              match !held with
+              | [] -> ()
+              | l ->
+                  let k = i mod List.length l in
+                  let pos, count = List.nth l k in
+                  Ffs.Cg.free_frags cg ~pos ~count;
+                  held := List.filteri (fun j _ -> j <> k) l));
+          let twin = rebuilt cg in
+          Ffs.Cg.audit_index cg = []
+          && Ffs.Cg.free_run_histogram cg ~max:64 = Ffs.Cg.free_run_histogram twin ~max:64
+          && Ffs.Cg.extent_histogram cg = Ffs.Cg.extent_histogram twin
+          && Ffs.Cg.longest_free_run cg = Ffs.Cg.longest_free_run twin)
+        script)
+
+(* Minor words allocated by [f], net of the measurement's own. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* The per-block allocate/free pair is closure-free: in native code a
+   preference-hit [alloc_block] plus its [free_block] allocates only
+   the returned option. *)
+let test_pref_hit_pair_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let cg = fresh () in
+    (* a fragmented neighbourhood, so the pair splits and merges runs *)
+    List.iter (fun b -> ignore (Ffs.Cg.alloc_block cg ~pref:(Some b))) [ 10; 12; 14 ];
+    let pair () =
+      match Ffs.Cg.alloc_block cg ~pref:(Some 13) with
+      | Some b -> Ffs.Cg.free_block cg b
+      | None -> Alcotest.fail "pref 13 should be free"
+    in
+    pair ();
+    let words = minor_words pair in
+    if words > 8 then Alcotest.failf "pref-hit alloc+free allocated %d minor words" words;
+    Ffs.Cg.check_invariants cg
+  end
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cg"
@@ -370,6 +460,7 @@ let () =
           tc "cylinder scatter" test_alloc_block_cylinder_scatter;
           tc "exhaustion" test_alloc_block_exhaustion;
           tc "free roundtrip" test_free_block_roundtrip;
+          tc "pref-hit pair allocation" test_pref_hit_pair_allocation;
         ] );
       ( "fragments",
         [
@@ -394,5 +485,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_invariants_under_random_ops;
           QCheck_alcotest.to_alcotest prop_alloc_never_double_claims;
           QCheck_alcotest.to_alcotest prop_cluster_summary_consistent;
+          QCheck_alcotest.to_alcotest prop_range_updates_match_rebuild;
         ] );
     ]

@@ -88,6 +88,70 @@ let test_delete_releases_space () =
   | _ -> Alcotest.fail "inode should be gone");
   Ffs.Fs.check_invariants fs
 
+(* a file of two block runs plus a tail fragment: [a b c] occupy
+   blocks, [b] is deleted, and the new file's first block takes [b]'s
+   slot, its next two continue past [c], and its tail goes to a
+   partial block *)
+let two_runs_and_tail fs =
+  let root = Ffs.Fs.root fs in
+  List.iter (fun name -> ignore (create fs ~dir:root ~name ~size:block)) [ "a"; "b"; "c" ];
+  Ffs.Fs.delete_file_exn fs ~dir:root ~name:"b";
+  let inum = create fs ~dir:root ~name:"d" ~size:((3 * block) + 100) in
+  let e = entries fs inum in
+  let breaks = ref 0 in
+  for i = 1 to Array.length e - 1 do
+    if e.(i).Ffs.Inode.addr <> e.(i - 1).Ffs.Inode.addr + e.(i - 1).Ffs.Inode.frags then
+      incr breaks
+  done;
+  check_int "four entries" 4 (Array.length e);
+  check_bool "a tail fragment" true (e.(3).Ffs.Inode.frags < fpb);
+  check_bool "at least two runs" true (!breaks >= 1);
+  check_bool "a multi-entry run" true (!breaks < Array.length e - 1);
+  inum
+
+(* deletes free each contiguous run as one span, but the journal still
+   records one data-bitmap clear per entry, in entry order *)
+let test_delete_journal_per_entry () =
+  let fs = fresh () in
+  let inum = two_runs_and_tail fs in
+  let e = entries fs inum in
+  let (), steps = Ffs.Fs.record_journal fs (fun () -> Ffs.Fs.delete_inum_exn fs inum) in
+  let clears =
+    List.filter_map
+      (function Ffs.Journal.Data_clear { addr; frags } -> Some (addr, frags) | _ -> None)
+      steps
+  in
+  Alcotest.(check (list (pair int int)))
+    "one Data_clear per entry, in entry order"
+    (Array.to_list (Array.map (fun x -> (x.Ffs.Inode.addr, x.Ffs.Inode.frags)) e))
+    clears;
+  Ffs.Fs.check_invariants fs
+
+(* Minor words allocated by [f], net of the measurement's own. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* The delete path is free of per-entry and per-block allocation: a
+   200-block file costs no more words to delete than a 2-block one.
+   Only meaningful in native code (bytecode boxes differently). *)
+let test_delete_allocation_flat () =
+  if Sys.backend_type = Sys.Native then begin
+    let fs = fresh () in
+    let root = Ffs.Fs.root fs in
+    let small = create fs ~dir:root ~name:"small" ~size:(2 * block) in
+    let large = create fs ~dir:root ~name:"large" ~size:(200 * block) in
+    check_int "large file is 200 blocks" 200 (Array.length (entries fs large));
+    let w_small = minor_words (fun () -> Ffs.Fs.delete_inum_exn fs small) in
+    let w_large = minor_words (fun () -> Ffs.Fs.delete_inum_exn fs large) in
+    if w_large > w_small then
+      Alcotest.failf "deleting 200 blocks allocated %d words, 2 blocks %d" w_large w_small;
+    Ffs.Fs.check_invariants fs
+  end
+
 let test_delete_by_name () =
   let fs = fresh () in
   ignore (create fs ~dir:(Ffs.Fs.root fs) ~name:"x" ~size:100);
@@ -368,6 +432,8 @@ let () =
           tc "duplicate name" test_duplicate_name_rejected;
           tc "delete releases space" test_delete_releases_space;
           tc "delete by name" test_delete_by_name;
+          tc "delete journals per entry" test_delete_journal_per_entry;
+          tc "delete allocation flat" test_delete_allocation_flat;
           tc "rewrite keeps inode" test_rewrite_keeps_inode;
         ] );
       ( "directories",

@@ -80,6 +80,28 @@ let test_aggregate_of_subset () =
   check_float "subset of one perfect file" 1.0
     (Aging.Layout_score.aggregate_of fs ~inums:[ a ])
 
+(* the aggregate's two integer sums must equal a fold of the per-file
+   counts, on a real aged image of both allocators *)
+let test_aggregate_matches_file_counts () =
+  let days = 5 in
+  let profile = Workload.Ground_truth.scaled params ~days in
+  let gt = Workload.Ground_truth.generate params profile in
+  List.iter
+    (fun config ->
+      let fs =
+        (Aging.Replay.run ~config ~params ~days gt.Workload.Ground_truth.ops).Aging.Replay.fs
+      in
+      let optimal, counted =
+        Ffs.Fs.fold_files fs ~init:(0, 0) ~f:(fun (o, c) ino ->
+            let fo, fc = Aging.Layout_score.file_counts ino in
+            (o + fo, c + fc))
+      in
+      check_bool "aged image has multi-block files" true (counted > 0);
+      Alcotest.(check (float 0.0)) "aggregate = optimal / counted"
+        (float_of_int optimal /. float_of_int counted)
+        (Aging.Layout_score.aggregate fs))
+    [ Ffs.Fs.default_config; Ffs.Fs.realloc_config ]
+
 let test_by_size_buckets () =
   let fs = Ffs.Fs.create params in
   let d = Ffs.Fs.root fs in
@@ -133,6 +155,7 @@ let () =
           tc "empty fs" test_aggregate_empty_fs;
           tc "block weighting" test_aggregate_weighting;
           tc "subset" test_aggregate_of_subset;
+          tc "matches file counts when aged" test_aggregate_matches_file_counts;
           tc "by-size buckets" test_by_size_buckets;
           tc "overflow bucket" test_by_size_overflow_bucket;
         ] );
