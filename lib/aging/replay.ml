@@ -166,74 +166,89 @@ type day_stats = {
   lock_stats : Ffs.Locks.stats;  (** lock activity during the day *)
 }
 
+(* What one op of a parallel batch came to; the coordinator reads a
+   day's outcomes in canonical op order. *)
+type outcome = Applied | Skipped | Deferred
+
+(* A batch's private state. The shared [ino_map] is read-only while the
+   batches run: each batch writes its creates ([Some inum]) and deletes
+   ([None]) into its own [overlay], which the coordinator folds in after
+   the join. Batches own disjoint workload inodes (the partition key is
+   the inode's group), so fold order does not matter.
+
+   [deferred] holds the workload inodes with a deferred op earlier in
+   this batch. Once a file's op defers, every later op on it this day
+   must defer too — otherwise a Modify after a deferred Create would see
+   "no such file" and skip, where the serial order (create, then
+   modify) applies both. Batch contents don't depend on the jobs level,
+   so deferral decisions stay jobs-independent. *)
+type batch = { overlay : (int, int option) Hashtbl.t; deferred : (int, unit) Hashtbl.t }
+
+let new_batch () = { overlay = Hashtbl.create 64; deferred = Hashtbl.create 8 }
+
+let batch_lookup e b ino =
+  match Hashtbl.find_opt b.overlay ino with
+  | Some v -> v
+  | None -> Hashtbl.find_opt e.ino_map ino
+
 (* One operation executed on a worker pinned to its cylinder group.
    Returns the outcome instead of acting on the engine's shared skip
    state: the coordinator merges outcomes in canonical operation order,
    so skip accounting (and [Too_many_skips]) is identical at every jobs
-   level. [`Defer] means the op needs state outside its group — it was
+   level. [Deferred] means the op needs state outside its group — it was
    rolled back (or deterministically part-done, for a rewrite's
    truncation) and the serial phase will redo it with the whole volume
-   visible.
-
-   [deferred] is the batch-local set of workload inodes with a deferred
-   op earlier in this batch. Once a file's op defers, every later op on
-   it this day must defer too — otherwise a Modify after a deferred
-   Create would see "no such file" and skip, where the serial order
-   (create, then modify) applies both. The set is per batch and a batch
-   runs on one worker, so no locking; and batch contents don't depend on
-   the jobs level, so deferral decisions stay jobs-independent. *)
-let papply e ~deferred op =
-  let globally = Ffs.Locks.globally in
+   visible. *)
+let papply e b op =
   let time = Workload.Op.time_of op in
   let count () =
     Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total"
   in
   let defer ino =
-    Hashtbl.replace deferred ino ();
-    `Defer
+    Hashtbl.replace b.deferred ino ();
+    Deferred
   in
   match op with
-  | _ when Hashtbl.mem deferred (Workload.Op.ino_of op) ->
-      `Defer
+  | _ when Hashtbl.mem b.deferred (Workload.Op.ino_of op) -> Deferred
   | Workload.Op.Create { ino; size; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
+      match batch_lookup e b ino with
       | Some _ ->
           count ();
-          `Skip
+          Skipped
       | None -> (
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
           let dir = e.group_dirs.(cg) in
           match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:("f" ^ string_of_int ino) ~size with
           | Ok inum ->
-              globally (fun () -> Hashtbl.replace e.ino_map ino inum);
+              Hashtbl.replace b.overlay ino (Some inum);
               count ();
-              `Applied
+              Applied
           | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
           | Error err -> Ffs.Error.raise_ err))
   | Workload.Op.Delete { ino; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
+      match batch_lookup e b ino with
       | None ->
           count ();
-          `Skip
+          Skipped
       | Some inum -> (
           match Ffs.Fs.delete_inum e.fs inum with
           | Ok () ->
-              globally (fun () -> Hashtbl.remove e.ino_map ino);
+              Hashtbl.replace b.overlay ino None;
               count ();
-              `Applied
+              Applied
           | Error (Ffs.Error.Cross_cg _) -> defer ino
           | Error err -> Ffs.Error.raise_ err))
   | Workload.Op.Modify { ino; size; _ } -> (
-      match globally (fun () -> Hashtbl.find_opt e.ino_map ino) with
+      match batch_lookup e b ino with
       | None ->
           count ();
-          `Skip
+          Skipped
       | Some inum -> (
           match Ffs.Fs.rewrite_file_at e.fs ~time ~inum ~size with
           | Ok () ->
               count ();
-              `Applied
+              Applied
           | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
           | Error err -> Ffs.Error.raise_ err))
 
@@ -288,32 +303,34 @@ let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_ba
       |> Array.of_list
     in
     let locks_before = Ffs.Locks.stats locks in
-    (* phase 1: conflict-free per-group batches on the pool *)
-    let outcomes =
+    (* phase 1: conflict-free per-group batches on the pool; each op's
+       outcome goes to its own slot of the day's array *)
+    let outcomes = Array.make (hi - lo) Applied in
+    let overlays =
       Par.Pool.parallel_map pool
         (fun cg ->
-          let deferred = Hashtbl.create 8 in
+          let b = new_batch () in
           Ffs.Locks.with_pin locks ~cg (fun () ->
-              List.map (fun idx -> (idx, papply e ~deferred ops.(idx))) buckets.(cg)))
+              List.iter (fun idx -> outcomes.(idx - lo) <- papply e b ops.(idx)) buckets.(cg));
+          b.overlay)
         nonempty
     in
-    (* deterministic merge: outcomes in canonical op order (indices are
-       unique, so this never compares the outcome tags) *)
-    let merged = List.sort compare (List.concat (Array.to_list outcomes)) in
-    let deferred =
-      List.filter_map
-        (fun (idx, o) ->
-          match o with
-          | `Applied -> None
-          | `Skip ->
-              skip e ops.(idx);
-              None
-          | `Defer -> Some idx)
-        merged
-    in
-    (* phase 2: the coordinator redoes deferred ops serially, unpinned,
-       with the whole volume visible *)
-    List.iter (fun idx -> apply e ops.(idx)) deferred;
+    Array.iter
+      (Hashtbl.iter (fun ino -> function
+         | Some inum -> Hashtbl.replace e.ino_map ino inum
+         | None -> Hashtbl.remove e.ino_map ino))
+      overlays;
+    (* deterministic merge: skips, then the serial redo of deferred ops
+       (unpinned, whole volume visible), each in canonical op order *)
+    Array.iteri (fun i -> function Skipped -> skip e ops.(lo + i) | Applied | Deferred -> ()) outcomes;
+    let deferred = ref 0 in
+    Array.iteri
+      (fun i -> function
+        | Deferred ->
+            incr deferred;
+            apply e ops.(lo + i)
+        | Applied | Skipped -> ())
+      outcomes;
     (* canonical clock: the serial replay leaves the fs clock at the
        last applied op's timestamp *)
     if hi > lo then Ffs.Fs.set_time e.fs (Workload.Op.time_of ops.(hi - 1));
@@ -322,7 +339,7 @@ let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_ba
       {
         day = d;
         day_ops = hi - lo;
-        deferred = List.length deferred;
+        deferred = !deferred;
         batches = Array.length nonempty;
         lock_stats = Ffs.Locks.diff ~before:locks_before ~after:(Ffs.Locks.stats locks);
       }

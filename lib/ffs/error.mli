@@ -24,7 +24,8 @@ type t =
   | Cross_cg of { cg : int; pinned : int }
       (** an operation running pinned to cylinder group [pinned] (see
           {!Locks.with_pin}) needed to touch group [cg] — or, when [cg]
-          is [-1], needed a fs-wide overflow search. The parallel replay
+          is [-1], needed the whole volume (an overflow search, a
+          directory-table write). The parallel replay
           catches this, rolls the operation back and defers it to the
           serial phase; it never escapes to users of the serial API.
           Declared after the original constructors so earlier tags (and

@@ -27,15 +27,29 @@ type dir_state = {
 (* The address geometry, derived once from [params]: the conversions
    below run several times per allocated block, and each [Params]
    accessor recomputes its figure with a chain of integer divisions. *)
-type geometry = { fpg : int; data_off : int; ipg : int; nfrags : int }
+type geometry = { fpg : int; data_off : int; ipg : int; ninodes : int; nfrags : int }
 
 let geometry params =
+  let ipg = Params.inodes_per_group params in
   {
     fpg = Params.frags_per_group params;
     data_off = Params.metadata_frags params;
-    ipg = Params.inodes_per_group params;
+    ipg;
+    ninodes = params.Params.ncg * ipg;
     nfrags = Params.total_frags params;
   }
+
+(* One group's share of the superblock-level tables, indexed by inode
+   slot within the group (inum mod ipg). A domain pinned to group [g]
+   reads and writes only [shards.(g)], so parallel batches share no
+   table and need no lock beyond their group pin. Inode allocation takes
+   the lowest free slot, so each table only grows to the highest slot
+   used; a slot past its end is empty. *)
+type shard = {
+  mutable inodes : Inode.t option array;
+  mutable parents : (int * string) option array;  (* slot -> (parent dir inum, name) *)
+  counts : stats;  (* the counters a domain pinned to this group bumps *)
+}
 
 type t = {
   params : Params.t;
@@ -45,13 +59,13 @@ type t = {
          chunk index = cg index, so [Store.dirty_chunks] is the delta
          checkpoint's work list *)
   cgs : Cg.t array;
-  inodes : (int, Inode.t) Hashtbl.t;
+  shards : shard array;  (* one per group; shard of an inum = inum / ipg *)
   dirs : (int, dir_state) Hashtbl.t;
-  parents : (int, int * string) Hashtbl.t;  (* inum -> (parent dir inum, name) *)
+      (* written only unpinned: pinned domains read it, never insert *)
   mutable cfg : config;
   mutable clock : float;
   root_inum : int;
-  stats : stats;
+  stats : stats;  (* the counters unpinned callers bump; see [stats] *)
   mutable jrec : Journal.step list ref option;
       (* crash-exploration journal: when set, every metadata write is
          also recorded (reverse order) — see [record_journal] *)
@@ -122,6 +136,84 @@ let local_of_global t addr =
 
 let cg_of_inum t inum = inum / ipg t
 
+(* --- confinement and the per-group shards -------------------------------- *)
+
+(* A pinned domain may only touch its own group: anything else means
+   "needs the whole volume" — defer. *)
+let confine pin ~cg =
+  match pin with
+  | Some p when cg <> p -> Error.raise_ (Error.Cross_cg { cg; pinned = p })
+  | Some _ | None -> ()
+
+(* Whole-volume work (directory creation and removal, the repair
+   plumbing) writes shared tables, so it never runs pinned. *)
+let unpinned_only () =
+  match Locks.pinned () with
+  | Some p -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p })
+  | None -> ()
+
+let inum_in_range t inum = inum >= 0 && inum < t.geo.ninodes
+let shard_of t inum = t.shards.(cg_of_inum t inum)
+
+let slot slots s = if s < Array.length slots then slots.(s) else None
+
+(* [slots] with [v] stored at [s], doubled (up to [ipg]) to reach it *)
+let store_slot ~ipg slots s v =
+  if s < Array.length slots then begin
+    slots.(s) <- v;
+    slots
+  end
+  else if Option.is_none v then slots
+  else begin
+    let n = Array.length slots in
+    let grown = Array.make (min ipg (max (s + 1) (max 16 (2 * n)))) None in
+    Array.blit slots 0 grown 0 n;
+    grown.(s) <- v;
+    grown
+  end
+
+let find_inode t inum =
+  if inum_in_range t inum then slot (shard_of t inum).inodes (inum mod ipg t) else None
+
+let inode t inum = match find_inode t inum with Some i -> i | None -> raise Not_found
+
+let set_inode t inum v =
+  let sh = shard_of t inum in
+  sh.inodes <- store_slot ~ipg:(ipg t) sh.inodes (inum mod ipg t) v
+
+let find_parent t inum =
+  if inum_in_range t inum then slot (shard_of t inum).parents (inum mod ipg t) else None
+
+(* An entry naming an impossible inum (a corrupt directory) has no
+   parent slot to record. *)
+let set_parent t inum v =
+  if inum_in_range t inum then begin
+    let sh = shard_of t inum in
+    sh.parents <- store_slot ~ipg:(ipg t) sh.parents (inum mod ipg t) v
+  end
+
+(* The counters a caller bumps: its group's shard when pinned, the
+   unpinned record otherwise. [stats] sums them. *)
+let counts t pin = match pin with Some p -> t.shards.(p).counts | None -> t.stats
+
+let new_shard () = { inodes = [||]; parents = [||]; counts = fresh_stats () }
+
+let add_counts acc s =
+  acc.blocks_allocated <- acc.blocks_allocated + s.blocks_allocated;
+  acc.frags_allocated <- acc.frags_allocated + s.frags_allocated;
+  acc.contiguous_allocations <- acc.contiguous_allocations + s.contiguous_allocations;
+  acc.cg_fallbacks <- acc.cg_fallbacks + s.cg_fallbacks;
+  acc.realloc_attempts <- acc.realloc_attempts + s.realloc_attempts;
+  acc.realloc_moves <- acc.realloc_moves + s.realloc_moves;
+  acc.realloc_failures <- acc.realloc_failures + s.realloc_failures;
+  acc.indirect_switches <- acc.indirect_switches + s.indirect_switches
+
+let stats t =
+  let acc = fresh_stats () in
+  add_counts acc t.stats;
+  Array.iter (fun sh -> add_counts acc sh.counts) t.shards;
+  acc
+
 (* --- inode allocation --------------------------------------------------- *)
 
 let try_inode_cg t c =
@@ -169,13 +261,6 @@ let alloc_inode_near t ~cg =
 (* total free blocks across the file system (27 groups: cheap to sum) *)
 let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_count cg) 0 t.cgs
 
-(* A pinned domain may only allocate in its own group: a foreign
-   preference means "needs the whole volume" — defer. *)
-let confine pin ~cg =
-  match pin with
-  | Some p when cg <> p -> Error.raise_ (Error.Cross_cg { cg; pinned = p })
-  | Some _ | None -> ()
-
 (* [overflow t ~cg ~f] is the FFS cylinder-group overflow discipline
    once the preferred group [cg] came up empty: quadratic rehash, then
    brute force. [f] gets the group index and must return [None] to mean
@@ -198,6 +283,7 @@ let overflow t pin ~cg ~f =
   let result = match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2 in
   (match result with
   | Some _ ->
+      (* unpinned only: a pinned caller deferred above *)
       t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
       Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
   | None -> ());
@@ -218,8 +304,6 @@ let pref_after_block t prev =
     else (cg, Some (local / fpb t))
   end
 
-(* fs-wide counters are superblock state: a plain store serially, the
-   global-lock leaf when a pinned domain is running *)
 let count_block stats ~contig =
   stats.blocks_allocated <- stats.blocks_allocated + 1;
   if contig then stats.contiguous_allocations <- stats.contiguous_allocations + 1
@@ -242,9 +326,7 @@ let alloc_block t ~pref_cg ~pref_block ~prev =
             | None -> None)
   in
   let contig = match prev with Some p -> addr = p + fpb t | None -> false in
-  (match pin with
-  | None -> count_block t.stats ~contig
-  | Some _ -> Locks.globally (fun () -> count_block t.stats ~contig));
+  count_block (counts t pin) ~contig;
   let cg = cg_of_global t addr in
   if recording t then jot t (Journal.Data_set { addr; frags = fpb t });
   Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
@@ -275,9 +357,7 @@ let alloc_frags t ~pref_cg ~pref_frag ~count =
             | Some f -> Some (global_of_local t ~cg:c ~frag:f)
             | None -> None)
   in
-  (match pin with
-  | None -> count_frags t.stats ~count
-  | Some _ -> Locks.globally (fun () -> count_frags t.stats ~count));
+  count_frags (counts t pin) ~count;
   let cg = cg_of_global t addr in
   if recording t then jot t (Journal.Data_set { addr; frags = count });
   Obs.Metrics.inc metrics "ffs_alloc_frag_runs_total";
@@ -402,8 +482,8 @@ let window_is_contiguous t walk =
    cluster of the same group (ffs_reallocblks). *)
 let flush_window t walk =
   if t.cfg.realloc && walk.win_len >= 2 then begin
-    Locks.globally (fun () ->
-        t.stats.realloc_attempts <- t.stats.realloc_attempts + 1);
+    let c = counts t (Locks.pinned ()) in
+    c.realloc_attempts <- c.realloc_attempts + 1;
     Obs.Metrics.inc metrics "ffs_realloc_attempts_total";
     if not (window_is_contiguous t walk) then begin
       let cg = walk.win_cg in
@@ -419,12 +499,10 @@ let flush_window t walk =
         Cg.alloc_cluster t.cgs.(cg) ~policy:t.cfg.cluster_policy ~pref ~len:walk.win_len
       with
       | None ->
-          Locks.globally (fun () ->
-              t.stats.realloc_failures <- t.stats.realloc_failures + 1);
+          c.realloc_failures <- c.realloc_failures + 1;
           Obs.Metrics.inc metrics "ffs_realloc_failures_total"
       | Some base_block ->
-          Locks.globally (fun () ->
-              t.stats.realloc_moves <- t.stats.realloc_moves + 1);
+          c.realloc_moves <- c.realloc_moves + 1;
           Obs.Metrics.inc metrics "ffs_realloc_moves_total";
           Obs.Metrics.add metrics "ffs_realloc_moved_blocks_total" walk.win_len;
           Obs.Heatmap.record heat ~cg Obs.Heatmap.Realloc;
@@ -551,7 +629,7 @@ let get_dir t inum =
 (* Extend the directory's data by one fragment when its entry count
    crosses a 16-entry boundary (directories never shrink in FFS). *)
 let maybe_extend_dir t dir =
-  let ino = Locks.globally (fun () -> Hashtbl.find t.inodes dir.dir_inum) in
+  let ino = inode t dir.dir_inum in
   let have = Inode.frag_count ino in
   let want = dir_data_frags_for dir.live_entries in
   if want > have then begin
@@ -577,9 +655,7 @@ let add_dir_entry t ~dir ~name ~inum =
   Hashtbl.replace d.by_name name inum;
   d.order <- name :: d.order;
   d.live_entries <- d.live_entries + 1;
-  (* [t.parents] is shared across groups (the per-dir tables are not:
-     each directory belongs to exactly one group's batch) *)
-  Locks.globally (fun () -> Hashtbl.replace t.parents inum (dir, name));
+  set_parent t inum (Some (dir, name));
   (* real write order: the directory grows first, then the new entry's
      block is written — so the extension steps precede the entry step *)
   maybe_extend_dir t d;
@@ -589,7 +665,7 @@ let remove_dir_entry t ~dir ~name =
   let d = get_dir t dir in
   (match Hashtbl.find_opt d.by_name name with
   | None -> Error.raise_ (Error.No_such_name { dir; name })
-  | Some inum -> Locks.globally (fun () -> Hashtbl.remove t.parents inum));
+  | Some inum -> set_parent t inum None);
   Hashtbl.remove d.by_name name;
   d.live_entries <- d.live_entries - 1;
   jot t (Journal.Dir_remove { dir; name })
@@ -597,6 +673,7 @@ let remove_dir_entry t ~dir ~name =
 (* --- construction ------------------------------------------------------- *)
 
 let make_dir_at t ~cg ~time =
+  unpinned_only ();
   match alloc_inode_near t ~cg with
   | None -> Error.raise_ Error.Out_of_space
   | Some inum ->
@@ -605,7 +682,7 @@ let make_dir_at t ~cg ~time =
       let addr = alloc_frags t ~pref_cg:(cg_of_inum t inum) ~pref_frag:(Some 0) ~count:1 in
       ino.Inode.entries <- [| { Inode.addr; frags = 1 } |];
       ino.Inode.size <- t.params.Params.frag_bytes;
-      Hashtbl.replace t.inodes inum ino;
+      set_inode t inum (Some ino);
       Hashtbl.replace t.dirs inum
         { dir_inum = inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 };
       Cg.add_dir t.cgs.(cg_of_inum t inum);
@@ -626,9 +703,8 @@ let create ?(config = default_config) ?(backend = Store.Heap_backend) params =
             Cg.create_in ~store
               ~base:(Store.Layout.region_base regions ~index)
               params ~index);
-      inodes = Hashtbl.create 1024;
+      shards = Array.init params.Params.ncg (fun _ -> new_shard ());
       dirs = Hashtbl.create 64;
-      parents = Hashtbl.create 1024;
       cfg = config;
       clock = 0.0;
       root_inum = -1;
@@ -637,7 +713,7 @@ let create ?(config = default_config) ?(backend = Store.Heap_backend) params =
     }
   in
   let root = make_dir_at t ~cg:0 ~time:0.0 in
-  Hashtbl.replace t.parents root (root, "/");
+  set_parent t root (Some (root, "/"));
   { t with root_inum = root }
 
 let copy t =
@@ -653,17 +729,21 @@ let copy t =
     t with
     store;
     cgs = Array.map (fun cg -> Cg.rebind cg ~store) t.cgs;
-    inodes =
-      (let h = Hashtbl.create (Hashtbl.length t.inodes) in
-       Hashtbl.iter (fun k v -> Hashtbl.replace h k { v with Inode.inum = v.Inode.inum }) t.inodes;
-       h);
+    shards =
+      Array.map
+        (fun sh ->
+          {
+            inodes = Array.map (Option.map (fun v -> { v with Inode.inum = v.Inode.inum })) sh.inodes;
+            parents = Array.copy sh.parents;
+            counts = { sh.counts with blocks_allocated = sh.counts.blocks_allocated };
+          })
+        t.shards;
     dirs =
       (let h = Hashtbl.create (Hashtbl.length t.dirs) in
        Hashtbl.iter
          (fun k d -> Hashtbl.replace h k { d with by_name = Hashtbl.copy d.by_name })
          t.dirs;
        h);
-    parents = Hashtbl.copy t.parents;
     stats = { t.stats with blocks_allocated = t.stats.blocks_allocated };
     jrec = None;
   }
@@ -671,7 +751,6 @@ let copy t =
 let params t = t.params
 let config t = t.cfg
 let set_config t cfg = t.cfg <- cfg
-let stats t = t.stats
 let set_time t time = t.clock <- time
 let now t = t.clock
 let root t = t.root_inum
@@ -715,15 +794,16 @@ let mkdir_in_cg_exn t ~parent ~name ~cg =
 let lookup_opt t ~dir ~name = Hashtbl.find_opt (get_dir t dir).by_name name
 
 let rmdir_exn t ~parent ~name =
+  unpinned_only ();
   match lookup_opt t ~dir:parent ~name with
   | None -> Error.raise_ (Error.No_such_name { dir = parent; name })
   | Some inum ->
       let d = get_dir t inum in
       if inum = t.root_inum then Error.raise_ Error.Cannot_remove_root;
       if d.live_entries > 0 then Error.raise_ (Error.Directory_not_empty { inum });
-      let ino = Hashtbl.find t.inodes inum in
+      let ino = inode t inum in
       free_entries t ino.Inode.entries;
-      Hashtbl.remove t.inodes inum;
+      set_inode t inum None;
       Hashtbl.remove t.dirs inum;
       jot t (Journal.Inode_clear { inum });
       remove_dir_entry t ~dir:parent ~name;
@@ -750,7 +830,7 @@ let dir_entries t inum =
   |> List.rev
 
 let dir_of_inum t inum =
-  match Hashtbl.find_opt t.parents inum with
+  match find_parent t inum with
   | Some (dir, _) -> dir
   | None -> raise Not_found
 
@@ -758,6 +838,8 @@ let dir_of_inum t inum =
 
 let create_file_at_exn t ~time ~dir ~name ~size =
   let d = get_dir t dir in
+  (* the entry table belongs to the directory's group *)
+  confine (Locks.pinned ()) ~cg:(cg_of_inum t dir);
   if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
   let home_cg = cg_of_inum t dir in
   match alloc_inode_near t ~cg:home_cg with
@@ -772,7 +854,7 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         ino.Inode.size <- size;
         ino.Inode.entries <- entries;
         ino.Inode.indirect_addrs <- indirects;
-        Locks.globally (fun () -> Hashtbl.replace t.inodes inum ino);
+        set_inode t inum (Some ino);
         jot_inode t ino;
         add_dir_entry t ~dir ~name ~inum;
         inum
@@ -787,7 +869,7 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         | Some (entries, indirects) ->
             free_entries t entries;
             free_indirects t indirects);
-        Locks.globally (fun () -> Hashtbl.remove t.inodes inum);
+        set_inode t inum None;
         Cg.free_inode t.cgs.(actual_cg) (inum mod ipg t);
         jot t (Journal.Inode_slot_clear { inum });
         raise exn)
@@ -802,13 +884,12 @@ let free_file_data t ino =
   ino.Inode.indirect_addrs <- [||];
   ino.Inode.size <- 0
 
-(* When pinned, refuse (before any mutation) an inode whose slot, data
-   or indirect blocks live outside the pinned group — the serial phase
-   owns those. Files created by this volume's replay stay in one group,
-   so the check only fires on overflow placements. *)
-let assert_inum_local t ~pin inum ino =
-  let cg = cg_of_inum t inum in
-  if cg <> pin then Error.raise_ (Error.Cross_cg { cg; pinned = pin });
+(* When pinned, refuse (before any mutation) an inode whose data or
+   indirect blocks live outside the pinned group — the serial phase owns
+   those. Files created by this volume's replay stay in one group, so
+   the check only fires on overflow placements. The inum's own group
+   was confined before its shard was read. *)
+let assert_data_local t ~pin ino =
   let check addr =
     let cg = cg_of_global t addr in
     if cg <> pin then Error.raise_ (Error.Cross_cg { cg; pinned = pin })
@@ -816,23 +897,29 @@ let assert_inum_local t ~pin inum ino =
   Array.iter (fun e -> check e.Inode.addr) ino.Inode.entries;
   Array.iter check ino.Inode.indirect_addrs
 
-let delete_inum_exn t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
+(* The file inode [inum] names, for [op]. A pinned caller is refused
+   an inum of another group before that group's shard is read. *)
+let file_inode t ~pin ~op inum =
+  confine pin ~cg:(cg_of_inum t inum);
+  match find_inode t inum with
   | None -> Error.raise_ (Error.No_such_inode { inum })
   | Some ino ->
-      if ino.Inode.kind = Inode.Dir then
-        Error.raise_ (Error.Is_a_directory { inum; op = "delete_inum" });
-      (match Locks.pinned () with
-      | Some pin -> assert_inum_local t ~pin inum ino
-      | None -> ());
-      free_file_data t ino;
-      Locks.globally (fun () -> Hashtbl.remove t.inodes inum);
-      jot t (Journal.Inode_clear { inum });
-      (match Locks.globally (fun () -> Hashtbl.find_opt t.parents inum) with
-      | Some (dir, name) -> remove_dir_entry t ~dir ~name
-      | None -> ());
-      Cg.free_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t);
-      jot t (Journal.Inode_slot_clear { inum })
+      if ino.Inode.kind = Inode.Dir then Error.raise_ (Error.Is_a_directory { inum; op });
+      (match pin with Some pin -> assert_data_local t ~pin ino | None -> ());
+      ino
+
+let delete_inum_exn t inum =
+  let pin = Locks.pinned () in
+  let ino = file_inode t ~pin ~op:"delete_inum" inum in
+  let parent = find_parent t inum in
+  (* the entry to remove lives in its directory's group *)
+  (match parent with Some (dir, _) -> confine pin ~cg:(cg_of_inum t dir) | None -> ());
+  free_file_data t ino;
+  set_inode t inum None;
+  jot t (Journal.Inode_clear { inum });
+  (match parent with Some (dir, name) -> remove_dir_entry t ~dir ~name | None -> ());
+  Cg.free_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t);
+  jot t (Journal.Inode_slot_clear { inum })
 
 let delete_file_exn t ~dir ~name =
   match lookup t ~dir ~name with
@@ -840,48 +927,37 @@ let delete_file_exn t ~dir ~name =
   | Some inum -> delete_inum_exn t inum
 
 let rewrite_file_at_exn t ~time ~inum ~size =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
-  | None -> Error.raise_ (Error.No_such_inode { inum })
-  | Some ino ->
-      if ino.Inode.kind = Inode.Dir then
-        Error.raise_ (Error.Is_a_directory { inum; op = "rewrite_file" });
-      (* pinned: refuse before freeing anything if the old data strays
-         outside the group. (Allocation below may still defer after the
-         free — that partial state is deterministic, and the serial
-         retry simply allocates for the now-empty file.) *)
-      (match Locks.pinned () with
-      | Some pin -> assert_inum_local t ~pin inum ino
-      | None -> ());
-      free_file_data t ino;
-      let home_cg = cg_of_inum t inum in
-      let entries, indirects = allocate_data t ~home_cg ~size in
-      ino.Inode.size <- size;
-      ino.Inode.entries <- entries;
-      ino.Inode.indirect_addrs <- indirects;
-      ino.Inode.mtime <- time;
-      jot_inode t ino
+  (* pinned: refused before freeing anything if the old data strays
+     outside the group. (Allocation below may still defer after the
+     free — that partial state is deterministic, and the serial retry
+     simply allocates for the now-empty file.) *)
+  let ino = file_inode t ~pin:(Locks.pinned ()) ~op:"rewrite_file" inum in
+  free_file_data t ino;
+  let home_cg = cg_of_inum t inum in
+  let entries, indirects = allocate_data t ~home_cg ~size in
+  ino.Inode.size <- size;
+  ino.Inode.entries <- entries;
+  ino.Inode.indirect_addrs <- indirects;
+  ino.Inode.mtime <- time;
+  jot_inode t ino
 
 let rewrite_file_exn t ~inum ~size = rewrite_file_at_exn t ~time:t.clock ~inum ~size
 
-let inode t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
-  | Some i -> i
-  | None -> raise Not_found
-
 let file_exists t inum =
-  match Locks.globally (fun () -> Hashtbl.find_opt t.inodes inum) with
-  | Some i -> i.Inode.kind = Inode.File
-  | None -> false
+  match find_inode t inum with Some i -> i.Inode.kind = Inode.File | None -> false
 
-let iter_files t f =
-  Hashtbl.iter (fun _ ino -> if ino.Inode.kind = Inode.File then f ino) t.inodes
+(* shards in ascending group order, slots ascending: inum order *)
+let iter_all_inodes t f =
+  Array.iter (fun sh -> Array.iter (function Some ino -> f ino | None -> ()) sh.inodes) t.shards
+
+let iter_files t f = iter_all_inodes t (fun ino -> if ino.Inode.kind = Inode.File then f ino)
 
 let fold_files t ~init ~f =
-  Hashtbl.fold (fun _ ino acc -> if ino.Inode.kind = Inode.File then f acc ino else acc)
-    t.inodes init
+  let acc = ref init in
+  iter_files t (fun ino -> acc := f !acc ino);
+  !acc
 
 let file_count t = fold_files t ~init:0 ~f:(fun acc _ -> acc + 1)
-let iter_all_inodes t f = Hashtbl.iter (fun _ ino -> f ino) t.inodes
 let dir_inums t = Hashtbl.fold (fun inum _ acc -> inum :: acc) t.dirs []
 
 (* --- space accounting ---------------------------------------------------- *)
@@ -894,22 +970,27 @@ let cg_states t = t.cgs
 
 (* --- repair plumbing ------------------------------------------------------ *)
 
-let detach_entry_exn t ~dir ~name = remove_dir_entry t ~dir ~name
+let detach_entry_exn t ~dir ~name =
+  unpinned_only ();
+  remove_dir_entry t ~dir ~name
 
-let attach_entry_exn t ~dir ~name ~inum = add_dir_entry t ~dir ~name ~inum
+let attach_entry_exn t ~dir ~name ~inum =
+  unpinned_only ();
+  add_dir_entry t ~dir ~name ~inum
 
 let forget_inode_exn t inum =
-  match Hashtbl.find_opt t.inodes inum with
+  unpinned_only ();
+  match find_inode t inum with
   | None -> Error.raise_ (Error.No_such_inode { inum })
   | Some ino ->
       if ino.Inode.kind = Inode.Dir then
         Error.raise_ (Error.Is_a_directory { inum; op = "forget_inode" });
-      Hashtbl.remove t.inodes inum
+      set_inode t inum None
 
 let rebuild_allocation t =
   Array.iter Cg.reset t.cgs;
-  Hashtbl.iter
-    (fun inum ino ->
+  iter_all_inodes t (fun ino ->
+      let inum = ino.Inode.inum in
       let cg = cg_of_inum t inum in
       Cg.mark_inode_used t.cgs.(cg) (inum mod ipg t);
       let mark addr frags =
@@ -917,11 +998,10 @@ let rebuild_allocation t =
         Cg.mark_frags_used t.cgs.(cg) ~pos:frag ~count:frags
       in
       Array.iter (fun e -> mark e.Inode.addr e.Inode.frags) ino.Inode.entries;
-      Array.iter (fun a -> mark a (fpb t)) ino.Inode.indirect_addrs)
-    t.inodes;
+      Array.iter (fun a -> mark a (fpb t)) ino.Inode.indirect_addrs);
   Hashtbl.iter
     (fun inum _ ->
-      if Hashtbl.mem t.inodes inum then
+      if Option.is_some (find_inode t inum) then
         Cg.add_dir t.cgs.(cg_of_inum t inum))
     t.dirs
 
@@ -941,11 +1021,10 @@ let check_invariants t =
       | None -> Hashtbl.replace claimed a owner
     done
   in
-  Hashtbl.iter
-    (fun inum ino ->
+  iter_all_inodes t (fun ino ->
+      let inum = ino.Inode.inum in
       Array.iter (fun e -> claim e.Inode.addr e.Inode.frags inum) ino.Inode.entries;
-      Array.iter (fun a -> claim a (fpb t) inum) ino.Inode.indirect_addrs)
-    t.inodes;
+      Array.iter (fun a -> claim a (fpb t) inum) ino.Inode.indirect_addrs);
   assert (Hashtbl.length claimed = used_data_frags t);
   Hashtbl.iter
     (fun addr _ ->
@@ -982,18 +1061,28 @@ type portable = {
 
 let sorted_keys h = Hashtbl.fold (fun k _ acc -> k :: acc) h [] |> List.sort compare
 
+(* every filled slot of one table across the shards, as (inum, value)
+   pairs in inum order *)
+let shard_bindings t table =
+  let acc = ref [] in
+  for g = Array.length t.shards - 1 downto 0 do
+    let slots = table t.shards.(g) in
+    for s = Array.length slots - 1 downto 0 do
+      match slots.(s) with Some v -> acc := ((g * ipg t) + s, v) :: !acc | None -> ()
+    done
+  done;
+  !acc
+
 let to_portable t =
   {
     pf_params = t.params;
     pf_config = t.cfg;
     pf_clock = t.clock;
     pf_root = t.root_inum;
-    pf_stats = { t.stats with blocks_allocated = t.stats.blocks_allocated };
+    pf_stats = stats t;
     pf_cgs = Array.map Cg.to_portable t.cgs;
     pf_inodes =
-      List.map
-        (fun inum -> (inum, snapshot_inode (Hashtbl.find t.inodes inum)))
-        (sorted_keys t.inodes);
+      List.map (fun (inum, ino) -> (inum, snapshot_inode ino)) (shard_bindings t (fun sh -> sh.inodes));
     pf_dirs =
       List.map
         (fun dnum ->
@@ -1005,8 +1094,7 @@ let to_portable t =
           ( dnum,
             { pd_inum = d.dir_inum; pd_names = names; pd_order = d.order; pd_live = d.live_entries } ))
         (sorted_keys t.dirs);
-    pf_parents =
-      List.map (fun inum -> (inum, Hashtbl.find t.parents inum)) (sorted_keys t.parents);
+    pf_parents = shard_bindings t (fun sh -> sh.parents);
   }
 
 let of_portable ?(backend = Store.Heap_backend) p =
@@ -1021,8 +1109,23 @@ let of_portable ?(backend = Store.Heap_backend) p =
           params cp)
       p.pf_cgs
   in
-  let inodes = Hashtbl.create (max 1024 (List.length p.pf_inodes)) in
-  List.iter (fun (inum, ino) -> Hashtbl.replace inodes inum (snapshot_inode ino)) p.pf_inodes;
+  let ipg = Params.inodes_per_group params in
+  let shards = Array.init params.Params.ncg (fun _ -> new_shard ()) in
+  let shard_slot what inum =
+    if inum < 0 || inum >= params.Params.ncg * ipg then
+      Error.raise_ (Error.Corrupt (Fmt.str "portable image: %s %d out of range" what inum));
+    (shards.(inum / ipg), inum mod ipg)
+  in
+  List.iter
+    (fun (inum, ino) ->
+      let sh, s = shard_slot "inode" inum in
+      sh.inodes <- store_slot ~ipg sh.inodes s (Some (snapshot_inode ino)))
+    p.pf_inodes;
+  List.iter
+    (fun (inum, v) ->
+      let sh, s = shard_slot "parent of inode" inum in
+      sh.parents <- store_slot ~ipg sh.parents s (Some v))
+    p.pf_parents;
   let dirs = Hashtbl.create (max 64 (List.length p.pf_dirs)) in
   List.iter
     (fun (dnum, pd) ->
@@ -1031,8 +1134,6 @@ let of_portable ?(backend = Store.Heap_backend) p =
       Hashtbl.replace dirs dnum
         { dir_inum = pd.pd_inum; by_name; order = pd.pd_order; live_entries = pd.pd_live })
     p.pf_dirs;
-  let parents = Hashtbl.create (max 1024 (List.length p.pf_parents)) in
-  List.iter (fun (inum, v) -> Hashtbl.replace parents inum v) p.pf_parents;
   (* loading wrote every byte, so the dirty map is all-set — the
      conservative truth for a resumed volume (the first checkpoint after
      a resume is a full one anyway) *)
@@ -1041,9 +1142,8 @@ let of_portable ?(backend = Store.Heap_backend) p =
     geo = geometry params;
     store;
     cgs;
-    inodes;
+    shards;
     dirs;
-    parents;
     cfg = p.pf_config;
     clock = p.pf_clock;
     root_inum = p.pf_root;
@@ -1135,12 +1235,12 @@ let apply_step t step =
       (* copy again: many crash states replay the same recorded step, and
          repair mutates inode arrays in place *)
       let ino = snapshot_inode ino in
-      Hashtbl.replace t.inodes ino.Inode.inum ino;
+      set_inode t ino.Inode.inum (Some ino);
       if ino.Inode.kind = Inode.Dir && not (Hashtbl.mem t.dirs ino.Inode.inum) then
         Hashtbl.replace t.dirs ino.Inode.inum
           { dir_inum = ino.Inode.inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 }
   | Journal.Inode_clear { inum } ->
-      Hashtbl.remove t.inodes inum;
+      set_inode t inum None;
       Hashtbl.remove t.dirs inum
   | Journal.Dir_add { dir; name; inum } -> (
       match Hashtbl.find_opt t.dirs dir with
@@ -1151,7 +1251,7 @@ let apply_step t step =
             d.order <- name :: d.order;
             d.live_entries <- d.live_entries + 1
           end;
-          Hashtbl.replace t.parents inum (dir, name))
+          set_parent t inum (Some (dir, name)))
   | Journal.Dir_remove { dir; name } -> (
       match Hashtbl.find_opt t.dirs dir with
       | None -> ()
@@ -1161,7 +1261,7 @@ let apply_step t step =
           | Some inum ->
               Hashtbl.remove d.by_name name;
               d.live_entries <- d.live_entries - 1;
-              Hashtbl.remove t.parents inum))
+              set_parent t inum None))
   | Journal.Dir_count { cg; delta } -> Cg.corrupt_adjust_dirs t.cgs.(cg) delta
 
 let apply_journal t steps = List.iter (apply_step t) steps

@@ -61,7 +61,12 @@ val copy : t -> t
 val params : t -> Params.t
 val config : t -> config
 val set_config : t -> config -> unit
+
 val stats : t -> stats
+(** The allocation counters, as a fresh record: the sum of one record
+    per cylinder group (bumped by domains pinned to that group, see
+    {!Locks.with_pin}) and one for unpinned callers. Mutating the
+    result changes nothing. *)
 
 val set_time : t -> float -> unit
 (** Set the simulated clock used to stamp ctime/mtime. *)
@@ -83,7 +88,10 @@ val mkdir_exn : t -> parent:int -> name:string -> int
 val mkdir_in_cg : t -> parent:int -> name:string -> cg:int -> (int, Error.t) result
 (** New directory pinned to a specific cylinder group — the mechanism the
     paper's aging tool uses (one directory per group, files steered by
-    inode number). Errors: those of {!mkdir}, plus [Invalid_cg]. *)
+    inode number). Errors: those of {!mkdir}, plus [Invalid_cg]. Like
+    every directory-table write ({!mkdir}, {!rmdir}) and the repair
+    plumbing below, refused with [Cross_cg] under a {!Locks.with_pin}:
+    pinned domains only read the directory table. *)
 
 val mkdir_in_cg_exn : t -> parent:int -> name:string -> cg:int -> int
 
@@ -130,7 +138,11 @@ val delete_file : t -> dir:int -> name:string -> (unit, Error.t) result
 val delete_file_exn : t -> dir:int -> name:string -> unit
 
 val delete_inum : t -> int -> (unit, Error.t) result
-(** Errors: [No_such_inode], [Is_a_directory]. *)
+(** Errors: [No_such_inode] (also for numbers outside every group),
+    [Is_a_directory]; under a {!Locks.with_pin}, [Cross_cg] for an
+    inode of another group — refused before that group's tables are
+    read — or with data or a directory entry outside the pinned group,
+    in every case before any mutation. *)
 
 val delete_inum_exn : t -> int -> unit
 
@@ -140,9 +152,10 @@ val rewrite_file : t -> inum:int -> size:int -> (unit, Error.t) result
     [No_such_inode], [Is_a_directory], [Out_of_space] — in the last
     case the truncation has still happened (as in the real syscall
     sequence), so the file is left empty. Under a {!Locks.with_pin},
-    [Cross_cg] either before any mutation (foreign old data) or after
-    the truncation (allocation overflow), mirroring the [Out_of_space]
-    contract. *)
+    [Cross_cg] either before any mutation (an inode of another group,
+    refused before that group's tables are read, or foreign old data)
+    or after the truncation (allocation overflow), mirroring the
+    [Out_of_space] contract. *)
 
 val rewrite_file_exn : t -> inum:int -> size:int -> unit
 
@@ -153,17 +166,18 @@ val rewrite_file_at : t -> time:float -> inum:int -> size:int -> (unit, Error.t)
 val rewrite_file_at_exn : t -> time:float -> inum:int -> size:int -> unit
 
 val inode : t -> int -> Inode.t
-(** Raises [Not_found] for unallocated inode numbers. *)
+(** Raises [Not_found] for unallocated inode numbers, including numbers
+    outside every group. *)
 
 val file_exists : t -> int -> bool
 val iter_files : t -> (Inode.t -> unit) -> unit
-(** All regular files (not directories), unspecified order. *)
+(** All regular files (not directories), in inode-number order. *)
 
 val fold_files : t -> init:'a -> f:('a -> Inode.t -> 'a) -> 'a
 val file_count : t -> int
 
 val iter_all_inodes : t -> (Inode.t -> unit) -> unit
-(** Files and directories both. *)
+(** Files and directories both, in inode-number order. *)
 
 val dir_inums : t -> int list
 (** Every directory's inode number (including the root), unspecified
@@ -263,7 +277,8 @@ val mark_all_dirty : t -> unit
    edits [Check.repair] and the fault injector are built from. These
    deliberately skip the data/bitmap bookkeeping the normal API
    performs; using them leaves the image inconsistent until
-   [Check.repair] (or [rebuild_allocation]) runs. *)
+   [Check.repair] (or [rebuild_allocation]) runs. Whole-volume work:
+   each is refused with [Cross_cg] under a {!Locks.with_pin}. *)
 
 val detach_entry : t -> dir:int -> name:string -> (unit, Error.t) result
 (** Remove a directory entry without freeing the inode it names or its

@@ -2,29 +2,24 @@
 
    Granularity follows the mfmount exemplar: one mutex per cylinder
    group guards that group's bitmaps, extent index, cluster summaries
-   and per-group stats; a single short global mutex is the innermost
-   leaf and guards superblock-level shared state (fs-wide counters and
-   the shared inode/directory hashtables).
+   and its shard of the superblock-level tables ([Fs] keeps the inode
+   and parent tables and the allocation counters per group, summing the
+   counters on read as FFS sums its per-group [cs_summary]). There is
+   no global lock: a domain pinned to group [g] touches only group
+   [g]'s state and reads tables no pinned domain writes.
 
-   Lock hierarchy (outer to inner):
-
-     cg locks (ascending id order)  >  global
-
-   Multi-group operations must take their cg locks in ascending id
-   order ({!with_cgs} enforces this by sorting), and the global lock is
-   only ever taken while holding at most the cg locks — never the
-   reverse — so the order is acyclic and deadlock-free.
+   Lock hierarchy: cg locks only, always acquired in ascending id order
+   ({!with_cgs} enforces this by sorting), so the order is acyclic and
+   deadlock-free.
 
    A domain that holds a cg lock records the pinned group id in
-   domain-local storage; [Fs] consults {!pinned} to confine allocation
-   to the pinned group and to route shared-state touches through
-   {!globally}. When no pin is set (every serial caller), {!globally}
-   is a single DLS read and no mutex is ever touched, so the serial
-   paths keep their old cost. *)
+   domain-local storage; [Fs] consults {!pinned} to confine every
+   allocation, free and table access to the pinned group, refusing
+   anything else with [Cross_cg] before it reads foreign state. Serial
+   callers have no pin and touch no mutex. *)
 
 type t = {
   cg_locks : Mutex.t array;
-  global : Mutex.t;
   acq_count : int Atomic.t;
   cont_count : int Atomic.t;
   wait_ns : int Atomic.t;
@@ -32,16 +27,13 @@ type t = {
 
 type stats = { acquisitions : int; contended : int; wait_seconds : float }
 
-type ctx = { locks : t; mutable pin : int }
-
-(* The pin context of the calling domain. [None] outside any
+(* The pinned group of the calling domain, or -1 outside any
    [with_pin]; workers set it for the duration of a batch. *)
-let ctx_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let pin_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (-1))
 
 let create ~ncg =
   {
     cg_locks = Array.init ncg (fun _ -> Mutex.create ());
-    global = Mutex.create ();
     acq_count = Atomic.make 0;
     cont_count = Atomic.make 0;
     wait_ns = Atomic.make 0;
@@ -50,13 +42,13 @@ let create ~ncg =
 let ncg t = Array.length t.cg_locks
 
 let pinned () =
-  match Domain.DLS.get ctx_key with None -> None | Some c -> Some c.pin
+  match !(Domain.DLS.get pin_key) with -1 -> None | p -> Some p
 
 (* Acquire [m], counting the acquisition and — when the fast-path
    try_lock fails — the contention and the wall-clock wait. The timed
    slow path only runs under real contention, so the uncontended cost
    is one try_lock plus two atomic increments. *)
-let lock_timed t ~scope m =
+let lock_timed t m =
   Atomic.incr t.acq_count;
   if not (Mutex.try_lock m) then begin
     Atomic.incr t.cont_count;
@@ -65,22 +57,20 @@ let lock_timed t ~scope m =
     let waited = Unix.gettimeofday () -. t0 in
     Atomic.fetch_and_add t.wait_ns (int_of_float (waited *. 1e9)) |> ignore;
     let m = Obs.Metrics.default in
-    Obs.Metrics.inc m ~labels:[ ("scope", scope) ] "ffs_lock_contended_total";
-    Obs.Metrics.observe m ~labels:[ ("scope", scope) ] "ffs_lock_wait_seconds" waited
+    Obs.Metrics.inc m ~labels:[ ("scope", "cg") ] "ffs_lock_contended_total";
+    Obs.Metrics.observe m ~labels:[ ("scope", "cg") ] "ffs_lock_wait_seconds" waited
   end;
-  Obs.Metrics.inc Obs.Metrics.default ~labels:[ ("scope", scope) ]
-    "ffs_lock_acquisitions_total"
+  Obs.Metrics.inc Obs.Metrics.default ~labels:[ ("scope", "cg") ] "ffs_lock_acquisitions_total"
 
 let with_pin t ~cg f =
   assert (cg >= 0 && cg < ncg t);
-  (match Domain.DLS.get ctx_key with
-  | None -> ()
-  | Some _ -> invalid_arg "Locks.with_pin: domain already pinned");
-  lock_timed t ~scope:"cg" t.cg_locks.(cg);
-  Domain.DLS.set ctx_key (Some { locks = t; pin = cg });
+  let pin = Domain.DLS.get pin_key in
+  if !pin >= 0 then invalid_arg "Locks.with_pin: domain already pinned";
+  lock_timed t t.cg_locks.(cg);
+  pin := cg;
   Fun.protect
     ~finally:(fun () ->
-      Domain.DLS.set ctx_key None;
+      pin := -1;
       Mutex.unlock t.cg_locks.(cg))
     f
 
@@ -89,18 +79,11 @@ let with_cgs t cgs f =
   List.iter
     (fun cg ->
       assert (cg >= 0 && cg < ncg t);
-      lock_timed t ~scope:"cg" t.cg_locks.(cg))
+      lock_timed t t.cg_locks.(cg))
     cgs;
   Fun.protect
     ~finally:(fun () -> List.iter (fun cg -> Mutex.unlock t.cg_locks.(cg)) (List.rev cgs))
     f
-
-let globally f =
-  match Domain.DLS.get ctx_key with
-  | None -> f ()
-  | Some c ->
-      lock_timed c.locks ~scope:"global" c.locks.global;
-      Fun.protect ~finally:(fun () -> Mutex.unlock c.locks.global) f
 
 let stats t =
   {

@@ -1,27 +1,23 @@
 (** Per-cylinder-group lock table for intra-volume parallel aging.
 
-    One mutex per cylinder group (guarding that group's bitmaps, extent
-    index, cluster summaries and stats) plus a short global mutex for
-    superblock-level shared state. The lock hierarchy, outermost first:
-
-    {ul
-    {- cg locks, always acquired in ascending group-id order;}
-    {- the global lock, an innermost leaf taken only while a cg lock is
-       (possibly) held, never the other way round.}}
-
-    Acquisition order is therefore acyclic and the table deadlock-free.
+    One mutex per cylinder group, guarding that group's bitmaps, extent
+    index and cluster summaries, and its shard of the superblock-level
+    tables: [Fs] keeps the inode and parent tables and the allocation
+    counters per group (counters summed on read, as FFS sums its
+    per-group [cs_summary]). There is no global lock. The lock
+    hierarchy is cg locks only, always acquired in ascending group-id
+    order, so acquisition order is acyclic and the table deadlock-free.
 
     A worker domain {e pins} itself to one group with {!with_pin};
-    while pinned, [Fs] confines allocation to that group (raising
-    {!Error.Cross_cg} for anything that would touch another) and routes
-    every superblock-level update through {!globally}. Unpinned
-    (serial) callers pay a single domain-local-storage read and touch
-    no mutex. *)
+    while pinned, [Fs] confines every allocation, free and table access
+    to that group, raising {!Error.Cross_cg} before it reads anything
+    of another group. Unpinned (serial) callers pay a single
+    domain-local-storage read and touch no mutex. *)
 
 type t
 
 type stats = {
-  acquisitions : int;  (** cg + global lock acquisitions *)
+  acquisitions : int;  (** cg lock acquisitions *)
   contended : int;  (** acquisitions that had to block *)
   wait_seconds : float;  (** total wall-clock time spent blocked *)
 }
@@ -42,12 +38,6 @@ val with_cgs : t -> int list -> (unit -> 'a) -> 'a
 (** Hold several group locks at once, acquired in ascending id order
     regardless of the order given (the deadlock-freedom rule), without
     pinning. For coordinator-side multi-group operations. *)
-
-val globally : (unit -> 'a) -> 'a
-(** Run [f] under the global lock {e if the calling domain is pinned};
-    a plain call otherwise. Wrap every read-modify-write of
-    superblock-level shared state (fs-wide counters, the shared inode /
-    directory tables) in this. *)
 
 val stats : t -> stats
 val diff : before:stats -> after:stats -> stats

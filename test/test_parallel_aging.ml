@@ -1,9 +1,11 @@
 (* Tests for intra-volume parallel aging: the per-cylinder-group lock
    table's discipline (pinning, ordered multi-group acquisition, the
    deadlock canary), Cross_cg confinement, concurrent per-group
-   alloc/free/realloc safety from real domains, and the headline
+   alloc/free/realloc safety from real domains, the headline
    determinism property — run_parallel is bit-identical (image digest,
-   score series, allocation counters) at every jobs level. *)
+   score series, allocation counters, per-group shards summed) at every
+   jobs level — and the lock-free guard: a parallel day takes exactly
+   one uncontended group lock per batch. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -91,17 +93,50 @@ let fs_with_group_dirs () =
   in
   (fs, dirs)
 
+let expect_cross_cg what = function
+  | Error (Ffs.Error.Cross_cg { cg = 1; pinned = 0 }) -> ()
+  | Error e -> Alcotest.failf "%s: expected Cross_cg, got %a" what Ffs.Error.pp e
+  | Ok _ -> Alcotest.failf "%s in a foreign group succeeded while pinned" what
+
 let test_cross_cg_refused () =
   let fs, dirs = fs_with_group_dirs () in
+  let foreign = Ffs.Fs.create_file_exn fs ~dir:dirs.(1) ~name:"theirs" ~size:20000 in
+  check_int "file lives in group 1" 1 (Ffs.Fs.cg_of_inum fs foreign);
+  let before = Ffs.Fs.digest fs in
   let locks = Ffs.Locks.create ~ncg:params.Ffs.Params.ncg in
   Ffs.Locks.with_pin locks ~cg:0 (fun () ->
-      match Ffs.Fs.create_file_at fs ~time:1.0 ~dir:dirs.(1) ~name:"foreign" ~size:8192 with
-      | Error (Ffs.Error.Cross_cg { cg = 1; pinned = 0 }) -> ()
-      | Error e -> Alcotest.failf "expected Cross_cg, got %a" Ffs.Error.pp e
-      | Ok _ -> Alcotest.fail "create in a foreign group succeeded while pinned");
-  (* the refusal must be a full rollback: the fs still checks out *)
+      expect_cross_cg "create"
+        (Ffs.Fs.create_file_at fs ~time:1.0 ~dir:dirs.(1) ~name:"foreign" ~size:8192);
+      (* a foreign inum is refused before its group's tables are read *)
+      expect_cross_cg "delete_inum" (Ffs.Fs.delete_inum fs foreign);
+      expect_cross_cg "rewrite" (Ffs.Fs.rewrite_file_at fs ~time:1.0 ~inum:foreign ~size:4096);
+      (* the directory table is shared: no pinned domain writes it *)
+      match Ffs.Fs.mkdir_in_cg fs ~parent:(Ffs.Fs.root fs) ~name:"pinned" ~cg:0 with
+      | Error (Ffs.Error.Cross_cg { cg = -1; pinned = 0 }) -> ()
+      | Error e -> Alcotest.failf "mkdir: expected Cross_cg, got %a" Ffs.Error.pp e
+      | Ok _ -> Alcotest.fail "mkdir succeeded while pinned");
+  (* every refusal left the image untouched *)
+  check_string "digest unchanged by refusals" before (Ffs.Fs.digest fs);
   Ffs.Fs.check_invariants fs;
   assert_fsck_clean fs
+
+(* inums past the last group have no shard: lookups report them missing
+   instead of indexing out of bounds *)
+let test_out_of_range_inum () =
+  let fs, _ = fs_with_group_dirs () in
+  let ninodes = params.Ffs.Params.ncg * Ffs.Params.inodes_per_group params in
+  List.iter
+    (fun inum ->
+      Alcotest.check_raises (Fmt.str "inode %d" inum) Not_found (fun () ->
+          ignore (Ffs.Fs.inode fs inum));
+      Alcotest.check_raises (Fmt.str "dir_of_inum %d" inum) Not_found (fun () ->
+          ignore (Ffs.Fs.dir_of_inum fs inum));
+      check_bool (Fmt.str "file_exists %d" inum) false (Ffs.Fs.file_exists fs inum);
+      match Ffs.Fs.delete_inum fs inum with
+      | Error (Ffs.Error.No_such_inode { inum = i }) -> check_int "inum reported" inum i
+      | Error e -> Alcotest.failf "delete_inum %d: expected No_such_inode, got %a" inum Ffs.Error.pp e
+      | Ok () -> Alcotest.failf "delete_inum %d succeeded" inum)
+    [ -1; ninodes; ninodes + 1; max_int ]
 
 let test_cross_cg_rollback_restores_state () =
   let fs, dirs = fs_with_group_dirs () in
@@ -190,11 +225,31 @@ let run_parallel_at ~jobs ops =
       in
       (r, blocks))
 
+let sorted_ino_map (r : Aging.Replay.result) =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.ino_map [] |> List.sort compare
+
+let check_stats what (a : Ffs.Fs.stats) (b : Ffs.Fs.stats) =
+  check_bool (what ^ ": Fs.stats records equal") true (a = b)
+
 let test_jobs_levels_bit_identical () =
   let ops = workload () in
   let (r1, b1) = run_parallel_at ~jobs:1 ops in
   let (r2, b2) = run_parallel_at ~jobs:2 ops in
   let (r4, b4) = run_parallel_at ~jobs:4 ops in
+  let s1 = Ffs.Fs.stats r1.Aging.Replay.fs in
+  check_bool "blocks were allocated" true (s1.Ffs.Fs.blocks_allocated > 0);
+  check_stats "jobs 1 = jobs 2" s1 (Ffs.Fs.stats r2.Aging.Replay.fs);
+  check_stats "jobs 1 = jobs 4" s1 (Ffs.Fs.stats r4.Aging.Replay.fs);
+  let m1 = sorted_ino_map r1 in
+  check_bool "ino_map jobs 1 = jobs 2" true (m1 = sorted_ino_map r2);
+  check_bool "ino_map jobs 1 = jobs 4" true (m1 = sorted_ino_map r4);
+  (* the per-group counter shards sum to the same totals after the
+     image is flattened and rebuilt, or copied *)
+  let fs2 = r2.Aging.Replay.fs in
+  let s2 = Ffs.Fs.stats fs2 in
+  check_stats "portable round trip"
+    s2 (Ffs.Fs.stats (Ffs.Fs.of_portable (Ffs.Fs.to_portable fs2)));
+  check_stats "copy" s2 (Ffs.Fs.stats (Ffs.Fs.copy fs2));
   let d1 = Ffs.Fs.digest r1.Aging.Replay.fs in
   check_string "digest jobs 1 = jobs 2" d1 (Ffs.Fs.digest r2.Aging.Replay.fs);
   check_string "digest jobs 1 = jobs 4" d1 (Ffs.Fs.digest r4.Aging.Replay.fs);
@@ -234,6 +289,38 @@ let test_parallel_matches_serial_live_set () =
     (Hashtbl.length serial.Aging.Replay.ino_map)
     (Hashtbl.length par.Aging.Replay.ino_map);
   assert_fsck_clean par.Aging.Replay.fs
+
+(* The parallel phase is lock-free apart from each batch's own group
+   pin: one acquisition per batch, none of them contended. A shared
+   lock brought back into the hot path breaks the equality. *)
+let test_only_group_pins_locked () =
+  let ops = workload () in
+  let stats = ref [] in
+  let _r =
+    Par.Pool.with_pool ~jobs:2 (fun pool ->
+        Aging.Replay.run_parallel ~pool
+          ~on_day_stats:(fun s -> stats := s :: !stats)
+          ~params ~days ops)
+  in
+  check_int "one day_stats per day" days (List.length !stats);
+  List.iter
+    (fun (s : Aging.Replay.day_stats) ->
+      check_int (Fmt.str "day %d: one acquisition per batch" s.day) s.batches
+        s.lock_stats.Ffs.Locks.acquisitions;
+      check_int (Fmt.str "day %d: uncontended" s.day) 0 s.lock_stats.Ffs.Locks.contended)
+    !stats
+
+(* Twenty jobs-2 runs, each on a fresh pool (fresh worker domains, so
+   fresh domain-local pin state), must all reproduce the jobs-1 image. *)
+let test_repeat_runs_fresh_pools () =
+  let ops = workload () in
+  let reference = Ffs.Fs.digest (fst (run_parallel_at ~jobs:1 ops)).Aging.Replay.fs in
+  for i = 1 to 20 do
+    let r =
+      Par.Pool.with_pool ~jobs:2 (fun pool -> Aging.Replay.run_parallel ~pool ~params ~days ops)
+    in
+    check_string (Fmt.str "run %d digest = jobs 1" i) reference (Ffs.Fs.digest r.Aging.Replay.fs)
+  done
 
 let test_day_stats_reported () =
   let ops = workload () in
@@ -290,6 +377,7 @@ let () =
           Alcotest.test_case "foreign group refused" `Quick test_cross_cg_refused;
           Alcotest.test_case "rollback restores image" `Quick
             test_cross_cg_rollback_restores_state;
+          Alcotest.test_case "out-of-range inum" `Quick test_out_of_range_inum;
         ] );
       ( "concurrency",
         [
@@ -303,6 +391,8 @@ let () =
           Alcotest.test_case "matches serial live set" `Quick
             test_parallel_matches_serial_live_set;
           Alcotest.test_case "day stats reported" `Quick test_day_stats_reported;
+          Alcotest.test_case "only group pins locked" `Quick test_only_group_pins_locked;
+          Alcotest.test_case "repeat runs on fresh pools" `Quick test_repeat_runs_fresh_pools;
           QCheck_alcotest.to_alcotest qcheck_jobs_identity;
         ] );
     ]
