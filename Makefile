@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke repro bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -13,12 +13,14 @@ test:
 # the full gate: everything compiles, every suite passes, the
 # crash-consistency smoke matrix comes back fsck-clean, the
 # observability pipeline emits a parseable trace + metrics snapshot,
-# the full-scale default-seed pins hold, and the committed allocation
-# benchmark is within 20% of its baseline
+# the full-scale default-seed pins hold, the paper's figures regenerate
+# byte for byte with every shape check passing, and the committed
+# allocation benchmark is within 20% of its baseline
 verify:
 	dune build
 	dune runtest
 	$(MAKE) perf-smoke
+	$(MAKE) repro
 	$(MAKE) crash-matrix
 	$(MAKE) crash-explore
 	$(MAKE) metrics-smoke
@@ -42,6 +44,15 @@ perf-smoke:
 		echo "== perfbench $$w =="; \
 		python3 perfbench/run.py --workload $$w --seconds 1 || exit 1; \
 	done
+
+# the paper reproduction at full scale: regenerate every figure's CSV
+# into results/ (three 300-day replays, seqio sweeps, hot files), fail
+# if any committed CSV changed, and fail if any of the shape checks
+# against the paper fails (ffs_figures exits nonzero). About 20 s on a
+# 2-CPU machine.
+repro:
+	dune exec bin/ffs_figures.exe -- --csv-dir results --quiet
+	git diff --exit-code results/
 
 # crash-consistency smoke: a small ground-truth workload through
 # {0,1,3} injected crashes on both allocators (each crash is torn

@@ -1,16 +1,7 @@
-(* entries contiguous with their predecessor: the optimal count *)
-let optimal_links (entries : Ffs.Inode.entry array) =
-  let optimal = ref 0 in
-  for i = 1 to Array.length entries - 1 do
-    let prev = entries.(i - 1) and cur = entries.(i) in
-    if cur.Ffs.Inode.addr = prev.Ffs.Inode.addr + prev.Ffs.Inode.frags then incr optimal
-  done;
-  !optimal
-
 let file_counts (ino : Ffs.Inode.t) =
   let entries = ino.Ffs.Inode.entries in
   let n = Array.length entries in
-  if n < 2 then (0, 0) else (optimal_links entries, n - 1)
+  if n < 2 then (0, 0) else (Ffs.Inode.optimal_links entries, n - 1)
 
 let file_score ino =
   match file_counts ino with
@@ -20,17 +11,11 @@ let file_score ino =
 let ratio ~optimal ~counted =
   if counted = 0 then 1.0 else float_of_int optimal /. float_of_int counted
 
-(* Runs every day of every replay: two integer sums, no per-file tuple. *)
+(* Runs every day of every replay: the file system keeps the two sums
+   as per-group counters, so this reads them instead of every file. *)
 let aggregate fs =
-  let optimal = ref 0 and counted = ref 0 in
-  Ffs.Fs.iter_files fs (fun ino ->
-      let entries = ino.Ffs.Inode.entries in
-      let n = Array.length entries in
-      if n >= 2 then begin
-        optimal := !optimal + optimal_links entries;
-        counted := !counted + n - 1
-      end);
-  ratio ~optimal:!optimal ~counted:!counted
+  let optimal, counted = Ffs.Fs.layout_counts fs in
+  ratio ~optimal ~counted
 
 let aggregate_of fs ~inums =
   let optimal, counted =

@@ -578,7 +578,7 @@ let result_of_portable ?backend pr =
 let corrupt_resume fmt = Fmt.kstr (fun m -> Ffs.Error.raise_ (Ffs.Error.Corrupt m)) fmt
 
 let engine_of_checkpoint ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck =
-  if ck.ck_ops_crc <> ops_crc then
+  if ck.ck_ops_crc <> ops_crc () then
     corrupt_resume "resume: checkpoint was taken against a different workload";
   if ck.ck_days <> days then
     corrupt_resume "resume: checkpoint is for a %d-day run, not %d days" ck.ck_days days;
@@ -609,7 +609,18 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
     ?(on_checkpoint = fun (_ : checkpoint) -> ()) ?(scrub_every = 0)
     ?(on_scrub = fun (_ : Ffs.Check.scrub_log) -> ()) ~params ~days ~crashes ~fault_seed
     ops =
-  let ops_crc = ops_fingerprint ops in
+  (* only checkpoints and resumes read the fingerprint, and marshalling
+     the whole workload costs a good part of a second: computed on first
+     use, then kept *)
+  let crc = ref None in
+  let ops_crc () =
+    match !crc with
+    | Some c -> c
+    | None ->
+        let c = ops_fingerprint ops in
+        crc := Some c;
+        c
+  in
   let e, rng, pending0, recoveries0, start_op =
     match resume with
     | None ->
@@ -644,7 +655,8 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
     | _ -> ());
     incr i;
     let take () =
-      checkpoint_of_engine e ~next_op:!i ~ops_crc ~rng ~pending:!pending ~recoveries:!recoveries
+      checkpoint_of_engine e ~next_op:!i ~ops_crc:(ops_crc ()) ~rng ~pending:!pending
+        ~recoveries:!recoveries
     in
     if scrub_every > 0 && e.next_day >= !last_scrub_day + scrub_every then begin
       (* scrub before any checkpoint of the same day boundary, so the

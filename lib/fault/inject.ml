@@ -67,7 +67,7 @@ let duplicate_claim fs ~rng =
       | None -> None
       | Some thief ->
           let tho = Fs.inode fs thief in
-          tho.Inode.entries <- Array.append tho.Inode.entries [| e |];
+          Fs.set_entries fs tho (Array.append tho.Inode.entries [| e |]);
           Some
             (Duplicated_claim
                { victim; thief; addr = e.Inode.addr; frags = e.Inode.frags }))
@@ -80,8 +80,8 @@ let drop_claim fs ~rng =
       let n = Array.length ino.Inode.entries in
       let victim = Util.Prng.int rng n in
       let e = ino.Inode.entries.(victim) in
-      ino.Inode.entries <-
-        Array.init (n - 1) (fun i -> ino.Inode.entries.(if i < victim then i else i + 1));
+      Fs.set_entries fs ino
+        (Array.init (n - 1) (fun i -> ino.Inode.entries.(if i < victim then i else i + 1)));
       Some (Dropped_claim { inum; addr = e.Inode.addr; frags = e.Inode.frags })
 
 let forget_inode fs ~rng =
@@ -191,7 +191,7 @@ let bad_run fs ~rng =
         else Params.total_frags params + Util.Prng.int rng 1000
       in
       let ino = Fs.inode fs inum in
-      ino.Inode.entries <- Array.append ino.Inode.entries [| { Inode.addr; frags } |];
+      Fs.set_entries fs ino (Array.append ino.Inode.entries [| { Inode.addr; frags } |]);
       Some (Corrupted_run { inum; addr; frags })
 
 let zero_counters fs ~rng =

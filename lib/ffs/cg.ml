@@ -12,6 +12,7 @@ type t = {
   mutable nifree : int;
   mutable ndirs : int;
   mutable rotor : int;  (* block index where the last preference-less scan ended *)
+  mutable ilow : int;  (* no inode slot below this one is free *)
 }
 
 (* Bitmap writes mark the group's dirty chunk through the store; the
@@ -41,6 +42,7 @@ let create_in ~store ~base params ~index =
     nifree = ninodes;
     ndirs = 0;
     rotor = 0;
+    ilow = 0;
   }
 
 let create params ~index =
@@ -371,6 +373,19 @@ let alloc_block_with s t ~pref =
 
 let free_block t b = free_frags t ~pos:(b * fpb t) ~count:(fpb t)
 
+(* The preferred block [pref] and the free blocks right after it, at
+   most [max] in all, claimed as one span: exactly the blocks (and the
+   rotor) [max] successive pref hits of {!alloc_block} would take. *)
+let claim_pref_run t ~pref ~max =
+  if not (block_is_free t pref) then 0
+  else begin
+    let len = Int.min (Extent_index.run_end t.ext pref + 1) (pref + max) - pref in
+    claim_frags t ~pos:(pref * fpb t) ~count:(len * fpb t);
+    t.rotor <- (pref + len) mod data_blocks t;
+    Obs.Metrics.add metrics "ffs_alloc_pref_hit_total" len;
+    len
+  end
+
 let alloc_frags_with s t ~pref ~count =
   assert (count >= 1 && count < fpb t);
   if t.nffree < count then None
@@ -449,20 +464,24 @@ let free_run_histogram t ~max = Extent_index.run_histogram t.ext ~max
 
 let extent_histogram t = Extent_index.histogram t.ext
 
+(* The search starts at the low-water slot: every slot below it is in
+   use, so the first clear bit from there is the lowest free slot. *)
 let alloc_inode t =
   if t.nifree = 0 then None
   else
-    match Bitmap.find_clear t.inode_used ~start:0 with
+    match Bitmap.find_clear t.inode_used ~start:t.ilow with
     | None -> None
     | Some i ->
         Bitmap.set t.inode_used i;
         t.nifree <- t.nifree - 1;
+        t.ilow <- i + 1;
         Some i
 
 let free_inode t i =
   assert (Bitmap.get t.inode_used i);
   Bitmap.clear t.inode_used i;
-  t.nifree <- t.nifree + 1
+  t.nifree <- t.nifree + 1;
+  t.ilow <- Int.min t.ilow i
 
 let inode_is_free t i = not (Bitmap.get t.inode_used i)
 
@@ -495,7 +514,8 @@ let reset t =
   t.nffree <- nfrags;
   t.nbfree <- nblocks;
   t.nifree <- Bitmap.length t.inode_used;
-  t.ndirs <- 0
+  t.ndirs <- 0;
+  t.ilow <- 0
 
 (* --- fault injection ------------------------------------------------------ *)
 
@@ -521,7 +541,9 @@ let corrupt_counters t ~nffree ~nbfree =
    state is by construction inconsistent until repair *)
 
 let corrupt_set_inode t i = Bitmap.set t.inode_used i
-let corrupt_clear_inode t i = Bitmap.clear t.inode_used i
+let corrupt_clear_inode t i =
+  Bitmap.clear t.inode_used i;
+  t.ilow <- Int.min t.ilow i
 
 let corrupt_adjust_dirs t delta =
   touch t;
@@ -607,7 +629,8 @@ let load_portable t p =
   t.nbfree <- p.p_nbfree;
   t.nifree <- p.p_nifree;
   t.ndirs <- p.p_ndirs;
-  t.rotor <- p.p_rotor
+  t.rotor <- p.p_rotor;
+  t.ilow <- 0
 
 let of_portable_into ~store ~base params p =
   let t = create_in ~store ~base params ~index:p.p_index in

@@ -61,6 +61,15 @@ val alloc_block : t -> pref:int option -> int option
     With no preference the scan starts at the group's rotor. Returns the
     block index, or [None] if the group has no free block. *)
 
+val claim_pref_run : t -> pref:int -> max:int -> int
+(** [claim_pref_run t ~pref ~max] takes the free block [pref] and the
+    free blocks directly after it, at most [max] blocks in all, as one
+    claim, and returns how many it took: 0 when [pref] is not free.
+    The blocks, the rotor and the pref-hit count come out as [max]
+    successive {!alloc_block} calls, each preferring the block after
+    the last, would leave them while they hit. [pref] must be a block
+    index of the group and [max >= 1]. *)
+
 val alloc_frags : t -> pref:int option -> count:int -> int option
 (** Allocate a run of [count] (1 .. frags_per_block-1) fragments inside a
     single block, as FFS does for file tails: first a fit inside an
@@ -113,7 +122,9 @@ val extent_histogram : t -> (int * int) array
     {!Extent_index.histogram}). *)
 
 val alloc_inode : t -> int option
-(** Lowest free inode slot (local index), or [None]. *)
+(** Lowest free inode slot (local index), or [None]. The search starts
+    at a low-water slot below which no slot is free; every path that
+    clears an inode bit through this module lowers it. *)
 
 val free_inode : t -> int -> unit
 

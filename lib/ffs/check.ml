@@ -8,6 +8,7 @@ type problem =
   | Bad_run of { inum : int; addr : int; frags : int }
   | Index_mismatch of { cg : int; what : string }
   | Inode_bitmap_mismatch of { cg : int; slot : int; live : bool }
+  | Layout_counter_mismatch of { cg : int; what : string; counter : int; recount : int }
 
 type report = {
   problems : problem list;
@@ -78,6 +79,16 @@ let run fs =
              { cg = cg_index; what = "free blocks"; counter = Cg.free_block_count cg;
                recount = !free_block_recount }))
     cgs;
+  (* 4a: the layout counters vs. a recount of the inode table *)
+  for cg = 0 to params.Params.ncg - 1 do
+    let optimal, counted = Fs.group_layout_counts fs cg in
+    let optimal', counted' = Fs.group_layout_recount fs cg in
+    let mismatch what counter recount =
+      if counter <> recount then add (Layout_counter_mismatch { cg; what; counter; recount })
+    in
+    mismatch "optimal links" optimal optimal';
+    mismatch "counted links" counted counted'
+  done;
   (* 4b: the inode bitmap vs. the inode table, bit by bit.  A live
      inode whose bit reads free is the data-loss precursor — the next
      allocation of that slot would silently overwrite the file — and
@@ -212,12 +223,13 @@ let repair_body fs =
   List.iter
     (fun inum ->
       let ino = Fs.inode fs inum in
-      ino.Inode.entries <-
-        filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries;
+      Fs.set_entries fs ino
+        (filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries);
       ino.Inode.indirect_addrs <- filter_array (fun a -> keep a fpb) ino.Inode.indirect_addrs)
     (List.sort compare !inums);
-  (* pass 2: rebuild every group's bitmaps, counters and extent index
-     from the surviving claims, measuring the divergence being erased *)
+  (* pass 2: rebuild every group's bitmaps, counters, extent index and
+     layout counters from the surviving claims, measuring the divergence
+     being erased *)
   let leaked = ref 0 and missing = ref 0 in
   Array.iteri
     (fun cg_index cg ->
@@ -229,13 +241,14 @@ let repair_body fs =
         else if (not owned) && not free then incr leaked
       done)
     cgs;
-  let counters cg =
-    (Cg.free_frag_count cg, Cg.free_block_count cg, Cg.inodes_free cg, Cg.dirs cg)
+  let counters i cg =
+    ( (Cg.free_frag_count cg, Cg.free_block_count cg, Cg.inodes_free cg, Cg.dirs cg),
+      Fs.group_layout_counts fs i )
   in
-  let before = Array.map counters cgs in
+  let before = Array.mapi counters cgs in
   Fs.rebuild_allocation fs;
   let groups_rebuilt = ref 0 in
-  Array.iteri (fun i cg -> if before.(i) <> counters cg then incr groups_rebuilt) cgs;
+  Array.iteri (fun i cg -> if before.(i) <> counters i cg then incr groups_rebuilt) cgs;
   (* pass 3: clear directory entries that name dead inodes *)
   let dangling = ref 0 in
   let dirs = List.sort compare (Fs.dir_inums fs) in
@@ -400,6 +413,9 @@ let pp_problem ppf = function
         Fmt.pf ppf "group %d inode slot %d holds a live inode but its bitmap bit is free"
           cg slot
       else Fmt.pf ppf "group %d inode slot %d is marked used but holds no inode" cg slot
+  | Layout_counter_mismatch { cg; what; counter; recount } ->
+      Fmt.pf ppf "group %d layout counter of %s says %d, inode-table recount says %d" cg what
+        counter recount
 
 let pp_repair ppf log =
   if repair_is_noop log then Fmt.pf ppf "nothing to repair"

@@ -32,6 +32,11 @@ type problem =
           file), [not live] a marked slot holds no inode.  Bit-level on
           purpose: device corruption can flip bits in both directions
           within one group, leaving every {e counter} plausible. *)
+  | Layout_counter_mismatch of { cg : int; what : string; counter : int; recount : int }
+      (** a group's layout counter ({!Fs.group_layout_counts}: [what]
+          is "optimal links" or "counted links") disagrees with a
+          recount of its files' runs — a write of an inode's entries
+          that bypassed {!Fs.set_entries} *)
 
 type report = {
   problems : problem list;
@@ -64,7 +69,8 @@ type repair_log = {
   missing_frags_remarked : int;
       (** fragments claimed by an inode but marked free in the bitmap *)
   groups_rebuilt : int;
-      (** cylinder groups whose counters changed when rebuilt *)
+      (** cylinder groups whose counters (the layout counters
+          included) changed when rebuilt *)
   dangling_cleared : int;  (** directory entries naming dead inodes, removed *)
   orphans_reattached : int;
       (** unreferenced inodes given an entry in [lost+found] *)
@@ -76,8 +82,8 @@ val repair : Fs.t -> (repair_log, Error.t) result
 (** Repair in place, in four deterministic passes: (1) prune invalid and
     double-claimed runs from the inode table, arbitrating in ascending
     inode order (direct runs before indirect blocks); (2) rebuild every
-    group's bitmaps, counters and extent index from the
-    surviving claims; (3) remove directory entries naming dead inodes; (4)
+    group's bitmaps, counters, extent index and layout counters from
+    the surviving claims; (3) remove directory entries naming dead inodes; (4)
     reattach unreferenced inodes to a [lost+found] directory under the
     root, creating it if needed.
 

@@ -44,11 +44,19 @@ let geometry params =
    reads and writes only [shards.(g)], so parallel batches share no
    table and need no lock beyond their group pin. Inode allocation takes
    the lowest free slot, so each table only grows to the highest slot
-   used; a slot past its end is empty. *)
+   used; a slot past its end is empty.
+
+   [optimal] and [counted] are the layout-score sums of the group's
+   regular files (see {!Inode.optimal_links}): derived state, like the
+   extent index, kept by the two writers of inode records and entries
+   ([set_inode], [set_entries]), audited by fsck and rebuilt by
+   [rebuild_allocation]. *)
 type shard = {
   mutable inodes : Inode.t option array;
   mutable parents : (int * string) option array;  (* slot -> (parent dir inum, name) *)
   counts : stats;  (* the counters a domain pinned to this group bumps *)
+  mutable optimal : int;  (* links from a run to the run that follows it on disk *)
+  mutable counted : int;  (* all links: runs - 1 for every file of >= 2 runs *)
 }
 
 type t = {
@@ -177,9 +185,64 @@ let find_inode t inum =
 
 let inode t inum = match find_inode t inum with Some i -> i | None -> raise Not_found
 
+(* add ([sign] = 1) or remove ([sign] = -1) one inode's share of its
+   shard's layout sums; directories have no share *)
+let add_links sh ino ~sign =
+  let entries = ino.Inode.entries in
+  let n = Array.length entries in
+  if n >= 2 && ino.Inode.kind = Inode.File then begin
+    sh.optimal <- sh.optimal + (sign * Inode.optimal_links entries);
+    sh.counted <- sh.counted + (sign * (n - 1))
+  end
+
+(* Every inode-table write: the record leaving the slot takes its share
+   of the layout sums with it, the arriving one brings its own. *)
 let set_inode t inum v =
   let sh = shard_of t inum in
-  sh.inodes <- store_slot ~ipg:(ipg t) sh.inodes (inum mod ipg t) v
+  let s = inum mod ipg t in
+  (match slot sh.inodes s with Some old -> add_links sh old ~sign:(-1) | None -> ());
+  (match v with Some ino -> add_links sh ino ~sign:1 | None -> ());
+  sh.inodes <- store_slot ~ipg:(ipg t) sh.inodes s v
+
+(* Every entries write: the sums follow when [ino] is the record in the
+   table; an inode not yet installed brings its share in [set_inode]. *)
+let set_entries t ino entries =
+  match find_inode t ino.Inode.inum with
+  | Some cur when cur == ino ->
+      let sh = shard_of t ino.Inode.inum in
+      add_links sh ino ~sign:(-1);
+      ino.Inode.entries <- entries;
+      add_links sh ino ~sign:1
+  | Some _ | None -> ino.Inode.entries <- entries
+
+let group_layout_counts t cg =
+  let sh = t.shards.(cg) in
+  (sh.optimal, sh.counted)
+
+let layout_counts t =
+  let optimal = ref 0 and counted = ref 0 in
+  Array.iter
+    (fun sh ->
+      optimal := !optimal + sh.optimal;
+      counted := !counted + sh.counted)
+    t.shards;
+  (!optimal, !counted)
+
+(* [(optimal, counted)] of one shard, recounted from its inode table *)
+let recount_links sh =
+  let fresh = { sh with optimal = 0; counted = 0 } in
+  Array.iter (function Some ino -> add_links fresh ino ~sign:1 | None -> ()) sh.inodes;
+  (fresh.optimal, fresh.counted)
+
+let group_layout_recount t cg = recount_links t.shards.(cg)
+
+let rebuild_layout_counts t =
+  Array.iter
+    (fun sh ->
+      let optimal, counted = recount_links sh in
+      sh.optimal <- optimal;
+      sh.counted <- counted)
+    t.shards
 
 let find_parent t inum =
   if inum_in_range t inum then slot (shard_of t inum).parents (inum mod ipg t) else None
@@ -196,7 +259,8 @@ let set_parent t inum v =
    unpinned record otherwise. [stats] sums them. *)
 let counts t pin = match pin with Some p -> t.shards.(p).counts | None -> t.stats
 
-let new_shard () = { inodes = [||]; parents = [||]; counts = fresh_stats () }
+let new_shard () =
+  { inodes = [||]; parents = [||]; counts = fresh_stats (); optimal = 0; counted = 0 }
 
 let add_counts acc s =
   acc.blocks_allocated <- acc.blocks_allocated + s.blocks_allocated;
@@ -296,12 +360,12 @@ let pref_after_block t prev =
   (* rotdelay leaves a gap of whole blocks between a file's consecutive
      blocks (0 on the paper's system: its drive has a track buffer) *)
   let g = prev + (fpb t * (1 + t.params.Params.rotdelay_blocks)) in
-  if g >= t.geo.nfrags then (0, Some 0)
+  if g >= t.geo.nfrags then (0, 0)
   else begin
     let cg = cg_of_global t g in
     let local = g - data_base t cg in
-    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then ((cg + 1) mod t.params.Params.ncg, Some 0)
-    else (cg, Some (local / fpb t))
+    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then ((cg + 1) mod t.params.Params.ncg, 0)
+    else (cg, local / fpb t)
   end
 
 let count_block stats ~contig =
@@ -310,22 +374,9 @@ let count_block stats ~contig =
 
 let count_frags stats ~count = stats.frags_allocated <- stats.frags_allocated + count
 
-(* The preferred group is tried directly; only a miss builds the
-   overflow search's closure. *)
-let alloc_block t ~pref_cg ~pref_block ~prev =
-  let pin = Locks.pinned () in
-  confine pin ~cg:pref_cg;
-  let addr =
-    match Cg.alloc_block t.cgs.(pref_cg) ~pref:pref_block with
-    | Some b -> global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
-    | None ->
-        overflow t pin ~cg:pref_cg ~f:(fun c ->
-            let pref = if c = pref_cg then pref_block else None in
-            match Cg.alloc_block t.cgs.(c) ~pref with
-            | Some b -> Some (global_of_local t ~cg:c ~frag:(b * fpb t))
-            | None -> None)
-  in
-  let contig = match prev with Some p -> addr = p + fpb t | None -> false in
+(* The bookkeeping of one placed block, however it was found: counters,
+   journal step, metrics, heatmap and trace, all per block. *)
+let note_block t pin ~pref_cg ~addr ~contig =
   count_block (counts t pin) ~contig;
   let cg = cg_of_global t addr in
   if recording t then jot t (Journal.Data_set { addr; frags = fpb t });
@@ -341,7 +392,30 @@ let alloc_block t ~pref_cg ~pref_block ~prev =
         Obs.Trace.i "pref_cg" pref_cg;
         Obs.Trace.b "fallback" (cg <> pref_cg);
         Obs.Trace.b "contig" contig;
-      ];
+      ]
+
+(* a file's previous block before it has one *)
+let no_prev = -1
+
+(* [addr] directly follows [prev] on disk *)
+let follows t ~prev addr = prev <> no_prev && addr = prev + fpb t
+
+(* The preferred group is tried directly; only a miss builds the
+   overflow search's closure. *)
+let alloc_block t ~pref_cg ~pref_block ~prev =
+  let pin = Locks.pinned () in
+  confine pin ~cg:pref_cg;
+  let addr =
+    match Cg.alloc_block t.cgs.(pref_cg) ~pref:(Some pref_block) with
+    | Some b -> global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
+    | None ->
+        overflow t pin ~cg:pref_cg ~f:(fun c ->
+            let pref = if c = pref_cg then Some pref_block else None in
+            match Cg.alloc_block t.cgs.(c) ~pref with
+            | Some b -> Some (global_of_local t ~cg:c ~frag:(b * fpb t))
+            | None -> None)
+  in
+  note_block t pin ~pref_cg ~addr ~contig:(follows t ~prev addr);
   addr
 
 let alloc_frags t ~pref_cg ~pref_frag ~count =
@@ -383,14 +457,13 @@ let release t ~cg ~addr ~frags =
   Obs.Metrics.add metrics "ffs_free_frags_total" frags;
   Cg.free_frags t.cgs.(cg) ~pos:frag ~count:frags
 
-(* Free [entries] run-wise: each maximal stretch of physically
-   contiguous entries in one group goes to {!Cg.free_frags} as one span,
-   so its whole blocks leave the index in one merge. The journal still
-   gets one [Data_clear] per entry, in entry order, so crash exploration
-   sees the same steps. *)
-let free_entries t entries =
-  let stop = Array.length entries in
-  let i = ref 0 in
+(* Free [entries.(first .. stop - 1)] run-wise: each maximal stretch of
+   physically contiguous entries in one group goes to {!Cg.free_frags}
+   as one span, so its whole blocks leave the index in one merge. The
+   journal still gets one [Data_clear] per entry, in entry order, so
+   crash exploration sees the same steps. *)
+let free_entry_range t entries ~first ~stop =
+  let i = ref first in
   while !i < stop do
     let addr = entries.(!i).Inode.addr in
     let cg = cg_of_global t addr in
@@ -409,6 +482,8 @@ let free_entries t entries =
     release t ~cg ~addr ~frags:(!fin - addr);
     i := !j
   done
+
+let free_entries t entries = free_entry_range t entries ~first:0 ~stop:(Array.length entries)
 
 (* indirect blocks are rarely adjacent: one span each *)
 let free_indirects t addrs =
@@ -444,23 +519,38 @@ let indirect_range_cg t ~after_cg =
   in
   scan 0
 
-(* State of the streaming write: entries so far, the address of the most
-   recently placed block (data or indirect), and the open realloc
-   window. *)
+(* The indirect blocks a file of [nfull] full blocks interposes: one at
+   the start of each [nindir]-block range past the direct blocks, plus
+   the double-indirect block when the second range starts. *)
+let indirects_for params nfull =
+  let ndaddr = params.Params.ndaddr and nindir = params.Params.nindir in
+  if nfull <= ndaddr then 0
+  else ((nfull - ndaddr - 1) / nindir) + 1 + if nfull > ndaddr + nindir then 1 else 0
+
+(* State of the streaming write: the entries and indirect blocks placed
+   so far, each in an array of exactly the file's final count, the
+   address of the most recently placed block (data or indirect), and
+   the open realloc window. *)
 type walk = {
-  entries : Inode.entry Util.Vec.t;
-  indirects : int Util.Vec.t;
-  mutable prev : int option;
+  entries : Inode.entry array;
+  mutable len : int;  (* entries placed *)
+  indirects : int array;
+  mutable nind : int;  (* indirect blocks placed *)
+  mutable prev : int;  (* [no_prev] before the first block *)
   mutable win_start : int;  (* index into entries of the window start *)
   mutable win_len : int;
   mutable win_cg : int;
 }
 
-let new_walk () =
+let unfilled = { Inode.addr = -1; frags = 0 }
+
+let new_walk ~entries ~indirects =
   {
-    entries = Util.Vec.create ();
-    indirects = Util.Vec.create ();
-    prev = None;
+    entries = Array.make entries unfilled;
+    len = 0;
+    indirects = Array.make indirects 0;
+    nind = 0;
+    prev = no_prev;
     win_start = 0;
     win_len = 0;
     win_cg = -1;
@@ -470,8 +560,8 @@ let window_is_contiguous t walk =
   let rec loop i =
     if i >= walk.win_len then true
     else begin
-      let a = (Util.Vec.get walk.entries (walk.win_start + i - 1)).Inode.addr in
-      let b = (Util.Vec.get walk.entries (walk.win_start + i)).Inode.addr in
+      let a = walk.entries.(walk.win_start + i - 1).Inode.addr in
+      let b = walk.entries.(walk.win_start + i).Inode.addr in
       b = a + fpb t && loop (i + 1)
     end
   in
@@ -490,9 +580,9 @@ let flush_window t walk =
       let pref =
         if walk.win_start = 0 then None
         else begin
-          let before = (Util.Vec.get walk.entries (walk.win_start - 1)).Inode.addr in
+          let before = walk.entries.(walk.win_start - 1).Inode.addr in
           let pcg, pblock = pref_after_block t before in
-          if pcg = cg then pblock else None
+          if pcg = cg then Some pblock else None
         end
       in
       match
@@ -511,21 +601,16 @@ let flush_window t walk =
               [
                 Obs.Trace.i "cg" cg;
                 Obs.Trace.i "len" walk.win_len;
-                Obs.Trace.i "from"
-                  (Util.Vec.get walk.entries walk.win_start).Inode.addr;
+                Obs.Trace.i "from" walk.entries.(walk.win_start).Inode.addr;
                 Obs.Trace.i "to" (global_of_local t ~cg ~frag:(base_block * fpb t));
               ];
-          let old =
-            Array.init walk.win_len (fun i -> Util.Vec.get walk.entries (walk.win_start + i))
-          in
-          free_entries t old;
-          Array.iteri
-            (fun i e ->
-              let addr = global_of_local t ~cg ~frag:((base_block + i) * fpb t) in
-              Util.Vec.set walk.entries (walk.win_start + i) { e with Inode.addr })
-            old;
-          let last = Util.Vec.get walk.entries (walk.win_start + walk.win_len - 1) in
-          walk.prev <- Some last.Inode.addr
+          let stop = walk.win_start + walk.win_len in
+          free_entry_range t walk.entries ~first:walk.win_start ~stop;
+          for k = walk.win_start to stop - 1 do
+            let addr = global_of_local t ~cg ~frag:((base_block + k - walk.win_start) * fpb t) in
+            walk.entries.(k) <- { (walk.entries.(k)) with Inode.addr }
+          done;
+          walk.prev <- walk.entries.(stop - 1).Inode.addr
     end
   end;
   walk.win_start <- walk.win_start + walk.win_len;
@@ -537,84 +622,126 @@ let push_block t walk addr =
   (* a window must stay within one group; close the open one first if
      this block landed elsewhere (win_len does not yet include it) *)
   if walk.win_len > 0 && cg <> walk.win_cg then flush_window t walk;
-  Util.Vec.push walk.entries { Inode.addr; frags = fpb t };
-  walk.prev <- Some addr;
+  walk.entries.(walk.len) <- { Inode.addr; frags = fpb t };
+  walk.len <- walk.len + 1;
+  walk.prev <- addr;
   if walk.win_len = 0 then begin
-    walk.win_start <- Util.Vec.length walk.entries - 1;
+    walk.win_start <- walk.len - 1;
     walk.win_cg <- cg
   end;
   walk.win_len <- walk.win_len + 1;
   if walk.win_len >= t.params.Params.maxcontig then flush_window t walk
 
+(* How many blocks, from logical block [lbn] on, one preference claim
+   in [pref_cg] may take: the blocks a block-at-a-time walk would take
+   as consecutive pref hits. It stops at the file's last full block and
+   at the next indirect boundary, which switches groups. Under realloc
+   it also stops where the open window fills, since that flush may move
+   blocks and so change the next preference (a window open in another
+   group is flushed before the run's first block lands). A rotational
+   gap makes every preference skip a block: one block a claim. *)
+let run_cap t walk ~lbn ~nfull ~pref_cg =
+  let p = t.params in
+  if p.Params.rotdelay_blocks > 0 then 1
+  else begin
+    let boundary =
+      if lbn < p.Params.ndaddr then p.Params.ndaddr
+      else lbn + p.Params.nindir - ((lbn - p.Params.ndaddr) mod p.Params.nindir)
+    in
+    let cap = Int.min nfull boundary - lbn in
+    if not t.cfg.realloc then cap
+    else begin
+      let open_len = if walk.win_len > 0 && walk.win_cg = pref_cg then walk.win_len else 0 in
+      Int.min cap (p.Params.maxcontig - open_len)
+    end
+  end
+
 (* Allocate the data (and indirect blocks) for a file of [size] bytes
    whose inode lives in group [home_cg]. Returns the entry list and
    indirect addresses. On failure, frees everything it had taken and
-   raises [Error.Error Out_of_space]. *)
+   raises [Error.Error Out_of_space].
+
+   A free preferred block is claimed together with the free blocks
+   behind it ({!Cg.claim_pref_run}, capped by [run_cap]); a taken one
+   goes through [alloc_block]'s search. Either way each block gets its
+   own bookkeeping, in logical order. *)
 let allocate_data t ~home_cg ~size =
   let params = t.params in
   let nfull, tail_frags = Params.blocks_of_size params size in
-  let walk = new_walk () in
-  let rollback () =
-    free_entries t (Util.Vec.to_array walk.entries);
-    free_indirects t (Util.Vec.to_array walk.indirects)
+  let walk =
+    new_walk
+      ~entries:(nfull + if tail_frags > 0 then 1 else 0)
+      ~indirects:(indirects_for params nfull)
   in
+  let pin = Locks.pinned () in
   try
     let ndaddr = params.Params.ndaddr in
     let nindir = params.Params.nindir in
-    for lbn = 0 to nfull - 1 do
+    let lbn = ref 0 in
+    while !lbn < nfull do
+      let at = !lbn in
       (* indirect-block boundary: close the window, move to a new group *)
-      if lbn >= ndaddr && (lbn - ndaddr) mod nindir = 0 then begin
+      if at >= ndaddr && (at - ndaddr) mod nindir = 0 then begin
         (* the range-placement policy reads every group's free count, so
            a pinned domain cannot decide it — defer the whole file *)
-        (match Locks.pinned () with
+        (match pin with
         | Some p -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p })
         | None -> ());
         flush_window t walk;
         t.stats.indirect_switches <- t.stats.indirect_switches + 1;
-        let after_cg =
-          match walk.prev with Some p -> cg_of_global t p | None -> home_cg
-        in
+        let after_cg = if walk.prev = no_prev then home_cg else cg_of_global t walk.prev in
         let icg = indirect_range_cg t ~after_cg in
         (* the double-indirect block itself, the first time we need it *)
-        let n_indirect = if lbn = ndaddr + nindir then 2 else 1 in
+        let n_indirect = if at = ndaddr + nindir then 2 else 1 in
         for _ = 1 to n_indirect do
-          let addr = alloc_block t ~pref_cg:icg ~pref_block:(Some 0) ~prev:None in
-          Util.Vec.push walk.indirects addr;
-          walk.prev <- Some addr
+          let addr = alloc_block t ~pref_cg:icg ~pref_block:0 ~prev:no_prev in
+          walk.indirects.(walk.nind) <- addr;
+          walk.nind <- walk.nind + 1;
+          walk.prev <- addr
         done
       end;
       let pref_cg, pref_block =
-        match walk.prev with
-        | Some p -> pref_after_block t p
-        | None -> (home_cg, Some 0)
+        if walk.prev = no_prev then (home_cg, 0) else pref_after_block t walk.prev
       in
-      let addr = alloc_block t ~pref_cg ~pref_block ~prev:walk.prev in
-      push_block t walk addr
+      confine pin ~cg:pref_cg;
+      let max = run_cap t walk ~lbn:at ~nfull ~pref_cg in
+      let n = Cg.claim_pref_run t.cgs.(pref_cg) ~pref:pref_block ~max in
+      if n = 0 then push_block t walk (alloc_block t ~pref_cg ~pref_block ~prev:walk.prev)
+      else
+        for i = 0 to n - 1 do
+          let addr = global_of_local t ~cg:pref_cg ~frag:((pref_block + i) * fpb t) in
+          note_block t pin ~pref_cg ~addr ~contig:(follows t ~prev:walk.prev addr);
+          push_block t walk addr
+        done;
+      lbn := at + Int.max n 1
     done;
     flush_window t walk;
     if tail_frags > 0 then begin
       let pref_cg, pref_frag =
-        match walk.prev with
-        | Some p ->
-            let g = p + fpb t in
-            if g >= t.geo.nfrags then (home_cg, None)
-            else begin
-              let cg = cg_of_global t g in
-              let local = g - data_base t cg in
-              if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
-                ((cg + 1) mod params.Params.ncg, None)
-              else (cg, Some local)
-            end
-        | None -> (home_cg, Some 0)
+        if walk.prev = no_prev then (home_cg, Some 0)
+        else begin
+          let g = walk.prev + fpb t in
+          if g >= t.geo.nfrags then (home_cg, None)
+          else begin
+            let cg = cg_of_global t g in
+            let local = g - data_base t cg in
+            if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
+              ((cg + 1) mod params.Params.ncg, None)
+            else (cg, Some local)
+          end
+        end
       in
       let addr = alloc_frags t ~pref_cg ~pref_frag ~count:tail_frags in
-      Util.Vec.push walk.entries { Inode.addr; frags = tail_frags }
+      walk.entries.(walk.len) <- { Inode.addr; frags = tail_frags };
+      walk.len <- walk.len + 1
     end;
-    (Util.Vec.to_array walk.entries, Util.Vec.to_array walk.indirects)
+    assert (walk.len = Array.length walk.entries && walk.nind = Array.length walk.indirects);
+    (walk.entries, walk.indirects)
   with Error.Error (Error.Out_of_space | Error.Cross_cg _) as exn ->
     (* everything taken so far sits in the pinned group (or, serially,
        wherever it landed) — rollback is always local and safe *)
-    rollback ();
+    free_entry_range t walk.entries ~first:0 ~stop:walk.len;
+    free_indirects t (Array.sub walk.indirects 0 walk.nind);
     raise exn
 
 (* --- directories -------------------------------------------------------- *)
@@ -630,9 +757,10 @@ let get_dir t inum =
    crosses a 16-entry boundary (directories never shrink in FFS). *)
 let maybe_extend_dir t dir =
   let ino = inode t dir.dir_inum in
-  let have = Inode.frag_count ino in
   let want = dir_data_frags_for dir.live_entries in
-  if want > have then begin
+  (* every run holds at least one fragment, so only a run count short
+     of [want] can mean too few fragments *)
+  if want > Array.length ino.Inode.entries && want > Inode.frag_count ino then begin
     let cg = cg_of_inum t dir.dir_inum in
     let pref =
       match Array.length ino.Inode.entries with
@@ -644,7 +772,7 @@ let maybe_extend_dir t dir =
           if lcg = cg then Some (g - data_base t cg) else None
     in
     let addr = alloc_frags t ~pref_cg:cg ~pref_frag:pref ~count:1 in
-    ino.Inode.entries <- Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |];
+    set_entries t ino (Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |]);
     ino.Inode.size <- ino.Inode.size + t.params.Params.frag_bytes;
     jot_inode t ino
   end
@@ -736,6 +864,8 @@ let copy t =
             inodes = Array.map (Option.map (fun v -> { v with Inode.inum = v.Inode.inum })) sh.inodes;
             parents = Array.copy sh.parents;
             counts = { sh.counts with blocks_allocated = sh.counts.blocks_allocated };
+            optimal = sh.optimal;
+            counted = sh.counted;
           })
         t.shards;
     dirs =
@@ -880,7 +1010,7 @@ let create_file_exn t ~dir ~name ~size =
 let free_file_data t ino =
   free_entries t ino.Inode.entries;
   free_indirects t ino.Inode.indirect_addrs;
-  ino.Inode.entries <- [||];
+  set_entries t ino [||];
   ino.Inode.indirect_addrs <- [||];
   ino.Inode.size <- 0
 
@@ -936,7 +1066,7 @@ let rewrite_file_at_exn t ~time ~inum ~size =
   let home_cg = cg_of_inum t inum in
   let entries, indirects = allocate_data t ~home_cg ~size in
   ino.Inode.size <- size;
-  ino.Inode.entries <- entries;
+  set_entries t ino entries;
   ino.Inode.indirect_addrs <- indirects;
   ino.Inode.mtime <- time;
   jot_inode t ino
@@ -1003,7 +1133,8 @@ let rebuild_allocation t =
     (fun inum _ ->
       if Option.is_some (find_inode t inum) then
         Cg.add_dir t.cgs.(cg_of_inum t inum))
-    t.dirs
+    t.dirs;
+  rebuild_layout_counts t
 
 (* --- invariants ----------------------------------------------------------- *)
 
@@ -1026,6 +1157,7 @@ let check_invariants t =
       Array.iter (fun e -> claim e.Inode.addr e.Inode.frags inum) ino.Inode.entries;
       Array.iter (fun a -> claim a (fpb t) inum) ino.Inode.indirect_addrs);
   assert (Hashtbl.length claimed = used_data_frags t);
+  Array.iter (fun sh -> assert (recount_links sh = (sh.optimal, sh.counted))) t.shards;
   Hashtbl.iter
     (fun addr _ ->
       let cg, frag = local_of_global t addr in
@@ -1109,23 +1241,6 @@ let of_portable ?(backend = Store.Heap_backend) p =
           params cp)
       p.pf_cgs
   in
-  let ipg = Params.inodes_per_group params in
-  let shards = Array.init params.Params.ncg (fun _ -> new_shard ()) in
-  let shard_slot what inum =
-    if inum < 0 || inum >= params.Params.ncg * ipg then
-      Error.raise_ (Error.Corrupt (Fmt.str "portable image: %s %d out of range" what inum));
-    (shards.(inum / ipg), inum mod ipg)
-  in
-  List.iter
-    (fun (inum, ino) ->
-      let sh, s = shard_slot "inode" inum in
-      sh.inodes <- store_slot ~ipg sh.inodes s (Some (snapshot_inode ino)))
-    p.pf_inodes;
-  List.iter
-    (fun (inum, v) ->
-      let sh, s = shard_slot "parent of inode" inum in
-      sh.parents <- store_slot ~ipg sh.parents s (Some v))
-    p.pf_parents;
   let dirs = Hashtbl.create (max 64 (List.length p.pf_dirs)) in
   List.iter
     (fun (dnum, pd) ->
@@ -1137,19 +1252,36 @@ let of_portable ?(backend = Store.Heap_backend) p =
   (* loading wrote every byte, so the dirty map is all-set — the
      conservative truth for a resumed volume (the first checkpoint after
      a resume is a full one anyway) *)
-  {
-    params;
-    geo = geometry params;
-    store;
-    cgs;
-    shards;
-    dirs;
-    cfg = p.pf_config;
-    clock = p.pf_clock;
-    root_inum = p.pf_root;
-    stats = { p.pf_stats with blocks_allocated = p.pf_stats.blocks_allocated };
-    jrec = None;
-  }
+  let t =
+    {
+      params;
+      geo = geometry params;
+      store;
+      cgs;
+      shards = Array.init params.Params.ncg (fun _ -> new_shard ());
+      dirs;
+      cfg = p.pf_config;
+      clock = p.pf_clock;
+      root_inum = p.pf_root;
+      stats = { p.pf_stats with blocks_allocated = p.pf_stats.blocks_allocated };
+      jrec = None;
+    }
+  in
+  let in_range what inum =
+    if not (inum_in_range t inum) then
+      Error.raise_ (Error.Corrupt (Fmt.str "portable image: %s %d out of range" what inum))
+  in
+  List.iter
+    (fun (inum, ino) ->
+      in_range "inode" inum;
+      set_inode t inum (Some (snapshot_inode ino)))
+    p.pf_inodes;
+  List.iter
+    (fun (inum, v) ->
+      in_range "parent of inode" inum;
+      set_parent t inum (Some v))
+    p.pf_parents;
+  t
 
 (* --- canonical digest ------------------------------------------------------ *)
 

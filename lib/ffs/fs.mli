@@ -169,6 +169,28 @@ val inode : t -> int -> Inode.t
 (** Raises [Not_found] for unallocated inode numbers, including numbers
     outside every group. *)
 
+val set_entries : t -> Inode.t -> Inode.entry array -> unit
+(** [set_entries t ino entries] installs [entries] as [ino]'s data runs
+    and keeps the layout counters ({!layout_counts}) in step. Every
+    write of a live inode's entries goes through here; writing the
+    field directly leaves the counters stale until {!Check.repair} (or
+    {!rebuild_allocation}) recounts them. Allocates nothing itself:
+    freeing or marking the runs is the caller's business. *)
+
+val layout_counts : t -> int * int
+(** [(optimal, counted)] over every regular file: the links from one
+    data run to the next ([runs - 1] per file of two or more runs), and
+    those whose next run starts where the previous ends. The sums of
+    per-group counters, kept by every inode-table and entries write —
+    no scan. The paper's aggregate layout score is [optimal / counted]. *)
+
+val group_layout_counts : t -> int -> int * int
+(** {!layout_counts} of the files whose inodes live in one group. *)
+
+val group_layout_recount : t -> int -> int * int
+(** What {!group_layout_counts} should say, recounted from the group's
+    inode table: the figure fsck audits the counter against. *)
+
 val file_exists : t -> int -> bool
 val iter_files : t -> (Inode.t -> unit) -> unit
 (** All regular files (not directories), in inode-number order. *)
@@ -306,7 +328,8 @@ val forget_inode_exn : t -> int -> unit
 
 val rebuild_allocation : t -> unit
 (** Rebuild every cylinder group's bitmaps, counters, extent index, inode
-    map and directory count from the inode and directory tables — the
+    map and directory count, and the layout counters, from the inode and
+    directory tables — the
     authoritative-claims half of fsck. Requires the surviving claims to
     be disjoint and in range (the repair pass prunes them first). *)
 

@@ -27,6 +27,16 @@ let total_frags_with_metadata t =
 
 let is_multi_block t = Array.length t.entries >= 2
 
+(* entries contiguous with their predecessor: the layout score's
+   optimal count *)
+let optimal_links entries =
+  let optimal = ref 0 in
+  for i = 1 to Array.length entries - 1 do
+    let prev = entries.(i - 1) and cur = entries.(i) in
+    if cur.addr = prev.addr + prev.frags then incr optimal
+  done;
+  !optimal
+
 let pp ppf t =
   Fmt.pf ppf "@[inode %d (%s) size=%d runs=[%a]%a@]" t.inum
     (match t.kind with File -> "file" | Dir -> "dir")

@@ -43,4 +43,9 @@ val is_multi_block : t -> bool
 (** Does the file have two or more data runs? (Single-run files have no
     defined layout score.) *)
 
+val optimal_links : entry array -> int
+(** How many runs start exactly where their predecessor ends — the
+    paper's optimally allocated blocks. A file with [n >= 2] runs has
+    [n - 1] counted links, of which these are the optimal ones. *)
+
 val pp : Format.formatter -> t -> unit

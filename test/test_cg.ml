@@ -325,6 +325,34 @@ let prop_alloc_never_double_claims =
       in
       !ok && Ffs.Cg.free_frag_count cg = Ffs.Cg.data_frags cg - !owned_count)
 
+(* one preference-run claim leaves the group exactly as the same number
+   of single pref hits would: bitmaps, counters, rotor, index *)
+let prop_pref_run_matches_pref_hits =
+  let open QCheck in
+  Test.make ~name:"claim_pref_run = successive alloc_block pref hits" ~count:100
+    (make
+       Gen.(
+         triple (list_size (int_bound 120) cg_op_gen) (int_bound 10_000) (int_range 1 40)))
+    (fun (script, pref, max) ->
+      let ignore_run _ ~pos:_ ~count:_ = () in
+      let run = run_cg_script script ~on_alloc:ignore_run ~on_free:ignore_run in
+      let pref = pref mod Ffs.Cg.data_blocks run in
+      let single = Ffs.Cg.copy run in
+      let n = Ffs.Cg.claim_pref_run run ~pref ~max in
+      let rec hits i =
+        let b = pref + i in
+        if i < max && b < Ffs.Cg.data_blocks single && Ffs.Cg.block_is_free single b then begin
+          ignore (Ffs.Cg.alloc_block single ~pref:(Some b));
+          hits (i + 1)
+        end
+        else i
+      in
+      let k = hits 0 in
+      Ffs.Cg.check_invariants run;
+      n = k
+      && Ffs.Cg.to_portable run = Ffs.Cg.to_portable single
+      && Ffs.Cg.free_run_histogram run ~max:64 = Ffs.Cg.free_run_histogram single ~max:64)
+
 (* the cluster summary (free-block count, longest run, run histogram)
    must agree with a naive scan of the block bitmap *)
 let prop_cluster_summary_consistent =
@@ -433,6 +461,45 @@ let minor_words f =
 (* The per-block allocate/free pair is closure-free: in native code a
    preference-hit [alloc_block] plus its [free_block] allocates only
    the returned option. *)
+(* The low-water start never changes the answer: after any mix of
+   allocations, frees and raw bitmap writes, [alloc_inode] takes the
+   lowest free slot, exactly as a scan from slot 0 finds it. *)
+let prop_alloc_inode_lowest_free =
+  let open QCheck in
+  let slots = Int.min 96 (Ffs.Params.inodes_per_group params) in
+  Test.make ~name:"alloc_inode = lowest free slot" ~count:300
+    (list_of_size Gen.(int_range 1 300) (pair (int_bound 3) small_nat))
+    (fun script ->
+      let cg = Ffs.Cg.create params ~index:0 in
+      let lowest_free () =
+        if Ffs.Cg.inodes_free cg = 0 then None
+        else
+          let rec scan i =
+            if i >= Ffs.Params.inodes_per_group params then None
+            else if Ffs.Cg.inode_is_free cg i then Some i
+            else scan (i + 1)
+          in
+          scan 0
+      in
+      List.for_all
+        (fun (op, k) ->
+          let i = k mod slots in
+          match op with
+          | 0 ->
+              let want = lowest_free () in
+              Ffs.Cg.alloc_inode cg = want
+          | 1 ->
+              if not (Ffs.Cg.inode_is_free cg i) then Ffs.Cg.free_inode cg i;
+              true
+          | 2 ->
+              Ffs.Cg.corrupt_clear_inode cg i;
+              true
+          | _ ->
+              Ffs.Cg.corrupt_set_inode cg i;
+              true)
+        (* allocations dominate, so the low slots fill up *)
+        (List.concat_map (fun (op, k) -> [ (0, 0); (op, k) ]) script))
+
 let test_pref_hit_pair_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let cg = fresh () in
@@ -486,5 +553,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_alloc_never_double_claims;
           QCheck_alcotest.to_alcotest prop_cluster_summary_consistent;
           QCheck_alcotest.to_alcotest prop_range_updates_match_rebuild;
+          QCheck_alcotest.to_alcotest prop_alloc_inode_lowest_free;
+          QCheck_alcotest.to_alcotest prop_pref_run_matches_pref_hits;
         ] );
     ]

@@ -327,6 +327,91 @@ let test_rotdelay_spaces_blocks () =
   done;
   Ffs.Fs.check_invariants fs
 
+(* [f ()] with the default metrics registry on and emptied; its result
+   and the registry's snapshot afterwards *)
+let with_metrics f =
+  let m = Obs.Metrics.default in
+  let was_enabled = Obs.Metrics.enabled m in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset m;
+      Obs.Metrics.set_enabled m was_enabled)
+    (fun () ->
+      Obs.Metrics.reset m;
+      Obs.Metrics.set_enabled m true;
+      let v = f () in
+      (v, Obs.Metrics.snapshot m))
+
+(* Free preferred blocks are claimed a run at a time, but everything
+   observable stays per block: one Data_set per block in logical order,
+   and counters and metrics equal to what a block-at-a-time walk counts
+   (a pref hit wherever a block landed on its preference). *)
+let test_run_claim_per_block () =
+  let fs = fresh () in
+  let root = Ffs.Fs.root fs in
+  (* a three-block hole, a two-block file, then free space: the walk
+     mixes searches (misses) with claimed runs (hits) *)
+  ignore (create fs ~dir:root ~name:"a" ~size:(3 * block));
+  ignore (create fs ~dir:root ~name:"b" ~size:(2 * block));
+  Ffs.Fs.delete_file_exn fs ~dir:root ~name:"a";
+  let before = Ffs.Fs.stats fs in
+  let nfull = 7 in
+  let (inum, steps), snap =
+    with_metrics (fun () ->
+        Ffs.Fs.record_journal fs (fun () -> create fs ~dir:root ~name:"c" ~size:(nfull * block)))
+  in
+  let e = entries fs inum in
+  let sets =
+    List.filter_map
+      (function Ffs.Journal.Data_set { addr; frags } -> Some (addr, frags) | _ -> None)
+      steps
+  in
+  Alcotest.(check (list (pair int int)))
+    "one Data_set per block, in logical order"
+    (Array.to_list (Array.map (fun x -> (x.Ffs.Inode.addr, x.Ffs.Inode.frags)) e))
+    sets;
+  let home = Ffs.Params.data_base params (Ffs.Fs.cg_of_inum fs inum) in
+  let hits = ref 0 and contig = ref 0 in
+  for i = 0 to nfull - 1 do
+    let pref = if i = 0 then home else e.(i - 1).Ffs.Inode.addr + fpb in
+    if e.(i).Ffs.Inode.addr = pref then incr hits;
+    if i > 0 && e.(i).Ffs.Inode.addr = pref then incr contig
+  done;
+  check_bool "both hits and misses" true (!hits >= 2 && !hits < nfull);
+  let after = Ffs.Fs.stats fs in
+  check_int "blocks counted" nfull
+    (after.Ffs.Fs.blocks_allocated - before.Ffs.Fs.blocks_allocated);
+  check_int "contiguous counted" !contig
+    (after.Ffs.Fs.contiguous_allocations - before.Ffs.Fs.contiguous_allocations);
+  let counter = Obs.Metrics.counter_value snap in
+  check_int "ffs_alloc_blocks_total" nfull (counter "ffs_alloc_blocks_total");
+  check_int "ffs_alloc_pref_hit_total" !hits (counter "ffs_alloc_pref_hit_total");
+  check_int "ffs_alloc_pref_miss_total" (nfull - !hits) (counter "ffs_alloc_pref_miss_total");
+  check_int "ffs_alloc_contiguous_total" !contig (counter "ffs_alloc_contiguous_total");
+  Ffs.Fs.check_invariants fs
+
+(* with a rotational gap the preference is never the next block, so no
+   claim may take more than one: every block lands on its own preference,
+   two blocks on from the last, and none counts as contiguous *)
+let test_rotdelay_claims_singly () =
+  let params = Ffs.Params.v_exn ~ncg:4 ~rotdelay_blocks:1 ~size_bytes:(16 * 1024 * 1024) () in
+  let fs = Ffs.Fs.create params in
+  let n = 6 in
+  let inum, snap =
+    with_metrics (fun () ->
+        Ffs.Fs.create_file_exn fs ~dir:(Ffs.Fs.root fs) ~name:"gapped" ~size:(n * block))
+  in
+  let e = (Ffs.Fs.inode fs inum).Ffs.Inode.entries in
+  for i = 1 to n - 1 do
+    check_int (Fmt.str "block %d one block past its predecessor's end" i)
+      (e.(i - 1).Ffs.Inode.addr + (2 * fpb))
+      e.(i).Ffs.Inode.addr
+  done;
+  check_int "every later block a pref hit" (n - 1)
+    (Obs.Metrics.counter_value snap "ffs_alloc_pref_hit_total");
+  check_int "none contiguous" 0 (Ffs.Fs.stats fs).Ffs.Fs.contiguous_allocations;
+  Ffs.Fs.check_invariants fs
+
 (* --- capacity and rollback ------------------------------------------------------ *)
 
 let test_out_of_space_rollback () =
@@ -453,6 +538,8 @@ let () =
           tc "indirect switches group" test_indirect_block_switches_group;
           tc "contiguity stats" test_contiguous_stat;
           tc "rotdelay spaces blocks" test_rotdelay_spaces_blocks;
+          tc "run claims count per block" test_run_claim_per_block;
+          tc "rotdelay claims singly" test_rotdelay_claims_singly;
         ] );
       ( "capacity",
         [

@@ -66,10 +66,11 @@ let test_aggregate_weighting () =
   let inum = Ffs.Fs.create_file_exn fs ~dir:d ~name:"frag" ~size:(2 * block) in
   let ino = Ffs.Fs.inode fs inum in
   (* detach its second block artificially for the metric (no allocator
-     involvement; we only test the arithmetic) *)
+     involvement; we only test the arithmetic). The write goes through
+     the entries setter, which keeps the layout counters in step. *)
   let e = ino.Ffs.Inode.entries in
   let moved = { e.(1) with Ffs.Inode.addr = e.(1).Ffs.Inode.addr + 800 } in
-  ino.Ffs.Inode.entries <- [| e.(0); moved |];
+  Ffs.Fs.set_entries fs ino [| e.(0); moved |];
   check_float "10 of 11 optimal" (10.0 /. 11.0) (Aging.Layout_score.aggregate fs)
 
 let test_aggregate_of_subset () =
@@ -80,27 +81,77 @@ let test_aggregate_of_subset () =
   check_float "subset of one perfect file" 1.0
     (Aging.Layout_score.aggregate_of fs ~inums:[ a ])
 
-(* the aggregate's two integer sums must equal a fold of the per-file
-   counts, on a real aged image of both allocators *)
+(* The aggregate reads the file system's layout counters; they must
+   equal a fold of the per-file counts over the inode table, and fsck
+   must find nothing to say about them. *)
+let check_counters what fs =
+  let optimal, counted =
+    Ffs.Fs.fold_files fs ~init:(0, 0) ~f:(fun (o, c) ino ->
+        let fo, fc = Aging.Layout_score.file_counts ino in
+        (o + fo, c + fc))
+  in
+  check_bool (what ^ ": has multi-block files") true (counted > 0);
+  Alcotest.(check (pair int int)) (what ^ ": counters = fold") (optimal, counted)
+    (Ffs.Fs.layout_counts fs);
+  Alcotest.(check (float 0.0))
+    (what ^ ": aggregate = optimal / counted")
+    (float_of_int optimal /. float_of_int counted)
+    (Aging.Layout_score.aggregate fs);
+  check_bool (what ^ ": no layout counter problem") false
+    (List.exists
+       (function Ffs.Check.Layout_counter_mismatch _ -> true | _ -> false)
+       (Ffs.Check.run fs).Ffs.Check.problems)
+
+let aged_ops days =
+  (Workload.Ground_truth.generate params (Workload.Ground_truth.scaled params ~days))
+    .Workload.Ground_truth.ops
+
+(* on real aged images of both allocators, and through every path that
+   builds or rebuilds the tables: the parallel replay, crash repair,
+   the portable form and copies *)
 let test_aggregate_matches_file_counts () =
   let days = 5 in
-  let profile = Workload.Ground_truth.scaled params ~days in
-  let gt = Workload.Ground_truth.generate params profile in
+  let ops = aged_ops days in
   List.iter
-    (fun config ->
-      let fs =
-        (Aging.Replay.run ~config ~params ~days gt.Workload.Ground_truth.ops).Aging.Replay.fs
-      in
-      let optimal, counted =
-        Ffs.Fs.fold_files fs ~init:(0, 0) ~f:(fun (o, c) ino ->
-            let fo, fc = Aging.Layout_score.file_counts ino in
-            (o + fo, c + fc))
-      in
-      check_bool "aged image has multi-block files" true (counted > 0);
-      Alcotest.(check (float 0.0)) "aggregate = optimal / counted"
-        (float_of_int optimal /. float_of_int counted)
-        (Aging.Layout_score.aggregate fs))
-    [ Ffs.Fs.default_config; Ffs.Fs.realloc_config ]
+    (fun (name, config) ->
+      let fs = (Aging.Replay.run ~config ~params ~days ops).Aging.Replay.fs in
+      check_counters name fs;
+      check_counters (name ^ " portable") (Ffs.Fs.of_portable (Ffs.Fs.to_portable fs));
+      check_counters (name ^ " copy") (Ffs.Fs.copy fs))
+    [ ("traditional", Ffs.Fs.default_config); ("realloc", Ffs.Fs.realloc_config) ]
+
+let test_counters_parallel_and_crashes () =
+  let days = 5 in
+  let ops = aged_ops days in
+  Par.Pool.with_pool ~jobs:2 (fun pool ->
+      check_counters "jobs-2 run_parallel"
+        (Aging.Replay.run_parallel ~pool ~params ~days ops).Aging.Replay.fs);
+  let c = Aging.Replay.run_with_crashes ~params ~days ~crashes:2 ~fault_seed:7 ops in
+  check_counters "run_with_crashes" c.Aging.Replay.result.Aging.Replay.fs
+
+(* a write of entries that bypasses the setter leaves the counters
+   stale: fsck reports it, and repair recounts *)
+let test_stale_counters_repaired () =
+  let fs = Ffs.Fs.create params in
+  let d = Ffs.Fs.root fs in
+  ignore (Ffs.Fs.create_file_exn fs ~dir:d ~name:"big" ~size:(11 * block));
+  let inum = Ffs.Fs.create_file_exn fs ~dir:d ~name:"frag" ~size:(3 * block) in
+  let ino = Ffs.Fs.inode fs inum in
+  (* the same claims in another order: only the links change *)
+  let e = ino.Ffs.Inode.entries in
+  ino.Ffs.Inode.entries <- [| e.(1); e.(0); e.(2) |];
+  let stale r =
+    List.exists
+      (function Ffs.Check.Layout_counter_mismatch _ -> true | _ -> false)
+      r.Ffs.Check.problems
+  in
+  check_bool "audit flags the stale counters" true (stale (Ffs.Check.run fs));
+  let log = Ffs.Check.repair_exn fs in
+  check_int "repair rebuilt the one group" 1 log.Ffs.Check.groups_rebuilt;
+  check_int "no space moved" 0
+    (log.Ffs.Check.leaked_frags_reclaimed + log.Ffs.Check.missing_frags_remarked);
+  check_bool "repair clears the mismatch" true (Ffs.Check.is_clean (Ffs.Check.run fs));
+  Alcotest.(check (pair int int)) "recounted" (10, 12) (Ffs.Fs.layout_counts fs)
 
 let test_by_size_buckets () =
   let fs = Ffs.Fs.create params in
@@ -156,6 +207,8 @@ let () =
           tc "block weighting" test_aggregate_weighting;
           tc "subset" test_aggregate_of_subset;
           tc "matches file counts when aged" test_aggregate_matches_file_counts;
+          tc "counters after parallel and crashes" test_counters_parallel_and_crashes;
+          tc "stale counters repaired" test_stale_counters_repaired;
           tc "by-size buckets" test_by_size_buckets;
           tc "overflow bucket" test_by_size_overflow_bucket;
         ] );
