@@ -92,28 +92,30 @@ type live_file = {
 
 type live_set = {
   files : live_file Util.Vec.t;
-  pos : (int, int) Hashtbl.t;  (* ino -> index in [files] *)
+  pos : int array;  (* ino -> index in [files], -1 when not live *)
 }
 
-let live_create () = { files = Util.Vec.create (); pos = Hashtbl.create 4096 }
+let live_create params =
+  let ninos = params.Ffs.Params.ncg * Ffs.Params.inodes_per_group params in
+  { files = Util.Vec.create (); pos = Array.make ninos (-1) }
+
 let live_count ls = Util.Vec.length ls.files
 
 let live_add ls f =
   Util.Vec.push ls.files f;
-  Hashtbl.replace ls.pos f.ino (Util.Vec.length ls.files - 1)
+  ls.pos.(f.ino) <- Util.Vec.length ls.files - 1
 
 let live_remove ls ino =
-  match Hashtbl.find_opt ls.pos ino with
-  | None -> invalid_arg "live_remove: not live"
-  | Some i ->
-      let last_index = Util.Vec.length ls.files - 1 in
-      let last = Util.Vec.get ls.files last_index in
-      ignore (Util.Vec.pop ls.files);
-      Hashtbl.remove ls.pos ino;
-      if i <> last_index then begin
-        Util.Vec.set ls.files i last;
-        Hashtbl.replace ls.pos last.ino i
-      end
+  let i = ls.pos.(ino) in
+  if i < 0 then invalid_arg "live_remove: not live";
+  let last_index = Util.Vec.length ls.files - 1 in
+  let last = Util.Vec.get ls.files last_index in
+  ignore (Util.Vec.pop ls.files);
+  ls.pos.(ino) <- -1;
+  if i <> last_index then begin
+    Util.Vec.set ls.files i last;
+    ls.pos.(last.ino) <- i
+  end
 
 let live_sample ls rng =
   if live_count ls = 0 then None
@@ -173,7 +175,7 @@ let generate params profile =
   (* directories round-robin over the groups, like dirpref on an empty
      file system *)
   let dir_cg = Array.init profile.directories (fun i -> i mod ncg) in
-  let live = live_create () in
+  let live = live_create params in
   let ops = Util.Vec.create () in
   let data_frags = float_of_int (params.Ffs.Params.ncg * Ffs.Params.data_blocks_per_group params
                                  * params.Ffs.Params.frags_per_block) in

@@ -49,13 +49,40 @@ let pp_stats ppf s =
     s.operations s.days s.creates s.deletes s.modifies Util.Units.pp_bytes
     s.total_bytes_written
 
+(* A bottom-up merge sort of an index permutation by a flat float key
+   array, then one pass to apply it. Taking the left run on ties makes it
+   stable, so the result is the (time, original index) order. *)
 let sort_by_time ops =
-  (* stable: preserve generation order within equal timestamps *)
-  let indexed = Array.mapi (fun i op -> (time_of op, i, op)) ops in
-  Array.sort
-    (fun (t1, i1, _) (t2, i2, _) -> if t1 <> t2 then compare t1 t2 else compare i1 i2)
-    indexed;
-  Array.iteri (fun i (_, _, op) -> ops.(i) <- op) indexed
+  let n = Array.length ops in
+  let keys = Float.Array.init n (fun i -> time_of ops.(i)) in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let width = ref 1 in
+  while !width < n do
+    let a = !src and b = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && Float.Array.get keys a.(!i) <= Float.Array.get keys a.(!j))
+        then begin
+          b.(k) <- a.(!i);
+          incr i
+        end
+        else begin
+          b.(k) <- a.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := b;
+    dst := a;
+    width := 2 * !width
+  done;
+  let perm = !src and orig = Array.copy ops in
+  Array.iteri (fun k p -> ops.(k) <- orig.(p)) perm
 
 let check_well_formed ops =
   let live = Hashtbl.create 1024 in

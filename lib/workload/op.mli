@@ -38,7 +38,8 @@ val stats : t array -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val sort_by_time : t array -> unit
-(** Stable in-place sort by timestamp. *)
+(** Stable in-place sort by timestamp: equal times keep their input
+    order. Times must not be NaN. *)
 
 val check_well_formed : t array -> (unit, string) result
 (** Validate: times non-decreasing; no create of a live inode, no
