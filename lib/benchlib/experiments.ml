@@ -7,7 +7,7 @@ type context = {
   aged_real : Aging.Replay.result;  (* ground truth on traditional FFS *)
   aged_trad : Aging.Replay.result;  (* reconstruction on traditional FFS *)
   aged_re : Aging.Replay.result;  (* reconstruction on FFS+realloc *)
-  pool : Par.Pool.t option;  (* for the lazy sweeps; caller-owned *)
+  pool : Par.Pool.t option;  (* for the on-demand sweeps; caller-owned *)
   timings : Par.Timings.t;
   log : string -> unit;
   mutable seqio_trad : Seqio.point list option;

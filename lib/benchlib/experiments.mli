@@ -24,9 +24,9 @@ val build :
 (** Defaults: the paper file system, 300 days, fixed seed. [log]
     receives progress lines.
 
-    The three replays (and the lazy sequential-I/O sweeps) fan out on
+    The three replays (and the on-demand sequential-I/O sweeps) fan out on
     [pool]; without one a temporary pool sized to the machine is used
-    for the replays and the lazy sweeps run serially. Results are
+    for the replays and the on-demand sweeps run serially. Results are
     bit-identical for every pool size: each task derives its randomness
     from its own seed, never from execution order. Per-task wall-clock
     times accumulate into [timings] (also available as {!timings}). *)

@@ -412,10 +412,10 @@ and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
     | Some plan ->
         make (Faulty (faulty_state base_store plan ~seed)) ~length:inner_len ~chunk_bytes
   in
-  let full_crc = lazy (Util.Crc32.string (String.make chunk_bytes '\000')) in
+  let full_crc = Util.Crc32.string (String.make chunk_bytes '\000') in
   let crc0 c =
     let l = min chunk_bytes (length - (c * chunk_bytes)) in
-    if l = chunk_bytes then Lazy.force full_crc
+    if l = chunk_bytes then full_crc
     else Util.Crc32.string (String.make (max 0 l) '\000')
   in
   make

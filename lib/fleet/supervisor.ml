@@ -95,7 +95,14 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
     | Ok p -> p
     | Error e -> Ffs.Error.raise_ e
   in
-  let ops = Lazy.force ops in
+  let ops =
+    match !ops with
+    | Some ops -> ops
+    | None ->
+        let v = Spec.ops_of_volume spec in
+        ops := Some v;
+        v
+  in
   (* a volume with a device-fault plan runs on the self-healing store,
      its injection seeded from the volume's own fault seed — the same
      backend for checkpoint loads, so a resumed store heals identically *)
@@ -145,7 +152,9 @@ let run_volume cfg sh ~pool (entry0 : Manifest.entry) =
   let id = spec.Spec.id in
   let label = Fmt.str "vol-%04d" id in
   let ckdir = Filename.concat sh.state_dir entry0.Manifest.checkpoint_dir in
-  let ops = lazy (Spec.ops_of_volume spec) in
+  (* the volume's workload, built by its first attempt and kept for
+     retries; only this task touches it *)
+  let ops = ref None in
   let failures0 =
     match entry0.Manifest.status with
     | Manifest.Failed f | Manifest.Quarantined f -> f.Manifest.failures
