@@ -17,7 +17,4 @@ val capture_nightly : Op.t array -> days:int -> t array
     state at the end of day [d]). [ops] must be time-sorted and
     well-formed. *)
 
-val find : t -> int -> file_record option
-(** Binary search by inode number. *)
-
 val live_bytes : t -> int
