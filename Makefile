@@ -188,8 +188,7 @@ chaos-soak:
 	@echo "chaos soak: OK"
 
 # the committed storage-backend benchmark: the paper-geometry aging run
-# timed on the in-heap Bytes store and the mmap'd file store, plus the
-# same-moment full vs delta checkpoint sizes. Rewrites
+# timed on the in-heap Bytes store and the mmap'd file store. Rewrites
 # BENCH_backend.json, asserts every backend produces the same image
 # digest and allocation totals, and fails if the best throughput
 # regresses >30% against the committed baseline

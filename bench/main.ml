@@ -132,12 +132,11 @@ let run_age_bench ~out =
 
 (* --- storage backends (BENCH_backend.json) --------------------------------- *)
 
-(* days/sec aging the paper volume on the bytes and mmap backends, plus
-   full-vs-delta checkpoint sizes; the run itself asserts the aged image
-   digest is identical on every backend. Same baseline-gate shape as
-   run_alloc. *)
+(* days/sec aging the paper volume on the bytes and mmap backends; the
+   run itself asserts the aged image digest is identical on every
+   backend. Same baseline-gate shape as run_alloc. *)
 let run_backend_bench ~out =
-  print_endline "\n=== Storage backends: days/sec by backend, checkpoint sizes ===\n";
+  print_endline "\n=== Storage backends: days/sec by backend ===\n";
   let baseline =
     if Sys.file_exists out then
       let contents = In_channel.with_open_text out In_channel.input_all in

@@ -36,7 +36,7 @@ let run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet =
    checkpoint-and-exit, and resume from the newest valid checkpoint.
    Exits 130 when interrupted, 2 when the resume state is unusable. *)
 let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-    ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~checkpoint_full_every ~resume
+    ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume
     ~scrub_every ops =
   let dir = match checkpoint_dir with Some d -> Some d | None -> resume in
   let resume_ck =
@@ -66,26 +66,18 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
            Atomic.set stop true;
            prerr_endline "interrupt: checkpointing at the next operation (^C again to abort)"))
   in
-  let ckw =
-    Option.map
-      (fun dir ->
-        Aging.Checkpoint.writer ~dir ~keep:checkpoint_keep
-          ~full_every:checkpoint_full_every ())
-      dir
-  in
   let save_ck ck =
-    match ckw with
+    match dir with
     | None ->
         if not quiet then
           Fmt.epr "WARNING: no --checkpoint-dir; checkpoint dropped@."
-    | Some w -> (
-        match Aging.Checkpoint.save_auto w ck with
+    | Some dir -> (
+        match Aging.Checkpoint.save ~dir ~keep:checkpoint_keep ck with
         | Error e -> Fmt.epr "WARNING: checkpoint failed: %a@." Ffs.Error.pp e
-        | Ok (path, written) ->
+        | Ok path ->
             if not quiet then
-              Fmt.epr "checkpoint written to %s (day %d%s)@." path
-                (Aging.Replay.checkpoint_day ck)
-                (match written with `Delta -> ", delta" | `Full -> ""))
+              Fmt.epr "checkpoint written to %s (day %d)@." path
+                (Aging.Replay.checkpoint_day ck))
   in
   if not quiet then
     Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
@@ -118,7 +110,7 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
 
 let run days seed nseeds jobs realloc policy backend store_faults
     scrub_every kind profile_kind quiet params crashes fault_seed checkpoint_every
-    checkpoint_dir checkpoint_keep checkpoint_full_every resume trace metrics_out
+    checkpoint_dir checkpoint_keep resume trace metrics_out
     image_out csv_out workload_in workload_out =
   Common.obs_setup ~trace ~metrics_out;
   if nseeds > 1 then begin
@@ -161,8 +153,7 @@ let run days seed nseeds jobs realloc policy backend store_faults
         Fmt.epr "note: --jobs %d ignored — checkpointed replay is serial-only \
                  (see the intra-volume section of the README)@." jobs;
       replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-        ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~checkpoint_full_every
-        ~resume ~scrub_every ops
+        ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume ~scrub_every ops
     end
     else if crashes > 0 then begin
       if jobs > 1 then
@@ -297,13 +288,6 @@ let cmd =
              ~doc:"Retain the $(docv) newest checkpoints (0 keeps all); resume \
                    falls back past a corrupted newest file.")
   in
-  let checkpoint_full_every =
-    Arg.(value & opt int 8
-         & info [ "checkpoint-full-every" ] ~docv:"N"
-             ~doc:"Write every $(docv)-th checkpoint in full; the rest are deltas \
-                   carrying only the cylinder groups dirtied since the previous \
-                   checkpoint ($(b,1) makes every checkpoint full).")
-  in
   let resume =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"DIR"
@@ -319,7 +303,7 @@ let cmd =
       $ Common.store_faults_term $ Common.scrub_every_term
       $ Common.workload_kind_term $ Common.profile_kind_term $ Common.quiet_term
       $ Common.params_term $ Common.crashes_term $ Common.fault_seed_term
-      $ checkpoint_every $ checkpoint_dir $ checkpoint_keep $ checkpoint_full_every
+      $ checkpoint_every $ checkpoint_dir $ checkpoint_keep
       $ resume $ Common.trace_term $ Common.metrics_out_term $ image_out $ csv_out
       $ workload_in $ workload_out)
   in

@@ -40,7 +40,7 @@ let parse_names ~what ~of_name spec =
 
 let run volumes days seed jobs geometries profiles fault_rate device_fault_rate
     scrub_every state_dir resume_flag max_retries quarantine_after watchdog
-    checkpoint_every checkpoint_full_every backend chaos_spec quiet trace metrics_out
+    checkpoint_every backend chaos_spec quiet trace metrics_out
     out =
   Common.obs_setup ~trace ~metrics_out;
   let log msg = if not quiet then Fmt.epr "[fleet] %s@." msg in
@@ -52,7 +52,6 @@ let run volumes days seed jobs geometries profiles fault_rate device_fault_rate
       quarantine_after;
       watchdog;
       checkpoint_every;
-      checkpoint_full_every;
       backend;
       scrub_every;
       retry = { Par.Pool.no_retry with jitter = 0.25; jitter_seed = seed };
@@ -177,12 +176,6 @@ let cmd =
                    checkpoints, the attempt counts as a failure, and the retry resumes \
                    from the checkpoint. 0 disables.")
   in
-  let checkpoint_full_every =
-    Arg.(value & opt int 8
-         & info [ "checkpoint-full-every" ] ~docv:"N"
-             ~doc:"Write every $(docv)-th per-volume checkpoint in full; the rest \
-                   are dirty-group deltas.")
-  in
   let checkpoint_every =
     Arg.(value & opt int 1
          & info [ "checkpoint-every" ] ~docv:"DAYS"
@@ -202,7 +195,7 @@ let cmd =
       const run $ volumes $ Common.days_term $ Common.seed_term $ Common.jobs_term
       $ geometries $ profiles $ fault_rate $ device_fault_rate $ scrub_every
       $ state_dir $ resume_flag $ max_retries
-      $ quarantine_after $ watchdog $ checkpoint_every $ checkpoint_full_every
+      $ quarantine_after $ watchdog $ checkpoint_every
       $ Common.backend_term $ chaos $ Common.quiet_term
       $ Common.trace_term $ Common.metrics_out_term $ out)
   in

@@ -2,39 +2,19 @@ let src = Logs.Src.create "aging.checkpoint" ~doc:"aging checkpoint store"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Two container kinds: a full checkpoint carries the whole portable
-   replay state; a delta carries only the cylinder groups whose
-   persisted bytes changed since the previous link (the store's dirty
-   chunks) plus all non-group state, chained to its base by digest.
-   Bump a suffix whenever the payload representation changes. *)
-let kind_full = "aging-checkpoint-3"
-let kind_delta = "aging-checkpoint-delta-1"
+(* One container kind: a checkpoint carries the whole portable replay
+   state. Bump the suffix whenever the payload representation changes. *)
+let kind = "aging-checkpoint-3"
 
-type delta_payload = {
-  dp_base_digest : string;
-      (* [Ffs.Fs.digest_portable] of the state the previous link in the
-         chain decodes to — a delta applied over the wrong base (a
-         pruned, replaced or foreign predecessor) is refused as Corrupt
-         instead of silently merged *)
-  dp_state_digest : string;  (* digest of the state this delta decodes to *)
-  dp_cgs : (int * Ffs.Cg.portable) list;  (* the dirty groups, ascending *)
-  dp_rest : Replay.portable_checkpoint;  (* with [pf_cgs = [||]] *)
-}
-
-(* ckpt-op000001234-day0042.ffsck (full) and
-   ckpt-op000001234-day0042-delta.ffsck — zero-padded so lexicographic
-   name order is op order, which makes "newest" a plain sort *)
-let filename ?(delta = false) ck =
-  Fmt.str "ckpt-op%09d-day%04d%s.ffsck" (Replay.checkpoint_next_op ck)
-    (Replay.checkpoint_day ck)
-    (if delta then "-delta" else "")
+(* ckpt-op000001234-day0042.ffsck — zero-padded so lexicographic name
+   order is op order, which makes "newest" a plain sort *)
+let filename ck =
+  Fmt.str "ckpt-op%09d-day%04d.ffsck" (Replay.checkpoint_next_op ck) (Replay.checkpoint_day ck)
 
 let is_checkpoint_file name =
   String.length name > 5
   && String.sub name 0 5 = "ckpt-"
   && Filename.check_suffix name ".ffsck"
-
-let is_delta_file name = Filename.check_suffix name "-delta.ffsck"
 
 let list ~dir =
   match Sys.readdir dir with
@@ -43,89 +23,13 @@ let list ~dir =
       let names = Array.to_list names |> List.filter is_checkpoint_file in
       List.sort (fun a b -> compare b a) names |> List.map (Filename.concat dir)
 
-(* --- reading: chain resolution --------------------------------------------- *)
-
-let corrupt fmt = Fmt.kstr (fun m -> Error (Ffs.Error.Corrupt m)) fmt
-
-let read_link path =
-  if is_delta_file (Filename.basename path) then
-    Result.map
-      (fun p -> `Delta (Marshal.from_string p 0 : delta_payload))
-      (Recover.Container.read ~path ~kind:kind_delta)
-  else
-    Result.map
-      (fun p -> `Full (Marshal.from_string p 0 : Replay.portable_checkpoint))
-      (Recover.Container.read ~path ~kind:kind_full)
-
-let apply_delta ~path base d =
-  let base_digest = Ffs.Fs.digest_portable base.Replay.pc_fs in
-  if not (String.equal base_digest d.dp_base_digest) then
-    corrupt "%s: delta base digest mismatch (expects base %s, chain provides %s)" path
-      d.dp_base_digest base_digest
-  else begin
-    let cgs = Array.copy base.Replay.pc_fs.Ffs.Fs.pf_cgs in
-    match
-      List.iter
-        (fun (i, cp) ->
-          if i < 0 || i >= Array.length cgs then
-            Ffs.Error.raise_
-              (Ffs.Error.Corrupt
-                 (Fmt.str "%s: delta names cylinder group %d of %d" path i (Array.length cgs)));
-          cgs.(i) <- cp)
-        d.dp_cgs
-    with
-    | () ->
-        let merged =
-          { d.dp_rest with Replay.pc_fs = { d.dp_rest.Replay.pc_fs with Ffs.Fs.pf_cgs = cgs } }
-        in
-        let digest = Ffs.Fs.digest_portable merged.Replay.pc_fs in
-        if not (String.equal digest d.dp_state_digest) then
-          corrupt "%s: delta state digest mismatch (recorded %s, merged state hashes to %s)"
-            path d.dp_state_digest digest
-        else Ok merged
-    | exception Ffs.Error.Error e -> Error e
-  end
-
-(* Decode the checkpoint [path] holds: a full file stands alone; a delta
-   is resolved against the chain of strictly older files in its
-   directory — deltas back to the nearest full, applied oldest-first,
-   every link verified by digest. *)
-let resolve path =
-  let name = Filename.basename path in
-  if not (is_delta_file name) then
-    match read_link path with
-    | Ok (`Full pc) -> Ok pc
-    | Ok (`Delta _) -> corrupt "%s: full checkpoint holds a delta payload" path
-    | Error _ as e -> e
-  else begin
-    let dir = Filename.dirname path in
-    let rec chain_from = function
-      | [] -> corrupt "%s: not found in its checkpoint directory" path
-      | p :: older when Filename.basename p = name -> Ok (p :: older)
-      | _ :: older -> chain_from older
-    in
-    (* walk from [path] towards older files, gathering the delta run
-       (oldest-first) and the full checkpoint that anchors it *)
-    let rec collect deltas = function
-      | [] -> corrupt "%s: delta chain reaches no full checkpoint" path
-      | p :: older -> (
-          match read_link p with
-          | Error _ as e -> e
-          | Ok (`Delta d) -> collect ((p, d) :: deltas) older
-          | Ok (`Full pc) -> Ok (pc, deltas))
-    in
-    match Result.bind (chain_from (list ~dir)) (collect []) with
-    | Error _ as e -> e
-    | Ok (base, deltas) ->
-        List.fold_left
-          (fun acc (p, d) -> Result.bind acc (fun base -> apply_delta ~path:p base d))
-          (Ok base) deltas
-  end
+(* --- reading --------------------------------------------------------------- *)
 
 let[@warning "-16"] load ?backend ~path =
-  match resolve path with
+  match Recover.Container.read ~path ~kind with
   | Error _ as e -> e
-  | Ok pc -> (
+  | Ok payload -> (
+      let pc = (Marshal.from_string payload 0 : Replay.portable_checkpoint) in
       match Replay.checkpoint_of_portable ?backend pc with
       | ck -> Ok ck
       | exception Ffs.Error.Error e -> Error e)
@@ -154,96 +58,27 @@ let io_error ~path = function
       Error (Ffs.Error.Io { path; message = Fmt.str "%s: %s" op (Unix.error_message e) })
   | exn -> raise exn
 
-(* Retention, chain-aware: keep the newest links, extending past [keep]
-   until the oldest kept file is a full checkpoint — pruning the full
-   that anchors a surviving delta would orphan the whole chain. *)
 let prune ~dir ~keep =
-  if keep > 0 then begin
-    let rec stale n = function
-      | [] -> []
-      | p :: older ->
-          if n + 1 >= keep && not (is_delta_file (Filename.basename p)) then older
-          else stale (n + 1) older
-    in
-    List.iter
-      (fun p ->
-        try Sys.remove p
-        with Sys_error msg -> Log.warn (fun m -> m "could not prune old checkpoint %s: %s" p msg))
-      (stale 0 (list ~dir))
-  end
+  if keep > 0 then
+    List.iteri
+      (fun i p ->
+        if i >= keep then
+          try Sys.remove p
+          with Sys_error msg -> Log.warn (fun m -> m "could not prune old checkpoint %s: %s" p msg))
+      (list ~dir)
 
-let write_full ~dir ~keep pc ck =
+let save ~dir ~keep ck =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename ck) in
-  match Recover.Container.write ~path ~kind:kind_full (Marshal.to_string pc []) with
+  let pc = Replay.portable_of_checkpoint ck in
+  match Recover.Container.write ~path ~kind (Marshal.to_string pc []) with
   | () ->
+      (* acknowledge the save: on a resilient store this refreshes the
+         CRCs of the chunks written since the last one *)
+      Ffs.Fs.clear_dirty (Replay.checkpoint_fs ck);
       prune ~dir ~keep;
       Ok path
   | exception exn -> io_error ~path exn
 
-let save ~dir ~keep ck = write_full ~dir ~keep (Replay.portable_of_checkpoint ck) ck
-
 let save_exn ~dir ~keep ck =
   match save ~dir ~keep ck with Ok path -> path | Error e -> Ffs.Error.raise_ e
-
-(* --- the delta writer ------------------------------------------------------- *)
-
-type writer = {
-  w_dir : string;
-  w_keep : int;
-  w_full_every : int;
-  mutable w_since_full : int;  (* links written since (including) the last full *)
-  mutable w_last_digest : string option;  (* digest of the last saved state *)
-}
-
-let writer ~dir ?(keep = 0) ?(full_every = 8) () =
-  { w_dir = dir; w_keep = keep; w_full_every = max 1 full_every; w_since_full = 0;
-    w_last_digest = None }
-
-let save_auto w ck =
-  let fs = Replay.checkpoint_fs ck in
-  let dirty = Ffs.Fs.dirty_cgs fs in
-  let pc = Replay.portable_of_checkpoint ck in
-  let state_digest = Ffs.Fs.digest_portable pc.Replay.pc_fs in
-  let as_delta =
-    match w.w_last_digest with
-    | Some _ -> w.w_since_full < w.w_full_every
-    | None -> false  (* the first save of a writer (fresh or resumed run) is always full *)
-  in
-  let written =
-    if not as_delta then
-      Result.map (fun path -> (path, `Full)) (write_full ~dir:w.w_dir ~keep:w.w_keep pc ck)
-    else begin
-      let base_digest = Option.get w.w_last_digest in
-      let cgs = pc.Replay.pc_fs.Ffs.Fs.pf_cgs in
-      let payload =
-        {
-          dp_base_digest = base_digest;
-          dp_state_digest = state_digest;
-          dp_cgs = List.map (fun i -> (i, cgs.(i))) dirty;
-          dp_rest = { pc with Replay.pc_fs = { pc.Replay.pc_fs with Ffs.Fs.pf_cgs = [||] } };
-        }
-      in
-      if not (Sys.file_exists w.w_dir) then Sys.mkdir w.w_dir 0o755;
-      let path = Filename.concat w.w_dir (filename ~delta:true ck) in
-      match
-        Recover.Container.write ~path ~kind:kind_delta (Marshal.to_string payload [])
-      with
-      | () ->
-          prune ~dir:w.w_dir ~keep:w.w_keep;
-          Ok (path, `Delta)
-      | exception exn -> io_error ~path exn
-    end
-  in
-  match written with
-  | Error _ as e -> e
-  | Ok _ as ok ->
-      (* acknowledge: the next delta's dirty set is relative to this
-         save, and chains to this state by digest *)
-      Ffs.Fs.clear_dirty fs;
-      w.w_last_digest <- Some state_digest;
-      w.w_since_full <- (if as_delta then w.w_since_full + 1 else 1);
-      ok
-
-let save_auto_exn w ck =
-  match save_auto w ck with Ok v -> v | Error e -> Ffs.Error.raise_ e

@@ -1,71 +1,35 @@
-(** Durable checkpoint store for aging runs, with delta chains.
+(** Durable checkpoint store for aging runs.
 
-    Each checkpoint is one {!Recover.Container} file in a directory,
-    written atomically (temp + fsync + rename) and CRC-protected. A
-    {e full} checkpoint ([ckpt-op<NNNNNNNNN>-day<NNNN>.ffsck]) carries
-    the whole portable replay state; a {e delta}
-    ([...-delta.ffsck], written by {!save_auto}) carries only the
-    cylinder groups whose persisted bytes changed since the previous
-    link — the storage backend's dirty chunks — plus all non-group
-    state, and records the digests of both its base and the state it
-    decodes to. Loading a delta replays base + deltas and verifies every
-    link, so the result is bit-identical to a full checkpoint of the
-    same moment; a delta whose base digest disagrees (pruned, replaced
-    or foreign predecessor) is refused as [Corrupt]. The store keeps the
-    last few checkpoints (never orphaning a chain's full anchor), and
-    loading falls back past a corrupted or truncated newest file —
-    full or delta alike — to the most recent valid state: losing power
-    {e while} checkpointing therefore costs at most one checkpoint
-    interval, never the run. *)
+    Each checkpoint ([ckpt-op<NNNNNNNNN>-day<NNNN>.ffsck]) is one
+    {!Recover.Container} file in a directory, written atomically
+    (temp + fsync + rename) and CRC-protected, carrying the whole
+    portable replay state. The store keeps the last few checkpoints, and
+    loading falls back past a corrupted or truncated newest file to the
+    most recent valid one: losing power {e while} checkpointing
+    therefore costs at most one checkpoint interval, never the run. *)
 
 val save : dir:string -> keep:int -> Replay.checkpoint -> (string, Ffs.Error.t) result
-(** Write a {e full} checkpoint into [dir] (created if missing) and
-    prune all but the [keep] newest checkpoint files ([keep <= 0] keeps
-    everything; pruning never removes the full checkpoint a surviving
-    delta chain is anchored to). Returns the path written;
-    [Error (Io _)] on OS-level write failure. *)
+(** Write a checkpoint into [dir] (created if missing) and prune all but
+    the [keep] newest checkpoint files ([keep <= 0] keeps everything).
+    After a successful write the image's dirty-chunk state is
+    acknowledged ({!Ffs.Fs.clear_dirty}), which on a resilient store
+    refreshes the CRCs of the chunks written since the last save; on
+    [Error] it is left alone. Returns the path written; [Error (Io _)]
+    on OS-level write failure. *)
 
 val save_exn : dir:string -> keep:int -> Replay.checkpoint -> string
 
-(** {2 The delta writer} *)
-
-type writer
-(** Mutable save-side state of a checkpoint chain: where the store
-    lives, how often to anchor with a full checkpoint, and the digest of
-    the last state written (what the next delta chains to). *)
-
-val writer : dir:string -> ?keep:int -> ?full_every:int -> unit -> writer
-(** A writer for [dir]. [keep] as in {!save} (default 0: keep
-    everything). [full_every] (default 8, min 1) bounds chain length:
-    every [full_every]-th save is a full checkpoint, the rest are
-    deltas. The writer's {e first} save is always full — in particular
-    after a resume, when the dirty-chunk state is conservative. *)
-
-val save_auto :
-  writer -> Replay.checkpoint -> (string * [ `Full | `Delta ], Ffs.Error.t) result
-(** Save the checkpoint as a delta when a base exists and the chain is
-    short enough, else as a full checkpoint. On success the image's
-    dirty-chunk state is cleared (the next delta is relative to this
-    save). Returns the path written and which kind it was. *)
-
-val save_auto_exn : writer -> Replay.checkpoint -> string * [ `Full | `Delta ]
-
-(** {2 Loading} *)
-
 val load : ?backend:Ffs.Store.spec -> path:string -> (Replay.checkpoint, Ffs.Error.t) result
-(** Decode the checkpoint [path] holds, resolving a delta against the
-    strictly older files of its directory (back to the nearest full,
-    every link digest-verified), and rebuild it on the chosen backend
-    (default in-heap). [Error (Corrupt _)] for a missing, truncated,
-    bit-flipped, wrong-version or broken-chain file. *)
+(** Decode the checkpoint [path] holds and rebuild it on the chosen
+    backend (default in-heap). [Error (Corrupt _)] for a missing,
+    truncated, bit-flipped, wrong-version or wrong-kind file. *)
 
 val load_latest :
   ?backend:Ffs.Store.spec -> dir:string -> (string * Replay.checkpoint, Ffs.Error.t) result
 (** Newest valid checkpoint in [dir] (returning its path), skipping —
-    with a logged warning — any newer file or delta chain that fails
-    validation (a truncated delta falls back exactly like a corrupt full
-    checkpoint). [Error (Corrupt _)] when the directory holds no
-    loadable checkpoint. *)
+    with a logged warning — any newer file that fails validation.
+    [Error (Corrupt _)] when the directory holds no loadable
+    checkpoint. *)
 
 val load_latest_opt :
   ?backend:Ffs.Store.spec -> dir:string -> (string * Replay.checkpoint) option
@@ -75,8 +39,5 @@ val load_latest_opt :
     store means recompute, not abort. *)
 
 val list : dir:string -> string list
-(** Checkpoint files in [dir] (full and delta), newest first (empty for
-    a missing directory). *)
-
-val is_delta_file : string -> bool
-(** Does this basename name a delta link? *)
+(** Checkpoint files in [dir], newest first (empty for a missing
+    directory). *)

@@ -152,8 +152,8 @@ val checkpoint_metrics : checkpoint -> Obs.Metrics.snapshot
 
 val checkpoint_fs : checkpoint -> Ffs.Fs.t
 (** The live image inside the checkpoint (shared with the engine) — how
-    {!Checkpoint}'s delta writer reads the dirty-group set and
-    acknowledges it after a successful save. *)
+    {!Checkpoint.save} acknowledges the image's dirty chunks after a
+    successful write. *)
 
 (** {3 Portable forms}
 

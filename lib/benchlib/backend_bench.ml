@@ -1,7 +1,6 @@
 (* Storage-backend throughput: the same paper-geometry aging run timed
-   on the in-heap Bytes store and the mmap'd file store, plus the
-   on-disk cost of full versus delta checkpoints. The run asserts the
-   backends agree bit-for-bit before any number is reported. *)
+   on the in-heap Bytes store and the mmap'd file store. The run asserts
+   the backends agree bit-for-bit before any number is reported. *)
 
 type level = {
   backend : string;
@@ -15,63 +14,12 @@ type result = {
   days : int;
   seed : int;
   digest : string;
-  full_bytes : int;
-  delta_bytes : int;
   levels : level list;
 }
 
 let standard_days = 4
 let standard_seed = 960117
 let default_specs = [ Ffs.Store.Heap_backend; Ffs.Store.Mmap_backend None ]
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-(* the same checkpoint written both ways — through the delta writer and
-   in full — so the size comparison is of one moment, not of two
-   different days. With the paper's placement trick a whole day dirties
-   every group, so the day-granularity delta carries all of them; the
-   number reported here is the honest cost of that worst case (the
-   savings appear at finer intervals or on localized workloads). *)
-let checkpoint_sizes ~seed =
-  let params = Ffs.Params.small_test_fs in
-  let days = 3 in
-  let profile = { (Workload.Ground_truth.scaled params ~days) with seed } in
-  let ops = (Workload.Ground_truth.generate params profile).Workload.Ground_truth.ops in
-  let root = Filename.temp_file "ffs_bench_ck" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists root then rm_rf root)
-    (fun () ->
-      let ddir = Filename.concat root "delta" and fdir = Filename.concat root "full" in
-      let w = Aging.Checkpoint.writer ~dir:ddir ~keep:0 ~full_every:8 () in
-      (match
-         Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0
-           ~checkpoint_every:1
-           ~on_checkpoint:(fun ck ->
-             (* full first: save_auto clears the dirty set *)
-             ignore (Aging.Checkpoint.save_exn ~dir:fdir ~keep:0 ck);
-             ignore (Aging.Checkpoint.save_auto_exn w ck))
-           ops
-       with
-      | `Completed _ -> ()
-      | `Interrupted _ -> failwith "backend bench: checkpoint run interrupted");
-      let size p = (Unix.stat p).Unix.st_size in
-      let newest_delta =
-        List.find
-          (fun p -> Aging.Checkpoint.is_delta_file (Filename.basename p))
-          (Aging.Checkpoint.list ~dir:ddir)
-      in
-      let full_twin =
-        Filename.concat fdir
-          (Filename.chop_suffix (Filename.basename newest_delta) "-delta.ffsck"
-          ^ ".ffsck")
-      in
-      (size full_twin, size newest_delta))
 
 let run ?(days = standard_days) ?(seed = standard_seed) ?(specs = default_specs) () =
   let params = Ffs.Params.paper_fs in
@@ -105,9 +53,8 @@ let run ?(days = standard_days) ?(seed = standard_seed) ?(specs = default_specs)
                  l0.backend l0.digest l0.blocks_allocated l.backend l.digest
                  l.blocks_allocated))
         rest);
-  let full_bytes, delta_bytes = checkpoint_sizes ~seed in
   let l0 = List.hd levels in
-  { days; seed; digest = l0.digest; full_bytes; delta_bytes; levels }
+  { days; seed; digest = l0.digest; levels }
 
 let to_json r =
   Obs.Json.Obj
@@ -116,8 +63,6 @@ let to_json r =
       ("days", Obs.Json.Int r.days);
       ("seed", Obs.Json.Int r.seed);
       ("digest", Obs.Json.String r.digest);
-      ("checkpoint_full_bytes", Obs.Json.Int r.full_bytes);
-      ("checkpoint_delta_bytes", Obs.Json.Int r.delta_bytes);
       ( "levels",
         Obs.Json.List
           (List.map
@@ -134,13 +79,11 @@ let to_json r =
 
 let pp ppf r =
   Fmt.pf ppf
-    "@[<v>backend bench: %d days aged per backend (seed %d), digest %s@ %a@ checkpoint \
-     bytes (same moment): full %d, delta %d (delta/full %.2f)@]"
-    r.days r.seed r.digest
+    "@[<v>backend bench: %d days aged per backend (seed %d), digest %s@ %a@]" r.days r.seed
+    r.digest
     (Fmt.list ~sep:Fmt.cut (fun ppf l ->
          Fmt.pf ppf "%-6s %6.2f days/sec (%.3fs)" l.backend l.days_per_sec l.seconds))
-    r.levels r.full_bytes r.delta_bytes
-    (float_of_int r.delta_bytes /. float_of_int (max 1 r.full_bytes))
+    r.levels
 
 let best_days_per_sec json =
   match Obs.Json.member "levels" json with

@@ -1,9 +1,8 @@
 (** Storage-backend benchmark ([BENCH_backend.json]).
 
     Ages the paper-geometry volume once per storage backend (in-heap
-    [Bytes] and mmap'd file), reports simulated days per second for
-    each, and measures the on-disk size of a full checkpoint against a
-    one-day delta. The run {b asserts} that every backend produces the
+    [Bytes] and mmap'd file) and reports simulated days per second for
+    each. The run {b asserts} that every backend produces the
     same image digest and allocation totals before reporting a single
     number — the differential guarantee the backend API makes. *)
 
@@ -19,8 +18,6 @@ type result = {
   days : int;
   seed : int;
   digest : string;  (** shared by all levels, by assertion *)
-  full_bytes : int;  (** size of a full checkpoint file *)
-  delta_bytes : int;  (** size of a one-day delta checkpoint file *)
   levels : level list;
 }
 

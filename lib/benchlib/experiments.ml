@@ -3,7 +3,6 @@ type context = {
   days : int;
   seed : int;
   gt : Workload.Ground_truth.t;
-  recon : Workload.Op.t array;
   aged_real : Aging.Replay.result;  (* ground truth on traditional FFS *)
   aged_trad : Aging.Replay.result;  (* reconstruction on traditional FFS *)
   aged_re : Aging.Replay.result;  (* reconstruction on FFS+realloc *)
@@ -22,7 +21,6 @@ let days t = t.days
 let timings t = t.timings
 let aged_traditional t = t.aged_trad
 let aged_realloc t = t.aged_re
-let workload_stats t = Workload.Op.stats t.recon
 
 let fresh_drive () = Disk.Drive.create (Disk.Drive.paper_config ())
 
@@ -73,7 +71,6 @@ let build ?(params = Ffs.Params.paper_fs) ?(days = 300) ?seed ?pool ?timings
     days;
     seed = profile.seed;
     gt;
-    recon;
     aged_real;
     aged_trad;
     aged_re;

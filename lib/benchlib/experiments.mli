@@ -39,7 +39,6 @@ val timings : context -> Par.Timings.t
 
 val aged_traditional : context -> Aging.Replay.result
 val aged_realloc : context -> Aging.Replay.result
-val workload_stats : context -> Workload.Op.stats
 
 (** {2 Multi-seed aggregation}
 

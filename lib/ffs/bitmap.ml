@@ -17,7 +17,7 @@
    one dirty byte — instead of dispatched store calls; the alloc
    benchmark gates on this path.  Both buffers alias the store's own,
    so Marshal sharing keeps marshalled twins bit-identical.  A view
-   that is mapped, custom, or chunk-straddling takes the dispatched
+   that is mapped, fault-injecting or chunk-straddling takes the dispatched
    path instead. *)
 
 type fast =

@@ -16,8 +16,10 @@ type t = {
 }
 
 (* Bitmap writes mark the group's dirty chunk through the store; the
-   counter-only mutators below call [touch] so a delta checkpoint never
-   misses a group whose bitmaps happened not to move. *)
+   counter-only mutators below call [touch] so "dirty" keeps meaning
+   "changed since the last checkpoint" even when the bitmaps did not
+   move (conservative for the resilient store: a touched chunk's CRC is
+   refreshed at the next checkpoint and skipped by scrub until then). *)
 let touch t = Store.mark_dirty t.store ~pos:t.region_base
 
 let create_in ~store ~base params ~index =

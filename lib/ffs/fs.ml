@@ -64,13 +64,12 @@ type t = {
   geo : geometry;
   store : Store.t;
       (* the volume's persisted metadata bytes (every cg's bitmaps);
-         chunk index = cg index, so [Store.dirty_chunks] is the delta
-         checkpoint's work list *)
+         chunk index = cg index *)
   cgs : Cg.t array;
   shards : shard array;  (* one per group; shard of an inum = inum / ipg *)
   dirs : (int, dir_state) Hashtbl.t;
       (* written only unpinned: pinned domains read it, never insert *)
-  mutable cfg : config;
+  cfg : config;
   mutable clock : float;
   root_inum : int;
   stats : stats;  (* the counters unpinned callers bump; see [stats] *)
@@ -880,7 +879,6 @@ let copy t =
 
 let params t = t.params
 let config t = t.cfg
-let set_config t cfg = t.cfg <- cfg
 let set_time t time = t.clock <- time
 let now t = t.clock
 let root t = t.root_inum
@@ -1333,12 +1331,7 @@ let store t = t.store
 let backend_name t = Store.repr_name t.store
 let sync t = Store.sync t.store
 
-let dirty_cgs t =
-  (* chunk = cg region under [Store.Layout], so chunk index = cg index *)
-  Store.dirty_chunks t.store
-
 let clear_dirty t = Store.clear_dirty t.store
-let mark_all_dirty t = Store.mark_all_dirty t.store
 
 (* --- crash-state materialisation ------------------------------------------ *)
 
@@ -1419,9 +1412,5 @@ let rewrite_file t ~inum ~size =
 
 let rewrite_file_at t ~time ~inum ~size =
   Error.guard (fun () -> rewrite_file_at_exn t ~time ~inum ~size)
-let detach_entry t ~dir ~name = Error.guard (fun () -> detach_entry_exn t ~dir ~name)
-
-let attach_entry t ~dir ~name ~inum =
-  Error.guard (fun () -> attach_entry_exn t ~dir ~name ~inum)
 
 let forget_inode t inum = Error.guard (fun () -> forget_inode_exn t inum)

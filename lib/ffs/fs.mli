@@ -60,7 +60,6 @@ val copy : t -> t
 
 val params : t -> Params.t
 val config : t -> config
-val set_config : t -> config -> unit
 
 val stats : t -> stats
 (** The allocation counters, as a fresh record: the sum of one record
@@ -285,15 +284,11 @@ val sync : t -> unit
 (** Flush the backend to durable storage (fsync for file-backed
     mappings; no-op for the heap). *)
 
-val dirty_cgs : t -> int list
-(** Cylinder groups whose persisted bytes changed since the last
-    {!clear_dirty}, ascending — the work list for a delta checkpoint. *)
-
 val clear_dirty : t -> unit
-(** Acknowledge {!dirty_cgs} (called after a checkpoint captures them). *)
-
-val mark_all_dirty : t -> unit
-(** Force the next delta to cover every group. *)
+(** Acknowledge a checkpoint ({!Store.clear_dirty}): on a resilient
+    store, refresh the CRCs of the groups written since the last call,
+    then clear the dirty map. [Aging.Checkpoint.save] calls it after
+    every successful write. *)
 
 (* Repair & fault-injection plumbing — the raw directory and inode-table
    edits [Check.repair] and the fault injector are built from. These
@@ -302,22 +297,18 @@ val mark_all_dirty : t -> unit
    [Check.repair] (or [rebuild_allocation]) runs. Whole-volume work:
    each is refused with [Cross_cg] under a {!Locks.with_pin}. *)
 
-val detach_entry : t -> dir:int -> name:string -> (unit, Error.t) result
+val detach_entry_exn : t -> dir:int -> name:string -> unit
 (** Remove a directory entry without freeing the inode it names or its
     data (a torn directory write: the name is gone, the inode is not).
-    Errors: [No_such_name], [Not_a_directory]. *)
+    Raises {!Error.Error} with [No_such_name] or [Not_a_directory]. *)
 
-val detach_entry_exn : t -> dir:int -> name:string -> unit
-
-val attach_entry : t -> dir:int -> name:string -> inum:int -> (unit, Error.t) result
+val attach_entry_exn : t -> dir:int -> name:string -> inum:int -> unit
 (** Add a directory entry naming an arbitrary inode number — the
     reattachment half of orphan recovery, and (pointed at a dead inode
     number) the dangling-entry injection. Extends the directory's data
     if the entry count crosses a fragment boundary, so the file system's
-    allocation state must be consistent when called. Errors:
-    [Name_exists], [Not_a_directory]. *)
-
-val attach_entry_exn : t -> dir:int -> name:string -> inum:int -> unit
+    allocation state must be consistent when called. Raises
+    {!Error.Error} with [Name_exists] or [Not_a_directory]. *)
 
 val forget_inode : t -> int -> (unit, Error.t) result
 (** Drop a {e file} inode from the inode table, leaving its directory

@@ -14,7 +14,6 @@ type t = {
 let v ~inum ~kind ~time =
   { inum; kind; size = 0; entries = [||]; indirect_addrs = [||]; ctime = time; mtime = time }
 
-let block_count t = Array.length t.entries
 let frag_count t = Array.fold_left (fun acc e -> acc + e.frags) 0 t.entries
 
 let total_frags_with_metadata t =
@@ -24,8 +23,6 @@ let total_frags_with_metadata t =
     Array.fold_left (fun acc e -> max acc e.frags) 8 t.entries
   in
   frag_count t + (Array.length t.indirect_addrs * fpb)
-
-let is_multi_block t = Array.length t.entries >= 2
 
 (* entries contiguous with their predecessor: the layout score's
    optimal count *)

@@ -29,19 +29,12 @@ type t = {
 val v : inum:int -> kind:kind -> time:float -> t
 (** A fresh, empty inode. *)
 
-val block_count : t -> int
-(** Number of data runs (full blocks plus at most one tail run). *)
-
 val frag_count : t -> int
 (** Total data fragments, excluding indirect blocks. *)
 
 val total_frags_with_metadata : t -> int
 (** Data fragments plus indirect-block fragments — the file's total space
     charge. *)
-
-val is_multi_block : t -> bool
-(** Does the file have two or more data runs? (Single-run files have no
-    defined layout score.) *)
 
 val optimal_links : entry array -> int
 (** How many runs start exactly where their predecessor ends — the

@@ -2,7 +2,7 @@
 
    Every byte the allocator persists — the per-group fragment, block and
    inode bitmaps — lives in one flat address space owned by a [t].  Two
-   built-in representations:
+   base representations:
 
    - [Heap]: an in-process [Bytes.t], the seed's behaviour and the
      default everywhere (bit-identical placements, Marshal-able, free);
@@ -11,15 +11,10 @@
      temporary file (purely out-of-core scratch); with a path the file
      persists and [sync] pushes the dirty pages with fsync.
 
-   A third [Custom] case packs a first-class module implementing
-   {!module-type-S}, the documented contract, so an external backend
-   (RAID simulation, network block device, ...) drops in without
-   touching this file.  The hot path ([get_byte]/[set_byte]) dispatches
-   on the representation variant rather than through a module, which
-   keeps the per-bit cost of the allocator's bitmap pokes flat.
-
-   Two further representations stack on top of any of those and form the
-   self-healing pair:
+   The hot path ([get_byte]/[set_byte]) dispatches on the representation
+   variant, which keeps the per-bit cost of the allocator's bitmap pokes
+   flat.  Two further representations stack on top of either base and
+   form the self-healing pair:
 
    - [Faulty] injects seeded, deterministic device faults into the store
      below it: transient I/O errors on any access, latent bad chunks
@@ -50,17 +45,12 @@
    way {!Layout} sizes them) and every write marks its chunk's byte in
    [dirty].  Writes from concurrently pinned domains land on distinct
    dirty bytes (one group, one chunk), so marking needs no lock beyond
-   the per-group discipline {!Locks} already enforces.  Checkpoint
-   writers read {!dirty_chunks} to emit deltas and {!clear_dirty} after
-   a successful save.  Fault injection is serial-engine only: the
-   injection state (rng, bad set) is deliberately unsynchronised. *)
-
-module type S = sig
-  val length : int
-  val get : int -> char
-  val set : int -> char -> unit
-  val sync : unit -> unit
-end
+   the per-group discipline {!Locks} already enforces.  Dirty tracking
+   exists for the checksums: a successful checkpoint calls {!clear_dirty},
+   the acknowledgement that refreshes the CRCs of the chunks written
+   since the last one, and {!scrub} skips chunks still dirty.  Fault
+   injection is serial-engine only: the injection state (rng, bad set)
+   is deliberately unsynchronised. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -129,7 +119,6 @@ type fault_event =
 type repr =
   | Heap of Bytes.t
   | Map of { arr : bigstring; fd : Unix.file_descr; path : string option }
-  | Custom of (module S)
   | Faulty of faulty
   | Checked of checked
 
@@ -279,7 +268,6 @@ let rec raw_get t i =
   match t.repr with
   | Heap b -> Bytes.unsafe_get b i
   | Map { arr; _ } -> Bigarray.Array1.unsafe_get arr i
-  | Custom (module M) -> M.get i
   | Faulty f -> raw_get f.f_inner i
   | Checked _ -> assert false (* fault layers wrap base representations only *)
 
@@ -287,7 +275,6 @@ let rec raw_set t i c =
   match t.repr with
   | Heap b -> Bytes.unsafe_set b i c
   | Map { arr; _ } -> Bigarray.Array1.unsafe_set arr i c
-  | Custom (module M) -> M.set i c
   | Faulty f -> raw_set f.f_inner i c
   | Checked _ -> assert false
 
@@ -436,16 +423,13 @@ and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
        })
     ~length ~chunk_bytes
 
-let custom (module M : S) ~chunk_bytes =
-  make (Custom (module M)) ~length:M.length ~chunk_bytes
-
 let length t = t.len
 let chunk_bytes t = 1 lsl t.chunk_shift
 
 let rec is_heap t =
   match t.repr with
   | Heap _ -> true
-  | Map _ | Custom _ -> false
+  | Map _ -> false
   | Faulty f -> is_heap f.f_inner
   | Checked st -> is_heap st.c_inner
 
@@ -453,7 +437,7 @@ let rec heap_bytes t =
   match t.repr with
   | Heap b -> Some b
   | Checked st when st.c_passthrough -> heap_bytes st.c_inner
-  | Map _ | Custom _ | Faulty _ | Checked _ -> None
+  | Map _ | Faulty _ | Checked _ -> None
 
 let dirty_cell t ~pos ~len =
   if len <= 0 then None
@@ -464,7 +448,7 @@ let dirty_cell t ~pos ~len =
 let rec backing_path t =
   match t.repr with
   | Map { path; _ } -> path
-  | Heap _ | Custom _ -> None
+  | Heap _ -> None
   | Faulty f -> backing_path f.f_inner
   | Checked st -> backing_path st.c_inner
 
@@ -473,7 +457,6 @@ let rec repr_name t =
   | Heap _ -> "bytes"
   | Map { path = None; _ } -> "mmap"
   | Map { path = Some p; _ } -> "mmap:" ^ p
-  | Custom _ -> "custom"
   | Faulty f -> "faulty:" ^ repr_name f.f_inner
   | Checked st -> "resilient:" ^ repr_name st.c_inner
 
@@ -491,7 +474,6 @@ let rec get_byte t i =
   match t.repr with
   | Heap b -> Bytes.unsafe_get b i
   | Map { arr; _ } -> Bigarray.Array1.unsafe_get arr i
-  | Custom (module M) -> M.get i
   | Faulty f ->
       let c = i lsr t.chunk_shift in
       faulty_transient f ~op:"read" ~chunk:c;
@@ -512,7 +494,6 @@ and set_byte t i c =
   match t.repr with
   | Heap b -> Bytes.unsafe_set b i c
   | Map { arr; _ } -> Bigarray.Array1.unsafe_set arr i c
-  | Custom (module M) -> M.set i c
   | Faulty f ->
       faulty_transient f ~op:"write" ~chunk:(i lsr t.chunk_shift);
       set_byte f.f_inner i c
@@ -555,7 +536,7 @@ let rec read t ~pos ~len =
   match t.repr with
   | Heap b -> Bytes.sub_string b pos len
   | Checked st when st.c_passthrough -> read st.c_inner ~pos ~len
-  | Map _ | Custom _ | Faulty _ | Checked _ -> String.init len (fun i -> get_byte t (pos + i))
+  | Map _ | Faulty _ | Checked _ -> String.init len (fun i -> get_byte t (pos + i))
 
 let rec write t ~pos s =
   let len = String.length s in
@@ -568,11 +549,6 @@ let rec write t ~pos s =
       mark_dirty_range t ~pos ~len;
       for i = 0 to len - 1 do
         Bigarray.Array1.unsafe_set arr (pos + i) s.[i]
-      done
-  | Custom (module M) ->
-      mark_dirty_range t ~pos ~len;
-      for i = 0 to len - 1 do
-        M.set (pos + i) s.[i]
       done
   | Checked st when st.c_passthrough ->
       mark_dirty_range t ~pos ~len;
@@ -603,7 +579,7 @@ let rec digest_region t ~pos ~len =
   match t.repr with
   | Heap b -> Digest.to_hex (Digest.subbytes b pos len)
   | Checked st when st.c_passthrough -> digest_region st.c_inner ~pos ~len
-  | Map _ | Custom _ | Faulty _ | Checked _ -> Digest.to_hex (Digest.string (read t ~pos ~len))
+  | Map _ | Faulty _ | Checked _ -> Digest.to_hex (Digest.string (read t ~pos ~len))
 
 let rec sync t =
   match t.repr with
@@ -613,7 +589,6 @@ let rec sync t =
          pages (there is no msync binding in the stdlib; on Linux the
          pages share the page cache, so fsync covers them) *)
       Unix.fsync fd
-  | Custom (module M) -> M.sync ()
   | Faulty f ->
       (* scheduled damage lands at sync points: that is when a real
          device commits (or fails to commit) writes to the medium *)
@@ -627,23 +602,14 @@ let rec sync t =
 
 let rec close t =
   match t.repr with
-  | Heap _ | Custom _ -> ()
+  | Heap _ -> ()
   | Map { fd; _ } -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | Faulty f -> close f.f_inner
   | Checked st -> close st.c_inner
 
 (* --- dirty chunks --------------------------------------------------------- *)
 
-let chunk_count t = Bytes.length t.dirty
-
 let chunk_dirty t c = Bytes.get t.dirty c <> '\000'
-
-let dirty_chunks t =
-  let acc = ref [] in
-  for c = Bytes.length t.dirty - 1 downto 0 do
-    if Bytes.unsafe_get t.dirty c <> '\000' then acc := c :: !acc
-  done;
-  !acc
 
 let chunk_len t c = min (1 lsl t.chunk_shift) (t.len - (c lsl t.chunk_shift))
 
@@ -664,8 +630,6 @@ let clear_dirty t =
       done
   | _ -> ());
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
-
-let mark_all_dirty t = Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001'
 
 let copy_dirty ~src ~dst =
   assert (Bytes.length src.dirty = Bytes.length dst.dirty);
@@ -695,7 +659,7 @@ let rec device_counts t =
       [ ("transient", f.f_transient); ("latent", f.f_latent);
         ("bitrot", f.f_bitrot); ("torn", f.f_torn) ]
   | Checked st -> device_counts st.c_inner
-  | Heap _ | Map _ | Custom _ -> []
+  | Heap _ | Map _ -> []
 
 let scrub t =
   match t.repr with
@@ -728,7 +692,7 @@ let scrub t =
         scrub_mismatched = !mismatched;
         scrub_quarantined;
       }
-  | Heap _ | Map _ | Custom _ | Faulty _ ->
+  | Heap _ | Map _ | Faulty _ ->
       sync t;
       empty_scrub_report
 

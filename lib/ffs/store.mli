@@ -21,30 +21,20 @@
       its base backend — the remap is provably the identity, so even
       the bitmap layer's heap fast path still engages.
 
-    The byte contract both base representations implement (and
-    {!module-type-S} documents for external backends): addresses are
-    absolute offsets into the store, reads see the latest write, and
+    The byte contract both base representations implement: addresses
+    are absolute offsets into the store, reads see the latest write, and
     placements must not depend on the representation — the differential
     suite pins [Heap] and [Map] images bit-identical.
 
     Every write also marks its {e chunk} (a power-of-two span, one per
     cylinder group under {!Layout}) in a dirty map, under the same
     per-group {!Locks} discipline that already serialises the writes
-    themselves.  Delta checkpoints are built from {!dirty_chunks} and
-    acknowledged with {!clear_dirty}.  Fault injection and quarantine
+    themselves.  The map exists for the resilient layer's checksums: a
+    successful checkpoint acknowledges it with {!clear_dirty}, which
+    refreshes the CRCs of the chunks written since the last one, and
+    {!scrub} skips chunks still dirty.  Fault injection and quarantine
     state are deliberately unsynchronised: a fault-injecting store must
     only be driven by the serial replay engine. *)
-
-(** The backend contract, for plugging in an external representation via
-    {!custom}.  [get]/[set] take absolute byte offsets in
-    [0 .. length-1]; [sync] makes previous writes durable (a no-op for
-    volatile backends). *)
-module type S = sig
-  val length : int
-  val get : int -> char
-  val set : int -> char -> unit
-  val sync : unit -> unit
-end
 
 type t
 
@@ -111,7 +101,6 @@ val create : spec -> length:int -> chunk_bytes:int -> t
 
 val heap : length:int -> chunk_bytes:int -> t
 val mmap : ?path:string -> length:int -> chunk_bytes:int -> unit -> t
-val custom : (module S) -> chunk_bytes:int -> t
 
 val length : t -> int
 val chunk_bytes : t -> int
@@ -144,7 +133,7 @@ val backing_path : t -> string option
 
 val repr_name : t -> string
 (** The representation, for display: ["bytes"], ["mmap"],
-    ["mmap:PATH"], ["custom"], or those prefixed by ["resilient:"] /
+    ["mmap:PATH"], or those prefixed by ["resilient:"] /
     ["faulty:"] for the self-healing layers. *)
 
 val get_byte : t -> int -> char
@@ -170,19 +159,12 @@ val close : t -> unit
 
 (** {2 Dirty chunks} *)
 
-val chunk_count : t -> int
-val chunk_dirty : t -> int -> bool
-
-val dirty_chunks : t -> int list
-(** Chunks written since the last {!clear_dirty}, ascending. *)
-
 val clear_dirty : t -> unit
 (** Acknowledge a checkpoint: clear the dirty map. On a checksummed
     store this first refreshes the CRCs of the chunks being cleared —
     the stale-means-dirty rule that keeps checksums meaningful exactly
     for clean chunks. *)
 
-val mark_all_dirty : t -> unit
 val mark_dirty : t -> pos:int -> unit
 
 val copy_dirty : src:t -> dst:t -> unit

@@ -11,7 +11,6 @@ type config = {
   watchdog : float;
   checkpoint_every : int;
   checkpoint_keep : int;
-  checkpoint_full_every : int;
   backend : Ffs.Store.spec;
   scrub_every : int;
   retry : Par.Pool.retry;
@@ -28,7 +27,6 @@ let default_config =
     watchdog = 0.0;
     checkpoint_every = 1;
     checkpoint_keep = 2;
-    checkpoint_full_every = 8;
     backend = Ffs.Store.Heap_backend;
     scrub_every = 1;
     retry = { Par.Pool.no_retry with jitter = 0.25 };
@@ -128,11 +126,7 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
     (incr polls;
      !polls land 63 = 0 && Unix.gettimeofday () > deadline)
   in
-  let ckw =
-    Aging.Checkpoint.writer ~dir:ckdir ~keep:cfg.checkpoint_keep
-      ~full_every:cfg.checkpoint_full_every ()
-  in
-  let save_ck ck = ignore (Aging.Checkpoint.save_auto ckw ck) in
+  let save_ck ck = ignore (Aging.Checkpoint.save ~dir:ckdir ~keep:cfg.checkpoint_keep ck) in
   match
     Aging.Replay.run_resumable ~backend:vol_backend ~config:(Spec.config_of_volume spec)
       ?resume ~should_stop ~checkpoint_every:cfg.checkpoint_every ~on_checkpoint:save_ck

@@ -43,9 +43,6 @@ type config = {
   watchdog : float;  (** per-attempt wall-clock budget in seconds; 0 disables *)
   checkpoint_every : int;  (** days between durable volume checkpoints *)
   checkpoint_keep : int;  (** checkpoints retained per volume *)
-  checkpoint_full_every : int;
-      (** every [n]-th checkpoint of a volume is a full one, the rest are
-          dirty-group deltas ({!Aging.Checkpoint.writer}) *)
   backend : Ffs.Store.spec;
       (** storage backend each volume's image lives on (default in-heap;
           [Mmap_backend] keeps the fleet's images out of the OCaml heap).

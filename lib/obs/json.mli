@@ -25,4 +25,3 @@ val member : string -> t -> t option
 
 val to_int : t -> int option
 val to_float : t -> float option
-val to_str : t -> string option

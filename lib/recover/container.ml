@@ -66,9 +66,7 @@ let fsync_dir dir =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let write_parts ~path ~kind parts =
-  (* the payload is the parts in order; each is streamed straight to the
-     file and through the CRC, so no concatenated copy is ever built *)
+let write ~path ~kind payload =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
   match
@@ -76,17 +74,13 @@ let write_parts ~path ~kind parts =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        let payload_len = List.fold_left (fun acc p -> acc + String.length p) 0 parts in
-        let hdr = header ~kind ~payload_len in
+        let hdr = header ~kind ~payload_len:(String.length payload) in
         output_string oc hdr;
-        let crc = ref Util.Crc32.(update empty hdr ~pos:0 ~len:(String.length hdr)) in
-        List.iter
-          (fun p ->
-            output_string oc p;
-            crc := Util.Crc32.update !crc p ~pos:0 ~len:(String.length p))
-          parts;
+        output_string oc payload;
+        let crc = Util.Crc32.(update empty hdr ~pos:0 ~len:(String.length hdr)) in
+        let crc = Util.Crc32.(finish (update crc payload ~pos:0 ~len:(String.length payload))) in
         let b = Buffer.create 4 in
-        add_u32_le b (Util.Crc32.finish !crc);
+        add_u32_le b crc;
         output_string oc (Buffer.contents b);
         flush oc;
         Unix.fsync (Unix.descr_of_out_channel oc))
@@ -95,8 +89,6 @@ let write_parts ~path ~kind parts =
   | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
-
-let write ~path ~kind payload = write_parts ~path ~kind [ payload ]
 
 (* --- reading -------------------------------------------------------------- *)
 

@@ -34,12 +34,6 @@ val write : path:string -> kind:string -> string -> unit
     schema and is checked on {!read}. Raises [Sys_error]/[Unix_error]
     on I/O failure; never leaves a partial file at [path]. *)
 
-val write_parts : path:string -> kind:string -> string list -> unit
-(** As {!write}, with the payload given as parts that are streamed to
-    the file (and through the CRC) in order — large multi-section
-    payloads (delta checkpoints) never build a concatenated copy.
-    [write ~path ~kind p] = [write_parts ~path ~kind [p]]. *)
-
 val read : path:string -> kind:string -> (string, Ffs.Error.t) result
 (** The payload, after full verification. All failure modes — missing
     file, bad magic, version or kind mismatch, truncation, checksum

@@ -16,7 +16,5 @@ let pp_bytes ppf n =
   else if n >= kib then render "KB" kib
   else Fmt.pf ppf "%d B" n
 
-let pp_throughput ppf bps = Fmt.pf ppf "%.2f MB/sec" (bps /. mib_f)
-
 let mb_per_sec ~bytes ~seconds =
   if seconds = 0.0 then nan else float_of_int bytes /. mib_f /. seconds

@@ -16,8 +16,5 @@ val pp_bytes : Format.formatter -> int -> unit
 (** Render e.g. [96 KB], [4.0 MB], [512 B]; exact multiples print without
     a fractional part. *)
 
-val pp_throughput : Format.formatter -> float -> unit
-(** Render bytes/second as [X.XX MB/sec]. *)
-
 val mb_per_sec : bytes:int -> seconds:float -> float
 (** Throughput in MB/sec (MB = 2^20). [nan] when [seconds = 0]. *)

@@ -1,9 +1,7 @@
 (* Differential tests of the storage backends: every pipeline — aging,
    fault injection + repair, crash exploration, checkpointing, image
    persistence — must produce bit-identical volume state whether the
-   image lives on the in-heap Bytes store or the mmap'd file store, and
-   a delta checkpoint chain must be indistinguishable from the full
-   checkpoints it abbreviates. *)
+   image lives on the in-heap Bytes store or the mmap'd file store. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -36,12 +34,6 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
-
-let expect_corrupt name r =
-  match r with
-  | Error (Ffs.Error.Corrupt _) -> ()
-  | Error e -> Alcotest.failf "%s: expected Corrupt, got %a" name Ffs.Error.pp e
-  | Ok _ -> Alcotest.failf "%s: expected Error Corrupt, got Ok" name
 
 (* The headline acceptance test: ten days of the paper's geometry and
    workload, replayed once per backend, pinning the image digest, the
@@ -127,152 +119,6 @@ let test_crash_pipeline_differential () =
   check_int "same crashes recovered" ch cm;
   check_int "same crash states explored" sh sm;
   check_string "post-crash image digest identical" dh dm
-
-(* --- delta checkpoints ------------------------------------------------------ *)
-
-let completed = function
-  | `Completed cr -> cr
-  | `Interrupted _ -> Alcotest.fail "run was unexpectedly interrupted"
-
-let days = 6
-
-(* Every checkpoint is written twice — once through the delta writer,
-   once as a plain full checkpoint — and each delta chain must decode
-   to exactly the state its full twin holds. *)
-let test_delta_equals_full () =
-  with_temp_dir (fun root ->
-      let ops = build_ops small ~days ~seed:77 in
-      let ddir = Filename.concat root "delta" and fdir = Filename.concat root "full" in
-      let w = Aging.Checkpoint.writer ~dir:ddir ~keep:0 ~full_every:8 () in
-      ignore
-        (completed
-           (Aging.Replay.run_resumable ~params:small ~days ~crashes:0 ~fault_seed:0
-              ~checkpoint_every:1
-              ~on_checkpoint:(fun ck ->
-                (* full first: save_auto clears the dirty set *)
-                ignore (Aging.Checkpoint.save_exn ~dir:fdir ~keep:0 ck);
-                ignore (Aging.Checkpoint.save_auto_exn w ck))
-              ops));
-      let deltas =
-        List.filter
-          (fun p -> Aging.Checkpoint.is_delta_file (Filename.basename p))
-          (Aging.Checkpoint.list ~dir:ddir)
-      in
-      check_bool "chain contains deltas" true (List.length deltas >= 2);
-      List.iter
-        (fun fpath ->
-          let fck =
-            match Aging.Checkpoint.load ?backend:None ~path:fpath with
-            | Ok ck -> ck
-            | Error e -> Alcotest.failf "full load failed: %a" Ffs.Error.pp e
-          in
-          (* the delta twin shares the basename modulo the -delta marker *)
-          let base = Filename.basename fpath in
-          let dpath =
-            List.find
-              (fun p ->
-                let b = Filename.basename p in
-                b = base
-                || b = Filename.chop_suffix base ".ffsck" ^ "-delta.ffsck")
-              (Aging.Checkpoint.list ~dir:ddir)
-          in
-          let dck =
-            match Aging.Checkpoint.load ?backend:None ~path:dpath with
-            | Ok ck -> ck
-            | Error e -> Alcotest.failf "delta load failed: %a" Ffs.Error.pp e
-          in
-          check_int "same day"
-            (Aging.Replay.checkpoint_day fck)
-            (Aging.Replay.checkpoint_day dck);
-          check_string
-            (Fmt.str "chain state = full state (%s)" (Filename.basename dpath))
-            (Ffs.Fs.digest (Aging.Replay.checkpoint_fs fck))
-            (Ffs.Fs.digest (Aging.Replay.checkpoint_fs dck)))
-        (Aging.Checkpoint.list ~dir:fdir))
-
-(* kill -9 while the newest delta was being written: the torn file is
-   skipped, the run resumes from the previous link, and the finished
-   run is bit-identical to one never interrupted. *)
-let test_truncated_delta_resume () =
-  with_temp_dir (fun dir ->
-      let ops = build_ops small ~days ~seed:77 in
-      let straight =
-        completed
-          (Aging.Replay.run_resumable ~params:small ~days ~crashes:0 ~fault_seed:0 ops)
-      in
-      let w = Aging.Checkpoint.writer ~dir ~keep:0 ~full_every:8 () in
-      let saves = ref 0 in
-      let stop = ref false in
-      (match
-         Aging.Replay.run_resumable ~params:small ~days ~crashes:0 ~fault_seed:0
-           ~checkpoint_every:1
-           ~on_checkpoint:(fun ck ->
-             ignore (Aging.Checkpoint.save_auto_exn w ck);
-             incr saves;
-             if !saves >= 4 then stop := true)
-           ~should_stop:(fun () -> !stop)
-           ops
-       with
-      | `Interrupted _ -> ()
-      | `Completed _ -> Alcotest.fail "expected the run to stop after 4 checkpoints");
-      let newest = List.hd (Aging.Checkpoint.list ~dir) in
-      check_bool "newest link is a delta" true
-        (Aging.Checkpoint.is_delta_file (Filename.basename newest));
-      (* tear it mid-write *)
-      let size = (Unix.stat newest).Unix.st_size in
-      Unix.truncate newest (size / 2);
-      expect_corrupt "torn delta refused"
-        (Aging.Checkpoint.load ?backend:None ~path:newest);
-      let path, ck =
-        match Aging.Checkpoint.load_latest ?backend:None ~dir with
-        | Ok v -> v
-        | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e
-      in
-      check_bool "fell back past the torn delta" true (path <> newest);
-      let resumed =
-        completed
-          (Aging.Replay.run_resumable ~params:small ~days ~crashes:0 ~fault_seed:0
-             ~resume:ck ops)
-      in
-      let r1 = straight.Aging.Replay.result and r2 = resumed.Aging.Replay.result in
-      check_string "resumed image digest identical" (Ffs.Fs.digest r1.Aging.Replay.fs)
-        (Ffs.Fs.digest r2.Aging.Replay.fs);
-      Alcotest.(check (array (float 0.0)))
-        "score history identical" r1.Aging.Replay.daily_scores
-        r2.Aging.Replay.daily_scores)
-
-(* the broken-chain regression: a delta whose base link disappeared must
-   be refused with a typed Corrupt naming the digest mismatch, and
-   load_latest must fall back to the surviving anchor *)
-let test_broken_chain_refused () =
-  with_temp_dir (fun dir ->
-      let ops = build_ops small ~days ~seed:77 in
-      let w = Aging.Checkpoint.writer ~dir ~keep:0 ~full_every:8 () in
-      ignore
-        (completed
-           (Aging.Replay.run_resumable ~params:small ~days ~crashes:0 ~fault_seed:0
-              ~checkpoint_every:1
-              ~on_checkpoint:(fun ck -> ignore (Aging.Checkpoint.save_auto_exn w ck))
-              ops));
-      let files = Aging.Checkpoint.list ~dir in
-      let deltas =
-        List.filter (fun p -> Aging.Checkpoint.is_delta_file (Filename.basename p)) files
-      in
-      check_bool "enough deltas to break the chain" true (List.length deltas >= 2);
-      (* remove a middle link: the newest delta now applies over the
-         wrong base, so its recorded base digest cannot match *)
-      Sys.remove (List.nth deltas 1);
-      (match Aging.Checkpoint.load ?backend:None ~path:(List.hd deltas) with
-      | Error (Ffs.Error.Corrupt msg) ->
-          check_bool "diagnosis names the digest mismatch" true
-            (contains ~sub:"digest mismatch" msg)
-      | Error e -> Alcotest.failf "expected Corrupt, got %a" Ffs.Error.pp e
-      | Ok _ -> Alcotest.fail "a broken chain must not decode");
-      (* the store still resolves to something older and valid *)
-      match Aging.Checkpoint.load_latest ?backend:None ~dir with
-      | Ok (path, _) ->
-          check_bool "fell back to an intact link" true (path <> List.hd deltas)
-      | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e)
 
 (* an image saved from an mmap-backed run loads onto either backend,
    bit-identically *)
@@ -392,12 +238,6 @@ let () =
           slow "10-day paper aging, heap = mmap" test_paper_aging_differential;
           slow "fault->repair, heap = mmap" test_fault_repair_differential;
           slow "crash pipeline, heap = mmap" test_crash_pipeline_differential;
-        ] );
-      ( "delta checkpoints",
-        [
-          slow "delta chain = full checkpoint" test_delta_equals_full;
-          slow "truncated delta: fallback + resume" test_truncated_delta_resume;
-          slow "broken chain refused as Corrupt" test_broken_chain_refused;
         ] );
       ( "image",
         [

@@ -262,10 +262,47 @@ let test_checkpoint_retention_and_fallback () =
           check_bool "fell back past the corrupt file" true (path <> newest);
           check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
       | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
+      (* a newest file an older build wrote as a delta checkpoint: a
+         valid container of another kind, which load refuses as Corrupt
+         and load_latest skips *)
+      let delta = Filename.concat dir "ckpt-op999999999-day9999-delta.ffsck" in
+      Recover.Container.write ~path:delta ~kind:"aging-checkpoint-delta-1" (String.make 4096 'd');
+      check_bool "delta file listed newest" true (List.hd (Aging.Checkpoint.list ~dir) = delta);
+      expect_corrupt "delta kind refused" (Aging.Checkpoint.load ?backend:None ~path:delta);
+      (match Aging.Checkpoint.load_latest ?backend:None ~dir with
+      | Ok (path, ck) ->
+          check_bool "fell back past the delta file" true (path <> delta && path <> newest);
+          check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
+      | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
       (* with every file corrupted there is nothing to resume from (a
          fresh mask, so the already-flipped newest is not flipped back) *)
       List.iter (fun p -> flip_byte p ~pos:(-100) ~mask:0x04) (Aging.Checkpoint.list ~dir);
       expect_corrupt "no valid checkpoint" (Aging.Checkpoint.load_latest ?backend:None ~dir))
+
+(* A successful save acknowledges the image's dirty chunks: on a
+   resilient store every chunk's CRC is fresh right after it, so a scrub
+   verifies them all instead of skipping them as stale. *)
+let test_checkpoint_acknowledges_crcs () =
+  with_temp_dir (fun dir ->
+      let ops = build_ops ~seed:77 in
+      let saves = ref 0 in
+      ignore
+        (completed
+           (Aging.Replay.run_resumable
+              ~backend:(Ffs.Store.resilient_spec Ffs.Store.Heap_backend)
+              ~params ~days ~crashes:0 ~fault_seed:0 ~checkpoint_every:1
+              ~on_checkpoint:(fun ck ->
+                ignore (Aging.Checkpoint.save_exn ~dir ~keep:3 ck);
+                incr saves;
+                let store = Ffs.Fs.store (Aging.Replay.checkpoint_fs ck) in
+                check_bool "store is checksummed" true (Ffs.Store.checksummed store);
+                let r = Ffs.Store.scrub store in
+                check_bool "chunks walked" true (r.Ffs.Store.scrub_chunks > 0);
+                check_int "no stale chunk after a save" 0 r.Ffs.Store.scrub_stale;
+                check_int "every chunk verified" r.Ffs.Store.scrub_chunks
+                  r.Ffs.Store.scrub_verified)
+              ops));
+      check_bool "checkpoints were taken" true (!saves >= 2))
 
 (* --- crash-point explorer --------------------------------------------------- *)
 
@@ -330,6 +367,7 @@ let () =
           slow "resume is bit-identical" test_resume_bit_identical;
           slow "rejects a different workload" test_resume_rejects_other_workload;
           slow "retention and corrupt-fallback" test_checkpoint_retention_and_fallback;
+          slow "save acknowledges store CRCs" test_checkpoint_acknowledges_crcs;
         ] );
       ( "explore",
         [
