@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke repro bench bench-alloc bench-fleet bench-age-parallel bench-backend bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke repro bench-alloc bench-fleet bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -30,8 +30,6 @@ verify:
 	$(MAKE) scrub-smoke
 	$(MAKE) bench-alloc
 	$(MAKE) bench-fleet
-	$(MAKE) bench-age-parallel
-	$(MAKE) bench-backend
 	$(MAKE) bench-scrub
 
 # full-scale bit-identity gate: one round of each layered-benchmark
@@ -100,16 +98,13 @@ metrics-smoke:
 fmt:
 	dune build @fmt
 
-bench:
-	dune exec bench/main.exe
-
 # the committed allocation benchmark: scan vs extent-index allocs/sec on
 # the standard aged image. Rewrites BENCH_alloc.json and fails if the
 # indexed figure regresses >20% against the committed baseline (set
 # FFS_BENCH_ALLOC_SKIP_BASELINE=1 to record a new baseline on a slower
 # machine without failing)
 bench-alloc:
-	dune exec bench/main.exe -- alloc --no-csv
+	dune exec bench/main.exe -- alloc
 
 # fleet supervision smoke: forced quarantine must degrade gracefully
 # (exit 3, volume reported, never dropped), and a 64-volume fleet with
@@ -125,16 +120,7 @@ fleet-smoke:
 # if the best throughput regresses >30% against the committed baseline
 # (FFS_BENCH_FLEET_SKIP_BASELINE=1 to re-baseline)
 bench-fleet:
-	dune exec bench/main.exe -- fleet --no-csv
-
-# the committed intra-volume parallel aging benchmark: days aged per
-# second at --jobs 1/2/4 on one paper-geometry volume. Rewrites
-# BENCH_age_parallel.json, asserts the aged image digest (and scores
-# and allocation totals) are identical at every concurrency level, and
-# fails if the best throughput regresses >30% against the committed
-# baseline (FFS_BENCH_AGE_SKIP_BASELINE=1 to re-baseline)
-bench-age-parallel:
-	dune exec bench/main.exe -- age --no-csv
+	dune exec bench/main.exe -- fleet
 
 # storage-backend smoke: the same small aging run on the in-heap store
 # and the mmap'd file store must produce bit-identical images
@@ -187,15 +173,6 @@ chaos-soak:
 	@rm -rf /tmp/ffs_chaos_soak_fleet
 	@echo "chaos soak: OK"
 
-# the committed storage-backend benchmark: the paper-geometry aging run
-# timed on the in-heap Bytes store and the mmap'd file store. Rewrites
-# BENCH_backend.json, asserts every backend produces the same image
-# digest and allocation totals, and fails if the best throughput
-# regresses >30% against the committed baseline
-# (FFS_BENCH_BACKEND_SKIP_BASELINE=1 to re-baseline)
-bench-backend:
-	dune exec bench/main.exe -- backend --no-csv
-
 # the committed self-healing benchmark: the paper-geometry aging run
 # timed raw vs on the checksummed resilient layer (asserting the images
 # are bit-identical), plus the throughput of a full scrub pass.
@@ -203,7 +180,7 @@ bench-backend:
 # 10% or the scrub throughput regresses >30% against the committed
 # baseline (FFS_BENCH_SCRUB_SKIP_BASELINE=1 to re-baseline)
 bench-scrub:
-	dune exec bench/main.exe -- scrub --no-csv
+	dune exec bench/main.exe -- scrub
 
 # ffs_inspect --freespace smoke: age a small image, dump the per-group
 # free-extent histogram, and make sure the table actually came out

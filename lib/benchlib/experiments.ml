@@ -16,9 +16,7 @@ type context = {
   mutable hot_re : Hotfiles.result option;
 }
 
-let params t = t.params
 let days t = t.days
-let timings t = t.timings
 let aged_traditional t = t.aged_trad
 let aged_realloc t = t.aged_re
 
@@ -752,19 +750,3 @@ let shape_checks t =
     (Fmt.str "%.2f vs %.2f (paper %.2f vs %.2f)" hr.Hotfiles.layout_score
        hf.Hotfiles.layout_score table2_realloc_layout table2_ffs_layout);
   List.rev !checks
-
-let all ?csv_dir t =
-  String.concat "\n"
-    [
-      table1 ();
-      fig1 ?csv_dir t;
-      fig2 ?csv_dir t;
-      fig3 ?csv_dir t;
-      fig4 ?csv_dir t;
-      fig5 ?csv_dir t;
-      fig6 ?csv_dir t;
-      table2 ?csv_dir t;
-      buf_report (fun buf ->
-          heading buf "Shape checks vs the paper";
-          Buffer.add_string buf (Fmt.str "%a" Paper_expect.pp_checks (shape_checks t)));
-    ]

@@ -29,13 +29,9 @@ val build :
     for the replays and the on-demand sweeps run serially. Results are
     bit-identical for every pool size: each task derives its randomness
     from its own seed, never from execution order. Per-task wall-clock
-    times accumulate into [timings] (also available as {!timings}). *)
+    times accumulate into [timings]. *)
 
-val params : context -> Ffs.Params.t
 val days : context -> int
-
-val timings : context -> Par.Timings.t
-(** The per-task timing report collected so far (replays, sweeps). *)
 
 val aged_traditional : context -> Aging.Replay.result
 val aged_realloc : context -> Aging.Replay.result
@@ -110,6 +106,3 @@ val table2 : ?csv_dir:string -> context -> string
 
 val shape_checks : context -> Paper_expect.shape_check list
 (** The cross-experiment qualitative assertions listed in DESIGN.md. *)
-
-val all : ?csv_dir:string -> context -> string
-(** Every table and figure, then the shape-check summary. *)

@@ -14,7 +14,7 @@ let exact_scores = Alcotest.(check (array (float 0.0)))
 let params = Ffs.Params.small_test_fs
 let days = 10
 
-let workload ?(seed = 31337) () =
+let workload ?(params = params) ?(days = days) ?(seed = 31337) () =
   let profile =
     { (Workload.Ground_truth.scaled params ~days) with Workload.Ground_truth.seed = seed }
   in
@@ -209,7 +209,7 @@ let test_concurrent_group_ops_safe () =
 
 (* --- run_parallel determinism ----------------------------------------------- *)
 
-let run_parallel_at ~jobs ops =
+let run_parallel_at ?(params = params) ?(days = days) ~jobs ops =
   Obs.Metrics.reset Obs.Metrics.default;
   Obs.Metrics.set_enabled Obs.Metrics.default true;
   Fun.protect
@@ -231,38 +231,54 @@ let sorted_ino_map (r : Aging.Replay.result) =
 let check_stats what (a : Ffs.Fs.stats) (b : Ffs.Fs.stats) =
   check_bool (what ^ ": Fs.stats records equal") true (a = b)
 
+(* Each input is checked at jobs 1, 2 and 4: the 4-group volume the
+   rest of this suite ages, and the 27-group paper volume at the
+   reproduction's seed. *)
+let jobs_identity_inputs =
+  [ ("small", params, days, 31337); ("paper", Ffs.Params.paper_fs, 4, 960117) ]
+
 let test_jobs_levels_bit_identical () =
-  let ops = workload () in
-  let (r1, b1) = run_parallel_at ~jobs:1 ops in
-  let (r2, b2) = run_parallel_at ~jobs:2 ops in
-  let (r4, b4) = run_parallel_at ~jobs:4 ops in
-  let s1 = Ffs.Fs.stats r1.Aging.Replay.fs in
-  check_bool "blocks were allocated" true (s1.Ffs.Fs.blocks_allocated > 0);
-  check_stats "jobs 1 = jobs 2" s1 (Ffs.Fs.stats r2.Aging.Replay.fs);
-  check_stats "jobs 1 = jobs 4" s1 (Ffs.Fs.stats r4.Aging.Replay.fs);
-  let m1 = sorted_ino_map r1 in
-  check_bool "ino_map jobs 1 = jobs 2" true (m1 = sorted_ino_map r2);
-  check_bool "ino_map jobs 1 = jobs 4" true (m1 = sorted_ino_map r4);
-  (* the per-group counter shards sum to the same totals after the
-     image is flattened and rebuilt, or copied *)
-  let fs2 = r2.Aging.Replay.fs in
-  let s2 = Ffs.Fs.stats fs2 in
-  check_stats "portable round trip"
-    s2 (Ffs.Fs.stats (Ffs.Fs.of_portable (Ffs.Fs.to_portable fs2)));
-  check_stats "copy" s2 (Ffs.Fs.stats (Ffs.Fs.copy fs2));
-  let d1 = Ffs.Fs.digest r1.Aging.Replay.fs in
-  check_string "digest jobs 1 = jobs 2" d1 (Ffs.Fs.digest r2.Aging.Replay.fs);
-  check_string "digest jobs 1 = jobs 4" d1 (Ffs.Fs.digest r4.Aging.Replay.fs);
-  exact_scores "scores jobs 1 = jobs 2" r1.Aging.Replay.daily_scores r2.Aging.Replay.daily_scores;
-  exact_scores "scores jobs 1 = jobs 4" r1.Aging.Replay.daily_scores r4.Aging.Replay.daily_scores;
-  check_int "blocks_allocated equal (stats)"
-    (Ffs.Fs.stats r1.Aging.Replay.fs).Ffs.Fs.blocks_allocated
-    (Ffs.Fs.stats r4.Aging.Replay.fs).Ffs.Fs.blocks_allocated;
-  check_int "ffs_alloc_blocks_total jobs 1 = jobs 2" b1 b2;
-  check_int "ffs_alloc_blocks_total jobs 1 = jobs 4" b1 b4;
-  check_int "skips equal" r1.Aging.Replay.skipped_ops r4.Aging.Replay.skipped_ops;
-  Ffs.Fs.check_invariants r4.Aging.Replay.fs;
-  assert_fsck_clean r4.Aging.Replay.fs
+  List.iter
+    (fun (geometry, params, days, seed) ->
+      let what s = Fmt.str "%s: %s" geometry s in
+      let ops = workload ~params ~days ~seed () in
+      let at jobs = run_parallel_at ~params ~days ~jobs ops in
+      let (r1, b1) = at 1 in
+      let (r2, b2) = at 2 in
+      let (r4, b4) = at 4 in
+      let s1 = Ffs.Fs.stats r1.Aging.Replay.fs in
+      check_bool (what "blocks were allocated") true (s1.Ffs.Fs.blocks_allocated > 0);
+      check_stats (what "jobs 1 = jobs 2") s1 (Ffs.Fs.stats r2.Aging.Replay.fs);
+      check_stats (what "jobs 1 = jobs 4") s1 (Ffs.Fs.stats r4.Aging.Replay.fs);
+      let m1 = sorted_ino_map r1 in
+      check_bool (what "ino_map jobs 1 = jobs 2") true (m1 = sorted_ino_map r2);
+      check_bool (what "ino_map jobs 1 = jobs 4") true (m1 = sorted_ino_map r4);
+      (* the per-group counter shards sum to the same totals after the
+         image is flattened and rebuilt, or copied *)
+      let fs2 = r2.Aging.Replay.fs in
+      let s2 = Ffs.Fs.stats fs2 in
+      check_stats (what "portable round trip")
+        s2 (Ffs.Fs.stats (Ffs.Fs.of_portable (Ffs.Fs.to_portable fs2)));
+      check_stats (what "copy") s2 (Ffs.Fs.stats (Ffs.Fs.copy fs2));
+      let d1 = Ffs.Fs.digest r1.Aging.Replay.fs in
+      check_string (what "digest jobs 1 = jobs 2") d1 (Ffs.Fs.digest r2.Aging.Replay.fs);
+      check_string (what "digest jobs 1 = jobs 4") d1 (Ffs.Fs.digest r4.Aging.Replay.fs);
+      exact_scores (what "scores jobs 1 = jobs 2")
+        r1.Aging.Replay.daily_scores r2.Aging.Replay.daily_scores;
+      exact_scores (what "scores jobs 1 = jobs 4")
+        r1.Aging.Replay.daily_scores r4.Aging.Replay.daily_scores;
+      check_int (what "blocks_allocated equal (stats)")
+        (Ffs.Fs.stats r1.Aging.Replay.fs).Ffs.Fs.blocks_allocated
+        (Ffs.Fs.stats r4.Aging.Replay.fs).Ffs.Fs.blocks_allocated;
+      check_int (what "ffs_alloc_blocks_total jobs 1 = jobs 2") b1 b2;
+      check_int (what "ffs_alloc_blocks_total jobs 1 = jobs 4") b1 b4;
+      check_int (what "skips jobs 1 = jobs 2")
+        r1.Aging.Replay.skipped_ops r2.Aging.Replay.skipped_ops;
+      check_int (what "skips jobs 1 = jobs 4")
+        r1.Aging.Replay.skipped_ops r4.Aging.Replay.skipped_ops;
+      Ffs.Fs.check_invariants r4.Aging.Replay.fs;
+      assert_fsck_clean r4.Aging.Replay.fs)
+    jobs_identity_inputs
 
 (* The serial and parallel engines order a day's operations differently
    (deferred ops run at day end), so under space pressure their skip
