@@ -4,30 +4,17 @@
 
 open Cmdliner
 
-(* "ID:N,ID:N" — volume ID fails its first N attempts. The test hook
-   behind `make fleet-smoke`'s forced quarantine. *)
-let parse_chaos spec =
-  if spec = "" then None
-  else begin
-    let rules =
-      List.filter_map
-        (fun part ->
-          match String.split_on_char ':' (String.trim part) with
-          | [ id; n ] -> (
-              match (int_of_string_opt id, int_of_string_opt n) with
-              | Some id, Some n -> Some (id, n)
-              | _ -> Fmt.epr "ignoring malformed --chaos-fail rule %S@." part; None)
-          | _ -> Fmt.epr "ignoring malformed --chaos-fail rule %S@." part; None)
-        (String.split_on_char ',' spec)
-    in
-    if rules = [] then None
-    else
+(* volume ID fails its first N attempts, for each (ID, N) rule of
+   --chaos-fail. The test hook behind `make fleet-smoke`'s forced
+   quarantine. *)
+let chaos_of_rules = function
+  | [] -> None
+  | rules ->
       Some
         (fun id ~attempt ->
           match List.assoc_opt id rules with
           | Some n when attempt <= n -> failwith (Fmt.str "chaos: forced failure %d/%d" attempt n)
           | _ -> ())
-  end
 
 let parse_names ~what ~of_name spec =
   List.map
@@ -40,7 +27,7 @@ let parse_names ~what ~of_name spec =
 
 let run volumes days seed jobs geometries profiles fault_rate device_fault_rate
     scrub_every state_dir resume_flag max_retries quarantine_after watchdog
-    checkpoint_every backend chaos_spec quiet trace metrics_out
+    checkpoint_every backend chaos_rules quiet trace metrics_out
     out =
   Common.obs_setup ~trace ~metrics_out;
   let log msg = if not quiet then Fmt.epr "[fleet] %s@." msg in
@@ -54,9 +41,8 @@ let run volumes days seed jobs geometries profiles fault_rate device_fault_rate
       checkpoint_every;
       backend;
       scrub_every;
-      retry = { Par.Pool.no_retry with jitter = 0.25; jitter_seed = seed };
       log;
-      chaos = parse_chaos chaos_spec;
+      chaos = chaos_of_rules chaos_rules;
     }
   in
   let outcome =
@@ -182,10 +168,11 @@ let cmd =
              ~doc:"Durable per-volume checkpoint interval in simulated days.")
   in
   let chaos =
-    Arg.(value & opt string ""
+    Arg.(value & opt (list (pair ~sep:':' int int)) []
          & info [ "chaos-fail" ] ~docv:"ID:N,..."
              ~doc:"Testing: force volume $(i,ID) to fail its first $(i,N) attempts \
-                   (deterministically), to exercise retry and quarantine paths.")
+                   (deterministically), to exercise retry and quarantine paths. A \
+                   malformed rule is a usage error.")
   in
   let out =
     Common.out_term ~doc:"Write the fleet report (per-volume status + aggregate) as JSON." ()

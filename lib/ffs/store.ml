@@ -143,9 +143,6 @@ and checked = {
   mutable c_spare_next : int;
   c_spare_limit : int;
   mutable c_quarantined : int list;  (* logical chunks, newest first *)
-  c_retries : int;
-  c_backoff : float;  (* base delay, seconds *)
-  c_max_backoff : float;
   c_jitter_seed : int;
   c_passthrough : bool;  (* no fault plan: remap is the identity, delegate *)
 }
@@ -342,24 +339,19 @@ let faulty_fire_events t f =
 
 (* --- the resilient layer's retry machinery --------------------------------- *)
 
-(* the [Par.Pool.backoff_delay] shape, inlined because this library sits
-   below [par]: capped exponential base with seeded +/-50% jitter, so
-   retry timing is deterministic per (store, attempt) *)
-let retry_delay st ~attempt =
-  let base =
-    Float.min st.c_max_backoff (st.c_backoff *. (2.0 ** float_of_int (attempt - 1)))
-  in
-  let u =
-    Util.Prng.unit_float
-      (Util.Prng.create ~seed:(Util.Prng.derive ~seed:st.c_jitter_seed ~index:attempt))
-  in
-  base *. (0.5 +. u)
+(* transient-fault retry schedule, the same for every resilient store:
+   [retries] attempts in all, sleeping a capped exponential from
+   [backoff] with seeded +/-50% jitter, deterministic per
+   (store, attempt) *)
+let retries = 4
+let backoff = 1e-4
+let max_backoff = 2e-3
 
 let with_retry st ~op ~chunk f =
   let rec go attempt =
     try f ()
     with Io_fault { persistent = false; _ } ->
-      if attempt >= st.c_retries then
+      if attempt >= retries then
         Error.raise_
           (Error.Media_error
              {
@@ -368,7 +360,10 @@ let with_retry st ~op ~chunk f =
              })
       else begin
         Obs.Metrics.inc (metrics ()) "store_retries_total";
-        let d = retry_delay st ~attempt in
+        let d =
+          Util.Backoff.delay ~base:backoff ~cap:max_backoff ~jitter:0.5
+            ~seed:st.c_jitter_seed ~attempt
+        in
         Obs.Metrics.observe (metrics ()) "store_retry_seconds" d;
         if Obs.Trace.enabled () then
           Obs.Trace.event "store.retry" [ Obs.Trace.s "op" op; Obs.Trace.i "attempt" attempt ];
@@ -415,9 +410,6 @@ and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
          c_spare_next = chunks;
          c_spare_limit = chunks + spares;
          c_quarantined = [];
-         c_retries = 4;
-         c_backoff = 1e-4;
-         c_max_backoff = 2e-3;
          c_jitter_seed = Util.Prng.derive ~seed ~index:9;
          c_passthrough = plan = None;
        })

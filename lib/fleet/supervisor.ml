@@ -13,7 +13,6 @@ type config = {
   checkpoint_keep : int;
   backend : Ffs.Store.spec;
   scrub_every : int;
-  retry : Par.Pool.retry;
   log : string -> unit;
   chaos : (int -> attempt:int -> unit) option;
   stop_after : int option;
@@ -29,11 +28,17 @@ let default_config =
     checkpoint_keep = 2;
     backend = Ffs.Store.Heap_backend;
     scrub_every = 1;
-    retry = { Par.Pool.no_retry with jitter = 0.25 };
     log = ignore;
     chaos = None;
     stop_after = None;
   }
+
+(* the retry schedule between a volume's attempts; the jitter seed is
+   derived from the fleet seed and the volume id, so a resumed fleet
+   sleeps exactly as a straight one would *)
+let backoff = 0.05
+let max_backoff = 1.0
+let jitter = 0.25
 
 type outcome = { manifest : Manifest.t; interrupted : (int * int) option; retried : int }
 
@@ -141,7 +146,7 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
 (* The whole lifecycle of one volume inside a pool task: retry loop,
    backoff, quarantine decision, manifest transitions. Catches every
    failure itself — a volume can fail, but the fleet must drain. *)
-let run_volume cfg sh ~pool (entry0 : Manifest.entry) =
+let run_volume cfg sh ~pool ~fleet_seed (entry0 : Manifest.entry) =
   let spec = entry0.Manifest.spec in
   let id = spec.Spec.id in
   let label = Fmt.str "vol-%04d" id in
@@ -208,11 +213,14 @@ let run_volume cfg sh ~pool (entry0 : Manifest.entry) =
       finish_metrics ()
     end
     else begin
-      let delay = Par.Pool.backoff_delay cfg.retry ~label ~attempt in
+      let delay =
+        Util.Backoff.delay ~base:backoff ~cap:max_backoff ~jitter
+          ~seed:(Util.Prng.derive ~seed:fleet_seed ~index:id) ~attempt
+      in
       cfg.log
         (Fmt.str "%s attempt %d failed (%s); retrying in %.3fs" label attempt msg delay);
       Log.warn (fun m -> m "%s attempt %d failed: %s" label attempt msg);
-      if delay > 0.0 then Unix.sleepf delay;
+      Unix.sleepf delay;
       Atomic.incr sh.retries;
       Obs.Metrics.inc metrics "fleet_retries_total";
       go ~attempt:(attempt + 1) ~failures
@@ -244,9 +252,10 @@ let run_fleet cfg ~state_dir manifest =
     else
       Par.Pool.with_pool ~jobs:cfg.jobs (fun pool ->
           Par.Pool.with_sigint pool (fun () ->
-              let label (e : Manifest.entry) = Fmt.str "vol-%04d" e.Manifest.spec.Spec.id in
               match
-                Par.Pool.parallel_map ~label pool (fun e -> run_volume cfg sh ~pool e) todo
+                Par.Pool.parallel_map pool
+                  (fun e -> run_volume cfg sh ~pool ~fleet_seed:manifest.Manifest.fleet_seed e)
+                  todo
               with
               | _ ->
                   if Par.Pool.stop_requested pool then

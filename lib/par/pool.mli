@@ -2,10 +2,10 @@
 
     The paper's evaluation is embarrassingly parallel: independent
     (seed, allocator, profile, days) replays with no shared state. This
-    pool is the one place the repository spawns domains; every compute
-    fan-out (the three replays behind a figure context, the ablation
-    grid, the sequential-I/O sweep, the FFS-vs-LFS rows, multi-seed
-    aggregation) routes through it.
+    pool is the one place the repository spawns domains, all of them in
+    {!create}; every compute fan-out (the three replays behind a figure
+    context, the ablation grid, the sequential-I/O sweep, the
+    FFS-vs-LFS rows, multi-seed aggregation) routes through it.
 
     Design:
 
@@ -25,7 +25,10 @@
     - A task that raises does not wedge the pool: the exception is
       caught on the worker, the batch completes, and the first failure
       (lowest index) is re-raised in the caller with its original
-      backtrace. The pool remains usable afterwards. *)
+      backtrace. The pool remains usable afterwards.
+    - Each task runs exactly once. The pool has no retry or timeout
+      policy: a caller that retries (the fleet supervisor) loops inside
+      its own task, sleeping on {!Util.Backoff.delay}. *)
 
 type t
 
@@ -72,63 +75,7 @@ val with_sigint : t -> (unit -> 'a) -> 'a
     first [^C] (a second [^C] exits immediately with status 130); the
     previous handler is restored afterwards. *)
 
-val run : t -> (unit -> 'a) -> 'a
-(** Run one task through the pool and wait for its result. *)
-
-(** {2 Per-task retry, backoff and timeout}
-
-    A long sweep should survive a flaky or pathological task. A retry
-    policy makes each task attempt-bounded: failed attempts (an
-    exception, or exceeding [timeout]) are re-run after an exponential
-    backoff with bounded jitter, and only when every attempt has failed
-    does the final attempt's exception surface through the usual
-    lowest-index propagation. Attempt counts and backoff sleeps are
-    recorded per task in {!Timings} (and in the
-    [pool_task_retries_total] counter), so retry cost never hides
-    inside task run time. *)
-
-type retry = {
-  attempts : int;  (** total attempts per task; clamped to at least 1 *)
-  backoff : float;  (** seconds slept before the first re-attempt *)
-  max_backoff : float;  (** cap on the doubling backoff *)
-  jitter : float;
-      (** bounded jitter fraction in [0, 1]: each sleep is scaled by a
-          factor in [1 - jitter, 1 + jitter] so simultaneous failures
-          don't retry in lock-step. 0 disables jitter. *)
-  jitter_seed : int;
-      (** seed of the jitter draw — the factor is a pure function of
-          [(jitter_seed, label, attempt)], so schedules are
-          deterministic under test and reproducible across runs *)
-  timeout : float option;
-      (** per-attempt wall-clock budget in seconds. [None] (the
-          default) runs the task inline on the worker. [Some s] runs
-          each attempt on a fresh monitor domain polled by the worker;
-          OCaml domains cannot be cancelled, so an attempt that
-          overruns is {e abandoned} — it keeps running until it
-          finishes or the process exits — but the worker is released,
-          so a wedged task costs one stray domain, never a pool slot.
-          Use only for tasks that are safe to abandon (pure compute on
-          private state). *)
-}
-
-val no_retry : retry
-(** One attempt, no timeout, no jitter — the historical behaviour.
-    [backoff] is 0.05 s and [max_backoff] 1.0 s so
-    [{no_retry with attempts = 3}] is a sensible policy on its own. *)
-
-val backoff_delay : retry -> label:string -> attempt:int -> float
-(** The sleep inserted after failed attempt [attempt] (1-based) of the
-    task named [label]: [min max_backoff (backoff * 2^(attempt-1))]
-    scaled by the seeded bounded jitter. Deterministic; exposed so
-    other supervisors (the fleet driver) can share the exact
-    schedule. *)
-
-exception Timed_out of { label : string; seconds : float }
-(** An attempt exceeded its [timeout]. Retried like any other failure;
-    surfaces to the caller when it was the final attempt. *)
-
 val parallel_map :
-  ?retry:retry ->
   ?timings:Timings.t ->
   ?label:('a -> string) ->
   t ->
@@ -138,14 +85,11 @@ val parallel_map :
 (** [parallel_map pool f xs] applies [f] to every element, running up
     to [jobs pool] applications concurrently, and returns the results
     in input order. When [timings] is given, each task records its
-    wall-clock time under [label x] (default ["task i"]); a retried
-    task records one entry covering all its attempts. [retry]
-    (default {!no_retry}) bounds attempts and wall-clock per task. If
-    any application ultimately failed, the lowest-index exception is
-    re-raised after the whole batch has finished. *)
+    wall-clock time under [label x] (default ["task i"]). If any
+    application raised, the lowest-index exception is re-raised with
+    its backtrace after the whole batch has finished. *)
 
 val parallel_list_map :
-  ?retry:retry ->
   ?timings:Timings.t ->
   ?label:('a -> string) ->
   t ->

@@ -3,17 +3,15 @@ type entry = {
   started : float;
   waited : float;
   elapsed : float;
-  attempts : int;
-  slept : float;
 }
 
 type t = { mutex : Mutex.t; mutable entries : entry list (* newest first *) }
 
 let create () = { mutex = Mutex.create (); entries = [] }
 
-let record t ~label ~started ?(waited = 0.0) ?(attempts = 1) ?(slept = 0.0) ~elapsed () =
+let record t ~label ~started ~waited ~elapsed =
   Mutex.lock t.mutex;
-  t.entries <- { label; started; waited; elapsed; attempts; slept } :: t.entries;
+  t.entries <- { label; started; waited; elapsed } :: t.entries;
   Mutex.unlock t.mutex
 
 let entries t =
@@ -43,9 +41,6 @@ let report t =
   | es ->
       let tot = total t in
       let sp = span t in
-      (* retry columns only when some task actually retried, so the
-         common no-retry report stays compact *)
-      let retried = List.exists (fun e -> e.attempts > 1) es in
       let rows =
         List.map
           (fun e ->
@@ -54,17 +49,10 @@ let report t =
               Fmt.str "%.2f s" e.elapsed;
               Fmt.str "%.2f s" e.waited;
               Fmt.str "%.0f%%" (if tot > 0.0 then 100.0 *. e.elapsed /. tot else 0.0);
-            ]
-            @ (if retried then [ string_of_int e.attempts; Fmt.str "%.2f s" e.slept ] else []))
+            ])
           es
       in
-      let header =
-        [ "task"; "run"; "queued"; "share" ]
-        @ if retried then [ "tries"; "backoff" ] else []
-      in
-      Util.Chart.table ~header ~rows
+      Util.Chart.table ~header:[ "task"; "run"; "queued"; "share" ] ~rows
       ^ Fmt.str "%d tasks, %.2f s of work in %.2f s elapsed (%.1fx)\n" (List.length es)
           tot sp
           (if sp > 0.0 then tot /. sp else 1.0)
-
-let pp ppf t = Format.pp_print_string ppf (report t)

@@ -4,7 +4,8 @@
 # Leg 1 — quarantine: a small fleet with one volume forced (via
 #   --chaos-fail) to fail every attempt must finish with that volume
 #   quarantined and exit 3, and a --resume must still report it —
-#   degraded fleets report their casualties, they never drop them.
+#   degraded fleets report their casualties, they never drop them. A
+#   malformed --chaos-fail rule must be rejected, not ignored.
 #
 # Leg 2 — kill -9: a 64-volume fleet with fault injection is killed
 #   mid-flight with SIGKILL, resumed from its manifest, and the
@@ -25,6 +26,8 @@ field() { # field FILE KEY -> first numeric/string value of "KEY":VALUE
 }
 
 echo "== fleet smoke: quarantine leg =="
+! "$FLEET" --volumes 1 --days 1 --state-dir "$WORK/bad" --chaos-fail 2-99 -q >/dev/null 2>&1 \
+  || { echo "a malformed --chaos-fail rule must be a usage error"; exit 1; }
 set +e
 "$FLEET" --volumes 6 --days 2 --seed 1201 --jobs 2 --state-dir "$WORK/q" \
   --chaos-fail 2:99 --max-retries 1 --quarantine-after 2 \

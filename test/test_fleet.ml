@@ -35,14 +35,8 @@ let flip_byte path ~pos ~mask =
 let small_spec ?(volumes = 5) ?(fault_rate = 0.5) ?(seed = 1201) () =
   Fleet.Spec.generate ~volumes ~days:2 ~seed ~fault_rate ()
 
-(* a quiet config sized for the tests: serial enough to be fast, no
-   real backoff sleeps *)
-let test_config =
-  {
-    Fleet.Supervisor.default_config with
-    Fleet.Supervisor.jobs = 2;
-    retry = { Par.Pool.no_retry with backoff = 0.001; max_backoff = 0.002 };
-  }
+(* a quiet config sized for the tests: serial enough to be fast *)
+let test_config = { Fleet.Supervisor.default_config with Fleet.Supervisor.jobs = 2 }
 
 let run_ok ?(config = test_config) ~state_dir spec =
   match Fleet.Supervisor.start ~config ~state_dir spec with

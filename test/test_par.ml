@@ -20,10 +20,6 @@ let test_jobs_clamped () =
   Par.Pool.with_pool ~jobs:0 (fun p -> check_int "clamped to 1" 1 (Par.Pool.jobs p));
   Par.Pool.with_pool ~jobs:(-3) (fun p -> check_int "negative clamped" 1 (Par.Pool.jobs p))
 
-let test_run_single_task () =
-  Par.Pool.with_pool ~jobs:2 (fun p ->
-      check_int "run returns the value" 42 (Par.Pool.run p (fun () -> 6 * 7)))
-
 let test_empty_input () =
   Par.Pool.with_pool ~jobs:3 (fun p ->
       check_int "empty array" 0 (Array.length (Par.Pool.parallel_map p succ [||]));
@@ -98,143 +94,6 @@ let test_first_failure_wins () =
       with
       | _ -> Alcotest.fail "expected Task_failed"
       | exception Task_failed i -> check_int "lowest index reported" 3 i)
-
-(* --- unit: retry, backoff and timeout -------------------------------------- *)
-
-let test_retry_recovers_from_transient_failures () =
-  Par.Pool.with_pool ~jobs:2 (fun p ->
-      let attempts = Array.init 4 (fun _ -> Atomic.make 0) in
-      let retry = { Par.Pool.no_retry with attempts = 3; backoff = 0.001 } in
-      let r =
-        Par.Pool.parallel_map ~retry p
-          (fun i ->
-            (* every task fails its first two attempts, then succeeds *)
-            let n = Atomic.fetch_and_add attempts.(i) 1 in
-            if n < 2 then raise (Task_failed i) else i * 10)
-          (Array.init 4 Fun.id)
-      in
-      Alcotest.(check (array int)) "all tasks recovered" [| 0; 10; 20; 30 |] r;
-      Array.iteri
-        (fun i a -> check_int (Fmt.str "task %d took 3 attempts" i) 3 (Atomic.get a))
-        attempts)
-
-let test_retry_exhaustion_surfaces_original_exception () =
-  Par.Pool.with_pool ~jobs:3 (fun p ->
-      let completed = Atomic.make 0 in
-      let retry = { Par.Pool.no_retry with attempts = 2; backoff = 0.001 } in
-      (match
-         Par.Pool.parallel_map ~retry p
-           (fun i ->
-             if i = 5 then raise (Task_failed i)
-             else begin
-               Atomic.incr completed;
-               i
-             end)
-           (Array.init 8 Fun.id)
-       with
-      | _ -> Alcotest.fail "expected Task_failed"
-      | exception Task_failed 5 -> ());
-      check_int "every other task still completed" 7 (Atomic.get completed);
-      Alcotest.(check (list int))
-        "pool survives exhaustion" [ 2; 3; 4 ]
-        (Par.Pool.parallel_list_map p succ [ 1; 2; 3 ]))
-
-let test_timeout_frees_the_worker () =
-  Par.Pool.with_pool ~jobs:2 (fun p ->
-      let retry = { Par.Pool.no_retry with timeout = Some 0.2 } in
-      let started = Unix.gettimeofday () in
-      (match
-         Par.Pool.parallel_map ~retry ~label:(fun i -> Fmt.str "sleeper %d" i) p
-           (fun i ->
-             if i = 1 then Unix.sleepf 5.0;
-             i)
-           [| 0; 1; 2 |]
-       with
-      | _ -> Alcotest.fail "expected Timed_out"
-      | exception Par.Pool.Timed_out { label; seconds } ->
-          Alcotest.(check string) "timed-out task named" "sleeper 1" label;
-          Alcotest.(check (float 0.0)) "budget echoed" 0.2 seconds);
-      let elapsed = Unix.gettimeofday () -. started in
-      check_bool "batch returned promptly, not after the sleep" true (elapsed < 3.0);
-      (* the worker that hit the timeout is free; only the abandoned
-         attempt's monitor domain is still sleeping *)
-      Alcotest.(check (list int))
-        "pool not wedged" [ 2; 3; 4 ]
-        (Par.Pool.parallel_list_map p succ [ 1; 2; 3 ]))
-
-let test_timeout_within_budget_succeeds () =
-  Par.Pool.with_pool ~jobs:2 (fun p ->
-      let retry = { Par.Pool.no_retry with timeout = Some 5.0 } in
-      let r =
-        Par.Pool.parallel_map ~retry p
-          (fun i ->
-            Unix.sleepf 0.01;
-            i + 1)
-          (Array.init 4 Fun.id)
-      in
-      Alcotest.(check (array int)) "results intact" [| 1; 2; 3; 4 |] r)
-
-(* --- unit: backoff schedule ------------------------------------------------- *)
-
-let test_backoff_deterministic_and_bounded () =
-  let retry =
-    { Par.Pool.no_retry with backoff = 0.05; max_backoff = 0.4; jitter = 0.25; jitter_seed = 9 }
-  in
-  for attempt = 1 to 6 do
-    let d = Par.Pool.backoff_delay retry ~label:"vol-0001" ~attempt in
-    let d' = Par.Pool.backoff_delay retry ~label:"vol-0001" ~attempt in
-    Alcotest.(check (float 0.0)) (Fmt.str "attempt %d reproducible" attempt) d d';
-    let base = Float.min retry.Par.Pool.max_backoff (0.05 *. (2. ** float_of_int (attempt - 1))) in
-    check_bool
-      (Fmt.str "attempt %d within jitter band (%.4f vs base %.4f)" attempt d base)
-      true
-      (d >= base *. 0.75 -. 1e-9 && d <= base *. 1.25 +. 1e-9)
-  done
-
-let test_backoff_exponential_then_capped () =
-  let retry = { Par.Pool.no_retry with backoff = 0.05; max_backoff = 0.4; jitter = 0.0 } in
-  let d n = Par.Pool.backoff_delay retry ~label:"x" ~attempt:n in
-  Alcotest.(check (float 1e-9)) "attempt 1 = base" 0.05 (d 1);
-  Alcotest.(check (float 1e-9)) "attempt 2 doubles" 0.1 (d 2);
-  Alcotest.(check (float 1e-9)) "attempt 3 doubles again" 0.2 (d 3);
-  Alcotest.(check (float 1e-9)) "attempt 4 hits the cap" 0.4 (d 4);
-  Alcotest.(check (float 1e-9)) "attempt 9 stays capped" 0.4 (d 9)
-
-let test_backoff_jitter_varies_by_label () =
-  let retry = { Par.Pool.no_retry with backoff = 0.1; jitter = 0.5; jitter_seed = 3 } in
-  let delays =
-    List.map
-      (fun l -> Par.Pool.backoff_delay retry ~label:l ~attempt:1)
-      [ "a"; "b"; "c"; "d"; "e"; "f" ]
-  in
-  check_bool "labels don't all share one delay (no thundering herd)" true
-    (List.exists (fun d -> d <> List.hd delays) (List.tl delays))
-
-let test_timings_record_attempts_and_backoff () =
-  let timings = Par.Timings.create () in
-  Par.Pool.with_pool ~jobs:2 (fun p ->
-      let tries = Atomic.make 0 in
-      let retry = { Par.Pool.no_retry with attempts = 3; backoff = 0.002 } in
-      let r =
-        Par.Pool.parallel_map ~retry ~timings ~label:(fun _ -> "flaky") p
-          (fun i ->
-            if Atomic.fetch_and_add tries 1 < 2 then raise (Task_failed i) else i)
-          [| 7 |]
-      in
-      Alcotest.(check (array int)) "recovered" [| 7 |] r);
-  (match Par.Timings.entries timings with
-  | [ e ] ->
-      check_int "attempts recorded" 3 e.Par.Timings.attempts;
-      check_bool "backoff sleep recorded" true (e.Par.Timings.slept > 0.0)
-  | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es));
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let report = Par.Timings.report timings in
-  check_bool "report grows tries/backoff columns" true
-    (contains report "tries" && contains report "backoff")
 
 (* --- properties ------------------------------------------------------------ *)
 
@@ -395,7 +254,6 @@ let () =
         [
           tc "default jobs" test_default_jobs;
           tc "jobs clamped" test_jobs_clamped;
-          tc "run single task" test_run_single_task;
           tc "empty input" test_empty_input;
           tc "shutdown idempotent" test_shutdown_idempotent;
           tc "nested fan-out" test_nested_fanout;
@@ -405,21 +263,6 @@ let () =
         [
           tc "propagates, pool survives" test_exception_propagates_pool_survives;
           tc "first failure wins" test_first_failure_wins;
-        ] );
-      ( "retry",
-        [
-          tc "recovers from transient failures" test_retry_recovers_from_transient_failures;
-          tc "exhaustion surfaces the original exception"
-            test_retry_exhaustion_surfaces_original_exception;
-          tc "timeout frees the worker" test_timeout_frees_the_worker;
-          tc "within budget succeeds" test_timeout_within_budget_succeeds;
-        ] );
-      ( "backoff",
-        [
-          tc "deterministic and jitter-bounded" test_backoff_deterministic_and_bounded;
-          tc "exponential then capped" test_backoff_exponential_then_capped;
-          tc "jitter varies by label" test_backoff_jitter_varies_by_label;
-          tc "timings record attempts and backoff" test_timings_record_attempts_and_backoff;
         ] );
       ( "graceful stop",
         [

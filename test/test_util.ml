@@ -1,5 +1,5 @@
-(* Tests for the util library: PRNG, distributions, statistics, charts,
-   CSV, vectors, units. *)
+(* Tests for the util library: PRNG, retry backoff, distributions,
+   statistics, charts, CSV, vectors, units. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
@@ -338,6 +338,42 @@ let prop_vec_roundtrip =
     QCheck.(array small_int)
     (fun a -> Util.Vec.to_array (Util.Vec.of_array a) = a)
 
+(* --- Backoff ---------------------------------------------------------------- *)
+
+let test_backoff_deterministic_and_bounded () =
+  (* the fleet supervisor's schedule shape, then the resilient store's *)
+  List.iter
+    (fun (base, cap, jitter, seed) ->
+      for attempt = 1 to 6 do
+        let d = Util.Backoff.delay ~base ~cap ~jitter ~seed ~attempt in
+        let d' = Util.Backoff.delay ~base ~cap ~jitter ~seed ~attempt in
+        Alcotest.(check (float 0.0)) (Fmt.str "attempt %d reproducible" attempt) d d';
+        let capped = Float.min cap (base *. (2. ** float_of_int (attempt - 1))) in
+        check_bool
+          (Fmt.str "attempt %d within jitter band (%g vs base %g)" attempt d capped)
+          true
+          (d >= (capped *. (1.0 -. jitter)) -. 1e-12
+          && d <= (capped *. (1.0 +. jitter)) +. 1e-12)
+      done)
+    [ (0.05, 0.4, 0.25, 9); (1e-4, 2e-3, 0.5, 9) ]
+
+let test_backoff_exponential_then_capped () =
+  let d attempt = Util.Backoff.delay ~base:0.05 ~cap:0.4 ~jitter:0.0 ~seed:0 ~attempt in
+  check_float "attempt 1 = base" 0.05 (d 1);
+  check_float "attempt 2 doubles" 0.1 (d 2);
+  check_float "attempt 3 doubles again" 0.2 (d 3);
+  check_float "attempt 4 hits the cap" 0.4 (d 4);
+  check_float "attempt 9 stays capped" 0.4 (d 9)
+
+let test_backoff_jitter_varies_by_seed () =
+  let delays =
+    List.map
+      (fun seed -> Util.Backoff.delay ~base:0.1 ~cap:1.0 ~jitter:0.5 ~seed ~attempt:1)
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  check_bool "seeds don't all share one delay (no thundering herd)" true
+    (List.exists (fun d -> d <> List.hd delays) (List.tl delays))
+
 let prop_truncate_bounds =
   QCheck.Test.make ~name:"Dist.truncate clamps every sample" ~count:200
     QCheck.(triple small_int (float_bound_exclusive 100.0) (float_bound_exclusive 100.0))
@@ -366,6 +402,12 @@ let () =
           tc "shuffle permutation" test_prng_shuffle_permutation;
           tc "chance extremes" test_prng_chance_extremes;
           tc "pick_weighted" test_pick_weighted;
+        ] );
+      ( "backoff",
+        [
+          tc "deterministic and jitter-bounded" test_backoff_deterministic_and_bounded;
+          tc "exponential then capped" test_backoff_exponential_then_capped;
+          tc "jitter varies by seed" test_backoff_jitter_varies_by_seed;
         ] );
       ( "dist",
         [
