@@ -197,6 +197,40 @@ let test_crash_pipeline_pin () =
   check_bool "crash-aged image fsck-clean" true
     (Ffs.Check.is_clean (Ffs.Check.run c.Aging.Replay.result.Aging.Replay.fs))
 
+(* The paper-scale pipeline: test_workload's 30-day paper_fs workload
+   (default seed, NFS seed +17, reconstruct seed +23) replayed under
+   both allocators. An aged paper-size volume splits its free space
+   into many short runs, which the 4-day small-volume pins above never
+   do, so a cluster search that hops runs wrongly shows here. The
+   constants equal perfbench's io-aged pins. *)
+let paper_days = 30
+let paper_seed = 960117
+
+let paper_ops =
+  lazy
+    (let params = Ffs.Params.paper_fs in
+     let profile =
+       { (Workload.Ground_truth.scaled params ~days:paper_days) with
+         Workload.Ground_truth.seed = paper_seed }
+     in
+     let gt = Workload.Ground_truth.generate params profile in
+     let snapshots = Workload.Snapshot.capture_nightly gt.Workload.Ground_truth.ops ~days:paper_days in
+     let nfs =
+       Workload.Nfs_source.generate ~seed:(paper_seed + 17) ~trace_days:10
+         ~pairs_per_day:profile.Workload.Ground_truth.short_pairs_per_day
+     in
+     Workload.Reconstruct.run params ~seed:(paper_seed + 23) ~snapshots ~nfs)
+
+let test_paper_pin config_name config ~digest ~scores () =
+  let r =
+    Aging.Replay.run ~config ~params:Ffs.Params.paper_fs ~days:paper_days (Lazy.force paper_ops)
+  in
+  check_pin config_name ~digest ~scores r;
+  Alcotest.(check int)
+    (config_name ^ ": blocks allocated")
+    544_929
+    (Ffs.Fs.stats r.Aging.Replay.fs).Ffs.Fs.blocks_allocated
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cg_diff"
@@ -215,5 +249,14 @@ let () =
             (test_pipeline_pin "realloc" Ffs.Fs.realloc_config
                ~digest:"dd971328b92522273d2052a2a4c7bf8a" ~scores:"154c52c4");
           tc "crash/repair replay" test_crash_pipeline_pin;
+        ] );
+      ( "paper-scale pins",
+        [
+          tc "traditional allocator, 30 days"
+            (test_paper_pin "paper traditional" Ffs.Fs.default_config
+               ~digest:"7e78aa470076785caa5d17f70bc9965d" ~scores:"20acc5c1");
+          tc "realloc allocator, 30 days"
+            (test_paper_pin "paper realloc" Ffs.Fs.realloc_config
+               ~digest:"2b9f10862488164b3cf5e16c158c9ba8" ~scores:"798b1a23");
         ] );
     ]
