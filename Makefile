@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke repro bench-alloc bench-fleet bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke perf-pairs repro bench-alloc bench-fleet bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -42,6 +42,19 @@ perf-smoke:
 		echo "== perfbench $$w =="; \
 		python3 perfbench/run.py --workload $$w --seconds 1 || exit 1; \
 	done
+
+# paired perfbench runs of a base revision against the working tree,
+# alternating which side goes first; prints each side's quartiles per
+# end-to-end metric, the change's win count and whether the gain rule
+# (9 of 10 wins and a median gap wider than the base's quartile
+# spread) holds. Not in verify: 10 age-serial pairs take
+# about 20 minutes on a 2-CPU machine.
+BASE ?= HEAD
+W ?= age-serial
+PAIRS ?= 10
+SEED ?= 960117
+perf-pairs:
+	python3 scripts/perf_pairs.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 # the paper reproduction at full scale: regenerate every figure's CSV
 # into results/ (three 300-day replays, seqio sweeps, hot files), fail

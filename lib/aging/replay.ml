@@ -95,6 +95,21 @@ let op_kind = function
   | Workload.Op.Delete _ -> "delete"
   | Workload.Op.Modify _ -> "modify"
 
+(* One static label set per op kind: a counter call with metrics off
+   then costs the registry's flag load and allocates nothing. *)
+let create_labels = Some [ ("kind", "create") ]
+let delete_labels = Some [ ("kind", "delete") ]
+let modify_labels = Some [ ("kind", "modify") ]
+
+let count_op op =
+  Obs.Metrics.inc metrics
+    ?labels:
+      (match op with
+      | Workload.Op.Create _ -> create_labels
+      | Workload.Op.Delete _ -> delete_labels
+      | Workload.Op.Modify _ -> modify_labels)
+    "replay_ops_total"
+
 (* out of space is an expected outcome at high utilization (the op is
    skipped, as the paper's aging tool does); every other error means the
    replay itself is broken, so it escapes *)
@@ -109,7 +124,7 @@ let skip_if_full e op = function
 
 let apply e op =
   Ffs.Fs.set_time e.fs (Workload.Op.time_of op);
-  Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total";
+  count_op op;
   match op with
   | Workload.Op.Create { ino; size; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
@@ -191,6 +206,11 @@ let batch_lookup e b ino =
   | Some v -> v
   | None -> Hashtbl.find_opt e.ino_map ino
 
+(* a top-level function, not a per-op closure over [b] *)
+let defer b ino =
+  Hashtbl.replace b.deferred ino ();
+  Deferred
+
 (* One operation executed on a worker pinned to its cylinder group.
    Returns the outcome instead of acting on the engine's shared skip
    state: the coordinator merges outcomes in canonical operation order,
@@ -201,19 +221,12 @@ let batch_lookup e b ino =
    visible. *)
 let papply e b op =
   let time = Workload.Op.time_of op in
-  let count () =
-    Obs.Metrics.inc metrics ~labels:[ ("kind", op_kind op) ] "replay_ops_total"
-  in
-  let defer ino =
-    Hashtbl.replace b.deferred ino ();
-    Deferred
-  in
   match op with
   | _ when Hashtbl.mem b.deferred (Workload.Op.ino_of op) -> Deferred
   | Workload.Op.Create { ino; size; _ } -> (
       match batch_lookup e b ino with
       | Some _ ->
-          count ();
+          count_op op;
           Skipped
       | None -> (
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
@@ -222,34 +235,34 @@ let papply e b op =
           match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:("f" ^ string_of_int ino) ~size with
           | Ok inum ->
               Hashtbl.replace b.overlay ino (Some inum);
-              count ();
+              count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
+          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer b ino
           | Error err -> Ffs.Error.raise_ err))
   | Workload.Op.Delete { ino; _ } -> (
       match batch_lookup e b ino with
       | None ->
-          count ();
+          count_op op;
           Skipped
       | Some inum -> (
           match Ffs.Fs.delete_inum e.fs inum with
           | Ok () ->
               Hashtbl.replace b.overlay ino None;
-              count ();
+              count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _) -> defer ino
+          | Error (Ffs.Error.Cross_cg _) -> defer b ino
           | Error err -> Ffs.Error.raise_ err))
   | Workload.Op.Modify { ino; size; _ } -> (
       match batch_lookup e b ino with
       | None ->
-          count ();
+          count_op op;
           Skipped
       | Some inum -> (
           match Ffs.Fs.rewrite_file_at e.fs ~time ~inum ~size with
           | Ok () ->
-              count ();
+              count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer ino
+          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer b ino
           | Error err -> Ffs.Error.raise_ err))
 
 (* Replay with several domains aging the one volume.
@@ -645,6 +658,11 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
   let n = Array.length ops in
   let interrupted = ref None in
   let i = ref start_op in
+  (* outside the loop: a closure built per op would allocate per op *)
+  let take () =
+    checkpoint_of_engine e ~next_op:!i ~ops_crc:(ops_crc ()) ~rng ~pending:!pending
+      ~recoveries:!recoveries
+  in
   while !interrupted = None && !i < n do
     let idx = !i in
     step e ops.(idx);
@@ -654,10 +672,6 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
         recoveries := crash e ~after_op:idx ~rng ~intensity :: !recoveries
     | _ -> ());
     incr i;
-    let take () =
-      checkpoint_of_engine e ~next_op:!i ~ops_crc:(ops_crc ()) ~rng ~pending:!pending
-        ~recoveries:!recoveries
-    in
     if scrub_every > 0 && e.next_day >= !last_scrub_day + scrub_every then begin
       (* scrub before any checkpoint of the same day boundary, so the
          checkpoint captures the healed image *)

@@ -297,28 +297,15 @@ let idx_partial_fit t ~start_block ~count =
         | _ -> None)
   end
 
-(* first window of [len] free blocks at index >= [pos]: hop from free
-   run to free run (run end = next used block) instead of bit-walking *)
-let rec idx_first_fit_from t ~pos ~len =
-  let n = data_blocks t in
-  match Extent_index.succ_free t.ext ~start:pos with
-  | None -> None
-  | Some s ->
-      if s + len > n then None
-      else begin
-        let e = Extent_index.run_end t.ext s in
-        if e - s + 1 >= len then Some s else idx_first_fit_from t ~pos:(e + 1) ~len
-      end
-
 let idx_cluster_first_fit t ~start ~len =
   let n = data_blocks t in
   if n = 0 then None
   else begin
     let start = start mod n in
-    match idx_first_fit_from t ~pos:start ~len with
+    match Extent_index.first_fit t.ext ~start ~len with
     | Some _ as r -> r
     | None -> (
-        match idx_first_fit_from t ~pos:0 ~len with
+        match Extent_index.first_fit t.ext ~start:0 ~len with
         | Some b when b < start -> Some b
         | _ -> None)
   end
@@ -328,15 +315,7 @@ let idx_cluster_best_fit t ~len =
      winner is then the first run of exactly that length *)
   match Extent_index.shortest_run t.ext ~len with
   | None -> None
-  | Some target ->
-      let rec find pos =
-        match Extent_index.succ_free t.ext ~start:pos with
-        | None -> None
-        | Some s ->
-            let e = Extent_index.run_end t.ext s in
-            if e - s + 1 = target then Some s else find (e + 1)
-      in
-      find 0
+  | Some target -> Extent_index.first_run_of t.ext ~len:target
 
 let indexed_searches =
   {
@@ -410,6 +389,10 @@ let alloc_frags_with s t ~pref ~count =
             Some pos)
   end
 
+(* static label sets: with metrics off a cluster costs no allocation *)
+let first_fit_labels = Some [ ("policy", "first_fit") ]
+let best_fit_labels = Some [ ("policy", "best_fit") ]
+
 let alloc_cluster_with s t ~policy ~pref ~len =
   assert (len >= 1);
   (* the run summary rejects hopeless requests without a scan — the
@@ -438,8 +421,7 @@ let alloc_cluster_with s t ~policy ~pref ~len =
     | Some b ->
         claim_frags t ~pos:(b * fpb t) ~count:(len * fpb t);
         Obs.Metrics.inc metrics
-          ~labels:
-            [ ("policy", match policy with `First_fit -> "first_fit" | `Best_fit -> "best_fit") ]
+          ?labels:(match policy with `First_fit -> first_fit_labels | `Best_fit -> best_fit_labels)
           "ffs_alloc_clusters_total";
         Some b
   end

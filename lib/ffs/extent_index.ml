@@ -48,16 +48,51 @@ module Hier = struct
     assert (i >= 0 && i < t.n);
     clear_at t.levels 0 i
 
-  (* index of the lowest set bit (x <> 0, bits 0..62) *)
+  (* The bits of word [w] that fall in [pos .. last]. *)
+  let span_mask ~w ~pos ~last =
+    let base = w * word in
+    let lo = Int.max pos base - base and hi = Int.min last (base + word - 1) - base in
+    ((-1) lsr (word - (hi - lo + 1))) lsl lo
+
+  (* Range forms: one mask per level-0 word, climbing only from a word
+     that turns nonempty (set) or empty (clear). Every bit in the range
+     must be clear (set) beforehand, checked per word. *)
+  let set_range t ~pos ~len =
+    assert (pos >= 0 && len >= 1 && pos + len <= t.n);
+    let lv = t.levels.(0) and last = pos + len - 1 in
+    for w = pos / word to last / word do
+      let mask = span_mask ~w ~pos ~last and old = lv.(w) in
+      assert (old land mask = 0);
+      lv.(w) <- old lor mask;
+      if old = 0 then set_at t.levels 1 w
+    done
+
+  let clear_range t ~pos ~len =
+    assert (pos >= 0 && len >= 1 && pos + len <= t.n);
+    let lv = t.levels.(0) and last = pos + len - 1 in
+    for w = pos / word to last / word do
+      let mask = span_mask ~w ~pos ~last and old = lv.(w) in
+      assert (old land mask = mask);
+      let now = old lxor mask in
+      lv.(w) <- now;
+      if now = 0 then clear_at t.levels 1 w
+    done
+
+  (* Index of the lowest set bit of [x] (x <> 0, bits 0..62), branch
+     and allocation free: multiplying the isolated bit by a de Bruijn
+     constant puts a distinct 6-bit window in the top bits of the
+     63-bit product, and a 64-entry table maps the window back. *)
+  let debruijn = 0x03f79d71b4cb0a89
+
+  let debruijn_index =
+    let tbl = Bytes.make 64 '\000' in
+    for k = 0 to word - 1 do
+      Bytes.set tbl (((1 lsl k) * debruijn) lsr (word - 6)) (Char.chr k)
+    done;
+    Bytes.to_string tbl
+
   let lowest_set x =
-    let x = ref (x land (-x)) and i = ref 0 in
-    if !x land 0xFFFFFFFF = 0 then begin i := !i + 32; x := !x lsr 32 end;
-    if !x land 0xFFFF = 0 then begin i := !i + 16; x := !x lsr 16 end;
-    if !x land 0xFF = 0 then begin i := !i + 8; x := !x lsr 8 end;
-    if !x land 0xF = 0 then begin i := !i + 4; x := !x lsr 4 end;
-    if !x land 0x3 = 0 then begin i := !i + 2; x := !x lsr 2 end;
-    if !x land 0x1 = 0 then incr i;
-    !i
+    Char.code (String.unsafe_get debruijn_index (((x land (-x)) * debruijn) lsr (word - 6)))
 
   (* First set bit at or after bit [i] of level [k], or -1: find the
      first nonempty word there, climbing when the rest of this word is
@@ -131,9 +166,7 @@ let reset t =
   Array.iter Hier.clear_all t.fit;
   Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
   Hier.clear_all t.free;
-  for b = 0 to t.nblocks - 1 do
-    Hier.set t.free b
-  done;
+  if t.nblocks > 0 then Hier.set_range t.free ~pos:0 ~len:t.nblocks;
   Array.fill t.lengths 0 (Array.length t.lengths) 0;
   Array.fill t.counts 0 (Array.length t.counts) 0;
   Hier.clear_all t.lens;
@@ -196,10 +229,8 @@ let take_range t ~first ~len =
   let s = e - t.lengths.(e) + 1 in
   assert (s <= first && last <= e);
   drop_run t (e - s + 1);
-  for b = first to last do
-    Hier.clear t.free b;
-    Hier.set t.used b
-  done;
+  Hier.clear_range t.free ~pos:first ~len;
+  Hier.set_range t.used ~pos:first ~len;
   Bytes.fill t.maxrun first len '\000';
   add_run t ~s ~e:(first - 1);
   add_run t ~s:(last + 1) ~e
@@ -215,11 +246,9 @@ let give_range t ~first ~len =
   let right = if last + 1 < t.nblocks && Hier.mem t.free (last + 1) then t.lengths.(last + 1) else 0 in
   if left > 0 then drop_run t left;
   if right > 0 then drop_run t right;
-  for b = first to last do
-    assert (Hier.mem t.used b);
-    Hier.set t.free b;
-    Hier.clear t.used b
-  done;
+  (* clear_range checks that every block was used *)
+  Hier.clear_range t.used ~pos:first ~len;
+  Hier.set_range t.free ~pos:first ~len;
   Bytes.fill t.maxrun first len (Char.chr t.fpb);
   add_run t ~s:(first - left) ~e:(last + right)
 
@@ -247,6 +276,35 @@ let succ_fit t ~count ~start =
   opt (Hier.succ t.fit.(count - 1) start)
 
 let shortest_run t ~len = opt (Hier.succ t.lens len)
+
+(* Past the run holding [pos], every hop lands on a run start, where
+   [lengths] is valid: one successor query on [free] per run. The first
+   run needs [run_end], since [pos] may be mid-run. *)
+let rec first_fit_hop t ~s ~len =
+  if s < 0 || s + len > t.nblocks then -1
+  else begin
+    let run = t.lengths.(s) in
+    if run >= len then s else first_fit_hop t ~s:(Hier.succ t.free (s + run)) ~len
+  end
+
+let first_fit t ~start ~len =
+  assert (len >= 1);
+  let s = Hier.succ t.free start in
+  if s < 0 || s + len > t.nblocks then None
+  else begin
+    let e = run_end t s in
+    if e - s + 1 >= len then Some s else opt (first_fit_hop t ~s:(Hier.succ t.free (e + 1)) ~len)
+  end
+
+let rec first_run_hop t ~s ~len =
+  if s < 0 then -1
+  else begin
+    let run = t.lengths.(s) in
+    if run = len then s else first_run_hop t ~s:(Hier.succ t.free (s + run)) ~len
+  end
+
+(* block 0 starts a run if free, so every hop reads [lengths] *)
+let first_run_of t ~len = opt (first_run_hop t ~s:(Hier.succ t.free 0) ~len)
 
 let longest_run t =
   let rec go l = if l = 0 || t.counts.(l) > 0 then l else go (l - 1) in

@@ -81,6 +81,15 @@ val shortest_run : t -> len:int -> int option
     any — the cluster summary's "can this request succeed" and
     best-fit's target length in one query. *)
 
+val first_fit : t -> start:int -> len:int -> int option
+(** First block [s >= start] that begins [len] free blocks, all inside
+    the group (no wrap). Hops from free run to free run: one successor
+    query per run, each run's length read from its endpoint. *)
+
+val first_run_of : t -> len:int -> int option
+(** Start of the lowest-addressed maximal free run of exactly [len]
+    blocks — best-fit's winner once {!shortest_run} names the length. *)
+
 (** {2 Run statistics} — [O(nblocks)], from the run summary. *)
 
 val longest_run : t -> int

@@ -516,6 +516,132 @@ let test_pref_hit_pair_allocation () =
     Ffs.Cg.check_invariants cg
   end
 
+(* --- the extent index's word-level primitives ------------------------------ *)
+
+(* An index whose blocks are only ever wholly free or wholly used,
+   audited against a plain array of block states. The hierarchy words
+   hold 63 bits, so bits 62/63 and 125/126 are the word seams. *)
+module Ei = Ffs.Extent_index
+
+let ei_fpb = 4
+
+type ei_model = { ei : Ei.t; free : bool array }
+
+let ei_create n = { ei = Ei.create ~nblocks:n ~fpb:ei_fpb; free = Array.make n true }
+
+let ei_audit m =
+  Ei.audit m.ei ~frag_free:(fun f -> m.free.(f / ei_fpb)) ~block_free:(fun b -> m.free.(b))
+
+let ei_take m ~first ~len =
+  Ei.take_range m.ei ~first ~len;
+  Array.fill m.free first len false
+
+let ei_give m ~first ~len =
+  Ei.give_range m.ei ~first ~len;
+  Array.fill m.free first len true
+
+let test_range_word_seams () =
+  let n = 400 in
+  let spans =
+    (* (first, last): one side or both of each seam, and 3+ word spans *)
+    [ (60, 62); (62, 63); (63, 64); (61, 65); (125, 125); (125, 126); (126, 130);
+      (100, 125); (62, 126); (0, 62); (0, 188); (5, 300); (63, 251); (1, 398); (0, 399) ]
+  in
+  List.iter
+    (fun (first, last) ->
+      let m = ei_create n in
+      let len = last - first + 1 in
+      let where op = Printf.sprintf "%s [%d,%d]" op first last in
+      ei_take m ~first ~len;
+      Alcotest.(check (list string)) (where "take") [] (ei_audit m);
+      check_int (where "longest after take") (Int.max first (n - 1 - last)) (Ei.longest_run m.ei);
+      (* a give inside the taken span, then the rest of it *)
+      let mid = first + (len / 2) in
+      ei_give m ~first:mid ~len:(last - mid + 1);
+      Alcotest.(check (list string)) (where "partial give") [] (ei_audit m);
+      if mid > first then ei_give m ~first ~len:(mid - first);
+      Alcotest.(check (list string)) (where "give") [] (ei_audit m);
+      check_int (where "merged back") n (Ei.longest_run m.ei))
+    spans
+
+(* The only free block sits at bit [p] of word [w], for every p in
+   0..62: a successor query from anywhere before it, or from it, finds
+   it, climbing through the summary level when it starts in an earlier
+   word. *)
+let test_succ_every_bit () =
+  let n = 4 * 63 in
+  let m = ei_create n in
+  ei_take m ~first:0 ~len:n;
+  for w = 0 to 3 do
+    for p = 0 to 62 do
+      let b = (w * 63) + p in
+      ei_give m ~first:b ~len:1;
+      check_opt (Printf.sprintf "from 0 to bit %d" b) (Some b) (Ei.succ_free m.ei ~start:0);
+      check_opt (Printf.sprintf "from %d" b) (Some b) (Ei.succ_free m.ei ~start:b);
+      check_opt (Printf.sprintf "word start to %d" b) (Some b)
+        (Ei.succ_free m.ei ~start:(w * 63));
+      check_opt (Printf.sprintf "past %d" b) None (Ei.succ_free m.ei ~start:(b + 1));
+      check_int (Printf.sprintf "run end at %d" b) b (Ei.run_end m.ei b);
+      ei_take m ~first:b ~len:1
+    done
+  done;
+  Alcotest.(check (list string)) "audit" [] (ei_audit m)
+
+(* Naive run walks over the block-state array, the oracle for the two
+   cluster searches. *)
+let naive_first_fit free ~start ~len =
+  let n = Array.length free in
+  let rec go s =
+    if s + len > n then None
+    else begin
+      let rec ok i = i >= len || (free.(s + i) && ok (i + 1)) in
+      if ok 0 then Some s else go (s + 1)
+    end
+  in
+  go start
+
+let naive_first_run_of free ~len =
+  let n = Array.length free in
+  let rec go b =
+    if b >= n then None
+    else if not free.(b) then go (b + 1)
+    else begin
+      let e = ref b in
+      while !e + 1 < n && free.(!e + 1) do
+        incr e
+      done;
+      if !e - b + 1 = len then Some b else go (!e + 1)
+    end
+  in
+  go 0
+
+let prop_cluster_searches_match_naive =
+  let open QCheck in
+  Test.make ~name:"first_fit/first_run_of = naive run walk on random block maps" ~count:200
+    (make
+       Gen.(
+         triple (int_range 1 300) (int_range 1 9)
+           (list_size (int_range 1 40) (pair (int_bound 299) (int_range 1 20)))))
+    (fun (n, density, claims) ->
+      let m = ei_create n in
+      (* random used spans, skipping any that overlap an earlier one *)
+      List.iteri
+        (fun i (first, len) ->
+          let first = first mod n in
+          let len = Int.min len (n - first) in
+          if i mod 10 < density && Array.for_all Fun.id (Array.sub m.free first len) then
+            ei_take m ~first ~len)
+        claims;
+      ei_audit m = []
+      && List.for_all
+           (fun len ->
+             Ei.first_run_of m.ei ~len = naive_first_run_of m.free ~len
+             && List.for_all
+                  (fun start ->
+                    Ei.first_fit m.ei ~start ~len = naive_first_fit m.free ~start ~len)
+                  [ 0; 1; n / 3; n / 2; n - 1 ])
+           [ 1; 2; 3; 5; 8; 16; 64 ])
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cg"
@@ -544,6 +670,12 @@ let () =
           tc "unavailable" test_cluster_unavailable;
           tc "free run histogram" test_free_run_histogram;
           tc "extent histogram" test_extent_histogram;
+        ] );
+      ( "extent index words",
+        [
+          tc "range updates across word seams" test_range_word_seams;
+          tc "successor at every bit" test_succ_every_bit;
+          QCheck_alcotest.to_alcotest prop_cluster_searches_match_naive;
         ] );
       ( "inodes/misc",
         [ tc "inodes" test_inodes; tc "copy" test_copy_independent ] );

@@ -221,6 +221,39 @@ let test_replay_smoke () =
   check_bool "layout-score counted blocks <= allocated" true
     (counted_live <= stats.Ffs.Fs.blocks_allocated)
 
+(* Minor words allocated by [f], net of the measurement's own. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* Disabled instrumentation costs the registry's flag load and nothing
+   else: in native code a replay of [2n] ops allocates no more than one
+   of [n] ops on the skip path (modifies of files that do not exist),
+   which counts every op in replay_ops_total and replay_skips_total. *)
+let test_disabled_metrics_allocation_free () =
+  if Sys.backend_type = Sys.Native then begin
+    M.set_enabled M.default false;
+    let params = Ffs.Params.small_test_fs in
+    let replay n =
+      let ops =
+        Array.init n (fun i -> Workload.Op.Modify { ino = i; size = 1; time = float_of_int i })
+      in
+      minor_words (fun () ->
+          ignore (Aging.Replay.run ~max_skip_fraction:1.0 ~params ~days:1 ops))
+    in
+    ignore (replay 10);
+    let n = 10_000 in
+    let per_op = (replay (2 * n) - replay n) / n in
+    if per_op > 0 then Alcotest.failf "disabled metrics: %d minor words per replayed op" per_op;
+    (* the bare counter call with a static label set *)
+    let labels = Some [ ("kind", "modify") ] in
+    let words = minor_words (fun () -> M.inc M.default ?labels "replay_ops_total") in
+    check_int "disabled labelled inc allocates nothing" 0 words
+  end
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -230,6 +263,7 @@ let () =
           tc "counter basics" test_counter_basics;
           tc "label merging" test_counter_label_merging;
           tc "disabled registry" test_disabled_registry_records_nothing;
+          tc "disabled metrics allocation-free" test_disabled_metrics_allocation_free;
           tc "histogram edges (0, max_int)" test_histogram_edges;
           tc "gauge keeps last" test_gauge_keeps_last;
           tc "diff" test_diff;
