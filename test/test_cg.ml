@@ -671,7 +671,7 @@ let () =
           tc "free run histogram" test_free_run_histogram;
           tc "extent histogram" test_extent_histogram;
         ] );
-      ( "extent index words",
+      ( "index words",
         [
           tc "range updates across word seams" test_range_word_seams;
           tc "successor at every bit" test_succ_every_bit;

@@ -250,7 +250,7 @@ let () =
                ~digest:"dd971328b92522273d2052a2a4c7bf8a" ~scores:"154c52c4");
           tc "crash/repair replay" test_crash_pipeline_pin;
         ] );
-      ( "paper-scale pins",
+      ( "paper pins",
         [
           tc "traditional allocator, 30 days"
             (test_paper_pin "paper traditional" Ffs.Fs.default_config
