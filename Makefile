@@ -47,14 +47,13 @@ perf-smoke:
 # alternating which side goes first; prints each side's quartiles per
 # end-to-end metric, the change's win count and whether the gain rule
 # (9 of 10 wins and a median gap wider than the base's quartile
-# spread) holds. Not in verify: 10 age-serial pairs take
-# about 20 minutes on a 2-CPU machine.
+# spread) holds. PAIRS and SEED are passed on only when set; the
+# script's own defaults apply otherwise. Not in verify: 10 age-serial
+# pairs take about 20 minutes on a 2-CPU machine.
 BASE ?= HEAD
 W ?= age-serial
-PAIRS ?= 10
-SEED ?= 960117
 perf-pairs:
-	python3 scripts/perf_pairs.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
+	python3 scripts/perf_pairs.py --base $(BASE) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 # the paper reproduction at full scale: regenerate every figure's CSV
 # into results/ (three 300-day replays, seqio sweeps, hot files), fail

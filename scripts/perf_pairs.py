@@ -3,13 +3,15 @@
 
 Usage, from the repository root:
 
-    python3 scripts/perf_pairs.py --base REV --workload W --pairs N \
-        [--seed N] [--seconds N] [--trace 0|1] [--workdir DIR]
+    python3 scripts/perf_pairs.py --base REV --workload W [--pairs N] \
+        [--seed N] [--trace 0|1] [--workdir DIR]
 
 Exports REV with `git archive` into a scratch directory (a fresh one
 under the system temp directory unless --workdir names one), then runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace R` N times on
-each tree, alternating which side goes first. Each run builds its own
+each tree, alternating which side goes first. T is BENCHMARK.json's
+`run_seconds`; if that file cannot be read, --seconds is left off and
+perfbench/run.py applies its own default. Each run builds its own
 tree's benchmark from source. The last line of each run's output is
 its JSON result.
 
@@ -53,32 +55,25 @@ def export_tree(rev, dest):
     return tree
 
 
-def directions():
-    """Metric name -> "higher" or "lower", from BENCHMARK.json."""
+def benchmark_spec():
+    """BENCHMARK.json's metric directions (name -> "higher" or "lower")
+    and its run length in seconds (None if the file cannot be read)."""
     better = {"setup_host_s": "lower"}
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)
     except (OSError, ValueError):
-        return better
+        return better, None
     for group in ("end_to_end", "per_layer"):
         better.update({m["name"]: m["better"] for m in spec.get(group, [])})
-    return better
+    return better, spec.get("run_seconds")
 
 
-def run_once(tree, args):
-    cmd = [
-        sys.executable,
-        "perfbench/run.py",
-        "--workload",
-        args.workload,
-        "--seed",
-        str(args.seed),
-        "--seconds",
-        str(args.seconds),
-        "--trace",
-        str(args.trace),
-    ]
+def run_once(tree, args, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed)]
+    if seconds is not None:
+        cmd += ["--seconds", f"{seconds:g}"]
+    cmd += ["--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     if proc.returncode != 0 or not lines:
@@ -124,11 +119,11 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=960117)
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, default=0, help="1: traced runs, per-layer metrics")
     ap.add_argument("--workdir", help="where to export the base tree (kept afterwards)")
     args = ap.parse_args()
 
+    better, seconds = benchmark_spec()
     scratch = args.workdir or tempfile.mkdtemp(prefix="perf-pairs-")
     try:
         base_tree = export_tree(args.base, scratch)
@@ -137,7 +132,7 @@ def main():
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                m = run_once(sides[side], args)
+                m = run_once(sides[side], args, seconds)
                 runs[side].append(m)
                 shown = ", ".join(f"{k} {show(v)}" for k, v in sorted(m.items()))
                 print(f"pair {i + 1} {side}: {shown}", flush=True)
@@ -148,7 +143,6 @@ def main():
         if not args.workdir:
             shutil.rmtree(scratch, ignore_errors=True)
 
-    better = directions()
     print()
     print("| workload | seed | pairs | metric | before | after | after wins | gain rule |")
     print("|---|---|---|---|---|---|---|---|")
