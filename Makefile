@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke perf-pairs repro bench-alloc bench-fleet bench-scrub figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke perf-pairs repro figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -11,11 +11,11 @@ test:
 	dune runtest
 
 # the full gate: everything compiles, every suite passes, the
-# crash-consistency smoke matrix comes back fsck-clean, the
+# full-scale default-seed pins hold, the paper's figures regenerate
+# byte for byte with every shape check passing, the crash-consistency
+# smoke matrix and crash exploration come back fsck-clean, the
 # observability pipeline emits a parseable trace + metrics snapshot,
-# the full-scale default-seed pins hold, the paper's figures regenerate
-# byte for byte with every shape check passing, and the committed
-# allocation benchmark is within 20% of its baseline
+# and the free-space, fleet, backend and scrub smokes pass
 verify:
 	dune build
 	dune runtest
@@ -28,9 +28,6 @@ verify:
 	$(MAKE) fleet-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) scrub-smoke
-	$(MAKE) bench-alloc
-	$(MAKE) bench-fleet
-	$(MAKE) bench-scrub
 
 # full-scale bit-identity gate: one round of each layered-benchmark
 # workload. Every run checks its default-seed pins (image digests, score
@@ -110,14 +107,6 @@ metrics-smoke:
 fmt:
 	dune build @fmt
 
-# the committed allocation benchmark: scan vs extent-index allocs/sec on
-# the standard aged image. Rewrites BENCH_alloc.json and fails if the
-# indexed figure regresses >20% against the committed baseline (set
-# FFS_BENCH_ALLOC_SKIP_BASELINE=1 to record a new baseline on a slower
-# machine without failing)
-bench-alloc:
-	dune exec bench/main.exe -- alloc
-
 # fleet supervision smoke: forced quarantine must degrade gracefully
 # (exit 3, volume reported, never dropped), and a 64-volume fleet with
 # fault injection killed with SIGKILL mid-flight must resume from its
@@ -125,14 +114,6 @@ bench-alloc:
 fleet-smoke:
 	@dune build bin/ffs_fleet.exe bin/ffs_inspect.exe
 	@sh test/fleet_smoke.sh
-
-# the committed fleet benchmark: volumes aged per hour at --jobs 1/2/4
-# on the standard small fleet. Rewrites BENCH_fleet.json, asserts the
-# aggregate digest is identical at every concurrency level, and fails
-# if the best throughput regresses >30% against the committed baseline
-# (FFS_BENCH_FLEET_SKIP_BASELINE=1 to re-baseline)
-bench-fleet:
-	dune exec bench/main.exe -- fleet
 
 # storage-backend smoke: the same small aging run on the in-heap store
 # and the mmap'd file store must produce bit-identical images
@@ -184,15 +165,6 @@ chaos-soak:
 		--state-dir /tmp/ffs_chaos_soak_fleet -q
 	@rm -rf /tmp/ffs_chaos_soak_fleet
 	@echo "chaos soak: OK"
-
-# the committed self-healing benchmark: the paper-geometry aging run
-# timed raw vs on the checksummed resilient layer (asserting the images
-# are bit-identical), plus the throughput of a full scrub pass.
-# Rewrites BENCH_scrub.json and fails if the checksum overhead exceeds
-# 10% or the scrub throughput regresses >30% against the committed
-# baseline (FFS_BENCH_SCRUB_SKIP_BASELINE=1 to re-baseline)
-bench-scrub:
-	dune exec bench/main.exe -- scrub
 
 # ffs_inspect --freespace smoke: age a small image, dump the per-group
 # free-extent histogram, and make sure the table actually came out

@@ -180,44 +180,6 @@ let find_clear t ~start =
   in
   if start >= t.len then None else scan start
 
-let find_clear_wrap t ~start =
-  if t.len = 0 then None
-  else begin
-    let start = start mod t.len in
-    match find_clear t ~start with
-    | Some _ as r -> r
-    | None -> (
-        match find_clear t ~start:0 with Some i when i < start -> Some i | _ -> None)
-  end
-
-let find_clear_run t ~start ~len =
-  assert (len > 0);
-  (* walk forward; on a set bit, jump past it *)
-  let rec scan pos =
-    if pos + len > t.len then None
-    else begin
-      (* find the last set bit in the window, if any, scanning backwards
-         so we can skip the whole window on failure *)
-      let rec check i =
-        if i < pos then Some pos else if get t i then scan (i + 1) else check (i - 1)
-      in
-      check (pos + len - 1)
-    end
-  in
-  if start < 0 then None else scan start
-
-let find_clear_run_wrap t ~start ~len =
-  if t.len = 0 then None
-  else begin
-    let start = start mod t.len in
-    match find_clear_run t ~start ~len with
-    | Some _ as r -> r
-    | None -> (
-        match find_clear_run t ~start:0 ~len with
-        | Some i when i < start -> Some i
-        | _ -> None)
-  end
-
 (* Per-byte run tables, for the allocator's per-block probes (a block's
    fragment bits are one aligned byte): longest clear run in the byte,
    and first offset holding [count] consecutive clear bits (bit [i] of
@@ -279,23 +241,6 @@ let find_clear_fit t ~pos ~len ~count =
     in
     scan pos 0
   end
-
-let clear_run_length_at t i =
-  assert (i >= 0 && i < t.len);
-  let rec loop j = if j < t.len && not (get t j) then loop (j + 1) else j - i in
-  loop i
-
-let iter_clear_runs t f =
-  let rec loop i =
-    if i < t.len then
-      if get t i then loop (i + 1)
-      else begin
-        let len = clear_run_length_at t i in
-        f ~pos:i ~len;
-        loop (i + len)
-      end
-  in
-  loop 0
 
 (* --- raw bytes (for portable serialization) ------------------------------- *)
 

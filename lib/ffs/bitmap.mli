@@ -1,8 +1,8 @@
 (** Allocation bitmaps.
 
     A fixed-length vector of bits; a {e set} bit means the resource is
-    allocated. Includes the run-scanning primitives the allocators need
-    (first clear bit, first clear run of a given length). Scans are
+    allocated. Includes the scanning primitives the allocators need
+    (first clear bit, per-block fragment probes). Scans are
     byte-at-a-time with full-byte shortcuts, which is ample for
     cylinder-group-sized maps (a few thousand bits).
 
@@ -45,19 +45,6 @@ val count_clear : t -> int
 val find_clear : t -> start:int -> int option
 (** First clear bit at index >= [start] (no wrap). *)
 
-val find_clear_wrap : t -> start:int -> int option
-(** First clear bit scanning from [start] to the end, then from 0 to
-    [start]. *)
-
-val find_clear_run : t -> start:int -> len:int -> int option
-(** First position >= [start] (no wrap) where [len] consecutive bits are
-    clear. *)
-
-val find_clear_run_wrap : t -> start:int -> len:int -> int option
-(** As {!find_clear_run} but wrapping: positions before [start] are
-    considered after those at/after it. A run never wraps around the end
-    of the bitmap itself. *)
-
 val max_clear_run : t -> pos:int -> len:int -> int
 (** Length of the longest clear run inside [\[pos, pos+len)] — a single
     table lookup when the range is one aligned byte (a block's fragment
@@ -67,13 +54,6 @@ val find_clear_fit : t -> pos:int -> len:int -> count:int -> int option
 (** First start in [\[pos, pos+len)] of [count] consecutive clear bits
     lying wholly inside the range — first-fit, same placement as a
     left-to-right scan; table-driven for one aligned byte. *)
-
-val clear_run_length_at : t -> int -> int
-(** Length of the clear run starting at the given index (0 if the bit is
-    set). *)
-
-val iter_clear_runs : t -> (pos:int -> len:int -> unit) -> unit
-(** Apply the function to every maximal clear run, in address order. *)
 
 val to_string : t -> string
 (** The raw backing bytes ([ceil (len/8)] of them; padding bits zero) —

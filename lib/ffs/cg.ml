@@ -167,9 +167,14 @@ let free_frags t ~pos ~count =
 
 (* --- free-space searches -------------------------------------------------- *)
 
+(* Each search below is an extent-index query and must return exactly
+   what a plain bitmap scan would: the seed's placement. test_cg_diff
+   checks every allocator against a bit-by-bit predictor. The wrap
+   logic is spelled out per search rather than shared through a
+   closure, which would allocate on every call (DESIGN §11.5). *)
+
 (* Find a [count]-fragment fit inside the (not entirely free) block [b],
-   scanning its fragments left to right. Shared by both strategies: only
-   {e which block} to look in differs between them. *)
+   scanning its fragments left to right. *)
 let fit_in_block t b ~count =
   if block_is_free t b then None
   else begin
@@ -177,88 +182,8 @@ let fit_in_block t b ~count =
     Bitmap.find_clear_fit t.frag_used ~pos:(b * fpb) ~len:fpb ~count
   end
 
-(* The allocators never touch the bitmaps directly: every placement
-   question goes through one of two search strategies. [scan_searches]
-   is the seed's word-by-word bitmap walk, kept verbatim as the
-   placement oracle behind {!Reference}; [indexed_searches] answers the
-   same queries from the extent index in O(log) and backs the public
-   allocators. The differential suite (test_cg_diff) pins the two
-   bit-identical over random operation scripts and crash/repair states,
-   so the index changes speed and nothing else. *)
-type searches = {
-  free_block_wrap : t -> start:int -> int option;
-      (* first entirely-free block scanning forward from [start], wrapping *)
-  free_in_cylinder : t -> pref:int -> int option;
-      (* rotationally nearest free block in [pref]'s fs cylinder *)
-  partial_fit : t -> start_block:int -> count:int -> int option;
-      (* first in-block [count]-fragment fit, scanning blocks from
-         [start_block] with wrap; never breaks a free block *)
-  cluster_first_fit : t -> start:int -> len:int -> int option;
-      (* first run of [len] free blocks scanning forward from [start],
-         wrapping *)
-  cluster_best_fit : t -> len:int -> int option;
-      (* start of the shortest adequate maximal free run, first
-         occurrence winning ties *)
-}
-
-(* --- the scan strategy (ffs_mapsearch and friends, as in the seed) -------- *)
-
-(* The traditional allocator's within-group search (ffs_alloccgblk):
-   take the preferred block if free; otherwise the rotationally nearest
-   free block in the same file-system cylinder (approximated by a cyclic
-   scan of the cylinder-sized neighbourhood starting just past the
-   preference — note this can land {e behind} the preference); otherwise
-   a forward bitmap scan from the preference (ffs_mapsearch). The search
-   never considers the length of the free run it lands in: that myopia
-   is the paper's central criticism. *)
-let scan_nearest_in_cylinder t ~pref =
-  let nblocks = data_blocks t in
-  let cyl_blocks = t.params.Params.fs_cylinder_blocks in
-  let cyl_start = pref / cyl_blocks * cyl_blocks in
-  let cyl_len = min cyl_blocks (nblocks - cyl_start) in
-  let rec scan off =
-    if off >= cyl_len then None
-    else begin
-      let b = cyl_start + ((pref - cyl_start + off) mod cyl_len) in
-      if block_is_free t b then Some b else scan (off + 1)
-    end
-  in
-  scan 1
-
-let scan_partial_fit t ~start_block ~count =
-  let nblocks = data_blocks t in
-  let rec loop i =
-    if i >= nblocks then None
-    else begin
-      let b = (start_block + i) mod nblocks in
-      match fit_in_block t b ~count with Some pos -> Some pos | None -> loop (i + 1)
-    end
-  in
-  loop 0
-
-let scan_cluster_best_fit t ~len =
-  (* shortest adequate maximal run; first occurrence wins ties *)
-  let best = ref None in
-  Bitmap.iter_clear_runs t.block_used (fun ~pos ~len:run_len ->
-      if run_len >= len then
-        match !best with
-        | Some (_, best_len) when best_len <= run_len -> ()
-        | Some _ | None -> best := Some (pos, run_len));
-  Option.map fst !best
-
-let scan_searches =
-  {
-    free_block_wrap = (fun t ~start -> Bitmap.find_clear_wrap t.block_used ~start);
-    free_in_cylinder = (fun t ~pref -> scan_nearest_in_cylinder t ~pref);
-    partial_fit = scan_partial_fit;
-    cluster_first_fit =
-      (fun t ~start ~len -> Bitmap.find_clear_run_wrap t.block_used ~start ~len);
-    cluster_best_fit = scan_cluster_best_fit;
-  }
-
-(* --- the indexed strategy ------------------------------------------------- *)
-
-let idx_free_block_wrap t ~start =
+(* first entirely-free block scanning forward from [start], wrapping *)
+let free_block_wrap t ~start =
   let n = data_blocks t in
   if n = 0 then None
   else begin
@@ -271,12 +196,17 @@ let idx_free_block_wrap t ~start =
         | _ -> None)
   end
 
-let idx_free_in_cylinder t ~pref =
+(* The rotationally nearest free block in [pref]'s file-system cylinder
+   (ffs_alloccgblk), approximated by a cyclic scan of the cylinder-sized
+   neighbourhood starting just past the preference: pref+1 .. cyl_end,
+   then cyl_start .. pref-1. Note this can land {e behind} the
+   preference. The search never considers the length of the free run
+   it lands in: that myopia is the paper's central criticism. *)
+let free_in_cylinder t ~pref =
   let nblocks = data_blocks t in
   let cyl_blocks = t.params.Params.fs_cylinder_blocks in
   let cyl_start = pref / cyl_blocks * cyl_blocks in
   let cyl_end = Int.min (cyl_start + cyl_blocks) nblocks - 1 in
-  (* the cyclic scan visits pref+1 .. cyl_end, then cyl_start .. pref-1 *)
   match Extent_index.succ_free t.ext ~start:(pref + 1) with
   | Some b when b <= cyl_end -> Some b
   | Some _ | None -> (
@@ -284,7 +214,9 @@ let idx_free_in_cylinder t ~pref =
       | Some b when b < pref -> Some b
       | Some _ | None -> None)
 
-let idx_partial_fit t ~start_block ~count =
+(* first in-block [count]-fragment fit, scanning blocks from
+   [start_block] with wrap; never breaks a free block *)
+let partial_fit t ~start_block ~count =
   let n = data_blocks t in
   if n = 0 then None
   else begin
@@ -297,7 +229,9 @@ let idx_partial_fit t ~start_block ~count =
         | _ -> None)
   end
 
-let idx_cluster_first_fit t ~start ~len =
+(* first run of [len] free blocks scanning forward from [start],
+   wrapping; a run never wraps around the end of the group *)
+let cluster_first_fit t ~start ~len =
   let n = data_blocks t in
   if n = 0 then None
   else begin
@@ -310,25 +244,17 @@ let idx_cluster_first_fit t ~start ~len =
         | _ -> None)
   end
 
-let idx_cluster_best_fit t ~len =
-  (* the run summary knows the shortest adequate run length; the
-     winner is then the first run of exactly that length *)
+(* start of the shortest adequate maximal free run, first occurrence
+   winning ties: the run summary knows the shortest adequate length,
+   and the winner is the first run of exactly that length *)
+let cluster_best_fit t ~len =
   match Extent_index.shortest_run t.ext ~len with
   | None -> None
   | Some target -> Extent_index.first_run_of t.ext ~len:target
 
-let indexed_searches =
-  {
-    free_block_wrap = idx_free_block_wrap;
-    free_in_cylinder = idx_free_in_cylinder;
-    partial_fit = idx_partial_fit;
-    cluster_first_fit = idx_cluster_first_fit;
-    cluster_best_fit = idx_cluster_best_fit;
-  }
-
 (* --- allocation ----------------------------------------------------------- *)
 
-let alloc_block_with s t ~pref =
+let alloc_block t ~pref =
   if t.nbfree = 0 then None
   else begin
     let chosen =
@@ -339,10 +265,10 @@ let alloc_block_with s t ~pref =
       | Some b -> (
           Obs.Metrics.inc metrics "ffs_alloc_pref_miss_total";
           let b = b mod data_blocks t in
-          match s.free_in_cylinder t ~pref:b with
+          match free_in_cylinder t ~pref:b with
           | Some _ as r -> r
-          | None -> s.free_block_wrap t ~start:b)
-      | None -> s.free_block_wrap t ~start:t.rotor
+          | None -> free_block_wrap t ~start:b)
+      | None -> free_block_wrap t ~start:t.rotor
     in
     match chosen with
     | None -> None
@@ -367,20 +293,20 @@ let claim_pref_run t ~pref ~max =
     len
   end
 
-let alloc_frags_with s t ~pref ~count =
+let alloc_frags t ~pref ~count =
   assert (count >= 1 && count < fpb t);
   if t.nffree < count then None
   else begin
     let start_block =
       match pref with Some f -> f / fpb t mod data_blocks t | None -> t.rotor
     in
-    match s.partial_fit t ~start_block ~count with
+    match partial_fit t ~start_block ~count with
     | Some pos ->
         claim_frags t ~pos ~count;
         Some pos
     | None -> (
         (* no fit among partial blocks: break a free block *)
-        match alloc_block_with s t ~pref:(Some start_block) with
+        match alloc_block t ~pref:(Some start_block) with
         | None -> None
         | Some b ->
             let pos = b * fpb t in
@@ -393,7 +319,7 @@ let alloc_frags_with s t ~pref ~count =
 let first_fit_labels = Some [ ("policy", "first_fit") ]
 let best_fit_labels = Some [ ("policy", "best_fit") ]
 
-let alloc_cluster_with s t ~policy ~pref ~len =
+let alloc_cluster t ~policy ~pref ~len =
   assert (len >= 1);
   (* the run summary rejects hopeless requests without a scan — the
      point of cg_clustersum in the real file system *)
@@ -413,8 +339,8 @@ let alloc_cluster_with s t ~policy ~pref ~len =
       | Some _ as r -> r
       | None -> (
           match policy with
-          | `First_fit -> s.cluster_first_fit t ~start ~len
-          | `Best_fit -> s.cluster_best_fit t ~len)
+          | `First_fit -> cluster_first_fit t ~start ~len
+          | `Best_fit -> cluster_best_fit t ~len)
     in
     match found with
     | None -> None
@@ -425,22 +351,6 @@ let alloc_cluster_with s t ~policy ~pref ~len =
           "ffs_alloc_clusters_total";
         Some b
   end
-
-let alloc_block t ~pref = alloc_block_with indexed_searches t ~pref
-let alloc_frags t ~pref ~count = alloc_frags_with indexed_searches t ~pref ~count
-
-let alloc_cluster t ~policy ~pref ~len =
-  alloc_cluster_with indexed_searches t ~policy ~pref ~len
-
-(* The seed's scan implementation, callable directly: the oracle the
-   differential suite and the alloc benchmark compare against. *)
-module Reference = struct
-  let alloc_block t ~pref = alloc_block_with scan_searches t ~pref
-  let alloc_frags t ~pref ~count = alloc_frags_with scan_searches t ~pref ~count
-
-  let alloc_cluster t ~policy ~pref ~len =
-    alloc_cluster_with scan_searches t ~policy ~pref ~len
-end
 
 let longest_free_run t = Extent_index.longest_run t.ext
 

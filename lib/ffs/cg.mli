@@ -10,9 +10,9 @@
     partial-block fragment fit, cluster run — is answered by the group's
     {!Extent_index} in O(log). It is the group's only derived structure:
     its run summary doubles as the cluster summary ([cg_clustersum]).
-    The seed's word-by-word bitmap scans are kept verbatim behind
-    {!module-Reference} as the placement oracle, and the differential
-    suite pins the two bit-identical.
+    The index changes speed, never placement: test_cg_diff predicts
+    every placement with a naive bit-by-bit scan over this interface's
+    accessors and requires the allocators to match it.
 
     Invariants (checked by [check_invariants]):
     - a block-slot bit is set iff any of its fragments is set;
@@ -54,12 +54,14 @@ val block_is_free : t -> int -> bool
 val frag_is_free : t -> int -> bool
 
 val alloc_block : t -> pref:int option -> int option
-(** Allocate one full block. If [pref] (a block index) is free it is
-    taken; otherwise the first free block scanning forward from [pref]
-    (wrapping within the group) — the original FFS behaviour of taking
-    the nearest free block with no regard for the surrounding free run.
-    With no preference the scan starts at the group's rotor. Returns the
-    block index, or [None] if the group has no free block. *)
+(** Allocate one full block. If [pref] (a block index, taken mod the
+    group size) is free it is taken; otherwise the rotationally nearest
+    free block in [pref]'s file-system cylinder, and failing that the
+    first free block scanning forward from [pref] (wrapping within the
+    group) — the original FFS behaviour of taking the nearest free block
+    with no regard for the surrounding free run. With no preference the
+    scan starts at the group's rotor. Returns the block index, or
+    [None] if the group has no free block. *)
 
 val claim_pref_run : t -> pref:int -> max:int -> int
 (** [claim_pref_run t ~pref ~max] takes the free block [pref] and the
@@ -92,21 +94,6 @@ val alloc_cluster :
     first such run scanning forward from [pref]; [`Best_fit]: shortest
     adequate run, ties to the first). Returns the starting block index of
     the allocated run. *)
-
-(** {2 The scan oracle}
-
-    The seed's linear bitmap-scan allocators, unchanged. Same mutation
-    and accounting as the indexed entry points above — only the search
-    differs — so running the same script through both must produce the
-    same placements, bitmaps, summaries and counters. *)
-
-module Reference : sig
-  val alloc_block : t -> pref:int option -> int option
-  val alloc_frags : t -> pref:int option -> count:int -> int option
-
-  val alloc_cluster :
-    t -> policy:[ `First_fit | `Best_fit ] -> pref:int option -> len:int -> int option
-end
 
 val longest_free_run : t -> int
 

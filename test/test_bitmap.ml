@@ -42,47 +42,8 @@ let test_find_clear () =
   check_opt "full bitmap" None (Ffs.Bitmap.find_clear b ~start:0);
   check_opt "start beyond end" None (Ffs.Bitmap.find_clear b ~start:99)
 
-let test_find_clear_wrap () =
-  let b = Ffs.Bitmap.create 10 in
-  Ffs.Bitmap.set_range b ~pos:5 ~len:5;
-  check_opt "wraps to the front" (Some 0) (Ffs.Bitmap.find_clear_wrap b ~start:7);
-  Ffs.Bitmap.set_range b ~pos:0 ~len:5;
-  check_opt "all set" None (Ffs.Bitmap.find_clear_wrap b ~start:7)
-
-let test_find_clear_run () =
-  let b = Ffs.Bitmap.create 24 in
-  Ffs.Bitmap.set b 3;
-  Ffs.Bitmap.set b 10;
-  check_opt "first run of 5" (Some 4) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:5);
-  check_opt "run of 3 at start" (Some 0) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:3);
-  check_opt "run of 13" (Some 11) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:13);
-  check_opt "too long" None (Ffs.Bitmap.find_clear_run b ~start:0 ~len:14);
-  check_opt "run must fit before end" None (Ffs.Bitmap.find_clear_run b ~start:20 ~len:5)
-
-let test_find_clear_run_wrap () =
-  let b = Ffs.Bitmap.create 20 in
-  Ffs.Bitmap.set b 15;
-  (* from 16: run of 4 exists at [16,19]; run of 5 must wrap to position 0 *)
-  check_opt "fits at tail" (Some 16) (Ffs.Bitmap.find_clear_run_wrap b ~start:16 ~len:4);
-  check_opt "wraps to head" (Some 0) (Ffs.Bitmap.find_clear_run_wrap b ~start:16 ~len:5)
-
-let test_run_length_and_iter () =
-  let b = Ffs.Bitmap.create 16 in
-  Ffs.Bitmap.set b 4;
-  Ffs.Bitmap.set b 5;
-  Ffs.Bitmap.set b 10;
-  check_int "run at 0" 4 (Ffs.Bitmap.clear_run_length_at b 0);
-  check_int "run at set bit" 0 (Ffs.Bitmap.clear_run_length_at b 4);
-  check_int "run to end" 5 (Ffs.Bitmap.clear_run_length_at b 11);
-  let runs = ref [] in
-  Ffs.Bitmap.iter_clear_runs b (fun ~pos ~len -> runs := (pos, len) :: !runs);
-  Alcotest.(check (list (pair int int)))
-    "maximal runs in order"
-    [ (0, 4); (6, 4); (11, 5) ]
-    (List.rev !runs)
-
-(* runs that start, end, or straddle bits 63..65 exercise the carry
-   between the scanner's 64-bit words; these offsets are where a
+(* clear bits and runs that start, end, or straddle bits 63..65 exercise
+   the carry between 64-bit words; these offsets are where a
    word-at-a-time implementation loses or duplicates bits *)
 let test_word_boundary_runs () =
   let full n =
@@ -97,61 +58,37 @@ let test_word_boundary_runs () =
       Ffs.Bitmap.clear b i;
       check_opt (Fmt.str "find_clear lands on %d" i) (Some i)
         (Ffs.Bitmap.find_clear b ~start:0);
-      check_opt (Fmt.str "run of 1 at %d" i) (Some i)
-        (Ffs.Bitmap.find_clear_run b ~start:0 ~len:1);
-      check_opt (Fmt.str "no run of 2 around %d" i) None
-        (Ffs.Bitmap.find_clear_run b ~start:0 ~len:2))
+      check_opt (Fmt.str "find_clear from %d" i) (Some i) (Ffs.Bitmap.find_clear b ~start:i);
+      check_opt (Fmt.str "nothing past %d" i) None (Ffs.Bitmap.find_clear b ~start:(i + 1));
+      check_int (Fmt.str "one clear bit at %d" i) 1 (Ffs.Bitmap.count_clear b))
     [ 63; 64; 65; 127; 128 ];
   (* a run straddling the first boundary: [61..67] clear in a full map *)
   let b = full 192 in
   Ffs.Bitmap.clear_range b ~pos:61 ~len:7;
-  check_opt "straddling run found" (Some 61) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:7);
-  check_opt "start inside the straddle" (Some 62)
-    (Ffs.Bitmap.find_clear_run b ~start:62 ~len:6);
-  check_opt "one longer fails" None (Ffs.Bitmap.find_clear_run b ~start:0 ~len:8);
-  check_int "run length across boundary" 7 (Ffs.Bitmap.clear_run_length_at b 61);
-  (* a run ending exactly on the last bit of a word *)
-  let b = full 192 in
-  Ffs.Bitmap.clear_range b ~pos:56 ~len:8;
-  check_opt "ends at 63" (Some 56) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:8);
-  check_opt "cannot cross into set bit 64" None (Ffs.Bitmap.find_clear_run b ~start:0 ~len:9);
-  (* a run starting exactly on the first bit of a word *)
-  let b = full 192 in
-  Ffs.Bitmap.clear_range b ~pos:64 ~len:3;
-  check_opt "starts at 64" (Some 64) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:3);
-  check_opt "found when scan starts at 64" (Some 64)
-    (Ffs.Bitmap.find_clear_run b ~start:64 ~len:3);
-  check_opt "missed when scan starts at 65" None (Ffs.Bitmap.find_clear_run b ~start:65 ~len:3);
+  check_bool "straddling run clear" true (Ffs.Bitmap.all_clear b ~pos:61 ~len:7);
+  check_bool "one longer is not" false (Ffs.Bitmap.all_clear b ~pos:61 ~len:8);
+  check_bool "one earlier is not" false (Ffs.Bitmap.all_clear b ~pos:60 ~len:7);
+  check_opt "found from inside the straddle" (Some 64) (Ffs.Bitmap.find_clear b ~start:64);
+  check_int "longest run across the boundary" 7
+    (Ffs.Bitmap.max_clear_run b ~pos:56 ~len:16);
   (* an exactly-word-sized run filling the middle word *)
   let b = full 192 in
   Ffs.Bitmap.clear_range b ~pos:64 ~len:64;
-  check_opt "full-word run" (Some 64) (Ffs.Bitmap.find_clear_run b ~start:0 ~len:64);
-  check_opt "full word + 1 fails" None (Ffs.Bitmap.find_clear_run b ~start:0 ~len:65);
-  check_int "full-word run length" 64 (Ffs.Bitmap.clear_run_length_at b 64)
-
-let test_word_boundary_wrap () =
-  (* wrap searches around a hole that straddles a word boundary *)
-  let b = Ffs.Bitmap.create 192 in
-  Ffs.Bitmap.set_range b ~pos:0 ~len:192;
-  Ffs.Bitmap.clear_range b ~pos:60 ~len:10;
-  (* starting inside the hole: the forward pass still has 65..69 ... *)
-  check_opt "tail of the hole first" (Some 65)
-    (Ffs.Bitmap.find_clear_run_wrap b ~start:65 ~len:5);
-  (* ... but one bit later it must wrap and find the hole from its head *)
-  check_opt "wraps back to the hole's head" (Some 60)
-    (Ffs.Bitmap.find_clear_run_wrap b ~start:66 ~len:5);
-  check_opt "nothing that long anywhere" None
-    (Ffs.Bitmap.find_clear_run_wrap b ~start:66 ~len:11);
-  (* empty maps of word-boundary sizes are one maximal run *)
+  check_bool "full-word run clear" true (Ffs.Bitmap.all_clear b ~pos:64 ~len:64);
+  check_bool "full word + 1 is not" false (Ffs.Bitmap.all_clear b ~pos:64 ~len:65);
+  check_bool "neighbours still set" true
+    (Ffs.Bitmap.all_set b ~pos:0 ~len:64 && Ffs.Bitmap.all_set b ~pos:128 ~len:64);
+  check_int "full-word run length" 64 (Ffs.Bitmap.max_clear_run b ~pos:0 ~len:192);
+  (* empty maps of word-boundary sizes: the padding past the last bit
+     never reads as a clear bit *)
   List.iter
     (fun n ->
       let e = Ffs.Bitmap.create n in
-      check_opt (Fmt.str "empty %d-bit map, full run" n) (Some 0)
-        (Ffs.Bitmap.find_clear_run e ~start:0 ~len:n);
-      check_opt (Fmt.str "empty %d-bit map, wrap from middle" n) (Some (n / 2))
-        (Ffs.Bitmap.find_clear_run_wrap e ~start:(n / 2) ~len:(n - (n / 2)));
-      check_opt (Fmt.str "empty %d-bit map, oversize run" n) None
-        (Ffs.Bitmap.find_clear_run e ~start:0 ~len:(n + 1)))
+      check_int (Fmt.str "empty %d-bit map is all clear" n) n (Ffs.Bitmap.count_clear e);
+      check_opt (Fmt.str "empty %d-bit map, last bit" n) (Some (n - 1))
+        (Ffs.Bitmap.find_clear e ~start:(n - 1));
+      check_opt (Fmt.str "empty %d-bit map, past the end" n) None
+        (Ffs.Bitmap.find_clear e ~start:n))
     [ 63; 64; 65; 128 ]
 
 (* the table-driven per-block probes must agree with naive scans on
@@ -253,29 +190,24 @@ let prop_model_based =
         let rec go i = if i >= 64 then None else if not model.(i) then Some i else go (i + 1) in
         go start
       in
-      let naive_run start len =
-        let rec go i =
-          if i + len > 64 then None
-          else begin
-            let all = ref true in
-            for j = i to i + len - 1 do
-              if model.(j) then all := false
-            done;
-            if !all then Some i else go (i + 1)
-          end
-        in
-        go start
+      let naive_all_clear pos len =
+        let all = ref true in
+        for j = pos to pos + len - 1 do
+          if model.(j) then all := false
+        done;
+        !all
       in
       !ok
       && Ffs.Bitmap.find_clear b ~start:0 = naive_find_clear 0
       && Ffs.Bitmap.find_clear b ~start:13 = naive_find_clear 13
-      && Ffs.Bitmap.find_clear_run b ~start:0 ~len:5 = naive_run 0 5
-      && Ffs.Bitmap.find_clear_run b ~start:9 ~len:3 = naive_run 9 3
+      && Ffs.Bitmap.all_clear b ~pos:0 ~len:5 = naive_all_clear 0 5
+      && Ffs.Bitmap.all_clear b ~pos:9 ~len:50 = naive_all_clear 9 50
       && Ffs.Bitmap.count_set b = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model)
 
-(* alloc/free round-trip: treating [find_clear_wrap]+[set] as an
-   allocator, no bit is ever handed out twice while held, and the
-   popcounts track an external allocation counter exactly *)
+(* alloc/free round-trip: treating [find_clear] from a hint, wrapping
+   round to bit 0, plus [set] as an allocator, no bit is ever handed
+   out twice while held, and the popcounts track an external allocation
+   counter exactly *)
 let prop_alloc_free_roundtrip =
   let open QCheck in
   Test.make ~name:"alloc/free round-trip never double-claims; popcount matches counter"
@@ -289,7 +221,12 @@ let prop_alloc_free_roundtrip =
       List.iter
         (fun (alloc, hint) ->
           if alloc then
-            match Ffs.Bitmap.find_clear_wrap b ~start:hint with
+            let found =
+              match Ffs.Bitmap.find_clear b ~start:hint with
+              | Some _ as r -> r
+              | None -> Ffs.Bitmap.find_clear b ~start:0
+            in
+            match found with
             | Some i ->
                 if Ffs.Bitmap.get b i then ok := false;
                 if List.mem i !held then ok := false;
@@ -320,12 +257,7 @@ let () =
           tc "ranges" test_ranges;
           tc "counts" test_counts;
           tc "find_clear" test_find_clear;
-          tc "find_clear_wrap" test_find_clear_wrap;
-          tc "find_clear_run" test_find_clear_run;
-          tc "find_clear_run_wrap" test_find_clear_run_wrap;
-          tc "runs and iter" test_run_length_and_iter;
           tc "word-boundary runs" test_word_boundary_runs;
-          tc "word-boundary wrap" test_word_boundary_wrap;
           tc "block probes vs naive scan" test_block_probes;
           tc "copy" test_copy_independent;
         ] );

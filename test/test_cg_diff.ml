@@ -1,83 +1,196 @@
-(* The differential suite behind the indexed allocator: every placement
-   the extent-index searches produce must be bit-identical to the seed's
-   linear bitmap scans (Cg.Reference). Random operation scripts run
-   through both implementations in lockstep and the suite asserts equal
-   block choices, equal marshalled group state (bitmaps, counters,
-   rotor, extent index with its run summary) and equal Obs counter
-   deltas. Whole-pipeline pins replay an aging workload — including one
-   with crashes and fsck repairs — and compare the aged image's digest
-   and score series with constants recorded from the scan oracle. *)
+(* The placement oracle behind the indexed allocator. [Predict] states
+   the seed's traditional FFS placement policy as a naive bit-by-bit
+   scan over Cg's public accessors (block and fragment bits, counters,
+   the rotor from the portable form); it shares no code with the extent
+   index. Random operation scripts run through the real allocators, and
+   before every operation the predictor names the placement the
+   allocator must return; the suite asserts it does, that the claimed
+   fragments, counters and rotor come out as predicted, and that the
+   group's invariants hold. The scripts start from a fresh group, from
+   a fault-injected and repaired image, and from an aged image.
+   Whole-pipeline pins replay an aging workload — including one with
+   crashes and fsck repairs — and compare the aged image's digest and
+   score series with recorded constants. *)
 
 let check_bool = Alcotest.(check bool)
 let params = Ffs.Params.small_test_fs
 let fpb = params.Ffs.Params.frags_per_block
-let fresh () = Ffs.Cg.create params ~index:0
 let marshalled x = Marshal.to_string x []
 
-(* the three allocation entry points of one implementation *)
-type impl = {
-  block : Ffs.Cg.t -> pref:int option -> int option;
-  frags : Ffs.Cg.t -> pref:int option -> count:int -> int option;
-  cluster :
-    Ffs.Cg.t ->
-    policy:[ `First_fit | `Best_fit ] ->
-    pref:int option ->
-    len:int ->
-    int option;
-}
+module Predict = struct
+  let rotor cg = (Ffs.Cg.to_portable cg).Ffs.Cg.p_rotor
 
-let indexed =
-  {
-    block = Ffs.Cg.alloc_block;
-    frags = Ffs.Cg.alloc_frags;
-    cluster = Ffs.Cg.alloc_cluster;
-  }
+  (* the first of [start], [start+1], ... visited cyclically over
+     [0 .. n-1] that satisfies [ok] *)
+  let cyclic n ~start ok =
+    let rec go i =
+      if i >= n then None
+      else begin
+        let b = (start + i) mod n in
+        if ok b then Some b else go (i + 1)
+      end
+    in
+    go 0
 
-let oracle =
-  {
-    block = Ffs.Cg.Reference.alloc_block;
-    frags = Ffs.Cg.Reference.alloc_frags;
-    cluster = Ffs.Cg.Reference.alloc_cluster;
-  }
+  (* alloc_block (ffs_alloccgblk): the preferred block if free; else the
+     rotationally nearest free block in its file-system cylinder, a
+     cyclic scan of the cylinder starting just past the preference;
+     else the first free block from the preference, wrapping. With no
+     preference, the first free block from the rotor. *)
+  let block cg ~pref =
+    let n = Ffs.Cg.data_blocks cg in
+    let free = Ffs.Cg.block_is_free cg in
+    if Ffs.Cg.free_block_count cg = 0 then None
+    else
+      match pref with
+      | None -> cyclic n ~start:(rotor cg) free
+      | Some p when free (p mod n) -> Some (p mod n)
+      | Some p -> (
+          let p = p mod n in
+          let cyl = params.Ffs.Params.fs_cylinder_blocks in
+          let cyl_start = p / cyl * cyl in
+          let cyl_len = Int.min cyl (n - cyl_start) in
+          match cyclic cyl_len ~start:(p - cyl_start + 1) (fun o -> free (cyl_start + o)) with
+          | Some o -> Some (cyl_start + o)
+          | None -> cyclic n ~start:p free)
+
+  (* first run of [count] free fragments lying wholly inside block [b] *)
+  let fit_in_block cg b ~count =
+    let rec go off run =
+      if off >= fpb then None
+      else if Ffs.Cg.frag_is_free cg ((b * fpb) + off) then
+        if run + 1 = count then Some ((b * fpb) + off + 1 - count) else go (off + 1) (run + 1)
+      else go (off + 1) 0
+    in
+    go 0 0
+
+  (* alloc_frags: the first partially used block holding a fit, scanning
+     blocks from the preferred fragment's block (or the rotor) with
+     wrap; else break a free block, preferring that start block *)
+  let frags cg ~pref ~count =
+    let n = Ffs.Cg.data_blocks cg in
+    if Ffs.Cg.free_frag_count cg < count then None
+    else begin
+      let start = match pref with Some f -> f / fpb mod n | None -> rotor cg in
+      let partial b = (not (Ffs.Cg.block_is_free cg b)) && fit_in_block cg b ~count <> None in
+      match cyclic n ~start partial with
+      | Some b -> fit_in_block cg b ~count
+      | None -> Option.map (fun b -> b * fpb) (block cg ~pref:(Some start))
+    end
+
+  (* maximal runs of free blocks, in address order *)
+  let free_runs cg =
+    let n = Ffs.Cg.data_blocks cg in
+    let rec go b acc =
+      if b >= n then List.rev acc
+      else if not (Ffs.Cg.block_is_free cg b) then go (b + 1) acc
+      else begin
+        let e = ref b in
+        while !e < n && Ffs.Cg.block_is_free cg !e do
+          incr e
+        done;
+        go !e ((b, !e - b) :: acc)
+      end
+    in
+    go 0 []
+
+  (* alloc_cluster: reject the request when no free run is long enough
+     (the cluster summary check); else the run starting exactly at the
+     preference if it fits; else first fit (the first [len] free blocks
+     at or after the preference, wrapping, never across the group's
+     end) or best fit (the shortest adequate run, the first one on a
+     tie) *)
+  let cluster cg ~policy ~pref ~len =
+    let n = Ffs.Cg.data_blocks cg in
+    let runs = free_runs cg in
+    let fits s =
+      s + len <= n && List.for_all (Ffs.Cg.block_is_free cg) (List.init len (( + ) s))
+    in
+    if Ffs.Cg.free_block_count cg < len || not (List.exists (fun (_, l) -> l >= len) runs)
+    then None
+    else
+      match pref with
+      | Some p when fits (p mod n) -> Some (p mod n)
+      | _ -> (
+          match policy with
+          | `First_fit ->
+              cyclic n ~start:(match pref with Some p -> p mod n | None -> 0) fits
+          | `Best_fit ->
+              List.fold_left
+                (fun best (s, l) ->
+                  match best with
+                  | Some (_, bl) when bl <= l -> best
+                  | _ when l >= len -> Some (s, l)
+                  | _ -> best)
+                None runs
+              |> Option.map fst)
+end
 
 (* op mix exercising every search: preferred and rotor-driven block
    allocations, fragment tails with and without preference, first- and
-   best-fit clusters, and frees that reopen space mid-script *)
+   best-fit clusters, and frees that reopen space mid-script.
+   Preferences range over the whole group, its last partial cylinder
+   and a little past its end (where they wrap). *)
+let nblocks = Ffs.Params.data_blocks_per_group params
+
 let cg_op_gen =
+  let pref = QCheck.Gen.int_bound (nblocks + 16) in
   QCheck.Gen.(
     frequency
       [
-        (4, map (fun p -> `Block (Some p)) (int_bound 400));
+        (4, map (fun p -> `Block (Some p)) pref);
         (2, return (`Block None));
         ( 3,
           map2
             (fun p c -> `Frags (Some p, 1 + (c mod (fpb - 1))))
-            (int_bound 3000) (int_bound 6) );
+            (int_bound ((nblocks + 16) * fpb))
+            (int_bound 6) );
         (1, map (fun c -> `Frags (None, 1 + (c mod (fpb - 1)))) (int_bound 6));
-        ( 2,
-          map2 (fun p l -> `Cluster (`First_fit, Some p, 1 + l)) (int_bound 400)
-            (int_bound 5) );
+        (2, map2 (fun p l -> `Cluster (`First_fit, Some p, 1 + l)) pref (int_bound 5));
         (1, map (fun l -> `Cluster (`First_fit, None, 1 + l)) (int_bound 5));
-        ( 2,
-          map2 (fun p l -> `Cluster (`Best_fit, Some p, 1 + l)) (int_bound 400)
-            (int_bound 5) );
+        (2, map2 (fun p l -> `Cluster (`Best_fit, Some p, 1 + l)) pref (int_bound 5));
         (3, return `Free_something);
       ])
 
-(* run a script through one implementation, returning every result (the
-   placement trace) so traces can be compared op by op *)
-let run_script_on cg impl script =
+(* Run a script on [cg]. Before each allocation the predictor names the
+   fragment span the allocator must claim; afterwards the allocator's
+   answer must be that span, the span must be in use, the free count
+   must have dropped by exactly its size, the rotor must have moved
+   only when a whole block was taken from a free one, and the group's
+   invariants must hold. *)
+let run_predicted cg script =
+  let n = Ffs.Cg.data_blocks cg in
   let held = ref [] in
-  let results = ref [] in
-  List.iter
-    (fun op ->
+  let block_span = Option.map (fun b -> (b * fpb, fpb)) in
+  let frags_span count = Option.map (fun pos -> (pos, count)) in
+  let cluster_span len = Option.map (fun b -> (b * fpb, len * fpb)) in
+  let pp = Fmt.(option ~none:(any "none") (pair ~sep:(any "+") int int)) in
+  List.iteri
+    (fun i op ->
+      let free_before = Ffs.Cg.free_frag_count cg in
+      let predicted =
+        match op with
+        | `Block pref -> block_span (Predict.block cg ~pref)
+        | `Frags (pref, count) -> frags_span count (Predict.frags cg ~pref ~count)
+        | `Cluster (policy, pref, len) ->
+            cluster_span len (Predict.cluster cg ~policy ~pref ~len)
+        | `Free_something -> None
+      in
+      (* a block allocation, or a fragment run that breaks a free block,
+         leaves the rotor just past that block; nothing else moves it *)
+      let want_rotor =
+        match (op, predicted) with
+        | `Block _, Some (pos, _) -> ((pos / fpb) + 1) mod n
+        | `Frags _, Some (pos, _) when Ffs.Cg.block_is_free cg (pos / fpb) ->
+            ((pos / fpb) + 1) mod n
+        | _ -> Predict.rotor cg
+      in
       let got =
         match op with
-        | `Block pref -> Option.map (fun b -> (b * fpb, fpb)) (impl.block cg ~pref)
-        | `Frags (pref, count) ->
-            Option.map (fun pos -> (pos, count)) (impl.frags cg ~pref ~count)
+        | `Block pref -> block_span (Ffs.Cg.alloc_block cg ~pref)
+        | `Frags (pref, count) -> frags_span count (Ffs.Cg.alloc_frags cg ~pref ~count)
         | `Cluster (policy, pref, len) ->
-            Option.map (fun b -> (b * fpb, len * fpb)) (impl.cluster cg ~policy ~pref ~len)
+            cluster_span len (Ffs.Cg.alloc_cluster cg ~policy ~pref ~len)
         | `Free_something ->
             (match !held with
             | (pos, count) :: rest ->
@@ -86,78 +199,87 @@ let run_script_on cg impl script =
             | [] -> ());
             None
       in
-      (match (op, got) with
-      | `Free_something, _ -> ()
-      | _, Some r -> held := r :: !held
-      | _, None -> ());
-      results := got :: !results)
-    script;
-  List.rev !results
+      if predicted <> got then
+        QCheck.Test.fail_reportf "op %d: predicted %a, allocator returned %a" i pp predicted
+          pp got;
+      (match got with
+      | None -> ()
+      | Some (pos, count) ->
+          held := (pos, count) :: !held;
+          for f = pos to pos + count - 1 do
+            if Ffs.Cg.frag_is_free cg f then
+              QCheck.Test.fail_reportf "op %d: fragment %d still free after the claim" i f
+          done;
+          if Ffs.Cg.free_frag_count cg <> free_before - count then
+            QCheck.Test.fail_reportf "op %d: %d free fragments, want %d" i
+              (Ffs.Cg.free_frag_count cg) (free_before - count));
+      if Predict.rotor cg <> want_rotor then
+        QCheck.Test.fail_reportf "op %d: rotor %d, want %d" i (Predict.rotor cg) want_rotor;
+      Ffs.Cg.check_invariants cg)
+    script
 
-let with_metrics f =
-  let m = Obs.Metrics.default in
-  Obs.Metrics.reset m;
-  Obs.Metrics.set_enabled m true;
-  Fun.protect ~finally:(fun () ->
-      Obs.Metrics.set_enabled m false;
-      Obs.Metrics.reset m)
-  @@ fun () ->
-  let before = Obs.Metrics.snapshot m in
-  let r = f () in
-  (r, Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot m))
+let script_gen = QCheck.Gen.(list_size (int_bound 140) cg_op_gen)
 
-let prop_lockstep =
-  let open QCheck in
-  Test.make ~name:"indexed vs scan oracle: identical placements, state, counters"
-    ~count:80
-    (make Gen.(list_size (int_bound 140) cg_op_gen))
-    (fun script ->
-      let cg_i = fresh () and cg_r = fresh () in
-      let res_i, d_i = with_metrics (fun () -> run_script_on cg_i indexed script) in
-      let res_r, d_r = with_metrics (fun () -> run_script_on cg_r oracle script) in
-      if res_i <> res_r then Test.fail_report "placement traces differ";
-      if marshalled cg_i <> marshalled cg_r then
-        Test.fail_report "final group state differs (marshalled bytes)";
-      if d_i <> d_r then Test.fail_report "Obs counter deltas differ";
-      Ffs.Cg.check_invariants cg_i;
-      Ffs.Cg.check_invariants cg_r;
+let prop_fresh =
+  QCheck.Test.make ~name:"indexed vs scan oracle: identical placements and state" ~count:80
+    (QCheck.make script_gen) (fun script ->
+      run_predicted (Ffs.Cg.create params ~index:0) script;
       true)
 
 (* fault injection tears the image, fsck repairs it (rebuilding the
    extent index from scratch); allocation after that repair must still
-   be bit-identical between the two implementations *)
-let prop_post_repair_lockstep =
+   land where the predictor says *)
+let prop_post_repair =
   let open QCheck in
-  Test.make ~name:"post-fault repair: rebuilt index still bit-identical" ~count:25
+  Test.make ~name:"post-fault repair: rebuilt index still matches the scan oracle"
+    ~count:25
     (make Gen.(pair (int_bound 1000) (list_size (int_bound 80) cg_op_gen)))
     (fun (seed, script) ->
-      let build () =
-        let fs = Ffs.Fs.create params in
-        let d = Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d" in
-        for i = 0 to 11 do
-          ignore
-            (Ffs.Fs.create_file_exn fs ~dir:d ~name:(Fmt.str "f%d" i)
-               ~size:((1 + (i mod 5)) * params.Ffs.Params.block_bytes))
-        done;
-        (* same seed on identically-built images: identical torn writes *)
-        let rng = Util.Prng.create ~seed in
-        let plan = Fault.Plan.gen ~rng ~intensity:5 in
-        ignore (Fault.Inject.apply fs ~rng plan);
-        ignore (Ffs.Check.repair_exn fs);
-        fs
-      in
-      let fs_i = build () and fs_r = build () in
-      (* Check.run only reads the image it audits, so this asymmetric
-         call is safe *)
-      let before = marshalled fs_i in
-      if not (Ffs.Check.is_clean (Ffs.Check.run fs_i)) then
+      let fs = Ffs.Fs.create params in
+      let d = Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d" in
+      for i = 0 to 11 do
+        ignore
+          (Ffs.Fs.create_file_exn fs ~dir:d ~name:(Fmt.str "f%d" i)
+             ~size:((1 + (i mod 5)) * params.Ffs.Params.block_bytes))
+      done;
+      let rng = Util.Prng.create ~seed in
+      let plan = Fault.Plan.gen ~rng ~intensity:5 in
+      ignore (Fault.Inject.apply fs ~rng plan);
+      ignore (Ffs.Check.repair_exn fs);
+      let before = marshalled fs in
+      if not (Ffs.Check.is_clean (Ffs.Check.run fs)) then
         Test.fail_report "image not clean after repair";
-      if marshalled fs_i <> before then Test.fail_report "Check.run changed the image";
-      let res_i = run_script_on (Ffs.Fs.cg_states fs_i).(0) indexed script in
-      let res_r = run_script_on (Ffs.Fs.cg_states fs_r).(0) oracle script in
-      if res_i <> res_r then Test.fail_report "post-repair placement traces differ";
-      if marshalled fs_i <> marshalled fs_r then
-        Test.fail_report "post-repair images differ (marshalled bytes)";
+      if marshalled fs <> before then Test.fail_report "Check.run changed the image";
+      run_predicted (Ffs.Fs.cg_states fs).(0) script;
+      true)
+
+(* The aged starting state: the standard 10-day, seed-960117 small
+   image, about 71% full, whose groups hold the short, scattered free
+   runs that fresh and lightly used groups never do. Each case runs
+   its script on a copy of one group. *)
+let aged_groups =
+  lazy
+    (let days = 10 in
+     let profile =
+       { (Workload.Ground_truth.scaled params ~days) with Workload.Ground_truth.seed = 960117 }
+     in
+     let ops = (Workload.Ground_truth.generate params profile).Workload.Ground_truth.ops in
+     Ffs.Fs.cg_states (Aging.Replay.run ~params ~days ops).Aging.Replay.fs)
+
+let test_aged_image_is_aged () =
+  let groups = Lazy.force aged_groups in
+  let total = Array.fold_left (fun a cg -> a + Ffs.Cg.data_frags cg) 0 groups in
+  let free = Array.fold_left (fun a cg -> a + Ffs.Cg.free_frag_count cg) 0 groups in
+  let used_pct = 100 * (total - free) / total in
+  check_bool (Fmt.str "aged image is %d%% full (want 60..80)" used_pct) true
+    (used_pct >= 60 && used_pct <= 80)
+
+let prop_aged =
+  let open QCheck in
+  Test.make ~name:"aged image: placements match the scan oracle" ~count:40
+    (make Gen.(pair (int_bound (params.Ffs.Params.ncg - 1)) script_gen))
+    (fun (g, script) ->
+      run_predicted (Ffs.Cg.copy (Lazy.force aged_groups).(g)) script;
       true)
 
 (* --- whole-pipeline pins --------------------------------------------------- *)
@@ -168,9 +290,10 @@ let aged_ops ~days ~seed =
   in
   (Workload.Ground_truth.generate params profile).Workload.Ground_truth.ops
 
-(* Digest and score-series constants were recorded with every allocator
-   routed through the scan oracle; the indexed allocators must reproduce
-   them exactly. Re-pin only when placements are meant to change. *)
+(* Digest and score-series constants were recorded when every allocator
+   still ran the seed's bitmap scans; the indexed allocators must
+   reproduce them exactly. Re-pin only when placements are meant to
+   change. *)
 let scores_crc scores =
   Printf.sprintf "%08lx"
     (Util.Crc32.string (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") scores))))
@@ -237,8 +360,10 @@ let () =
     [
       ( "lockstep",
         [
-          QCheck_alcotest.to_alcotest prop_lockstep;
-          QCheck_alcotest.to_alcotest prop_post_repair_lockstep;
+          QCheck_alcotest.to_alcotest prop_fresh;
+          QCheck_alcotest.to_alcotest prop_post_repair;
+          tc "aged image is 60-80% full" test_aged_image_is_aged;
+          QCheck_alcotest.to_alcotest prop_aged;
         ] );
       ( "pipeline pins",
         [

@@ -229,9 +229,13 @@ let test_jobs_do_not_change_results () =
   let digest jobs =
     with_temp_dir (fun dir ->
         let config = { test_config with Fleet.Supervisor.jobs } in
-        (agg (run_ok ~config ~state_dir:dir spec)).Fleet.Manifest.digest)
+        let a = agg (run_ok ~config ~state_dir:dir spec) in
+        check_int (Fmt.str "jobs %d: all volumes done" jobs) 6 a.Fleet.Manifest.completed;
+        a.Fleet.Manifest.digest)
   in
-  check_int32 "jobs 1 = jobs 4" (digest 1) (digest 4)
+  let d1 = digest 1 in
+  check_int32 "jobs 1 = jobs 2" d1 (digest 2);
+  check_int32 "jobs 1 = jobs 4" d1 (digest 4)
 
 (* Regression: crash repair parks orphans under a lost+found directory
    it creates on the spot, and that mkdir can recycle the inum of the

@@ -86,23 +86,31 @@ let test_fault_seed_split () =
 let run_small ~backend ~days ~seed =
   Aging.Replay.run ~backend ~params:small ~days (build_ops ~days ~seed ())
 
+(* two inputs: a short run on the small test volume, and four days on
+   the paper's 502 MB geometry, where the volume spans many more store
+   chunks *)
 let test_passthrough_identity () =
-  let days = 3 and seed = 7001 in
-  let raw = run_small ~backend:Ffs.Store.Heap_backend ~days ~seed in
-  let res =
-    run_small ~backend:(Ffs.Store.resilient_spec Ffs.Store.Heap_backend) ~days ~seed
-  in
-  check_string "digest matches raw"
-    (Ffs.Fs.digest raw.Aging.Replay.fs)
-    (Ffs.Fs.digest res.Aging.Replay.fs);
-  check_int "blocks allocated match raw"
-    (Ffs.Fs.stats raw.Aging.Replay.fs).Ffs.Fs.blocks_allocated
-    (Ffs.Fs.stats res.Aging.Replay.fs).Ffs.Fs.blocks_allocated;
-  Alcotest.(check (array (float 1e-9)))
-    "daily score series matches raw" raw.Aging.Replay.daily_scores
-    res.Aging.Replay.daily_scores;
-  check_bool "passthrough store still exposes the heap fast path" true
-    (Ffs.Store.heap_bytes (Ffs.Fs.store res.Aging.Replay.fs) <> None)
+  List.iter
+    (fun (name, params, days, seed) ->
+      let ops = build_ops ~params ~days ~seed () in
+      let run backend = Aging.Replay.run ~backend ~params ~days ops in
+      let raw = run Ffs.Store.Heap_backend in
+      let res = run (Ffs.Store.resilient_spec Ffs.Store.Heap_backend) in
+      check_string (name ^ ": digest matches raw")
+        (Ffs.Fs.digest raw.Aging.Replay.fs)
+        (Ffs.Fs.digest res.Aging.Replay.fs);
+      check_int (name ^ ": blocks allocated match raw")
+        (Ffs.Fs.stats raw.Aging.Replay.fs).Ffs.Fs.blocks_allocated
+        (Ffs.Fs.stats res.Aging.Replay.fs).Ffs.Fs.blocks_allocated;
+      Alcotest.(check (array (float 1e-9)))
+        (name ^ ": daily score series matches raw")
+        raw.Aging.Replay.daily_scores res.Aging.Replay.daily_scores;
+      check_bool (name ^ ": passthrough store still exposes the heap fast path") true
+        (Ffs.Store.heap_bytes (Ffs.Fs.store res.Aging.Replay.fs) <> None))
+    [
+      ("small, 3 days", small, 3, 7001);
+      ("paper geometry, 4 days", Ffs.Params.paper_fs, 4, 960117);
+    ]
 
 (* the parallel engine's own merge order differs from the serial
    engine's, so the identity claim is per engine: at the same jobs
