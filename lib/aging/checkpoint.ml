@@ -3,8 +3,10 @@ let src = Logs.Src.create "aging.checkpoint" ~doc:"aging checkpoint store"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* One container kind: a checkpoint carries the whole portable replay
-   state. Bump the suffix whenever the payload representation changes. *)
-let kind = "aging-checkpoint-3"
+   state. Bump the suffix whenever the payload representation changes.
+   "aging-checkpoint-4": the fault stream's [Util.Prng.t] is 8 bytes of
+   state, and the workload fingerprint is taken over each op's fields. *)
+let kind = "aging-checkpoint-4"
 
 (* ckpt-op000001234-day0042.ffsck — zero-padded so lexicographic name
    order is op order, which makes "newest" a plain sort *)

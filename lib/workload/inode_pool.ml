@@ -3,6 +3,7 @@ type t = {
   ncg : int;
   used : Ffs.Bitmap.t array;  (* per group *)
   free_counts : int array;
+  low : int array;  (* per group: no free slot below it *)
   mutable total_allocated : int;
 }
 
@@ -14,6 +15,7 @@ let create params =
     ncg;
     used = Array.init ncg (fun _ -> Ffs.Bitmap.create ipg);
     free_counts = Array.make ncg ipg;
+    low = Array.make ncg 0;
     total_allocated = 0;
   }
 
@@ -22,8 +24,11 @@ let copy t =
     t with
     used = Array.map Ffs.Bitmap.copy t.used;
     free_counts = Array.copy t.free_counts;
+    low = Array.copy t.low;
   }
 
+(* the search starts at the group's low-water slot, as [Cg.alloc_inode]
+   does, instead of rescanning the group's full prefix each time *)
 let alloc t ~cg =
   assert (cg >= 0 && cg < t.ncg);
   let rec try_cg i =
@@ -32,10 +37,11 @@ let alloc t ~cg =
       let c = (cg + i) mod t.ncg in
       if t.free_counts.(c) = 0 then try_cg (i + 1)
       else
-        match Ffs.Bitmap.find_clear t.used.(c) ~start:0 with
+        match Ffs.Bitmap.find_clear t.used.(c) ~start:t.low.(c) with
         | None -> try_cg (i + 1)
         | Some slot ->
             Ffs.Bitmap.set t.used.(c) slot;
+            t.low.(c) <- slot + 1;
             t.free_counts.(c) <- t.free_counts.(c) - 1;
             t.total_allocated <- t.total_allocated + 1;
             Some ((c * t.ipg) + slot)
@@ -47,6 +53,7 @@ let free t ino =
   let cg = ino / t.ipg and slot = ino mod t.ipg in
   assert (Ffs.Bitmap.get t.used.(cg) slot);
   Ffs.Bitmap.clear t.used.(cg) slot;
+  if slot < t.low.(cg) then t.low.(cg) <- slot;
   t.free_counts.(cg) <- t.free_counts.(cg) + 1;
   t.total_allocated <- t.total_allocated - 1
 

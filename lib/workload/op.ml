@@ -49,40 +49,86 @@ let pp_stats ppf s =
     s.operations s.days s.creates s.deletes s.modifies Util.Units.pp_bytes
     s.total_bytes_written
 
-(* A bottom-up merge sort of an index permutation by a flat float key
-   array, then one pass to apply it. Taking the left run on ties makes it
-   stable, so the result is the (time, original index) order. *)
+(* A stable LSD radix sort of an index permutation, then one walk of
+   its cycles to apply it. The key is an order-preserving 64-bit image
+   of each time's bits: flipping the sign bit of a non-negative float,
+   and every bit of a negative one, makes unsigned integer order the
+   float order. -0.0 becomes +0.0 first so the two tie, as they compare.
+   Each pass counts its 11-bit digits in one shared 2048-entry table,
+   so a short day's sort allocates little beyond its keys, then moves
+   keys with the permutation. A pass whose digit is the same for every
+   key changes nothing and is skipped, which drops the sign-and-exponent
+   pass for nearly every day's times. Every pass is stable, so the
+   result is the (time, original index) order. *)
+let radix_bits = 11
+let radix = 1 lsl radix_bits
+let passes = (64 + radix_bits - 1) / radix_bits
+
+let[@inline] key keys i = Bytes.get_int64_le keys (i lsl 3)
+
+let[@inline] digit k pass =
+  Int64.to_int (Int64.shift_right_logical k (pass * radix_bits)) land (radix - 1)
+
 let sort_by_time ops =
   let n = Array.length ops in
-  let keys = Float.Array.init n (fun i -> time_of ops.(i)) in
-  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
-  let width = ref 1 in
-  while !width < n do
-    let a = !src and b = !dst in
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = min n (!lo + !width) in
-      let hi = min n (mid + !width) in
-      let i = ref !lo and j = ref mid in
-      for k = !lo to hi - 1 do
-        if !j >= hi || (!i < mid && Float.Array.get keys a.(!i) <= Float.Array.get keys a.(!j))
-        then begin
-          b.(k) <- a.(!i);
-          incr i
-        end
-        else begin
-          b.(k) <- a.(!j);
-          incr j
-        end
-      done;
-      lo := hi
-    done;
-    src := b;
-    dst := a;
-    width := 2 * !width
+  let keys = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    let time = time_of ops.(i) in
+    if Float.is_nan time then invalid_arg "Op.sort_by_time: NaN time";
+    let b = Int64.bits_of_float (if time = 0.0 then 0.0 else time) in
+    Bytes.set_int64_le keys (i lsl 3)
+      (if Int64.compare b 0L < 0 then Int64.lognot b else Int64.logxor b Int64.min_int)
   done;
-  let perm = !src and orig = Array.copy ops in
-  Array.iteri (fun k p -> ops.(k) <- orig.(p)) perm
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let src_keys = ref keys and dst_keys = ref (Bytes.create (8 * n)) in
+  let counts = Array.make radix 0 in
+  for p = 0 to passes - 1 do
+    let ka = !src_keys in
+    Array.fill counts 0 radix 0;
+    for i = 0 to n - 1 do
+      let d = digit (key ka i) p in
+      counts.(d) <- counts.(d) + 1
+    done;
+    if n > 1 && counts.(digit (key ka 0) p) < n then begin
+      (* counts -> each digit's first output slot *)
+      let next = ref 0 in
+      for d = 0 to radix - 1 do
+        let c = counts.(d) in
+        counts.(d) <- !next;
+        next := !next + c
+      done;
+      let a = !src and b = !dst and kb = !dst_keys in
+      for i = 0 to n - 1 do
+        let k = key ka i in
+        let d = digit k p in
+        let j = counts.(d) in
+        counts.(d) <- j + 1;
+        b.(j) <- a.(i);
+        Bytes.set_int64_le kb (j lsl 3) k
+      done;
+      src := b;
+      dst := a;
+      src_keys := kb;
+      dst_keys := ka
+    end
+  done;
+  (* slot k takes the input's op perm.(k), in place, one cycle of the
+     permutation at a time; a slot already placed has its entry
+     complemented *)
+  let perm = !src in
+  for i = 0 to n - 1 do
+    if perm.(i) >= 0 then begin
+      let first = ops.(i) and j = ref i in
+      while perm.(!j) <> i do
+        let k = perm.(!j) in
+        ops.(!j) <- ops.(k);
+        perm.(!j) <- lnot k;
+        j := k
+      done;
+      ops.(!j) <- first;
+      perm.(!j) <- lnot i
+    end
+  done
 
 let check_well_formed ops =
   let live = Hashtbl.create 1024 in

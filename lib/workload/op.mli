@@ -39,7 +39,8 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val sort_by_time : t array -> unit
 (** Stable in-place sort by timestamp: equal times keep their input
-    order. Times must not be NaN. *)
+    order, and [-0.0] ties with [0.0].
+    @raise Invalid_argument if a time is NaN. *)
 
 val check_well_formed : t array -> (unit, string) result
 (** Validate: times non-decreasing; no create of a live inode, no

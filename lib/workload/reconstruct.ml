@@ -48,6 +48,24 @@ let max_ino (s : Snapshot.t) =
   let n = Array.length s.files in
   if n = 0 then -1 else s.files.(n - 1).ino
 
+(* A trace day's directory tags, most pairs first, each with its mean
+   pair offset. Depends only on the trace, so it is built once per trace
+   day rather than once per replayed day. *)
+let rank_tags trace =
+  let tag_count : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let tag_offset_sum : (int, float) Hashtbl.t = Hashtbl.create 16 in
+  Array.iter
+    (fun (p : Nfs_source.pair) ->
+      Hashtbl.replace tag_count p.dir_tag
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tag_count p.dir_tag));
+      Hashtbl.replace tag_offset_sum p.dir_tag
+        (p.offset +. Option.value ~default:0.0 (Hashtbl.find_opt tag_offset_sum p.dir_tag)))
+    trace;
+  Hashtbl.fold (fun tag count acc -> (tag, count) :: acc) tag_count []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  |> List.map (fun (tag, count) -> (tag, Hashtbl.find tag_offset_sum tag /. float_of_int count))
+  |> Array.of_list
+
 (* Every op of day [d] is clamped into [d*86400 + 1, (d+1)*86400 - 1],
    so sorting each day alone and appending the days gives the stable
    global time order without a final sort. *)
@@ -65,6 +83,7 @@ let run params ~seed ~snapshots ~nfs =
      clears every ino one of its deletes freed. *)
   let ninos = 1 + Array.fold_left (fun m s -> max m (max_ino s)) ((ncg * ipg) - 1) snapshots in
   let blocked = Bytes.make ninos '\000' in
+  let ranked_tags = Array.map rank_tags nfs in
   for d = 0 to ndays - 1 do
     let prev = if d = 0 then [||] else snapshots.(d - 1).Snapshot.files in
     let cur = snapshots.(d).Snapshot.files in
@@ -113,7 +132,8 @@ let run params ~seed ~snapshots ~nfs =
       prev;
     (* --- NFS short-lived injection --------------------------------- *)
     if Array.length nfs > 0 then begin
-      let trace = nfs.(Util.Prng.int rng (Array.length nfs)) in
+      let trace_index = Util.Prng.int rng (Array.length nfs) in
+      let trace = nfs.(trace_index) in
       (* rank groups by today's change count *)
       let changes = Array.make ncg 0 in
       let time_sum = Array.make ncg 0.0 in
@@ -134,33 +154,15 @@ let run params ~seed ~snapshots ~nfs =
         if changes.(c) = 0 then day_start +. (14.0 *. 3600.0)
         else time_sum.(c) /. float_of_int changes.(c)
       in
-      (* rank trace directories by their pair counts *)
-      let tag_count : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let tag_offset_sum : (int, float) Hashtbl.t = Hashtbl.create 16 in
-      Array.iter
-        (fun (p : Nfs_source.pair) ->
-          Hashtbl.replace tag_count p.dir_tag
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tag_count p.dir_tag));
-          Hashtbl.replace tag_offset_sum p.dir_tag
-            (p.offset +. Option.value ~default:0.0 (Hashtbl.find_opt tag_offset_sum p.dir_tag)))
-        trace;
-      let tags =
-        Hashtbl.fold (fun tag count acc -> (tag, count) :: acc) tag_count []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-        |> List.map fst
-      in
       let tag_target : (int, int * float) Hashtbl.t = Hashtbl.create 16 in
-      List.iteri
-        (fun rank tag ->
+      Array.iteri
+        (fun rank (tag, mean_offset) ->
           let cg = ranked.(rank mod Array.length ranked) in
-          let mean_offset =
-            Hashtbl.find tag_offset_sum tag /. float_of_int (Hashtbl.find tag_count tag)
-          in
           (* shift the tag's operations so their mean lands on the
              target group's activity peak *)
           let shift = peak cg -. (day_start +. mean_offset) in
           Hashtbl.replace tag_target tag (cg, shift))
-        tags;
+        ranked_tags.(trace_index);
       let day_pool = Day_pool.create params ~blocked in
       Array.iter
         (fun (p : Nfs_source.pair) ->

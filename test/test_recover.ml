@@ -274,6 +274,19 @@ let test_checkpoint_retention_and_fallback () =
           check_bool "fell back past the delta file" true (path <> delta && path <> newest);
           check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
       | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
+      (* a newest file of the previous full kind: its payload holds the
+         fault stream's generator in another shape, so the kind check
+         refuses it and load_latest skips it *)
+      let old_kind = Filename.concat dir "ckpt-op999999999-day9999.ffsck" in
+      Recover.Container.write ~path:old_kind ~kind:"aging-checkpoint-3" (String.make 4096 'k');
+      check_bool "kind-3 file listed newest" true (List.hd (Aging.Checkpoint.list ~dir) = old_kind);
+      expect_corrupt "kind-3 refused" (Aging.Checkpoint.load ?backend:None ~path:old_kind);
+      (match Aging.Checkpoint.load_latest ?backend:None ~dir with
+      | Ok (path, ck) ->
+          check_bool "fell back past the kind-3 file" true
+            (path <> old_kind && path <> delta && path <> newest);
+          check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
+      | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
       (* with every file corrupted there is nothing to resume from (a
          fresh mask, so the already-flipped newest is not flipped back) *)
       List.iter (fun p -> flip_byte p ~pos:(-100) ~mask:0x04) (Aging.Checkpoint.list ~dir);

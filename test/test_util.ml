@@ -113,6 +113,67 @@ let test_pick_weighted () =
     (float_of_int (get "b") /. float_of_int (get "a") > 1.8
     && float_of_int (get "b") /. float_of_int (get "a") < 2.2)
 
+(* Known answers at seed 960117: the splitmix64 streams every workload
+   and fault plan is built from. Any change here moves every pin. *)
+let test_prng_known_answers () =
+  let draws f = Array.init 8 (fun _ -> f ()) in
+  let fresh () = Util.Prng.create ~seed:960117 in
+  let bits = Array.map Int64.bits_of_float in
+  let r = fresh () in
+  Alcotest.(check (array int64)) "int64"
+    [| -5618553110932754771L; -7801144006211349829L; 817606452148907247L;
+       6009388377950128046L; -2057416601564836096L; 3422432064943449396L;
+       -1630765273103716971L; 7972574714268753520L |]
+    (draws (fun () -> Util.Prng.int64 r));
+  let r = fresh () in
+  Alcotest.(check (array int)) "int 1000" [| 211; 446; 811; 11; 880; 349; 661; 380 |]
+    (draws (fun () -> Util.Prng.int r 1000));
+  let r = fresh () in
+  Alcotest.(check (array int64)) "unit_float"
+    (bits
+       [| 0x1.640dc76d8e5fdp-1; 0x1.277989b79835ap-1; 0x1.6b1717904ce5p-5; 0x1.4d968b90045p-2;
+          0x1.c6e52d00c9791p-1; 0x1.7bf75ea456e3p-3; 0x1.d2bcb73fa1385p-1; 0x1.ba9119d935006p-2 |])
+    (bits (draws (fun () -> Util.Prng.unit_float r)));
+  let r = fresh () in
+  Alcotest.(check (array int64)) "gaussian"
+    (bits
+       [| 0x1.bb8142c3b888ep+0; -0x1.2c06a492b4095p-2; 0x1.00126f213d9fbp-5;
+          0x1.ae1164c2b8ae1p-1; -0x1.8e9f4224e6af6p-2; -0x1.350cf1758a70dp-4;
+          0x1.988f88986f72p+0; 0x1.9a49baaa8d58dp-1 |])
+    (bits (draws (fun () -> Util.Prng.gaussian r)));
+  let s = Util.Prng.split (fresh ()) in
+  Alcotest.(check (array int64)) "split"
+    [| 3079805073056952397L; -1180037510085422597L; 9144261745318034934L;
+       5287298329435425530L; 612495713907984623L; 7446229889506556538L;
+       -3367683731111600267L; 3095398883761242486L |]
+    (draws (fun () -> Util.Prng.int64 s));
+  check_int "derive" 1502347094487532011 (Util.Prng.derive ~seed:960117 ~index:3)
+
+(* Minor-heap words per draw over 10k draws. Only native code keeps the
+   state and the intermediates unboxed, so bytecode skips the check. *)
+let test_prng_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Util.Prng.create ~seed:17 in
+    let per_call name limit f =
+      let n = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        f ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      if words > limit then Alcotest.failf "%s: %.2f minor words per call (limit %.0f)" name words limit
+    in
+    per_call "int" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int rng 1000)));
+    per_call "int pow2" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int rng 64)));
+    per_call "int_in" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int_in rng (-7) 300)));
+    per_call "bits30" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.bits30 rng)));
+    per_call "bool" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.bool rng)));
+    per_call "chance" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.chance rng 0.3)));
+    per_call "unit_float" 2.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.unit_float rng)));
+    per_call "float" 2.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.float rng 5.0)));
+    per_call "gaussian" 4.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.gaussian rng)))
+  end
+
 (* --- Dist ----------------------------------------------------------------- *)
 
 let sample_many d seed n =
@@ -402,6 +463,8 @@ let () =
           tc "shuffle permutation" test_prng_shuffle_permutation;
           tc "chance extremes" test_prng_chance_extremes;
           tc "pick_weighted" test_pick_weighted;
+          tc "known answers" test_prng_known_answers;
+          tc "allocation" test_prng_allocation;
         ] );
       ( "backoff",
         [

@@ -49,6 +49,16 @@ let test_op_sort_stable () =
   (* equal timestamps keep generation order: ino 2 before ino 3 *)
   check_int "stable tie" 2 (Workload.Op.ino_of ops.(1))
 
+let test_op_sort_rejects_nan () =
+  let ops =
+    [|
+      Workload.Op.Create { ino = 1; size = 1; time = 2.0 };
+      Workload.Op.Delete { ino = 1; time = Float.nan };
+    |]
+  in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Op.sort_by_time: NaN time") (fun () ->
+      Workload.Op.sort_by_time ops)
+
 let test_op_well_formed_detects () =
   let bad_backwards =
     [|
@@ -101,6 +111,68 @@ let test_pool_spills () =
   done;
   let spilled = Option.get (Workload.Inode_pool.alloc p ~cg:1) in
   check_int "spills to next group" 2 (Workload.Inode_pool.cg_of p spilled)
+
+(* [Inode_pool] against a model that takes the lowest free slot from 0
+   in the group, then in each following group (wrapping). Scripts mix
+   allocs, frees of a live ino and copies over three 64-inode groups, so
+   groups fill, spill into the next, sometimes all fill, and empty
+   again. A copy must carry the low-water slots; the abandoned original
+   is then mutated to show the two are independent. *)
+let prop_pool_matches_model =
+  let open QCheck in
+  let small =
+    Ffs.Params.v_exn ~ncg:3 ~size_bytes:(3 * 1024 * 1024) ~bytes_per_inode:(64 * 1024) ()
+  in
+  let ncg = small.Ffs.Params.ncg and ipg = Ffs.Params.inodes_per_group small in
+  let model_alloc used cg =
+    let rec in_group c slot =
+      if slot >= ipg then None
+      else if used.((c * ipg) + slot) then in_group c (slot + 1)
+      else Some ((c * ipg) + slot)
+    in
+    let rec from i =
+      if i >= ncg then None
+      else match in_group ((cg + i) mod ncg) 0 with Some _ as r -> r | None -> from (i + 1)
+    in
+    from 0
+  in
+  let step = Gen.(frequency [ (7, return `Alloc); (2, return `Free); (1, return `Copy) ]) in
+  Test.make ~name:"inode pool = lowest free slot model" ~count:200
+    (make Gen.(list_size (int_bound 600) (pair step (int_bound 1000))))
+    (fun script ->
+      let pool = ref (Workload.Inode_pool.create small) in
+      let used = Array.make (ncg * ipg) false in
+      let live = ref [] in
+      List.for_all
+        (fun (step, arg) ->
+          (match step with
+          | `Alloc ->
+              let cg = arg mod ncg in
+              let want = model_alloc used cg in
+              let got = Workload.Inode_pool.alloc !pool ~cg in
+              if got <> want then
+                Test.fail_reportf "alloc ~cg:%d = %s, model %s" cg
+                  (Option.fold ~none:"None" ~some:string_of_int got)
+                  (Option.fold ~none:"None" ~some:string_of_int want);
+              Option.iter
+                (fun ino ->
+                  used.(ino) <- true;
+                  live := ino :: !live)
+                got
+          | `Free -> (
+              match !live with
+              | [] -> ()
+              | l ->
+                  let ino = List.nth l (arg mod List.length l) in
+                  Workload.Inode_pool.free !pool ino;
+                  used.(ino) <- false;
+                  live := List.filter (( <> ) ino) l)
+          | `Copy ->
+              let original = !pool in
+              pool := Workload.Inode_pool.copy original;
+              ignore (Workload.Inode_pool.alloc original ~cg:(arg mod ncg)));
+          Workload.Inode_pool.allocated_count !pool = List.length !live)
+        script)
 
 (* --- Ground truth ----------------------------------------------------------------- *)
 
@@ -290,18 +362,41 @@ let ref_capture_nightly ops ~days =
   done;
   Util.Vec.to_array snapshots
 
-(* random ops over a handful of timestamps, so ties dominate; the ino is
-   the input position, which makes every element distinguishable *)
+(* Two generators of (kind, time) specs; the ino is the input position,
+   which makes every element distinguishable. The first draws from a
+   handful of timestamps, so ties dominate. The second takes times from
+   random 62-bit patterns of either sign, so exponents and mantissas vary
+   and several of the radix sort's 11-bit passes are non-uniform, mixed
+   with 0.0, -0.0 (which must tie with 0.0) and repeats of a small pool;
+   up to 5,000 ops. *)
+let sort_specs =
+  let open QCheck.Gen in
+  let ties = list_size (int_bound 200) (pair (int_bound 2) (map float_of_int (int_bound 6))) in
+  let pattern =
+    map3
+      (fun neg hi lo ->
+        let f = Int64.float_of_bits (Int64.of_int ((hi lsl 31) lor lo)) in
+        if neg then -.f else f)
+      bool (int_bound 0x7FFF_FFFF) (int_bound 0x7FFF_FFFF)
+  in
+  let patterns =
+    list_size (int_bound 64) pattern >>= fun pool ->
+    let pool = Array.of_list (0.0 :: -0.0 :: pool) in
+    list_size (int_bound 5000)
+      (pair (int_bound 2)
+         (frequency [ (3, pattern); (1, map (fun i -> pool.(i mod Array.length pool)) nat) ]))
+  in
+  oneof [ ties; patterns ]
+
 let prop_sort_matches_tuple_sort =
   let open QCheck in
   Test.make ~name:"sort_by_time = (time, index) tuple sort" ~count:300
-    (make Gen.(list_size (int_bound 200) (pair (int_bound 2) (int_bound 6))))
+    (make ~print:Print.(list (pair int (fun t -> Printf.sprintf "%h" t))) sort_specs)
     (fun spec ->
       let ops =
         Array.of_list
           (List.mapi
-             (fun ino (kind, t) ->
-               let time = float_of_int t in
+             (fun ino (kind, time) ->
                match kind with
                | 0 -> Workload.Op.Create { ino; size = 1; time }
                | 1 -> Workload.Op.Delete { ino; time }
@@ -454,10 +549,15 @@ let () =
           tc "accessors" test_op_accessors;
           tc "stats" test_op_stats;
           tc "stable sort" test_op_sort_stable;
+          tc "sort rejects NaN" test_op_sort_rejects_nan;
           tc "well-formedness checks" test_op_well_formed_detects;
         ] );
       ( "inode pool",
-        [ tc "alloc in group" test_pool_alloc_in_group; tc "spills" test_pool_spills ] );
+        [
+          tc "alloc in group" test_pool_alloc_in_group;
+          tc "spills" test_pool_spills;
+          QCheck_alcotest.to_alcotest prop_pool_matches_model;
+        ] );
       ( "ground truth",
         [
           tc "well-formed" test_ground_truth_well_formed;
