@@ -55,11 +55,24 @@ perf-pairs:
 # the paper reproduction at full scale: regenerate every figure's CSV
 # into results/ (three 300-day replays, seqio sweeps, hot files), fail
 # if any committed CSV changed, and fail if any of the shape checks
-# against the paper fails (ffs_figures exits nonzero). About 20 s on a
-# 2-CPU machine.
+# against the paper fails (ffs_figures exits nonzero). Then age the
+# default 300-day image with ffs_age and require its day,layout_score
+# series to equal Figure 2's day,ffs columns byte for byte: the tool
+# ages the image the figure reports. About 25 s on a 2-CPU machine.
 repro:
 	dune exec bin/ffs_figures.exe -- --csv-dir results --quiet
 	git diff --exit-code results/
+	@echo "== ffs_age --csv vs results/fig2_ffs_vs_realloc.csv =="
+	@dune exec bin/ffs_age.exe -- -q --csv /tmp/ffs_repro_age.csv >/dev/null
+	@test "$$(head -n 1 /tmp/ffs_repro_age.csv | cut -d, -f1,2)" = "day,layout_score" \
+		&& test "$$(head -n 1 results/fig2_ffs_vs_realloc.csv | cut -d, -f1,2)" = "day,ffs" \
+		|| { echo "unexpected CSV headers"; exit 1; }
+	@tail -n +2 /tmp/ffs_repro_age.csv | cut -d, -f1,2 > /tmp/ffs_repro_age.cols
+	@tail -n +2 results/fig2_ffs_vs_realloc.csv | cut -d, -f1,2 > /tmp/ffs_repro_fig2.cols
+	@cmp /tmp/ffs_repro_age.cols /tmp/ffs_repro_fig2.cols \
+		|| { echo "ffs_age's score series differs from Figure 2's ffs column"; exit 1; }
+	@echo "ffs_age series equals Figure 2's ffs column"
+	@rm -f /tmp/ffs_repro_age.csv /tmp/ffs_repro_age.cols /tmp/ffs_repro_fig2.cols
 
 # crash-consistency smoke: a small ground-truth workload through
 # {0,1,3} injected crashes on both allocators (each crash is torn
@@ -117,8 +130,10 @@ fleet-smoke:
 
 # storage-backend smoke: the same small aging run on the in-heap store
 # and the mmap'd file store must produce bit-identical images
-# (ffs_inspect --digest on both), and the full fault->repair pipeline
-# must come back clean when the volume lives in an mmap'd file
+# (ffs_inspect --digest on both), the full fault->repair pipeline
+# must come back clean when the volume lives in an mmap'd file, and
+# one seed must age one image whatever the flags: --jobs 1, --jobs 2,
+# --crashes 0 and a checkpointed run all give the same digest
 backend-smoke:
 	@echo "== ffs_age --backend mmap vs --backend bytes =="
 	@dune exec bin/ffs_age.exe -- --fs small --days 5 --workload ground-truth -q \
@@ -133,6 +148,22 @@ backend-smoke:
 	@dune exec bin/ffs_fsck.exe -- --fs small --days 5 --faults 8 --backend mmap -q \
 		| grep -q "image is clean" || { echo "mmap fsck pipeline not clean"; exit 1; }
 	@rm -f /tmp/ffs_backend_smoke_mmap.img /tmp/ffs_backend_smoke_heap.img
+	@echo "== ffs_age one image: --jobs 1 / --jobs 2 / --crashes 0 / --checkpoint-every 5 =="
+	@rm -rf /tmp/ffs_one_image_ck
+	@set -e; digests=""; i=0; \
+	for flags in "--jobs 1" "--jobs 2" "--crashes 0" \
+		"--checkpoint-every 5 --checkpoint-dir /tmp/ffs_one_image_ck"; do \
+		i=$$((i + 1)); \
+		dune exec bin/ffs_age.exe -- --fs small --days 20 -q $$flags \
+			--image /tmp/ffs_one_image_$$i.img >/dev/null; \
+		d=$$(dune exec bin/ffs_inspect.exe -- --image /tmp/ffs_one_image_$$i.img --digest); \
+		echo "  $$flags: $$d"; \
+		digests="$$digests $$d"; \
+	done; \
+	rm -rf /tmp/ffs_one_image_ck /tmp/ffs_one_image_*.img; \
+	n=$$(echo $$digests | tr ' ' '\n' | sort -u | wc -l); \
+	if [ "$$n" -eq 1 ] && [ -n "$$d" ]; then echo "one image: $$d"; \
+	else echo "one seed aged $$n different images"; exit 1; fi
 
 # self-healing storage smoke: the resilient (checksummed) store must be
 # bit-identical to the raw store when no faults are injected (jobs 1

@@ -38,20 +38,6 @@ let replay_with_progress ?backend ~params ~days ~config ~quiet ops =
     Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
   Aging.Replay.run ?backend ~config ~progress:(progress_of ~days ~quiet) ~params ~days ops
 
-(* Like [replay_with_progress], but with [crashes] power failures drawn
-   from [fault_seed]; returns the recovery records alongside the result. *)
-let replay_with_crashes ?backend ~params ~days ~config ~quiet ~crashes ~fault_seed ops =
-  if crashes = 0 then (replay_with_progress ?backend ~params ~days ~config ~quiet ops, [])
-  else begin
-    if not quiet then
-      Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-    let cr =
-      Aging.Replay.run_with_crashes ?backend ~config ~progress:(progress_of ~days ~quiet)
-        ~params ~days ~crashes ~fault_seed ops
-    in
-    (cr.Aging.Replay.result, cr.Aging.Replay.recoveries)
-  end
-
 (* Load a saved aged image or die with the corruption diagnosis; every
    binary that reads an image wants exactly this behaviour. *)
 let load_image_or_exit ?backend ~path () =
@@ -91,12 +77,14 @@ let policy_term =
 
 let quiet_term = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress output.")
 
+let jobs_arg ~doc =
+  Arg.(value & opt int (Par.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let jobs_term =
-  Arg.(value & opt int (Par.Pool.default_jobs ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Run up to $(docv) independent tasks in parallel (worker domains + the \
-                 caller). Results are bit-identical for every value; $(b,--jobs 1) is \
-                 fully serial. Defaults to the machine's recommended domain count.")
+  jobs_arg
+    ~doc:"Run up to $(docv) independent tasks in parallel (worker domains + the \
+          caller). Results are bit-identical for every value; $(b,--jobs 1) is \
+          fully serial. Defaults to the machine's recommended domain count."
 
 let print_timings ~quiet timings =
   if not (quiet || Par.Timings.is_empty timings) then

@@ -3,7 +3,7 @@
 
 open Cmdliner
 
-let run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet =
+let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet =
   let seeds = Benchlib.Experiments.default_seeds ~seed ~n:nseeds in
   let timings = Par.Timings.create () in
   let log msg = if not quiet then Fmt.epr "[age] %s@." msg in
@@ -12,7 +12,7 @@ let run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet =
       `Done
         (Par.Pool.with_pool ~jobs (fun pool ->
              Par.Pool.with_sigint pool (fun () ->
-                 Benchlib.Experiments.build_seeds ~days ~pool ~timings ~log ~seeds ())))
+                 Benchlib.Experiments.build_seeds ~params ~days ~pool ~timings ~log ~seeds ())))
     with Par.Pool.Interrupted { completed; total } -> `Stopped (completed, total)
   in
   (match outcome with
@@ -32,9 +32,12 @@ let run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet =
   Common.print_timings ~quiet timings;
   match outcome with `Stopped _ -> exit 130 | `Done _ -> ()
 
-(* Checkpointed replay: periodic durable checkpoints, SIGINT-triggered
-   checkpoint-and-exit, and resume from the newest valid checkpoint.
-   Exits 130 when interrupted, 2 when the resume state is unusable. *)
+(* The one single-seed replay: the serial resumable engine beneath
+   [Replay.run], crash injection, the fleet and Figure 2, so one seed
+   ages one image whatever the flags. Adds periodic durable checkpoints,
+   SIGINT-triggered checkpoint-and-exit when a checkpoint directory is
+   known, and resume from the newest valid checkpoint. Exits 130 when
+   interrupted, 2 when the resume state is unusable. *)
 let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
     ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume
     ~scrub_every ops =
@@ -58,13 +61,22 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
             Some ck)
   in
   let stop = Atomic.make false in
-  let prev_sigint =
-    Sys.signal Sys.sigint
-      (Sys.Signal_handle
-         (fun _ ->
-           if Atomic.get stop then exit 130;
-           Atomic.set stop true;
-           prerr_endline "interrupt: checkpointing at the next operation (^C again to abort)"))
+  (* ^C checkpoints and exits only when there is a directory to resume
+     from; without one it keeps its default meaning *)
+  let with_sigint f =
+    match dir with
+    | None -> f ()
+    | Some _ ->
+        let prev_sigint =
+          Sys.signal Sys.sigint
+            (Sys.Signal_handle
+               (fun _ ->
+                 if Atomic.get stop then exit 130;
+                 Atomic.set stop true;
+                 prerr_endline
+                   "interrupt: checkpointing at the next operation (^C again to abort)"))
+        in
+        Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint prev_sigint) f
   in
   let save_ck ck =
     match dir with
@@ -85,9 +97,7 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
     if not quiet then Fmt.epr "%a@." Ffs.Check.pp_scrub s
   in
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Sys.set_signal Sys.sigint prev_sigint)
-      (fun () ->
+    with_sigint (fun () ->
         try
           Aging.Replay.run_resumable ~backend ~config
             ~progress:(Common.progress_of ~days ~quiet)
@@ -96,7 +106,9 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
             ~checkpoint_every ~on_checkpoint:save_ck ~scrub_every ~on_scrub ~params
             ~days ~crashes ~fault_seed ops
         with Ffs.Error.Error e ->
-          Fmt.epr "resume failed: %a@." Ffs.Error.pp e;
+          Fmt.epr "%s failed: %a@."
+            (if resume_ck = None then "replay" else "resume")
+            Ffs.Error.pp e;
           exit 2)
   in
   match outcome with
@@ -112,9 +124,31 @@ let run days seed nseeds jobs realloc policy backend store_faults
     scrub_every kind profile_kind quiet params crashes fault_seed checkpoint_every
     checkpoint_dir checkpoint_keep resume trace metrics_out
     image_out csv_out workload_in workload_out =
+  (* the --seeds grid ages 2N images of its own: a flag that shapes or
+     saves the one single-seed image has nothing to act on there *)
+  let single_image_flags =
+    List.filter_map
+      (fun (flag, given) -> if given then Some flag else None)
+      [
+        ("--image", image_out <> None);
+        ("--csv", csv_out <> None);
+        ("--checkpoint-every", checkpoint_every <> 0);
+        ("--checkpoint-dir", checkpoint_dir <> None);
+        ("--resume", resume <> None);
+        ("--crashes", crashes <> 0);
+        ("--store-faults", store_faults <> None);
+        ("--load-workload", workload_in <> None);
+        ("--save-workload", workload_out <> None);
+      ]
+  in
+  if nseeds > 1 && single_image_flags <> [] then begin
+    Fmt.epr "ffs_age: %s only apply to a single-seed run, not to --seeds %d@."
+      (String.concat ", " single_image_flags) nseeds;
+    exit 2
+  end;
   Common.obs_setup ~trace ~metrics_out;
   if nseeds > 1 then begin
-    run_multi_seed ~days ~seed ~nseeds ~jobs ~quiet;
+    run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet;
     Common.obs_finish ~quiet ~trace ~metrics_out
   end
   else begin
@@ -142,55 +176,9 @@ let run days seed nseeds jobs realloc policy backend store_faults
   let scrub_every =
     if scrub_every > 0 then scrub_every else if store_faults <> None then 1 else 0
   in
-  let checkpointing =
-    checkpoint_every > 0 || checkpoint_dir <> None || resume <> None
-    || store_faults <> None || scrub_every > 0
-  in
   let result, recoveries =
-    if checkpointing then begin
-      (* --jobs must never be a silent no-op: say why it is ignored *)
-      if jobs > 1 then
-        Fmt.epr "note: --jobs %d ignored — checkpointed replay is serial-only \
-                 (see the intra-volume section of the README)@." jobs;
-      replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-        ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume ~scrub_every ops
-    end
-    else if crashes > 0 then begin
-      if jobs > 1 then
-        Fmt.epr "note: --jobs %d ignored — crash injection is serial-only@." jobs;
-      Common.replay_with_crashes ~backend ~params ~days ~config ~quiet ~crashes
-        ~fault_seed ops
-    end
-    else begin
-      (* intra-volume parallel aging: per-cylinder-group batches on a
-         domain pool. The result is bit-identical at every jobs level
-         (including --jobs 1), so this one engine serves every no-crash
-         single-seed run and the output never depends on the machine's
-         core count. *)
-      if not quiet then begin
-        Fmt.epr "workload: %a@." Workload.Op.pp_stats (Workload.Op.stats ops);
-        Fmt.epr "intra-volume parallel replay: %d jobs over %d cylinder groups@."
-          jobs params.Ffs.Params.ncg
-      end;
-      let on_day_stats =
-        match trace with
-        | None -> fun (_ : Aging.Replay.day_stats) -> ()
-        | Some _ ->
-            (* the per-day contention summary promised by --trace *)
-            fun (ds : Aging.Replay.day_stats) ->
-              Fmt.epr "  day %3d: %4d ops in %2d batches, %3d deferred; locks: %a@."
-                (ds.Aging.Replay.day + 1) ds.Aging.Replay.day_ops
-                ds.Aging.Replay.batches ds.Aging.Replay.deferred Ffs.Locks.pp_stats
-                ds.Aging.Replay.lock_stats
-      in
-      let r =
-        Par.Pool.with_pool ~jobs (fun pool ->
-            Aging.Replay.run_parallel ~backend ~config
-              ~progress:(Common.progress_of ~days ~quiet)
-              ~on_day_stats ~pool ~params ~days ops)
-      in
-      (r, [])
-    end
+    replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
+      ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume ~scrub_every ops
   in
   let scores = result.Aging.Replay.daily_scores in
   Fmt.pr "allocator: %s@." (if realloc then "FFS + realloc" else "traditional FFS");
@@ -269,6 +257,14 @@ let cmd =
                    $(b,--seed)) through both allocators in parallel and report \
                    mean/stddev end-of-run layout scores instead of a single image.")
   in
+  let jobs =
+    Common.jobs_arg
+      ~doc:"Size of the $(b,--seeds) grid's domain pool: run up to $(docv) of its \
+            (seed, allocator) replays at once (worker domains + the caller). \
+            Results are bit-identical for every value. A single-seed run ages its \
+            one image on the serial engine whatever $(docv) is. Defaults to the \
+            machine's recommended domain count."
+  in
   let checkpoint_every =
     Arg.(value & opt int 0
          & info [ "checkpoint-every" ] ~docv:"DAYS"
@@ -298,7 +294,7 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ Common.days_term $ Common.seed_term $ seeds $ Common.jobs_term
+      const run $ Common.days_term $ Common.seed_term $ seeds $ jobs
       $ Common.realloc_term $ Common.policy_term $ Common.backend_term
       $ Common.store_faults_term $ Common.scrub_every_term
       $ Common.workload_kind_term $ Common.profile_kind_term $ Common.quiet_term

@@ -56,7 +56,12 @@ val run :
     serially after the batches drain. The merged result is
     {b bit-identical at every jobs level}: same image digest
     ({!Ffs.Fs.digest}), same daily score series, same
-    [ffs_alloc_blocks_total]. *)
+    [ffs_alloc_blocks_total] — but not {!run}'s image, because deferred
+    ops are redone at day end.
+
+    No binary calls this engine: [ffs_age] ages every single-seed image
+    with {!run_resumable}. It stays only for perfbench's [age-parallel]
+    workload and its own tests. *)
 
 type day_stats = {
   day : int;
@@ -80,8 +85,7 @@ val run_parallel :
   result
 (** Replay a time-sorted workload on [pool]'s domains. Options as in
     {!run}; [on_day_stats] observes each day's batch/deferral/lock
-    accounting after that day's barrier (the per-day contention summary
-    [ffs_age --jobs N --trace] prints). Skip accounting is merged in
+    accounting after that day's barrier. Skip accounting is merged in
     canonical operation order, so {!Too_many_skips} behaviour matches
     across jobs levels too. Checkpoints and crash injection are not
     available in this mode — use the serial engine for those. *)

@@ -98,7 +98,3 @@ let diff ~before ~after =
     contended = after.contended - before.contended;
     wait_seconds = after.wait_seconds -. before.wait_seconds;
   }
-
-let pp_stats ppf s =
-  Fmt.pf ppf "%d acquisitions, %d contended, %.6fs waiting" s.acquisitions
-    s.contended s.wait_seconds

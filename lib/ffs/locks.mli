@@ -41,4 +41,3 @@ val with_cgs : t -> int list -> (unit -> 'a) -> 'a
 
 val stats : t -> stats
 val diff : before:stats -> after:stats -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -205,7 +205,13 @@ let test_resume_bit_identical () =
             (Obs.Metrics.counter_value snap_resumed "ffs_alloc_blocks_total");
           check_int "ffs_alloc_frags_total identical"
             (Obs.Metrics.counter_value snap_straight "ffs_alloc_frags_total")
-            (Obs.Metrics.counter_value snap_resumed "ffs_alloc_frags_total")))
+            (Obs.Metrics.counter_value snap_resumed "ffs_alloc_frags_total");
+          (* the straight run is the plain replay: ffs_age ages every
+             single-seed image on this engine, so it must be [Replay.run]'s *)
+          let plain = Aging.Replay.run ~params ~days ops in
+          check_bool "straight run is Replay.run's image and scores" true
+            (String.equal (fs_bytes r1.Aging.Replay.fs) (fs_bytes plain.Aging.Replay.fs)
+            && r1.Aging.Replay.daily_scores = plain.Aging.Replay.daily_scores)))
 
 let test_resume_rejects_other_workload () =
   with_temp_dir (fun dir ->
