@@ -164,6 +164,20 @@ backend-smoke:
 	n=$$(echo $$digests | tr ' ' '\n' | sort -u | wc -l); \
 	if [ "$$n" -eq 1 ] && [ -n "$$d" ]; then echo "one image: $$d"; \
 	else echo "one seed aged $$n different images"; exit 1; fi
+	@echo "== ffs_age --seeds: --profile and --workload reach the grid, grid-less flags exit 2 =="
+	@set -e; seeds="--fs small --seeds 2 --days 3 --jobs 1 -q"; \
+	base=$$(dune exec bin/ffs_age.exe -- $$seeds); \
+	for flags in "--profile news" "--workload ground-truth"; do \
+		out=$$(dune exec bin/ffs_age.exe -- $$seeds $$flags); \
+		if [ -z "$$out" ] || [ "$$out" = "$$base" ]; then \
+			echo "--seeds ignored $$flags"; exit 1; fi; \
+		echo "  $$flags: report differs"; \
+	done; \
+	for flags in "--realloc" "--cluster-policy best-fit" "--backend mmap" "--scrub-every 1"; do \
+		rc=0; dune exec bin/ffs_age.exe -- $$seeds $$flags >/dev/null 2>&1 || rc=$$?; \
+		if [ "$$rc" -ne 2 ]; then echo "--seeds $$flags exited $$rc, not 2"; exit 1; fi; \
+		echo "  $$flags: exit 2"; \
+	done
 
 # self-healing storage smoke: the resilient (checksummed) store must be
 # bit-identical to the raw store when no faults are injected (jobs 1

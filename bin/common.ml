@@ -6,28 +6,14 @@ open Cmdliner
 type workload_kind = Ground_truth | Reconstructed
 
 let build_workload ~params ~days ~seed ~kind ~profile_kind =
-  match profile_kind with
-  | Workload.Profiles.News | Workload.Profiles.Database | Workload.Profiles.Personal ->
-      (* the alternative profiles have no snapshot-reconstruction step *)
+  match (profile_kind, kind) with
+  | Workload.Profiles.Home, Reconstructed ->
+      let profile = { (Workload.Ground_truth.scaled params ~days) with Workload.Ground_truth.seed } in
+      Workload.Reconstruct.of_ground_truth params (Workload.Ground_truth.generate params profile)
+  | _ ->
+      (* the ground truth itself; the alternative profiles have no
+         snapshot-reconstruction step *)
       Workload.Profiles.build params profile_kind ~days ~seed
-  | Workload.Profiles.Home -> (
-      let profile =
-        if days = 300 then Workload.Ground_truth.default params
-        else Workload.Ground_truth.scaled params ~days
-      in
-      let profile = { profile with Workload.Ground_truth.seed } in
-      let gt = Workload.Ground_truth.generate params profile in
-      match kind with
-      | Ground_truth -> gt.Workload.Ground_truth.ops
-      | Reconstructed ->
-          let snapshots =
-            Workload.Snapshot.capture_nightly gt.Workload.Ground_truth.ops ~days
-          in
-          let nfs =
-            Workload.Nfs_source.generate ~seed:(seed + 17) ~trace_days:10
-              ~pairs_per_day:profile.Workload.Ground_truth.short_pairs_per_day
-          in
-          Workload.Reconstruct.run params ~seed:(seed + 23) ~snapshots ~nfs)
 
 let progress_of ~days ~quiet ~day ~score =
   if (not quiet) && (day + 1) mod 25 = 0 then

@@ -3,8 +3,9 @@
 
 open Cmdliner
 
-let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet =
+let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet ~kind ~profile_kind =
   let seeds = Benchlib.Experiments.default_seeds ~seed ~n:nseeds in
+  let workload seed = Common.build_workload ~params ~days ~seed ~kind ~profile_kind in
   let timings = Par.Timings.create () in
   let log msg = if not quiet then Fmt.epr "[age] %s@." msg in
   let outcome =
@@ -12,7 +13,8 @@ let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet =
       `Done
         (Par.Pool.with_pool ~jobs (fun pool ->
              Par.Pool.with_sigint pool (fun () ->
-                 Benchlib.Experiments.build_seeds ~params ~days ~pool ~timings ~log ~seeds ())))
+                 Benchlib.Experiments.build_seeds ~params ~days ~pool ~timings ~log
+                   ~workload ~seeds ())))
     with Par.Pool.Interrupted { completed; total } -> `Stopped (completed, total)
   in
   (match outcome with
@@ -124,8 +126,10 @@ let run days seed nseeds jobs realloc policy backend store_faults
     scrub_every kind profile_kind quiet params crashes fault_seed checkpoint_every
     checkpoint_dir checkpoint_keep resume trace metrics_out
     image_out csv_out workload_in workload_out =
-  (* the --seeds grid ages 2N images of its own: a flag that shapes or
-     saves the one single-seed image has nothing to act on there *)
+  (* the --seeds grid ages 2N in-heap images of its own, under
+     traditional FFS and Fs.realloc_config: a flag that picks how the
+     one single-seed image is aged, or shapes or saves it, has nothing
+     to act on there *)
   let single_image_flags =
     List.filter_map
       (fun (flag, given) -> if given then Some flag else None)
@@ -139,6 +143,10 @@ let run days seed nseeds jobs realloc policy backend store_faults
         ("--store-faults", store_faults <> None);
         ("--load-workload", workload_in <> None);
         ("--save-workload", workload_out <> None);
+        ("--realloc", realloc);
+        ("--cluster-policy", policy <> `First_fit);
+        ("--backend", backend <> Ffs.Store.Heap_backend);
+        ("--scrub-every", scrub_every > 0);
       ]
   in
   if nseeds > 1 && single_image_flags <> [] then begin
@@ -148,7 +156,7 @@ let run days seed nseeds jobs realloc policy backend store_faults
   end;
   Common.obs_setup ~trace ~metrics_out;
   if nseeds > 1 then begin
-    run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet;
+    run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet ~kind ~profile_kind;
     Common.obs_finish ~quiet ~trace ~metrics_out
   end
   else begin
@@ -253,9 +261,10 @@ let cmd =
   let seeds =
     Arg.(value & opt int 1
          & info [ "seeds" ] ~docv:"N"
-             ~doc:"Age $(docv) independent workload draws (child seeds split off \
-                   $(b,--seed)) through both allocators in parallel and report \
-                   mean/stddev end-of-run layout scores instead of a single image.")
+             ~doc:"Age $(docv) independent draws of the $(b,--profile) and \
+                   $(b,--workload) workload (child seeds split off $(b,--seed)) \
+                   through both allocators in parallel and report mean/stddev \
+                   end-of-run layout scores instead of a single image.")
   in
   let jobs =
     Common.jobs_arg

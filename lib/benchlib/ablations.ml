@@ -237,32 +237,21 @@ let soft_updates ?(days = default_days) ?(seed = default_seed) () =
    realloc advantage an artifact of one draw? *)
 let seed_sensitivity ?(days = default_days) ?(seed = default_seed) () =
   let params = Ffs.Params.paper_fs in
-  let outcomes =
-    List.map
-      (fun s ->
-        let ops = home_workload params ~days ~seed:s in
-        let trad = replay ~params ~days ~config:Ffs.Fs.default_config ops in
-        let re = replay ~params ~days ~config:Ffs.Fs.realloc_config ops in
-        let t = last trad.Aging.Replay.daily_scores in
-        let r = last re.Aging.Replay.daily_scores in
-        (s, t, r, 100.0 *. ((1.0 -. t) -. (1.0 -. r)) /. (1.0 -. t)))
-      (List.init 5 (fun i -> Util.Prng.derive ~seed ~index:i))
+  (* serial: [all] already spreads the studies over its pool, and a
+     one-job pool spawns no domains inside that task *)
+  let s =
+    Par.Pool.with_pool ~jobs:1 (fun pool ->
+        Experiments.build_seeds ~params ~days ~pool
+          ~workload:(fun seed -> home_workload params ~days ~seed)
+          ~seeds:(Experiments.default_seeds ~seed ~n:5)
+          ())
   in
-  let rows =
-    List.map
-      (fun (s, t, r, imp) ->
-        [ string_of_int s; Fmt.str "%.3f" t; Fmt.str "%.3f" r; Fmt.str "%.0f%%" imp ])
-      outcomes
-  in
-  let imps = Array.of_list (List.map (fun (_, _, _, i) -> i) outcomes) in
   heading "seed sensitivity (five independent workloads)"
-  ^ Util.Chart.table
-      ~header:[ "seed"; "end score (FFS)"; "end score (realloc)"; "non-opt reduction" ]
-      ~rows
+  ^ Experiments.seed_table s
   ^ Fmt.str
       "\nreduction in non-optimally allocated blocks: %.0f%% +/- %.0f%% across seeds —\n\
        the paper's ~50%% headline is robust to the workload draw.\n"
-      (Util.Stats.mean imps) (Util.Stats.stddev imps)
+      s.mean_reduction_pct s.stddev_reduction_pct
 
 (* --- workload profiles ----------------------------------------------------------------- *)
 

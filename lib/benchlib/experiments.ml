@@ -1,8 +1,6 @@
 type context = {
   params : Ffs.Params.t;
   days : int;
-  seed : int;
-  gt : Workload.Ground_truth.t;
   aged_real : Aging.Replay.result;  (* ground truth on traditional FFS *)
   aged_trad : Aging.Replay.result;  (* reconstruction on traditional FFS *)
   aged_re : Aging.Replay.result;  (* reconstruction on FFS+realloc *)
@@ -30,23 +28,13 @@ let with_pool ?pool f =
 
 let build ?(params = Ffs.Params.paper_fs) ?(days = 300) ?seed ?pool ?timings
     ?(log = ignore) () =
-  let profile =
-    if days = 300 then Workload.Ground_truth.default params
-    else Workload.Ground_truth.scaled params ~days
-  in
+  let profile = Workload.Ground_truth.scaled params ~days in
   let profile = match seed with None -> profile | Some seed -> { profile with seed } in
   log "generating ground-truth activity stream...";
   let gt = Workload.Ground_truth.generate params profile in
   log (Fmt.str "  %a" Workload.Op.pp_stats (Workload.Op.stats gt.ops));
   log "capturing nightly snapshots and reconstructing the workload...";
-  let snapshots = Workload.Snapshot.capture_nightly gt.ops ~days in
-  let nfs =
-    Workload.Nfs_source.generate ~seed:(profile.seed + 17) ~trace_days:10
-      ~pairs_per_day:profile.short_pairs_per_day
-  in
-  let recon =
-    Workload.Reconstruct.run params ~seed:(profile.seed + 23) ~snapshots ~nfs
-  in
+  let recon = Workload.Reconstruct.of_ground_truth params gt in
   log (Fmt.str "  %a" Workload.Op.pp_stats (Workload.Op.stats recon));
   (* the three replays are independent; fan them out on the pool *)
   log "aging: ground truth + reconstruction x both allocators (3 replays, parallel)...";
@@ -67,8 +55,6 @@ let build ?(params = Ffs.Params.paper_fs) ?(days = 300) ?seed ?pool ?timings
   {
     params;
     days;
-    seed = profile.seed;
-    gt;
     aged_real;
     aged_trad;
     aged_re;
@@ -106,24 +92,20 @@ let last a = a.(Array.length a - 1)
 
 let reduction_pct ~trad ~re = 100.0 *. ((1.0 -. trad) -. (1.0 -. re)) /. (1.0 -. trad)
 
-let build_seeds ?(params = Ffs.Params.paper_fs) ?(days = 300) ?pool ?timings
-    ?(log = ignore) ~seeds () =
+let build_seeds ~params ~days ?pool ?timings ?(log = ignore) ~workload ~seeds () =
   let timings = match timings with Some t -> t | None -> Par.Timings.create () in
   log
     (Fmt.str "multi-seed run: %d seeds x 2 allocators, %d days each" (List.length seeds)
        days);
-  (* stage 1: one independent workload per seed (each task builds its own
-     Prng stream from its seed, so the fan-out is order-independent) *)
+  (* stage 1: one independent workload per seed ([workload] draws from
+     its seed alone, so the fan-out is order-independent) *)
   let seeds_a = Array.of_list seeds in
   let grid =
     with_pool ?pool (fun p ->
         let workloads =
           Par.Pool.parallel_map ~timings
             ~label:(fun seed -> Fmt.str "workload seed %d" seed)
-            p
-            (fun seed ->
-              Workload.Profiles.build params Workload.Profiles.Home ~days ~seed)
-            seeds_a
+            p workload seeds_a
         in
         (* stage 2: the (seed, allocator) replay grid *)
         let tasks =
@@ -169,7 +151,7 @@ let build_seeds ?(params = Ffs.Params.paper_fs) ?(days = 300) ?pool ?timings
     stddev_reduction_pct;
   }
 
-let seed_report s =
+let seed_table s =
   let rows =
     List.map
       (fun r ->
@@ -182,10 +164,13 @@ let seed_report s =
         ])
       s.runs
   in
+  Util.Chart.table
+    ~header:[ "seed"; "end score (FFS)"; "end score (realloc)"; "non-opt reduction" ]
+    ~rows
+
+let seed_report s =
   Fmt.str "@.=== Multi-seed aggregate (end-of-run layout scores) ===@.@."
-  ^ Util.Chart.table
-      ~header:[ "seed"; "end score (FFS)"; "end score (realloc)"; "non-opt reduction" ]
-      ~rows
+  ^ seed_table s
   ^ Fmt.str
       "FFS %.3f +/- %.3f, realloc %.3f +/- %.3f; non-optimal blocks reduced by %.0f%% \
        +/- %.0f%% across %d seeds\n"

@@ -39,10 +39,10 @@ val aged_realloc : context -> Aging.Replay.result
 (** {2 Multi-seed aggregation}
 
     The paper draws every figure from a single workload draw. The
-    multi-seed driver replays [seeds] independent home-directory
-    workloads through both allocators — a (seed x allocator) grid fanned
-    out on the pool — and aggregates the end-of-run layout scores, so
-    the headline numbers come with a mean and spread. *)
+    multi-seed driver replays [seeds] independent workload draws
+    through both allocators — a (seed x allocator) grid fanned out on
+    the pool — and aggregates the end-of-run layout scores, so the
+    headline numbers come with a mean and spread. *)
 
 type seed_run = {
   seed : int;
@@ -65,19 +65,26 @@ val default_seeds : seed:int -> n:int -> int list
 (** [n] child seeds split off [seed] via {!Util.Prng.derive}. *)
 
 val build_seeds :
-  ?params:Ffs.Params.t ->
-  ?days:int ->
+  params:Ffs.Params.t ->
+  days:int ->
   ?pool:Par.Pool.t ->
   ?timings:Par.Timings.t ->
   ?log:(string -> unit) ->
+  workload:(int -> Workload.Op.t array) ->
   seeds:int list ->
   unit ->
   seed_summary
-(** Deterministic for any pool size (and for no pool at all): the
-    summary depends only on [params], [days] and [seeds]. *)
+(** Replays [workload seed] for each of [seeds] on traditional FFS and
+    on {!Ffs.Fs.realloc_config}. [workload] must be a [days]-day
+    workload for [params] that depends on its seed alone; the summary
+    is then deterministic for any pool size (and for no pool at all). *)
+
+val seed_table : seed_summary -> string
+(** The per-seed rows: seed, both end-of-run scores and the
+    non-optimal-block reduction. *)
 
 val seed_report : seed_summary -> string
-(** Printable per-seed table plus mean/stddev summary line. *)
+(** {!seed_table} under a heading, plus the mean/stddev summary line. *)
 
 val table1 : unit -> string
 (** The benchmark configuration (hardware + file system parameters). *)

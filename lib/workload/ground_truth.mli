@@ -38,7 +38,8 @@ val default : Ffs.Params.t -> profile
     at the start and 70–90% for most of the run. *)
 
 val scaled : Ffs.Params.t -> days:int -> profile
-(** A proportionally lighter profile for short runs and tests. *)
+(** A proportionally lighter profile for short runs and tests; at
+    [days >= 300] it is {!default} with [days] replaced. *)
 
 type t = {
   profile : profile;

@@ -251,11 +251,7 @@ let build_personal params ~days ~seed =
 let build params kind ~days ~seed =
   match kind with
   | Home ->
-      let profile =
-        if days = 300 then Ground_truth.default params
-        else Ground_truth.scaled params ~days
-      in
-      let profile = { profile with Ground_truth.seed } in
+      let profile = { (Ground_truth.scaled params ~days) with Ground_truth.seed } in
       (Ground_truth.generate params profile).Ground_truth.ops
   | News -> build_news params ~days ~seed
   | Database -> build_database params ~days ~seed

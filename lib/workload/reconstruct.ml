@@ -187,3 +187,15 @@ let run params ~seed ~snapshots ~nfs =
     Util.Vec.push days_ops day_ops
   done;
   Array.concat (Array.to_list (Util.Vec.to_array days_ops))
+
+(* The paper's aging workload (Section 3): nightly snapshots of the
+   ground truth plus same-day files borrowed from ten NFS trace days,
+   each stage seeded off the ground truth's own seed. *)
+let of_ground_truth params (gt : Ground_truth.t) =
+  let profile = gt.profile in
+  let snapshots = Snapshot.capture_nightly gt.ops ~days:profile.days in
+  let nfs =
+    Nfs_source.generate ~seed:(profile.seed + 17) ~trace_days:10
+      ~pairs_per_day:profile.short_pairs_per_day
+  in
+  run params ~seed:(profile.seed + 23) ~snapshots ~nfs

@@ -27,3 +27,10 @@ val run :
   nfs:Nfs_source.day_trace array ->
   Op.t array
 (** Time-sorted, well-formed workload. Deterministic in [seed]. *)
+
+val of_ground_truth : Ffs.Params.t -> Ground_truth.t -> Op.t array
+(** The paper's reconstructed workload: [gt]'s nightly snapshots over
+    [gt.profile.days], ten NFS trace days at the profile's short-lived
+    pair rate, and {!run}, the last two seeded 17 and 23 past
+    [gt.profile.seed]. Everything comes from [gt.profile], so one
+    ground truth names one reconstruction. *)

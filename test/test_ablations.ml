@@ -13,6 +13,13 @@ let smoke name f () =
   check_bool (name ^ " nonempty") true (String.length report > 100);
   check_bool (name ^ " titled") true (contains report "Ablation")
 
+(* The whole seed-sensitivity report at 3 days, seed 123, pinned by
+   its CRC-32: the five seeds' rows and the mean/spread line. *)
+let test_seed_sensitivity_pin () =
+  let report = Benchlib.Ablations.seed_sensitivity ~days:3 ~seed:123 () in
+  Alcotest.(check string) "report CRC" "3458c9b4"
+    (Printf.sprintf "%08lx" (Util.Crc32.string report))
+
 let test_all_concatenates () =
   let report = Benchlib.Ablations.all ~days:3 ~seed:123 () in
   List.iter
@@ -35,6 +42,7 @@ let () =
               Benchlib.Ablations.cylinder_size ~days ~seed ()));
           slow "workload profiles" (smoke "profiles" (fun ~days ~seed () ->
               Benchlib.Ablations.workload_profiles ~days ~seed ()));
+          slow "seed sensitivity" test_seed_sensitivity_pin;
           slow "all" test_all_concatenates;
         ] );
     ]

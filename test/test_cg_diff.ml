@@ -321,7 +321,7 @@ let test_crash_pipeline_pin () =
     (Ffs.Check.is_clean (Ffs.Check.run c.Aging.Replay.result.Aging.Replay.fs))
 
 (* The paper-scale pipeline: test_workload's 30-day paper_fs workload
-   (default seed, NFS seed +17, reconstruct seed +23) replayed under
+   (default seed, Workload.Reconstruct.of_ground_truth) replayed under
    both allocators. An aged paper-size volume splits its free space
    into many short runs, which the 4-day small-volume pins above never
    do, so a cluster search that hops runs wrongly shows here. The
@@ -336,13 +336,7 @@ let paper_ops =
        { (Workload.Ground_truth.scaled params ~days:paper_days) with
          Workload.Ground_truth.seed = paper_seed }
      in
-     let gt = Workload.Ground_truth.generate params profile in
-     let snapshots = Workload.Snapshot.capture_nightly gt.Workload.Ground_truth.ops ~days:paper_days in
-     let nfs =
-       Workload.Nfs_source.generate ~seed:(paper_seed + 17) ~trace_days:10
-         ~pairs_per_day:profile.Workload.Ground_truth.short_pairs_per_day
-     in
-     Workload.Reconstruct.run params ~seed:(paper_seed + 23) ~snapshots ~nfs)
+     Workload.Reconstruct.of_ground_truth params (Workload.Ground_truth.generate params profile))
 
 let test_paper_pin config_name config ~digest ~scores () =
   let r =

@@ -164,12 +164,15 @@ let test_build_identical_across_jobs () =
   Alcotest.check exact_scores "traditional scores identical (jobs 1 vs 4)" t1 t4;
   Alcotest.check exact_scores "realloc scores identical (jobs 1 vs 4)" r1 r4
 
+let home_workload ~days seed = Workload.Profiles.build params Workload.Profiles.Home ~days ~seed
+
 let test_build_seeds_identical_across_jobs () =
   let seeds = Benchlib.Experiments.default_seeds ~seed:960117 ~n:3 in
   check_int "distinct child seeds" 3 (List.length (List.sort_uniq compare seeds));
   let summary jobs =
     Par.Pool.with_pool ~jobs (fun pool ->
-        Benchlib.Experiments.build_seeds ~params ~days:3 ~pool ~seeds ())
+        Benchlib.Experiments.build_seeds ~params ~days:3 ~pool
+          ~workload:(home_workload ~days:3) ~seeds ())
   in
   let a = summary 1 and b = summary 4 in
   check_int "same number of runs" (List.length a.Benchlib.Experiments.runs)
@@ -195,7 +198,8 @@ let test_build_seeds_records_timings () =
   let seeds = Benchlib.Experiments.default_seeds ~seed:5 ~n:2 in
   ignore
     (Par.Pool.with_pool ~jobs:2 (fun pool ->
-         Benchlib.Experiments.build_seeds ~params ~days:2 ~pool ~timings ~seeds ()));
+         Benchlib.Experiments.build_seeds ~params ~days:2 ~pool ~timings
+           ~workload:(home_workload ~days:2) ~seeds ()));
   (* one workload build per seed plus a (seed x allocator) replay grid *)
   check_int "workloads + replays timed" 6 (List.length (Par.Timings.entries timings))
 

@@ -220,6 +220,28 @@ let test_ground_truth_inos_map_to_groups () =
       check_bool "valid group" true (cg >= 0 && cg < params.Ffs.Params.ncg))
     gt.Workload.Ground_truth.ops
 
+(* a 300-day profile is the paper's, so no caller needs to pick between
+   [default] and [scaled]; the size distributions are abstract, hence
+   compared physically *)
+let test_scaled_300_is_default () =
+  let p = Ffs.Params.paper_fs in
+  let d = Workload.Ground_truth.default p in
+  let s = Workload.Ground_truth.scaled p ~days:300 in
+  let open Workload.Ground_truth in
+  check_int "seed" d.seed s.seed;
+  check_int "days" d.days s.days;
+  check_int "directories" d.directories s.directories;
+  let check_float name a b = Alcotest.(check (float 0.0)) name a b in
+  check_float "base_creates_per_day" d.base_creates_per_day s.base_creates_per_day;
+  check_float "modify_fraction" d.modify_fraction s.modify_fraction;
+  check_float "short_pairs_per_day" d.short_pairs_per_day s.short_pairs_per_day;
+  check_bool "long_size" true (d.long_size == s.long_size);
+  check_bool "short_size" true (d.short_size == s.short_size);
+  check_float "utilization_start" d.utilization_start s.utilization_start;
+  check_int "utilization_ramp_days" d.utilization_ramp_days s.utilization_ramp_days;
+  check_float "utilization_lo" d.utilization_lo s.utilization_lo;
+  check_float "utilization_hi" d.utilization_hi s.utilization_hi
+
 (* --- Snapshots ----------------------------------------------------------------------- *)
 
 let find (snap : Workload.Snapshot.t) ino =
@@ -502,7 +524,7 @@ let prop_reconstruct_day_window =
 (* --- Op-stream pins ---------------------------------------------------------------- *)
 
 (* The paper-scale pipeline (Ffs.Params.paper_fs, 30 days, the default
-   seed with bin/common.ml's NFS and reconstruct seed offsets), each
+   seed, reconstructed by Workload.Reconstruct.of_ground_truth), each
    output pinned by the CRC-32 of its unshared marshalled form: a
    reorder at equal op counts shows here, not only in image digests. *)
 let pin_seed = 960117
@@ -515,13 +537,9 @@ let pin_pipeline =
        { (Workload.Ground_truth.scaled params ~days:pin_days) with Workload.Ground_truth.seed = pin_seed }
      in
      let gt = Workload.Ground_truth.generate params profile in
-     let snaps = Workload.Snapshot.capture_nightly gt.Workload.Ground_truth.ops ~days:pin_days in
-     let nfs =
-       Workload.Nfs_source.generate ~seed:(pin_seed + 17) ~trace_days:10
-         ~pairs_per_day:profile.Workload.Ground_truth.short_pairs_per_day
-     in
-     let recon = Workload.Reconstruct.run params ~seed:(pin_seed + 23) ~snapshots:snaps ~nfs in
-     (gt.Workload.Ground_truth.ops, snaps, recon))
+     let ops = gt.Workload.Ground_truth.ops in
+     (ops, Workload.Snapshot.capture_nightly ops ~days:pin_days,
+      Workload.Reconstruct.of_ground_truth params gt))
 
 let crc_of v = Printf.sprintf "%08lx" (Util.Crc32.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
@@ -565,6 +583,7 @@ let () =
           tc "seed matters" test_ground_truth_seed_matters;
           tc "utilization targets" test_ground_truth_utilization_targets;
           tc "inos map to groups" test_ground_truth_inos_map_to_groups;
+          tc "scaled 300 = default" test_scaled_300_is_default;
         ] );
       ( "snapshots",
         [ tc "capture" test_snapshot_capture ] );
