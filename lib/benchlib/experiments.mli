@@ -36,6 +36,12 @@ val days : context -> int
 val aged_traditional : context -> Aging.Replay.result
 val aged_realloc : context -> Aging.Replay.result
 
+val seqio_points : context -> [ `Traditional | `Realloc ] -> Seqio.point list
+(** The sequential-I/O sweep behind Figures 4 to 6 on one aged
+    reconstruction image, computed on first use and cached. Every point
+    runs on its own {!Ffs.Fs.copy} of the image, fanned out on the
+    context's pool when it has one. *)
+
 (** {2 Multi-seed aggregation}
 
     The paper draws every figure from a single workload draw. The

@@ -6,8 +6,8 @@
     back in creation order. I/O is performed in 4 MB units at the
     system-call level, which the file system decomposes into clustered
     disk requests. Create timing includes FFS's synchronous metadata
-    writes. The file system is deep-copied first, so the aged image is
-    not disturbed. *)
+    writes. Each point runs on its own fork of the file system
+    ({!Ffs.Fs.copy}), so the aged image is not disturbed. *)
 
 type point = {
   file_bytes : int;

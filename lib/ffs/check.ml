@@ -223,9 +223,10 @@ let repair_body fs =
   List.iter
     (fun inum ->
       let ino = Fs.inode fs inum in
-      Fs.set_entries fs ino
-        (filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries);
-      ino.Inode.indirect_addrs <- filter_array (fun a -> keep a fpb) ino.Inode.indirect_addrs)
+      let entries = filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries in
+      let indirect_addrs = filter_array (fun a -> keep a fpb) ino.Inode.indirect_addrs in
+      if entries != ino.Inode.entries || indirect_addrs != ino.Inode.indirect_addrs then
+        Fs.set_entries fs ~indirect_addrs ino entries)
     (List.sort compare !inums);
   (* pass 2: rebuild every group's bitmaps, counters, extent index and
      layout counters from the surviving claims, measuring the divergence

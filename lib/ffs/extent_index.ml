@@ -143,23 +143,33 @@ type t = {
   used : Hier.t;  (* bit set = at least one fragment used *)
   maxrun : Bytes.t;  (* per block: longest in-block free-fragment run *)
   fit : Hier.t array;  (* fit.(l-1): partial blocks with a free run >= l *)
-  lengths : int array;  (* free-block run length, valid at run endpoints only *)
-  counts : int array;  (* counts.(l) = maximal free-block runs of length l *)
-  lens : Hier.t;  (* bit l set iff counts.(l) > 0 *)
+  lengths : Bytes.t;  (* cells: free-block run length, valid at run endpoints only *)
+  counts : Bytes.t;  (* cells: cell l = maximal free-block runs of length l *)
+  lens : Hier.t;  (* bit l set iff count l > 0 *)
 }
+
+(* [lengths] and [counts] are tables of 32-bit cells (a group has far
+   fewer than 2^31 blocks), so copying an index copies them as bytes *)
+let cells n = Bytes.make (4 * n) '\000'
+let cell b i = Int32.to_int (Bytes.get_int32_ne b (4 * i))
+let set_cell b i v = Bytes.set_int32_ne b (4 * i) (Int32.of_int v)
+let length_at t b = cell t.lengths b
+let count_of t len = cell t.counts len
 
 let add_run t ~s ~e =
   let len = e - s + 1 in
   if len > 0 then begin
-    if t.counts.(len) = 0 then Hier.set t.lens len;
-    t.counts.(len) <- t.counts.(len) + 1;
-    t.lengths.(s) <- len;
-    t.lengths.(e) <- len
+    let c = count_of t len in
+    if c = 0 then Hier.set t.lens len;
+    set_cell t.counts len (c + 1);
+    set_cell t.lengths s len;
+    set_cell t.lengths e len
   end
 
 let drop_run t len =
-  t.counts.(len) <- t.counts.(len) - 1;
-  if t.counts.(len) = 0 then Hier.clear t.lens len
+  let c = count_of t len - 1 in
+  set_cell t.counts len c;
+  if c = 0 then Hier.clear t.lens len
 
 let reset t =
   Hier.clear_all t.used;
@@ -167,8 +177,8 @@ let reset t =
   Bytes.fill t.maxrun 0 (Bytes.length t.maxrun) (Char.chr t.fpb);
   Hier.clear_all t.free;
   if t.nblocks > 0 then Hier.set_range t.free ~pos:0 ~len:t.nblocks;
-  Array.fill t.lengths 0 (Array.length t.lengths) 0;
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Bytes.fill t.lengths 0 (Bytes.length t.lengths) '\000';
+  Bytes.fill t.counts 0 (Bytes.length t.counts) '\000';
   Hier.clear_all t.lens;
   add_run t ~s:0 ~e:(t.nblocks - 1)
 
@@ -182,8 +192,8 @@ let create ~nblocks ~fpb =
       used = Hier.create nblocks;
       maxrun = Bytes.make (max 1 nblocks) (Char.chr fpb);
       fit = Array.init (fpb - 1) (fun _ -> Hier.create nblocks);
-      lengths = Array.make (max 1 nblocks) 0;
-      counts = Array.make (nblocks + 1) 0;
+      lengths = cells (max 1 nblocks);
+      counts = cells (nblocks + 1);
       lens = Hier.create (nblocks + 1);
     }
   in
@@ -197,8 +207,8 @@ let copy t =
     used = Hier.copy t.used;
     maxrun = Bytes.copy t.maxrun;
     fit = Array.map Hier.copy t.fit;
-    lengths = Array.copy t.lengths;
-    counts = Array.copy t.counts;
+    lengths = Bytes.copy t.lengths;
+    counts = Bytes.copy t.counts;
     lens = Hier.copy t.lens;
   }
 
@@ -226,7 +236,7 @@ let take_range t ~first ~len =
   assert (len >= 1 && first >= 0 && first + len <= t.nblocks);
   let last = first + len - 1 in
   let e = run_end t first in
-  let s = e - t.lengths.(e) + 1 in
+  let s = e - length_at t e + 1 in
   assert (s <= first && last <= e);
   drop_run t (e - s + 1);
   Hier.clear_range t.free ~pos:first ~len;
@@ -242,8 +252,10 @@ let take_range t ~first ~len =
 let give_range t ~first ~len =
   assert (len >= 1 && first >= 0 && first + len <= t.nblocks);
   let last = first + len - 1 in
-  let left = if first > 0 && Hier.mem t.free (first - 1) then t.lengths.(first - 1) else 0 in
-  let right = if last + 1 < t.nblocks && Hier.mem t.free (last + 1) then t.lengths.(last + 1) else 0 in
+  let left = if first > 0 && Hier.mem t.free (first - 1) then length_at t (first - 1) else 0 in
+  let right =
+    if last + 1 < t.nblocks && Hier.mem t.free (last + 1) then length_at t (last + 1) else 0
+  in
   if left > 0 then drop_run t left;
   if right > 0 then drop_run t right;
   (* clear_range checks that every block was used *)
@@ -283,7 +295,7 @@ let shortest_run t ~len = opt (Hier.succ t.lens len)
 let rec first_fit_hop t ~s ~len =
   if s < 0 || s + len > t.nblocks then -1
   else begin
-    let run = t.lengths.(s) in
+    let run = length_at t s in
     if run >= len then s else first_fit_hop t ~s:(Hier.succ t.free (s + run)) ~len
   end
 
@@ -299,7 +311,7 @@ let first_fit t ~start ~len =
 let rec first_run_hop t ~s ~len =
   if s < 0 then -1
   else begin
-    let run = t.lengths.(s) in
+    let run = length_at t s in
     if run = len then s else first_run_hop t ~s:(Hier.succ t.free (s + run)) ~len
   end
 
@@ -307,7 +319,7 @@ let rec first_run_hop t ~s ~len =
 let first_run_of t ~len = opt (first_run_hop t ~s:(Hier.succ t.free 0) ~len)
 
 let longest_run t =
-  let rec go l = if l = 0 || t.counts.(l) > 0 then l else go (l - 1) in
+  let rec go l = if l = 0 || count_of t l > 0 then l else go (l - 1) in
   go t.nblocks
 
 let run_histogram t ~max =
@@ -315,7 +327,7 @@ let run_histogram t ~max =
   let out = Array.make max 0 in
   for len = 1 to t.nblocks do
     let slot = min len max - 1 in
-    out.(slot) <- out.(slot) + t.counts.(len)
+    out.(slot) <- out.(slot) + count_of t len
   done;
   out
 
@@ -331,7 +343,7 @@ let histogram t =
   in
   for len = 1 to t.nblocks do
     let i = min (bucket_of len) (nbuckets - 1) in
-    out.(i) <- out.(i) + t.counts.(len)
+    out.(i) <- out.(i) + count_of t len
   done;
   Array.mapi (fun i c -> (1 lsl i, c)) out
 
@@ -353,16 +365,16 @@ let audit_runs t ~block_free =
       let e = !b - 1 in
       let len = e - s + 1 in
       recount.(len) <- recount.(len) + 1;
-      if t.lengths.(s) <> len || t.lengths.(e) <> len then
+      if length_at t s <> len || length_at t e <> len then
         complain "runs: endpoint lengths wrong for run [%d,%d] (have %d/%d)" s e
-          t.lengths.(s) t.lengths.(e)
+          (length_at t s) (length_at t e)
     end
     else incr b
   done;
   Array.iteri
     (fun len c ->
-      if c <> t.counts.(len) then
-        complain "runs: count for length %d is %d, expected %d" len t.counts.(len) c
+      if c <> count_of t len then
+        complain "runs: count for length %d is %d, expected %d" len (count_of t len) c
       else if len > 0 && Hier.mem t.lens len <> (c > 0) then
         complain "runs: length %d marked %b, count is %d" len (Hier.mem t.lens len) c)
     recount;

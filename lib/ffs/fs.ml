@@ -17,12 +17,27 @@ type stats = {
 let metrics = Obs.Metrics.default
 let heat = Obs.Heatmap.global
 
+(* A directory's entries. [copy] shares the states of its source, after
+   marking each [shared]; a write goes through [writable_dir], which
+   first clones a shared state into the writer's own table, so neither
+   side ever writes a state the other can see. The flag is atomic
+   because several domains may fork one image at once. *)
 type dir_state = {
   dir_inum : int;
   by_name : (string, int) Hashtbl.t;
   mutable order : string list;  (* reverse insertion order *)
   mutable live_entries : int;
+  shared : bool Atomic.t;
 }
+
+let new_dir_state inum =
+  {
+    dir_inum = inum;
+    by_name = Hashtbl.create 16;
+    order = [];
+    live_entries = 0;
+    shared = Atomic.make false;
+  }
 
 (* The address geometry, derived once from [params]: the conversions
    below run several times per allocated block, and each [Params]
@@ -95,17 +110,9 @@ let record_journal t f =
       let v = f () in
       (v, List.rev !r))
 
-(* Deep snapshot: journal steps outlive the operation, and the live
-   inode's arrays keep mutating after the step is recorded. *)
-let snapshot_inode ino =
-  {
-    ino with
-    Inode.entries = Array.copy ino.Inode.entries;
-    indirect_addrs = Array.copy ino.Inode.indirect_addrs;
-  }
-
-(* an inode-table write; the snapshot is only taken while recording *)
-let jot_inode t ino = if recording t then jot t (Journal.Inode_write { ino = snapshot_inode ino })
+(* an inode-table write: the installed record itself, which no later
+   write changes *)
+let jot_inode t ino = if recording t then jot t (Journal.Inode_write { ino })
 
 let default_config = { realloc = false; cluster_policy = `First_fit }
 let realloc_config = { realloc = true; cluster_policy = `First_fit }
@@ -203,16 +210,14 @@ let set_inode t inum v =
   (match v with Some ino -> add_links sh ino ~sign:1 | None -> ());
   sh.inodes <- store_slot ~ipg:(ipg t) sh.inodes s v
 
-(* Every entries write: the sums follow when [ino] is the record in the
-   table; an inode not yet installed brings its share in [set_inode]. *)
-let set_entries t ino entries =
-  match find_inode t ino.Inode.inum with
-  | Some cur when cur == ino ->
-      let sh = shard_of t ino.Inode.inum in
-      add_links sh ino ~sign:(-1);
-      ino.Inode.entries <- entries;
-      add_links sh ino ~sign:1
-  | Some _ | None -> ino.Inode.entries <- entries
+let set_entries t ?indirect_addrs ino entries =
+  let indirect_addrs = Option.value indirect_addrs ~default:ino.Inode.indirect_addrs in
+  set_inode t ino.Inode.inum (Some { ino with Inode.entries; indirect_addrs })
+
+(* A raw inode-table write: the layout sums keep the old record's share. *)
+let corrupt_inode t inum f =
+  let sh = shard_of t inum in
+  sh.inodes <- store_slot ~ipg:(ipg t) sh.inodes (inum mod ipg t) (Some (f (inode t inum)))
 
 let group_layout_counts t cg =
   let sh = t.shards.(cg) in
@@ -771,14 +776,33 @@ let maybe_extend_dir t dir =
           if lcg = cg then Some (g - data_base t cg) else None
     in
     let addr = alloc_frags t ~pref_cg:cg ~pref_frag:pref ~count:1 in
-    set_entries t ino (Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |]);
-    ino.Inode.size <- ino.Inode.size + t.params.Params.frag_bytes;
+    let ino =
+      {
+        ino with
+        Inode.entries = Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |];
+        size = ino.Inode.size + t.params.Params.frag_bytes;
+      }
+    in
+    set_inode t dir.dir_inum (Some ino);
     jot_inode t ino
+  end
+
+(* [d], the state of directory [dir], ready for a write: a shared state
+   is first cloned into [t.dirs]. Pinned domains never insert into that
+   table, so a pinned caller defers instead. *)
+let writable_dir t dir d =
+  if not (Atomic.get d.shared) then d
+  else begin
+    unpinned_only ();
+    let own = { d with by_name = Hashtbl.copy d.by_name; shared = Atomic.make false } in
+    Hashtbl.replace t.dirs dir own;
+    own
   end
 
 let add_dir_entry t ~dir ~name ~inum =
   let d = get_dir t dir in
   if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
+  let d = writable_dir t dir d in
   Hashtbl.replace d.by_name name inum;
   d.order <- name :: d.order;
   d.live_entries <- d.live_entries + 1;
@@ -790,12 +814,14 @@ let add_dir_entry t ~dir ~name ~inum =
 
 let remove_dir_entry t ~dir ~name =
   let d = get_dir t dir in
-  (match Hashtbl.find_opt d.by_name name with
+  match Hashtbl.find_opt d.by_name name with
   | None -> Error.raise_ (Error.No_such_name { dir; name })
-  | Some inum -> set_parent t inum None);
-  Hashtbl.remove d.by_name name;
-  d.live_entries <- d.live_entries - 1;
-  jot t (Journal.Dir_remove { dir; name })
+  | Some inum ->
+      let d = writable_dir t dir d in
+      set_parent t inum None;
+      Hashtbl.remove d.by_name name;
+      d.live_entries <- d.live_entries - 1;
+      jot t (Journal.Dir_remove { dir; name })
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -804,14 +830,21 @@ let make_dir_at t ~cg ~time =
   match alloc_inode_near t ~cg with
   | None -> Error.raise_ Error.Out_of_space
   | Some inum ->
-      let ino = Inode.v ~inum ~kind:Inode.Dir ~time in
       (* initial directory data: one fragment in its own group *)
       let addr = alloc_frags t ~pref_cg:(cg_of_inum t inum) ~pref_frag:(Some 0) ~count:1 in
-      ino.Inode.entries <- [| { Inode.addr; frags = 1 } |];
-      ino.Inode.size <- t.params.Params.frag_bytes;
+      let ino =
+        {
+          Inode.inum;
+          kind = Inode.Dir;
+          size = t.params.Params.frag_bytes;
+          entries = [| { Inode.addr; frags = 1 } |];
+          indirect_addrs = [||];
+          ctime = time;
+          mtime = time;
+        }
+      in
       set_inode t inum (Some ino);
-      Hashtbl.replace t.dirs inum
-        { dir_inum = inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 };
+      Hashtbl.replace t.dirs inum (new_dir_state inum);
       Cg.add_dir t.cgs.(cg_of_inum t inum);
       jot_inode t ino;
       jot t (Journal.Dir_count { cg = cg_of_inum t inum; delta = 1 });
@@ -852,27 +885,25 @@ let copy t =
   in
   Store.blit ~src:t.store ~src_pos:0 ~dst:store ~dst_pos:0 ~len:(Store.length t.store);
   Store.copy_dirty ~src:t.store ~dst:store;
+  (* both sides keep the directory states, marked shared, until their
+     first write of each (see [writable_dir]) *)
+  Hashtbl.iter (fun _ d -> if not (Atomic.get d.shared) then Atomic.set d.shared true) t.dirs;
   {
     t with
     store;
     cgs = Array.map (fun cg -> Cg.rebind cg ~store) t.cgs;
+    (* inode records are immutable: the tables are copied, not the records *)
     shards =
       Array.map
         (fun sh ->
           {
-            inodes = Array.map (Option.map (fun v -> { v with Inode.inum = v.Inode.inum })) sh.inodes;
+            sh with
+            inodes = Array.copy sh.inodes;
             parents = Array.copy sh.parents;
             counts = { sh.counts with blocks_allocated = sh.counts.blocks_allocated };
-            optimal = sh.optimal;
-            counted = sh.counted;
           })
         t.shards;
-    dirs =
-      (let h = Hashtbl.create (Hashtbl.length t.dirs) in
-       Hashtbl.iter
-         (fun k d -> Hashtbl.replace h k { d with by_name = Hashtbl.copy d.by_name })
-         t.dirs;
-       h);
+    dirs = Hashtbl.copy t.dirs;
     stats = { t.stats with blocks_allocated = t.stats.blocks_allocated };
     jrec = None;
   }
@@ -976,12 +1007,11 @@ let create_file_at_exn t ~time ~dir ~name ~size =
       let actual_cg = cg_of_inum t inum in
       let allocated = ref None in
       try
-        let entries, indirects = allocate_data t ~home_cg:actual_cg ~size in
-        allocated := Some (entries, indirects);
-        let ino = Inode.v ~inum ~kind:Inode.File ~time in
-        ino.Inode.size <- size;
-        ino.Inode.entries <- entries;
-        ino.Inode.indirect_addrs <- indirects;
+        let entries, indirect_addrs = allocate_data t ~home_cg:actual_cg ~size in
+        allocated := Some (entries, indirect_addrs);
+        let ino =
+          { Inode.inum; kind = Inode.File; size; entries; indirect_addrs; ctime = time; mtime = time }
+        in
         set_inode t inum (Some ino);
         jot_inode t ino;
         add_dir_entry t ~dir ~name ~inum;
@@ -990,8 +1020,10 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         (* unwind exactly the stages reached: the directory entry (the
            dir-extension fragment can fail *after* the entry is in), the
            file data, the inode-table insert, the inode slot.
-           [allocate_data] already rolled back its own partial work. *)
-        if Hashtbl.mem d.by_name name then remove_dir_entry t ~dir ~name;
+           [allocate_data] already rolled back its own partial work. The
+           entry is looked up afresh: [add_dir_entry] may have replaced a
+           shared [d] with its own clone. *)
+        if Hashtbl.mem (get_dir t dir).by_name name then remove_dir_entry t ~dir ~name;
         (match !allocated with
         | None -> ()
         | Some (entries, indirects) ->
@@ -1007,10 +1039,7 @@ let create_file_exn t ~dir ~name ~size =
 
 let free_file_data t ino =
   free_entries t ino.Inode.entries;
-  free_indirects t ino.Inode.indirect_addrs;
-  set_entries t ino [||];
-  ino.Inode.indirect_addrs <- [||];
-  ino.Inode.size <- 0
+  free_indirects t ino.Inode.indirect_addrs
 
 (* When pinned, refuse (before any mutation) an inode whose data or
    indirect blocks live outside the pinned group — the serial phase owns
@@ -1040,8 +1069,14 @@ let delete_inum_exn t inum =
   let pin = Locks.pinned () in
   let ino = file_inode t ~pin ~op:"delete_inum" inum in
   let parent = find_parent t inum in
-  (* the entry to remove lives in its directory's group *)
-  (match parent with Some (dir, _) -> confine pin ~cg:(cg_of_inum t dir) | None -> ());
+  (* the entry to remove lives in its directory's group, and a shared
+     directory defers a pinned caller: both before any mutation *)
+  (match parent with
+  | Some (dir, _) ->
+      confine pin ~cg:(cg_of_inum t dir);
+      if Option.is_some pin then
+        Option.iter (fun d -> ignore (writable_dir t dir d)) (Hashtbl.find_opt t.dirs dir)
+  | None -> ());
   free_file_data t ino;
   set_inode t inum None;
   jot t (Journal.Inode_clear { inum });
@@ -1061,12 +1096,15 @@ let rewrite_file_at_exn t ~time ~inum ~size =
      simply allocates for the now-empty file.) *)
   let ino = file_inode t ~pin:(Locks.pinned ()) ~op:"rewrite_file" inum in
   free_file_data t ino;
-  let home_cg = cg_of_inum t inum in
-  let entries, indirects = allocate_data t ~home_cg ~size in
-  ino.Inode.size <- size;
-  set_entries t ino entries;
-  ino.Inode.indirect_addrs <- indirects;
-  ino.Inode.mtime <- time;
+  let entries, indirect_addrs =
+    try allocate_data t ~home_cg:(cg_of_inum t inum) ~size
+    with Error.Error _ as exn ->
+      (* the truncation stands: the file is left empty *)
+      set_inode t inum (Some { ino with Inode.size = 0; entries = [||]; indirect_addrs = [||] });
+      raise exn
+  in
+  let ino = { ino with Inode.size; entries; indirect_addrs; mtime = time } in
+  set_inode t inum (Some ino);
   jot_inode t ino
 
 let rewrite_file_exn t ~inum ~size = rewrite_file_at_exn t ~time:t.clock ~inum ~size
@@ -1184,7 +1222,7 @@ type portable = {
   pf_root : int;
   pf_stats : stats;
   pf_cgs : Cg.portable array;
-  pf_inodes : (int * Inode.t) list;  (* sorted by inum; deep-copied *)
+  pf_inodes : (int * Inode.t) list;  (* sorted by inum *)
   pf_dirs : (int * portable_dir) list;  (* sorted by inum *)
   pf_parents : (int * (int * string)) list;  (* sorted by inum *)
 }
@@ -1211,8 +1249,7 @@ let to_portable t =
     pf_root = t.root_inum;
     pf_stats = stats t;
     pf_cgs = Array.map Cg.to_portable t.cgs;
-    pf_inodes =
-      List.map (fun (inum, ino) -> (inum, snapshot_inode ino)) (shard_bindings t (fun sh -> sh.inodes));
+    pf_inodes = shard_bindings t (fun sh -> sh.inodes);
     pf_dirs =
       List.map
         (fun dnum ->
@@ -1245,7 +1282,13 @@ let of_portable ?(backend = Store.Heap_backend) p =
       let by_name = Hashtbl.create 16 in
       List.iter (fun (name, inum) -> Hashtbl.replace by_name name inum) pd.pd_names;
       Hashtbl.replace dirs dnum
-        { dir_inum = pd.pd_inum; by_name; order = pd.pd_order; live_entries = pd.pd_live })
+        {
+          dir_inum = pd.pd_inum;
+          by_name;
+          order = pd.pd_order;
+          live_entries = pd.pd_live;
+          shared = Atomic.make false;
+        })
     p.pf_dirs;
   (* loading wrote every byte, so the dirty map is all-set — the
      conservative truth for a resumed volume (the first checkpoint after
@@ -1272,7 +1315,7 @@ let of_portable ?(backend = Store.Heap_backend) p =
   List.iter
     (fun (inum, ino) ->
       in_range "inode" inum;
-      set_inode t inum (Some (snapshot_inode ino)))
+      set_inode t inum (Some ino))
     p.pf_inodes;
   List.iter
     (fun (inum, v) ->
@@ -1357,13 +1400,11 @@ let apply_step t step =
   | Journal.Inode_slot_clear { inum } ->
       Cg.corrupt_clear_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t)
   | Journal.Inode_write { ino } ->
-      (* copy again: many crash states replay the same recorded step, and
-         repair mutates inode arrays in place *)
-      let ino = snapshot_inode ino in
+      (* many crash states install the same recorded record: it is
+         immutable, so they may share it *)
       set_inode t ino.Inode.inum (Some ino);
       if ino.Inode.kind = Inode.Dir && not (Hashtbl.mem t.dirs ino.Inode.inum) then
-        Hashtbl.replace t.dirs ino.Inode.inum
-          { dir_inum = ino.Inode.inum; by_name = Hashtbl.create 16; order = []; live_entries = 0 }
+        Hashtbl.replace t.dirs ino.Inode.inum (new_dir_state ino.Inode.inum)
   | Journal.Inode_clear { inum } ->
       set_inode t inum None;
       Hashtbl.remove t.dirs inum
@@ -1372,6 +1413,7 @@ let apply_step t step =
       | None -> ()  (* the directory's own inode write was lost *)
       | Some d ->
           if not (Hashtbl.mem d.by_name name) then begin
+            let d = writable_dir t dir d in
             Hashtbl.replace d.by_name name inum;
             d.order <- name :: d.order;
             d.live_entries <- d.live_entries + 1
@@ -1384,6 +1426,7 @@ let apply_step t step =
           match Hashtbl.find_opt d.by_name name with
           | None -> ()
           | Some inum ->
+              let d = writable_dir t dir d in
               Hashtbl.remove d.by_name name;
               d.live_entries <- d.live_entries - 1;
               set_parent t inum None))

@@ -55,8 +55,14 @@ val default_config : config
 val realloc_config : config
 
 val copy : t -> t
-(** Deep copy — used to run destructive benchmarks against one aged
-    image repeatedly. *)
+(** An independent fork: writes to either side never show in the other
+    — used to run destructive benchmarks against one aged image
+    repeatedly. The fork copies the metadata store, each group's free
+    extent index and the inode tables' slot arrays, and shares what is
+    never written in place: the inode records, and the directory states
+    until either side's first write of each, which clones it. Forking
+    writes the source only to mark its directory states shared, so
+    several domains may fork one image at once while none writes it. *)
 
 val params : t -> Params.t
 val config : t -> config
@@ -168,13 +174,23 @@ val inode : t -> int -> Inode.t
 (** Raises [Not_found] for unallocated inode numbers, including numbers
     outside every group. *)
 
-val set_entries : t -> Inode.t -> Inode.entry array -> unit
-(** [set_entries t ino entries] installs [entries] as [ino]'s data runs
-    and keeps the layout counters ({!layout_counts}) in step. Every
-    write of a live inode's entries goes through here; writing the
-    field directly leaves the counters stale until {!Check.repair} (or
-    {!rebuild_allocation}) recounts them. Allocates nothing itself:
-    freeing or marking the runs is the caller's business. *)
+val set_entries : t -> ?indirect_addrs:int array -> Inode.t -> Inode.entry array -> unit
+(** [set_entries t ino entries] replaces [ino], the record installed for
+    its inode number, with a copy whose data runs are [entries] (and
+    whose indirect blocks are [indirect_addrs], when given), and keeps
+    the layout counters ({!layout_counts}) in step. Records are
+    immutable ({!Inode.t}), so every claims edit outside the normal
+    file API goes through here or through {!corrupt_inode}. Allocates
+    nothing itself: freeing or marking the runs is the caller's
+    business. *)
+
+val corrupt_inode : t -> int -> (Inode.t -> Inode.t) -> unit
+(** [corrupt_inode t inum f] installs [f ino] in place of [inum]'s
+    record [ino] as a raw inode-table write: the layout counters keep
+    [ino]'s share, so they are stale until {!Check.repair} (or
+    {!rebuild_allocation}) recounts them — the analogue of the
+    [Cg.corrupt_*] primitives, for tests. Raises [Not_found] like
+    {!inode}. *)
 
 val layout_counts : t -> int * int
 (** [(optimal, counted)] over every regular file: the links from one
@@ -261,8 +277,8 @@ type portable = {
 val to_portable : t -> portable
 (** Flatten to the canonical form: raw bitmap bytes plus counters per
     group (no derived indexes), tables as sorted
-    association lists, inodes deep-copied. Independent of the storage
-    backend and safe to [Marshal]. *)
+    association lists, sharing the immutable inode records. Independent
+    of the storage backend and safe to [Marshal]. *)
 
 val of_portable : ?backend:Store.spec -> portable -> t
 (** Rebuild a live file system (derived indexes reconstructed from the

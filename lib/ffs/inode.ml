@@ -4,15 +4,12 @@ type kind = File | Dir
 type t = {
   inum : int;
   kind : kind;
-  mutable size : int;
-  mutable entries : entry array;
-  mutable indirect_addrs : int array;
-  mutable ctime : float;
-  mutable mtime : float;
+  size : int;
+  entries : entry array;
+  indirect_addrs : int array;
+  ctime : float;
+  mtime : float;
 }
-
-let v ~inum ~kind ~time =
-  { inum; kind; size = 0; entries = [||]; indirect_addrs = [||]; ctime = time; mtime = time }
 
 let frag_count t = Array.fold_left (fun acc e -> acc + e.frags) 0 t.entries
 

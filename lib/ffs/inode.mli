@@ -8,7 +8,11 @@
 
     Every address is a global fragment address. A full block run has
     [frags = frags_per_block]; the final run of a small file may be a
-    shorter fragment run. *)
+    shorter fragment run.
+
+    A record is immutable, and so are its arrays once it is installed in
+    an inode table: a write builds a new record ([{ ino with ... }]) and
+    installs it, so a copy of the table may share every record. *)
 
 type entry = { addr : int; frags : int }
 
@@ -17,17 +21,14 @@ type kind = File | Dir
 type t = {
   inum : int;
   kind : kind;
-  mutable size : int;  (** bytes *)
-  mutable entries : entry array;  (** data runs, logical order *)
-  mutable indirect_addrs : int array;
+  size : int;  (** bytes *)
+  entries : entry array;  (** data runs, logical order *)
+  indirect_addrs : int array;
       (** indirect metadata blocks, in the order they interpose in the
           logical block stream *)
-  mutable ctime : float;
-  mutable mtime : float;
+  ctime : float;
+  mtime : float;
 }
-
-val v : inum:int -> kind:kind -> time:float -> t
-(** A fresh, empty inode. *)
 
 val frag_count : t -> int
 (** Total data fragments, excluding indirect blocks. *)

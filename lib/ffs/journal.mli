@@ -18,9 +18,9 @@ type step =
   | Inode_slot_set of { inum : int }
   | Inode_slot_clear of { inum : int }
   | Inode_write of { ino : Inode.t }
-      (** inode-table write carrying the inode's full content as of that
-          point in the operation (a deep snapshot — later steps of the
-          same operation may write the inode again) *)
+      (** inode-table write carrying the record installed at that point
+          in the operation (records are immutable: a later step of the
+          same operation that writes the inode again installs another) *)
   | Inode_clear of { inum : int }
   | Dir_add of { dir : int; name : string; inum : int }
   | Dir_remove of { dir : int; name : string }

@@ -61,6 +61,42 @@ let test_seqio_does_not_disturb_aged_image () =
   check_int "free space unchanged" free_before
     (Ffs.Fs.free_data_frags trad.Aging.Replay.fs)
 
+(* Words [f] allocates: in the minor heap, plus directly in the major
+   heap, net of the measurement's own. The minor collection first
+   empties the minor heap, so nothing is promoted while [f] runs. *)
+let heap_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  let w1 = words () in
+  let v = f () in
+  let w2 = words () in
+  ignore (Sys.opaque_identity v);
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* Every seqio point forks the aged image, so a fork's cost is paid per
+   point. The fork shares the immutable inode records and, until its
+   first write, every directory state; it copies the store, the slot
+   tables and each group's extent index, whose run tables are bytes. A
+   deep copy of the records, the directory tables and int-array run
+   tables allocated 10,326 words on each of these images; the bound is
+   half that. Only meaningful in native code (bytecode boxes
+   differently). *)
+let test_copy_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let trad, re = get_aged () in
+    let bound = 10_326 / 2 in
+    List.iter
+      (fun (what, (r : Aging.Replay.result)) ->
+        let words = heap_words (fun () -> Ffs.Fs.copy r.Aging.Replay.fs) in
+        if words > bound then
+          Alcotest.failf "%s: Fs.copy allocated %d words, bound %d" what words bound)
+      [ ("traditional", trad); ("realloc", re) ]
+  end
+
 let test_seqio_realloc_layout_wins () =
   let trad, re = get_aged () in
   let run fs =
@@ -163,6 +199,7 @@ let () =
         [
           tc "point sanity" test_seqio_point_sanity;
           tc "copy isolation" test_seqio_does_not_disturb_aged_image;
+          tc "copy allocation" test_copy_allocation;
           tc "realloc layout wins" test_seqio_realloc_layout_wins;
           tc "single-file corpus" test_seqio_single_file_corpus;
           tc "default sizes" test_default_sizes_cover_key_points;

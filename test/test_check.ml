@@ -38,9 +38,9 @@ let has_problem r pred = List.exists pred r.Ffs.Check.problems
 
 let test_detects_double_claim () =
   let fs, a, b = populated () in
-  let ia = Ffs.Fs.inode fs a and ib = Ffs.Fs.inode fs b in
+  let ia = Ffs.Fs.inode fs a in
   (* make b claim a's first block as well *)
-  ib.Ffs.Inode.entries <- ia.Ffs.Inode.entries;
+  Ffs.Fs.corrupt_inode fs b (fun ib -> { ib with Ffs.Inode.entries = ia.Ffs.Inode.entries });
   let r = Ffs.Check.run fs in
   check_bool "not clean" false (Ffs.Check.is_clean r);
   check_bool "double claim reported" true
@@ -57,8 +57,8 @@ let test_detects_claim_of_free_fragment () =
   (* delete b but keep a dangling reference to its (now free) blocks via
      a's inode *)
   Ffs.Fs.delete_inum_exn fs b;
-  let ia = Ffs.Fs.inode fs a in
-  ia.Ffs.Inode.entries <- Array.append ia.Ffs.Inode.entries stolen;
+  Ffs.Fs.corrupt_inode fs a (fun ia ->
+      { ia with Ffs.Inode.entries = Array.append ia.Ffs.Inode.entries stolen });
   let r = Ffs.Check.run fs in
   check_bool "claim-not-allocated reported" true
     (has_problem r (function Ffs.Check.Claim_not_allocated _ -> true | _ -> false))
@@ -121,8 +121,8 @@ let test_skewed_index_pp () =
 
 let test_detects_bad_run () =
   let fs, a, _ = populated () in
-  let ia = Ffs.Fs.inode fs a in
-  ia.Ffs.Inode.entries <- [| { Ffs.Inode.addr = -5; frags = 8 } |];
+  Ffs.Fs.corrupt_inode fs a (fun ia ->
+      { ia with Ffs.Inode.entries = [| { Ffs.Inode.addr = -5; frags = 8 } |] });
   let r = Ffs.Check.run fs in
   check_bool "bad run reported" true
     (has_problem r (function Ffs.Check.Bad_run _ -> true | _ -> false))
@@ -131,9 +131,9 @@ let test_detects_bad_run () =
 
 let test_repair_double_claim_first_owner_wins () =
   let fs, a, b = populated () in
-  let ia = Ffs.Fs.inode fs a and ib = Ffs.Fs.inode fs b in
+  let ia = Ffs.Fs.inode fs a in
   (* b claims a's runs wholesale; b's own 2 blocks (16 fragments) leak *)
-  ib.Ffs.Inode.entries <- ia.Ffs.Inode.entries;
+  Ffs.Fs.corrupt_inode fs b (fun ib -> { ib with Ffs.Inode.entries = ia.Ffs.Inode.entries });
   let log = Ffs.Check.repair_exn fs in
   check_bool "double claims resolved" true (log.Ffs.Check.double_claims_resolved > 0);
   check_int "b's leaked fragments reclaimed" 16 log.Ffs.Check.leaked_frags_reclaimed;
@@ -147,9 +147,12 @@ let test_repair_double_claim_first_owner_wins () =
 
 let test_repair_bad_run_cleared () =
   let fs, a, _ = populated () in
-  let ia = Ffs.Fs.inode fs a in
-  ia.Ffs.Inode.entries <-
-    Array.append ia.Ffs.Inode.entries [| { Ffs.Inode.addr = -5; frags = 8 } |];
+  Ffs.Fs.corrupt_inode fs a (fun ia ->
+      {
+        ia with
+        Ffs.Inode.entries =
+          Array.append ia.Ffs.Inode.entries [| { Ffs.Inode.addr = -5; frags = 8 } |];
+      });
   let log = Ffs.Check.repair_exn fs in
   check_int "one bad run cleared" 1 log.Ffs.Check.bad_runs_cleared;
   check_int "nothing leaked" 0 log.Ffs.Check.leaked_frags_reclaimed;
@@ -162,8 +165,8 @@ let test_pp_smoke () =
   let clean = Fmt.str "%a" Ffs.Check.pp (Ffs.Check.run fs) in
   check_bool "clean report mentions clean" true
     (String.length clean > 0 && String.sub clean 0 5 = "clean");
-  let ia = Ffs.Fs.inode fs a in
-  ia.Ffs.Inode.entries <- [| { Ffs.Inode.addr = -1; frags = 1 } |];
+  Ffs.Fs.corrupt_inode fs a (fun ia ->
+      { ia with Ffs.Inode.entries = [| { Ffs.Inode.addr = -1; frags = 1 } |] });
   let dirty = Fmt.str "%a" Ffs.Check.pp (Ffs.Check.run fs) in
   check_bool "dirty report nonempty" true (String.length dirty > 10)
 

@@ -449,6 +449,48 @@ let test_copy_independence () =
   Ffs.Fs.check_invariants fs;
   Ffs.Fs.check_invariants dup
 
+(* A create whose directory-extension fragment fails after the entry
+   went in: the volume is full, and the directory's sixteenth entry needs
+   a second fragment. The rollback must remove the entry — also on a
+   fork, where the directory state is shared with the source until the
+   entry's write clones it — and leave the source untouched. *)
+let test_dir_extension_rollback () =
+  List.iter
+    (fun forked ->
+      let what = if forked then "fork" else "unforked" in
+      let src = fresh () in
+      let root = Ffs.Fs.root src in
+      let d = Ffs.Fs.mkdir_exn src ~parent:root ~name:"d" in
+      for i = 1 to 15 do
+        ignore (create src ~dir:d ~name:(Fmt.str "e%d" i) ~size:0)
+      done;
+      let n = ref 0 in
+      let rec fill size =
+        if size >= 1 then
+          match Ffs.Fs.create_file src ~dir:root ~name:(Fmt.str "fill%d" !n) ~size with
+          | Ok _ ->
+              incr n;
+              fill size
+          | Error Ffs.Error.Out_of_space -> fill (size / 2)
+          | Error e -> Ffs.Error.raise_ e
+      in
+      fill (1 lsl 20);
+      check_int (what ^ ": volume full") 0 (Ffs.Fs.free_data_frags src);
+      let fs = if forked then Ffs.Fs.copy src else src in
+      let src_digest = Ffs.Fs.digest src in
+      let files = Ffs.Fs.file_count fs in
+      (match Ffs.Fs.create_file fs ~dir:d ~name:"x" ~size:0 with
+      | Error Ffs.Error.Out_of_space -> ()
+      | Ok _ | Error _ -> Alcotest.failf "%s: expected Error Out_of_space" what);
+      Alcotest.(check (option int)) (what ^ ": entry gone") None (Ffs.Fs.lookup fs ~dir:d ~name:"x");
+      check_int (what ^ ": entries unchanged") 15 (List.length (Ffs.Fs.dir_entries fs d));
+      check_int (what ^ ": file count unchanged") files (Ffs.Fs.file_count fs);
+      Ffs.Fs.check_invariants fs;
+      check_bool (what ^ ": fsck clean") true (Ffs.Check.is_clean (Ffs.Check.run fs));
+      if forked then
+        Alcotest.(check string) "source untouched" src_digest (Ffs.Fs.digest src))
+    [ false; true ]
+
 let test_utilization () =
   let fs = fresh () in
   Alcotest.(check bool) "starts near zero" true (Ffs.Fs.utilization fs < 0.001);
@@ -504,6 +546,128 @@ let prop_random_workload_invariants =
       Ffs.Fs.check_invariants fs;
       true)
 
+(* --- property: a fork and its source never see each other's writes --------- *)
+
+type fork_op =
+  | Create of int * int  (* directory pick, size *)
+  | Delete of int
+  | Rewrite of int * int
+  | Mkdir
+  | Rmdir of int
+  | Reorder of int  (* Fs.set_entries: the same claims, runs reversed *)
+  | Repair of int  (* drop a file's last run, then Check.repair reclaims it *)
+
+let sorted_files fs =
+  List.rev (Ffs.Fs.fold_files fs ~init:[] ~f:(fun acc i -> i.Ffs.Inode.inum :: acc))
+let sorted_dirs fs = List.sort compare (Ffs.Fs.dir_inums fs)
+let pick k = function [] -> None | xs -> Some (List.nth xs (k mod List.length xs))
+
+(* One op, its choices drawn from [fs]'s own state, so an image and its
+   twin of equal content make the same choice. *)
+let apply_fork_op fs ~name op =
+  let ignore_full = function
+    | Ok _ | Error Ffs.Error.Out_of_space -> ()
+    | Error e -> Ffs.Error.raise_ e
+  in
+  match op with
+  | Create (k, size) ->
+      Option.iter
+        (fun dir -> ignore_full (Ffs.Fs.create_file fs ~dir ~name ~size))
+        (pick k (sorted_dirs fs))
+  | Delete k -> Option.iter (Ffs.Fs.delete_inum_exn fs) (pick k (sorted_files fs))
+  | Rewrite (k, size) ->
+      Option.iter
+        (fun inum -> ignore_full (Ffs.Fs.rewrite_file fs ~inum ~size))
+        (pick k (sorted_files fs))
+  | Mkdir -> ignore_full (Ffs.Fs.mkdir fs ~parent:(Ffs.Fs.root fs) ~name)
+  | Rmdir k ->
+      let empty =
+        List.filter
+          (fun d -> d <> Ffs.Fs.root fs && Ffs.Fs.dir_entries fs d = [])
+          (sorted_dirs fs)
+      in
+      Option.iter
+        (fun d ->
+          let parent = Ffs.Fs.dir_of_inum fs d in
+          let name, _ = List.find (fun (_, i) -> i = d) (Ffs.Fs.dir_entries fs parent) in
+          Ffs.Fs.rmdir_exn fs ~parent ~name)
+        (pick k empty)
+  | Reorder k ->
+      Option.iter
+        (fun inum ->
+          let ino = Ffs.Fs.inode fs inum in
+          let e = ino.Ffs.Inode.entries in
+          let n = Array.length e in
+          Ffs.Fs.set_entries fs ino (Array.init n (fun i -> e.(n - 1 - i))))
+        (pick k (sorted_files fs))
+  | Repair k ->
+      Option.iter
+        (fun inum ->
+          let ino = Ffs.Fs.inode fs inum in
+          let e = ino.Ffs.Inode.entries in
+          if Array.length e > 0 then
+            Ffs.Fs.set_entries fs ino (Array.sub e 0 (Array.length e - 1)))
+        (pick k (sorted_files fs));
+      ignore (Ffs.Check.repair_exn fs)
+
+let prop_fork_independence =
+  let open QCheck in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (6, map2 (fun k s -> Create (k, s mod 150_000)) nat (int_bound 1_000_000));
+          (3, map (fun k -> Delete k) nat);
+          (2, map2 (fun k s -> Rewrite (k, s mod 100_000)) nat (int_bound 1_000_000));
+          (1, return Mkdir);
+          (1, map (fun k -> Rmdir k) nat);
+          (1, map (fun k -> Reorder k) nat);
+          (1, map (fun k -> Repair k) nat);
+        ])
+  in
+  (* each step names the side it runs on: 0 the source, 1 its fork, 2
+     the fork's fork (made at the midpoint) *)
+  let step_gen = Gen.(pair (int_bound 2) op_gen) in
+  Test.make ~name:"a fork and its source write independently (both directions)" ~count:40
+    (make Gen.(triple (list_size (int_bound 30) op_gen) (list_size (int_bound 40) step_gen)
+                 (list_size (int_bound 40) step_gen)))
+    (fun (prefix, before, after) ->
+      let src = fresh () in
+      List.iteri (fun i op -> apply_fork_op src ~name:(Fmt.str "p%d" i) op) prefix;
+      let twin fs = Ffs.Fs.of_portable (Ffs.Fs.to_portable fs) in
+      (* sides as (image, unforked twin); twins are taken before forking *)
+      let s0 = (src, twin src) in
+      let s1 =
+        let t = twin src in
+        (Ffs.Fs.copy src, t)
+      in
+      let run sides steps tag =
+        List.iteri
+          (fun i (side, op) ->
+            let fs, tw = sides.(side mod Array.length sides) in
+            let name = Fmt.str "%s%d" tag i in
+            apply_fork_op fs ~name op;
+            apply_fork_op tw ~name op)
+          steps
+      in
+      run [| s0; s1 |] before "b";
+      let s2 =
+        let t = twin (fst s1) in
+        (Ffs.Fs.copy (fst s1), t)
+      in
+      run [| s0; s1; s2 |] after "a";
+      List.iter
+        (fun (fs, tw) ->
+          Ffs.Fs.check_invariants fs;
+          if Ffs.Fs.digest fs <> Ffs.Fs.digest tw then
+            Test.fail_reportf "digest differs from the unforked twin: %a"
+              Fmt.(list ~sep:comma (pair ~sep:(any "=") string string))
+              (List.filter
+                 (fun (k, v) -> List.assoc k (Ffs.Fs.digest_parts tw) <> v)
+                 (Ffs.Fs.digest_parts fs)))
+        [ s0; s1; s2 ];
+      true)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fs"
@@ -545,7 +709,12 @@ let () =
         [
           tc "out-of-space rollback" test_out_of_space_rollback;
           tc "copy independence" test_copy_independence;
+          tc "dir-extension rollback" test_dir_extension_rollback;
           tc "utilization" test_utilization;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_random_workload_invariants ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_random_workload_invariants;
+          QCheck_alcotest.to_alcotest prop_fork_independence;
+        ] );
     ]

@@ -9,11 +9,15 @@ let params = Ffs.Params.small_test_fs
 let block = params.Ffs.Params.block_bytes
 
 let inode_of_runs runs =
-  let ino = Ffs.Inode.v ~inum:1 ~kind:Ffs.Inode.File ~time:0.0 in
-  ino.Ffs.Inode.entries <-
-    Array.of_list (List.map (fun (addr, frags) -> { Ffs.Inode.addr; frags }) runs);
-  ino.Ffs.Inode.size <- 8192 * List.length runs;
-  ino
+  {
+    Ffs.Inode.inum = 1;
+    kind = Ffs.Inode.File;
+    size = 8192 * List.length runs;
+    entries = Array.of_list (List.map (fun (addr, frags) -> { Ffs.Inode.addr; frags }) runs);
+    indirect_addrs = [||];
+    ctime = 0.0;
+    mtime = 0.0;
+  }
 
 let test_single_run_undefined () =
   Alcotest.(check (option (float 0.0))) "one-block file" None
@@ -129,17 +133,17 @@ let test_counters_parallel_and_crashes () =
   let c = Aging.Replay.run_with_crashes ~params ~days ~crashes:2 ~fault_seed:7 ops in
   check_counters "run_with_crashes" c.Aging.Replay.result.Aging.Replay.fs
 
-(* a write of entries that bypasses the setter leaves the counters
+(* a raw inode-table write that bypasses the setter leaves the counters
    stale: fsck reports it, and repair recounts *)
 let test_stale_counters_repaired () =
   let fs = Ffs.Fs.create params in
   let d = Ffs.Fs.root fs in
   ignore (Ffs.Fs.create_file_exn fs ~dir:d ~name:"big" ~size:(11 * block));
   let inum = Ffs.Fs.create_file_exn fs ~dir:d ~name:"frag" ~size:(3 * block) in
-  let ino = Ffs.Fs.inode fs inum in
   (* the same claims in another order: only the links change *)
-  let e = ino.Ffs.Inode.entries in
-  ino.Ffs.Inode.entries <- [| e.(1); e.(0); e.(2) |];
+  Ffs.Fs.corrupt_inode fs inum (fun ino ->
+      let e = ino.Ffs.Inode.entries in
+      { ino with Ffs.Inode.entries = [| e.(1); e.(0); e.(2) |] });
   let stale r =
     List.exists
       (function Ffs.Check.Layout_counter_mismatch _ -> true | _ -> false)

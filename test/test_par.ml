@@ -149,20 +149,39 @@ let prop_derive_splits_cleanly =
 let params = Ffs.Params.small_test_fs
 
 let test_build_identical_across_jobs () =
-  (* the same seed must produce bit-identical daily layout scores whether
-     the three replays run serially (--jobs 1) or fanned out (--jobs 4) *)
+  (* the same seed must produce bit-identical daily layout scores and
+     seqio sweeps whether the replays and the sweep's points run serially
+     (--jobs 1) or fanned out (--jobs 4). A pooled sweep forks one aged
+     image from several domains at once, and every fork marks the
+     image's shared directory states: the image must come out of its
+     sweep with the digest it went in with. *)
   let build jobs =
     Par.Pool.with_pool ~jobs (fun pool ->
-        Benchlib.Experiments.build ~params ~days:4 ~seed:77 ~pool ())
+        let ctx = Benchlib.Experiments.build ~params ~days:4 ~seed:77 ~pool () in
+        let sweep which aged =
+          let fs = (aged ctx).Aging.Replay.fs in
+          let before = Ffs.Fs.digest fs in
+          let points = Benchlib.Experiments.seqio_points ctx which in
+          Alcotest.(check string) "aged image unchanged by its sweep" before (Ffs.Fs.digest fs);
+          points
+        in
+        ( ctx,
+          sweep `Traditional Benchlib.Experiments.aged_traditional,
+          sweep `Realloc Benchlib.Experiments.aged_realloc ))
   in
   let scores ctx =
     ( (Benchlib.Experiments.aged_traditional ctx).Aging.Replay.daily_scores,
       (Benchlib.Experiments.aged_realloc ctx).Aging.Replay.daily_scores )
   in
-  let t1, r1 = scores (build 1) in
-  let t4, r4 = scores (build 4) in
+  let c1, st1, sr1 = build 1 in
+  let c4, st4, sr4 = build 4 in
+  let t1, r1 = scores c1 in
+  let t4, r4 = scores c4 in
   Alcotest.check exact_scores "traditional scores identical (jobs 1 vs 4)" t1 t4;
-  Alcotest.check exact_scores "realloc scores identical (jobs 1 vs 4)" r1 r4
+  Alcotest.check exact_scores "realloc scores identical (jobs 1 vs 4)" r1 r4;
+  check_bool "sweep has points" true (List.length st1 > 1);
+  check_bool "traditional seqio sweep identical (jobs 1 vs 4)" true (st1 = st4);
+  check_bool "realloc seqio sweep identical (jobs 1 vs 4)" true (sr1 = sr4)
 
 let home_workload ~days seed = Workload.Profiles.build params Workload.Profiles.Home ~days ~seed
 

@@ -118,7 +118,29 @@ let test_cross_cg_refused () =
   (* every refusal left the image untouched *)
   check_string "digest unchanged by refusals" before (Ffs.Fs.digest fs);
   Ffs.Fs.check_invariants fs;
-  assert_fsck_clean fs
+  assert_fsck_clean fs;
+  (* a fork shares every directory state until its first write of it,
+     and only an unpinned caller may install the clone: a pinned write
+     of a shared directory defers even in the domain's own group, and a
+     delete defers before any mutation *)
+  let fork = Ffs.Fs.copy fs in
+  let fork_before = Ffs.Fs.digest fork in
+  let expect_shared what = function
+    | Error (Ffs.Error.Cross_cg { cg = -1; pinned = 1 }) -> ()
+    | Error e -> Alcotest.failf "%s: expected Cross_cg, got %a" what Ffs.Error.pp e
+    | Ok _ -> Alcotest.failf "%s of a shared directory succeeded while pinned" what
+  in
+  Ffs.Locks.with_pin locks ~cg:1 (fun () ->
+      expect_shared "delete_inum" (Ffs.Fs.delete_inum fork foreign);
+      check_string "fork untouched by the refused delete" fork_before (Ffs.Fs.digest fork);
+      expect_shared "create"
+        (Ffs.Fs.create_file_at fork ~time:1.0 ~dir:dirs.(1) ~name:"mine" ~size:8192));
+  Alcotest.(check (option int))
+    "refused create left no entry" None
+    (Ffs.Fs.lookup fork ~dir:dirs.(1) ~name:"mine");
+  check_int "refused create left no file" (Ffs.Fs.file_count fs) (Ffs.Fs.file_count fork);
+  Ffs.Fs.check_invariants fork;
+  assert_fsck_clean fork
 
 (* inums past the last group have no shard: lookups report them missing
    instead of indexing out of bounds *)
