@@ -77,7 +77,10 @@ repro:
 # crash-consistency smoke: a small ground-truth workload through
 # {0,1,3} injected crashes on both allocators (each crash is torn
 # metadata + fsck-with-repair mid-replay), plus one standalone
-# inject->repair->re-audit round; every leg must exit 0
+# inject->repair->re-audit round, then the 30-day paper replay through
+# 3 crashes on both allocators, at a fault seed whose plans orphan
+# files (the metrics snapshot must count an orphan_file injection);
+# every leg must exit 0
 crash-matrix:
 	@for crashes in 0 1 3; do \
 		for alloc in "" "--realloc"; do \
@@ -89,14 +92,25 @@ crash-matrix:
 	done
 	@echo "== ffs_fsck inject/repair/re-audit =="
 	@dune exec bin/ffs_fsck.exe -- --fs small --days 10 --faults 12 -q
+	@for alloc in "" "--realloc"; do \
+		echo "== ffs_age --fs paper --days 30 --crashes 3 $${alloc:-(traditional)} =="; \
+		dune exec bin/ffs_age.exe -- --fs paper --days 30 --crashes 3 \
+			--fault-seed 666 $$alloc -q \
+			--metrics-out /tmp/ffs_crash_paper_metrics.json || exit 1; \
+		grep -q '"class":"orphan_file"' /tmp/ffs_crash_paper_metrics.json \
+			|| { echo "fault seed 666 injected no orphan_file"; exit 1; }; \
+	done
+	@rm -f /tmp/ffs_crash_paper_metrics.json
 
-# exhaustive crash-point exploration: on a small aged image, every
-# crash prefix of each multi-write operation class (plus bounded
-# write reorderings) must repair to a clean audit with no user data
-# lost
+# exhaustive crash-point exploration: on a small aged image and on the
+# 30-day paper image, every crash prefix of each multi-write operation
+# class (plus bounded write reorderings) must repair to a clean audit
+# with no user data lost
 crash-explore:
 	@echo "== ffs_fsck --explore =="
 	@dune exec bin/ffs_fsck.exe -- --fs small --days 5 --explore -q
+	@echo "== ffs_fsck --fs paper --days 30 --explore =="
+	@dune exec bin/ffs_fsck.exe -- --fs paper --days 30 --explore -q
 
 # observability smoke: a short aging run with the tracer and metrics
 # sink on (the JSONL and snapshot must come out non-empty), plus the

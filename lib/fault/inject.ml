@@ -29,35 +29,18 @@ let pick rng = function
   | [] -> None
   | xs -> Some (List.nth xs (Util.Prng.int rng (List.length xs)))
 
-(* is this run a real, in-range claim? (earlier faults may already have
-   planted bogus runs; never build on those) *)
-let run_valid fs addr frags =
-  let params = Fs.params fs in
-  let total = Params.total_frags params in
-  frags > 0 && frags <= total && addr >= 0
-  && addr + frags <= total
-  &&
-  let cgs = Fs.cg_states fs in
-  let ok = ref true in
-  for a = addr to addr + frags - 1 do
-    let cg = Params.group_of_frag params a in
-    let local = a - Params.data_base params cg in
-    if local < 0 || local >= Cg.data_frags cgs.(cg) then ok := false
-  done;
-  !ok
-
 let pick_valid_run fs rng =
   match pick rng (files_with_entries fs) with
   | None -> None
   | Some inum ->
       let ino = Fs.inode fs inum in
-      let valid =
-        Array.to_list ino.Inode.entries
-        |> List.filter (fun e -> run_valid fs e.Inode.addr e.Inode.frags)
-      in
-      (match pick rng valid with
-      | None -> None
-      | Some e -> Some (inum, ino, e))
+      (* earlier faults may already have planted bogus runs; never
+         build on those *)
+      let valid = Ffs.Check.run_in_data_area fs in
+      Array.to_list ino.Inode.entries
+      |> List.filter (fun e -> valid e.Inode.addr e.Inode.frags)
+      |> pick rng
+      |> Option.map (fun e -> (inum, ino, e))
 
 let duplicate_claim fs ~rng =
   match pick_valid_run fs rng with
@@ -91,21 +74,16 @@ let forget_inode fs ~rng =
       Fs.forget_inode_exn fs inum;
       Some (Forgot_inode { inum })
 
+let orphan_candidates fs =
+  List.filter_map
+    (fun inum ->
+      match Fs.parent fs inum with
+      | Some (dir, name) when Fs.lookup fs ~dir ~name = Some inum -> Some (inum, dir, name)
+      | _ -> None)
+    (file_inums fs)
+
 let orphan_file fs ~rng =
-  let referenced inum =
-    match Fs.dir_of_inum fs inum with
-    | dir -> (
-        match List.find_opt (fun (_, i) -> i = inum) (Fs.dir_entries fs dir) with
-        | Some (name, _) -> Some (dir, name)
-        | None -> None)
-    | exception Not_found -> None
-  in
-  let candidates =
-    List.filter_map
-      (fun inum -> Option.map (fun (dir, name) -> (inum, dir, name)) (referenced inum))
-      (file_inums fs)
-  in
-  match pick rng candidates with
+  match pick rng (orphan_candidates fs) with
   | None -> None
   | Some (inum, dir, name) ->
       Fs.detach_entry_exn fs ~dir ~name;

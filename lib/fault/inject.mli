@@ -37,6 +37,11 @@ val duplicate_claim : Ffs.Fs.t -> rng:Util.Prng.t -> event option
 val drop_claim : Ffs.Fs.t -> rng:Util.Prng.t -> event option
 val forget_inode : Ffs.Fs.t -> rng:Util.Prng.t -> event option
 val orphan_file : Ffs.Fs.t -> rng:Util.Prng.t -> event option
+
+val orphan_candidates : Ffs.Fs.t -> (int * int * string) list
+(** {!orphan_file}'s victims: every named file as [(inum, dir, name)],
+    ascending, read from {!Ffs.Fs.parent} without scanning a directory. *)
+
 val dangling_entry : Ffs.Fs.t -> rng:Util.Prng.t -> event option
 val clear_bitmap_bit : Ffs.Fs.t -> rng:Util.Prng.t -> event option
 val set_bitmap_bit : Ffs.Fs.t -> rng:Util.Prng.t -> event option

@@ -17,67 +17,159 @@ type report = {
   fragments_claimed : int;
 }
 
+(* --- the shared passes ------------------------------------------------------ *)
+
+(* Is [addr, addr + frags) a run of data-area fragments? [frags] is
+   bounded first so that [addr + frags] cannot overflow; the walk then
+   takes one step per group the run touches. *)
+let run_in_data_area fs =
+  let params = Fs.params fs in
+  let cgs = Fs.cg_states fs in
+  let total = Params.total_frags params in
+  let rec from a stop =
+    a >= stop
+    ||
+    let cg = Params.group_of_frag params a in
+    cg < Array.length cgs
+    &&
+    let base = Params.data_base params cg in
+    let limit = base + Cg.data_frags cgs.(cg) in
+    a >= base && a < limit && from limit stop
+  in
+  fun addr frags ->
+    frags > 0 && frags <= total && addr >= 0 && addr + frags <= total && from addr (addr + frags)
+
+(* [xs] less the elements at the indices [dropped] *)
+let without dropped xs =
+  if dropped = [] then xs
+  else Array.of_list (List.filteri (fun i _ -> not (List.mem i dropped)) (Array.to_list xs))
+
+let unclaimed = -1
+
+(* The claim table: one cell per fragment of the volume, holding the
+   inum of the fragment's owner or [unclaimed]. Filled in one pass over
+   the inode table in ascending inum order, a file's direct runs before
+   its indirect blocks: a run outside the data area goes to [bad], any
+   other to [claim], which records what it accepts in the table and
+   says whether the run stays. Returns the table and, ascending, each
+   inode that lost a run with its surviving entries and indirect
+   blocks. Allocates nothing per run or per intact inode. *)
+let claim_table fs ~bad ~claim =
+  let params = Fs.params fs in
+  let fpb = params.Params.frags_per_block in
+  let valid = run_in_data_area fs in
+  let owner = Array.make (Params.total_frags params) unclaimed in
+  let keep inum addr frags =
+    if valid addr frags then claim owner inum addr frags
+    else begin
+      bad inum addr frags;
+      false
+    end
+  in
+  let pruned = ref [] in
+  Fs.iter_all_inodes fs (fun ino ->
+      let inum = ino.Inode.inum in
+      let entries = ino.Inode.entries and indirects = ino.Inode.indirect_addrs in
+      let dropped_entries = ref [] and dropped_indirects = ref [] in
+      for i = 0 to Array.length entries - 1 do
+        if not (keep inum entries.(i).Inode.addr entries.(i).Inode.frags) then
+          dropped_entries := i :: !dropped_entries
+      done;
+      for i = 0 to Array.length indirects - 1 do
+        if not (keep inum indirects.(i) fpb) then dropped_indirects := i :: !dropped_indirects
+      done;
+      if !dropped_entries <> [] || !dropped_indirects <> [] then
+        pruned :=
+          (ino, without !dropped_entries entries, without !dropped_indirects indirects)
+          :: !pruned);
+  (owner, List.rev !pruned)
+
+(* The claim table against the group bitmaps, one linear walk per group
+   in ascending fragment order: [missing fragment owner] for a claimed
+   fragment its bitmap marks free, [leaked fragment] for an allocated
+   one nothing claims. *)
+let reconcile fs owner ~missing ~leaked =
+  let params = Fs.params fs in
+  Array.iteri
+    (fun cg_index cg ->
+      let base = Params.data_base params cg_index in
+      for f = 0 to Cg.data_frags cg - 1 do
+        let o = owner.(base + f) in
+        if Cg.frag_is_free cg f then (if o <> unclaimed then missing (base + f) o)
+        else if o = unclaimed then leaked (base + f)
+      done)
+    (Fs.cg_states fs)
+
+(* The live inodes no entry of [dirs] (nor the root's own) names,
+   ascending; [dead dir name inum] sees each entry naming no live
+   inode, in [dirs] order. *)
+let unreferenced fs dirs ~dead =
+  let params = Fs.params fs in
+  let seen = Bytes.make (params.Params.ncg * Params.inodes_per_group params) '\000' in
+  let mark inum = Bytes.set seen inum '\001' in
+  mark (Fs.root fs);
+  List.iter
+    (fun dir ->
+      List.iter
+        (fun (name, inum) ->
+          match Fs.inode fs inum with
+          | _ -> mark inum
+          | exception Not_found -> dead dir name inum)
+        (Fs.dir_entries fs dir))
+    dirs;
+  let orphans = ref [] in
+  Fs.iter_all_inodes fs (fun ino ->
+      if Bytes.get seen ino.Inode.inum = '\000' then orphans := ino.Inode.inum :: !orphans);
+  List.rev !orphans
+
+(* --- audit ----------------------------------------------------------------- *)
+
 let run fs =
   let params = Fs.params fs in
+  let cgs = Fs.cg_states fs in
   let problems = ref [] in
   let add p = problems := p :: !problems in
-  let fpb = params.Params.frags_per_block in
-  let total_frags = Params.total_frags params in
-  (* 1: collect every fragment claim, flagging overlaps and range errors *)
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let files = ref 0 and directories = ref 0 in
-  let claim inum addr frags =
-    if addr < 0 || frags <= 0 || addr + frags > total_frags then
-      add (Bad_run { inum; addr; frags })
-    else
-      for a = addr to addr + frags - 1 do
-        match Hashtbl.find_opt owner a with
-        | Some first_owner ->
-            add (Double_claim { fragment = a; first_owner; second_owner = inum })
-        | None -> Hashtbl.replace owner a inum
-      done
-  in
+  (* 1: claim every fragment, flagging invalid runs and overlaps *)
+  let files = ref 0 and directories = ref 0 and claimed = ref 0 in
   Fs.iter_all_inodes fs (fun ino ->
-      (match ino.Inode.kind with
-      | Inode.File -> incr files
-      | Inode.Dir -> incr directories);
-      Array.iter (fun e -> claim ino.Inode.inum e.Inode.addr e.Inode.frags) ino.Inode.entries;
-      Array.iter (fun a -> claim ino.Inode.inum a fpb) ino.Inode.indirect_addrs);
+      match ino.Inode.kind with Inode.File -> incr files | Inode.Dir -> incr directories);
+  let owner, _ =
+    claim_table fs
+      ~bad:(fun inum addr frags -> add (Bad_run { inum; addr; frags }))
+      ~claim:(fun owner inum addr frags ->
+        for a = addr to addr + frags - 1 do
+          let first_owner = owner.(a) in
+          if first_owner <> unclaimed then
+            add (Double_claim { fragment = a; first_owner; second_owner = inum })
+          else begin
+            owner.(a) <- inum;
+            incr claimed
+          end
+        done;
+        true)
+  in
   (* 2: every claim must be marked allocated in its group's bitmap *)
-  let cgs = Fs.cg_states fs in
-  Hashtbl.iter
-    (fun fragment inum ->
-      let cg = Params.group_of_frag params fragment in
-      let local = fragment - Params.data_base params cg in
-      if local < 0 || local >= Cg.data_frags cgs.(cg) then
-        add (Bad_run { inum; addr = fragment; frags = 1 })
-      else if Cg.frag_is_free cgs.(cg) local then
-        add (Claim_not_allocated { fragment; owner = inum }))
-    owner;
+  reconcile fs owner ~leaked:ignore ~missing:(fun fragment owner ->
+      add (Claim_not_allocated { fragment; owner }));
   (* 3: totals — leaked fragments show up here (allocated, unowned) *)
-  let claimed = Hashtbl.length owner in
+  let claimed = !claimed in
   let allocated = Fs.used_data_frags fs in
   if claimed <> allocated then add (Usage_mismatch { claimed; allocated });
   (* 4: per-group counters vs. a bitmap recount *)
+  let counter cg what counter recount =
+    if counter <> recount then add (Group_counter_mismatch { cg; what; counter; recount })
+  in
   Array.iteri
     (fun cg_index cg ->
-      let free_frag_recount = ref 0 and free_block_recount = ref 0 in
+      let free_frags = ref 0 and free_blocks = ref 0 in
       for f = 0 to Cg.data_frags cg - 1 do
-        if Cg.frag_is_free cg f then incr free_frag_recount
+        if Cg.frag_is_free cg f then incr free_frags
       done;
       for b = 0 to Cg.data_blocks cg - 1 do
-        if Cg.block_is_free cg b then incr free_block_recount
+        if Cg.block_is_free cg b then incr free_blocks
       done;
-      if !free_frag_recount <> Cg.free_frag_count cg then
-        add
-          (Group_counter_mismatch
-             { cg = cg_index; what = "free fragments"; counter = Cg.free_frag_count cg;
-               recount = !free_frag_recount });
-      if !free_block_recount <> Cg.free_block_count cg then
-        add
-          (Group_counter_mismatch
-             { cg = cg_index; what = "free blocks"; counter = Cg.free_block_count cg;
-               recount = !free_block_recount }))
+      counter cg_index "free fragments" (Cg.free_frag_count cg) !free_frags;
+      counter cg_index "free blocks" (Cg.free_block_count cg) !free_blocks)
     cgs;
   (* 4a: the layout counters vs. a recount of the inode table *)
   for cg = 0 to params.Params.ncg - 1 do
@@ -111,28 +203,12 @@ let run fs =
         if live = bit_free then
           add (Inode_bitmap_mismatch { cg = cg_index; slot; live })
       done;
-      if !free_inode_recount <> Cg.inodes_free cg then
-        add
-          (Group_counter_mismatch
-             { cg = cg_index; what = "free inodes"; counter = Cg.inodes_free cg;
-               recount = !free_inode_recount }))
+      counter cg_index "free inodes" (Cg.inodes_free cg) !free_inode_recount)
     cgs;
   (* 5: directory tree — every inode referenced, every entry resolvable *)
-  let referenced : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.replace referenced (Fs.root fs) ();
-  List.iter
-    (fun dir ->
-      List.iter
-        (fun (name, inum) ->
-          (match Fs.inode fs inum with
-          | _ -> ()
-          | exception Not_found -> add (Dangling_entry { dir; name; inum }));
-          Hashtbl.replace referenced inum ())
-        (Fs.dir_entries fs dir))
-    (Fs.dir_inums fs);
-  Fs.iter_all_inodes fs (fun ino ->
-      if not (Hashtbl.mem referenced ino.Inode.inum) then
-        add (Orphan_inode { inum = ino.Inode.inum }));
+  unreferenced fs (Fs.dir_inums fs) ~dead:(fun dir name inum ->
+      add (Dangling_entry { dir; name; inum }))
+  |> List.iter (fun inum -> add (Orphan_inode { inum }));
   (* 6: the derived extent index, run summary included, must agree with
      the bitmaps it summarises *)
   Array.iteri
@@ -169,79 +245,36 @@ let repair_is_noop log =
   && log.orphans_reattached = 0
 
 let repair_body fs =
-  let params = Fs.params fs in
-  let fpb = params.Params.frags_per_block in
-  let total_frags = Params.total_frags params in
   let cgs = Fs.cg_states fs in
   (* pass 1: prune invalid and double-claimed runs from the inode table.
      Deterministic arbitration: inodes in ascending inode-number order, a
      file's direct runs before its indirect blocks — the first claimant of
      a fragment keeps it, every later overlapping run is dropped whole. *)
   let bad_runs = ref 0 and doubles = ref 0 in
-  let owner : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let run_in_data_area addr frags =
-    (* bound [frags] first so [addr + frags] cannot overflow *)
-    frags > 0 && frags <= total_frags && addr >= 0
-    && addr + frags <= total_frags
-    &&
-    let ok = ref true in
-    for a = addr to addr + frags - 1 do
-      let cg = Params.group_of_frag params a in
-      let local = a - Params.data_base params cg in
-      if local < 0 || local >= Cg.data_frags cgs.(cg) then ok := false
-    done;
-    !ok
+  let owner, pruned =
+    claim_table fs
+      ~bad:(fun _ _ _ -> incr bad_runs)
+      ~claim:(fun owner inum addr frags ->
+        let a = ref addr in
+        while !a < addr + frags && owner.(!a) = unclaimed do
+          incr a
+        done;
+        if !a = addr + frags then begin
+          Array.fill owner addr frags inum;
+          true
+        end
+        else begin
+          incr doubles;
+          false
+        end)
   in
-  let claim addr frags =
-    let clash = ref false in
-    for a = addr to addr + frags - 1 do
-      if Hashtbl.mem owner a then clash := true
-    done;
-    if not !clash then
-      for a = addr to addr + frags - 1 do
-        Hashtbl.replace owner a ()
-      done;
-    not !clash
-  in
-  let keep addr frags =
-    if not (run_in_data_area addr frags) then begin
-      incr bad_runs;
-      false
-    end
-    else if not (claim addr frags) then begin
-      incr doubles;
-      false
-    end
-    else true
-  in
-  let filter_array p xs =
-    let kept = Array.of_list (List.filter p (Array.to_list xs)) in
-    if Array.length kept = Array.length xs then xs else kept
-  in
-  let inums = ref [] in
-  Fs.iter_all_inodes fs (fun ino -> inums := ino.Inode.inum :: !inums);
-  List.iter
-    (fun inum ->
-      let ino = Fs.inode fs inum in
-      let entries = filter_array (fun e -> keep e.Inode.addr e.Inode.frags) ino.Inode.entries in
-      let indirect_addrs = filter_array (fun a -> keep a fpb) ino.Inode.indirect_addrs in
-      if entries != ino.Inode.entries || indirect_addrs != ino.Inode.indirect_addrs then
-        Fs.set_entries fs ~indirect_addrs ino entries)
-    (List.sort compare !inums);
+  List.iter (fun (ino, entries, indirect_addrs) -> Fs.set_entries fs ~indirect_addrs ino entries)
+    pruned;
   (* pass 2: rebuild every group's bitmaps, counters, extent index and
      layout counters from the surviving claims, measuring the divergence
      being erased *)
   let leaked = ref 0 and missing = ref 0 in
-  Array.iteri
-    (fun cg_index cg ->
-      let base = Params.data_base params cg_index in
-      for f = 0 to Cg.data_frags cg - 1 do
-        let owned = Hashtbl.mem owner (base + f) in
-        let free = Cg.frag_is_free cg f in
-        if owned && free then incr missing
-        else if (not owned) && not free then incr leaked
-      done)
-    cgs;
+  reconcile fs owner ~missing:(fun _ _ -> incr missing) ~leaked:(fun _ -> incr leaked);
   let counters i cg =
     ( (Cg.free_frag_count cg, Cg.free_block_count cg, Cg.inodes_free cg, Cg.dirs cg),
       Fs.group_layout_counts fs i )
@@ -250,33 +283,16 @@ let repair_body fs =
   Fs.rebuild_allocation fs;
   let groups_rebuilt = ref 0 in
   Array.iteri (fun i cg -> if before.(i) <> counters i cg then incr groups_rebuilt) cgs;
-  (* pass 3: clear directory entries that name dead inodes *)
+  (* pass 3: clear directory entries that name dead inodes, collecting
+     the unreferenced inodes on the way *)
   let dangling = ref 0 in
-  let dirs = List.sort compare (Fs.dir_inums fs) in
-  List.iter
-    (fun dir ->
-      List.iter
-        (fun (name, inum) ->
-          match Fs.inode fs inum with
-          | _ -> ()
-          | exception Not_found ->
-              Fs.detach_entry_exn fs ~dir ~name;
-              incr dangling)
-        (Fs.dir_entries fs dir))
-    dirs;
-  (* pass 4: reattach unreferenced inodes under lost+found (allocation is
-     safe again: pass 2 restored consistency) *)
-  let referenced : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.replace referenced (Fs.root fs) ();
-  List.iter
-    (fun dir ->
-      List.iter (fun (_, inum) -> Hashtbl.replace referenced inum ()) (Fs.dir_entries fs dir))
-    dirs;
-  let orphans = ref [] in
-  Fs.iter_all_inodes fs (fun ino ->
-      if not (Hashtbl.mem referenced ino.Inode.inum) then
-        orphans := ino.Inode.inum :: !orphans);
-  let orphans = List.sort compare !orphans in
+  let orphans =
+    unreferenced fs (List.sort compare (Fs.dir_inums fs)) ~dead:(fun dir name _ ->
+        Fs.detach_entry_exn fs ~dir ~name;
+        incr dangling)
+  in
+  (* pass 4: reattach the unreferenced inodes under lost+found
+     (allocation is safe again: pass 2 restored consistency) *)
   let lost_found = ref None in
   if orphans <> [] then begin
     let root = Fs.root fs in
@@ -446,3 +462,8 @@ let pp ppf r =
   else
     Fmt.pf ppf "@[<v>%d problem(s):@ %a@]" (List.length r.problems)
       (Fmt.list ~sep:Fmt.cut pp_problem) r.problems
+
+let check_invariants fs =
+  Array.iter Cg.check_invariants (Fs.cg_states fs);
+  let r = run fs in
+  if not (is_clean r) then Error.raise_ (Error.Corrupt (Fmt.str "%a" pp r))

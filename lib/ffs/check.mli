@@ -5,8 +5,11 @@
     table's block claims, the per-group allocation bitmaps, and the
     directory tree. On a correct image all views agree; any divergence
     is reported as a {!problem}. Tests use this to validate the
-    simulator after adversarial workloads; {!Fs.check_invariants}
-    remains the assertion-style variant for use inside test oracles. *)
+    simulator after adversarial workloads; {!check_invariants} is the
+    assertion-style variant for use inside test oracles. The audit and
+    {!repair} share one claim table: an [int] per fragment naming its
+    owner, filled in ascending inode order, then walked once per group
+    against the bitmaps. *)
 
 type problem =
   | Double_claim of { fragment : int; first_owner : int; second_owner : int }
@@ -21,7 +24,10 @@ type problem =
   | Dangling_entry of { dir : int; name : string; inum : int }
       (** a directory entry naming a nonexistent inode *)
   | Bad_run of { inum : int; addr : int; frags : int }
-      (** a data run with a nonsensical address or length *)
+      (** a run {!run_in_data_area} rejects: a nonsensical address or
+          length, an end past the volume (overflowing or not), or a
+          group's metadata. One per run, never per fragment; it claims
+          nothing. *)
   | Index_mismatch of { cg : int; what : string }
       (** the extent index (run summary included) disagrees with the
           group's bitmaps; [what] is the divergence in words *)
@@ -46,7 +52,28 @@ type report = {
 }
 
 val run : Fs.t -> report
+(** The audit. Problems come in pass order: [Bad_run]s and
+    [Double_claim]s as the claim table fills; [Claim_not_allocated]s in
+    ascending fragment order; [Usage_mismatch]; free-fragment and
+    free-block [Group_counter_mismatch]es; [Layout_counter_mismatch]es;
+    [Inode_bitmap_mismatch]es and free-inode counts; [Dangling_entry]s
+    in {!Fs.dir_inums} order; [Orphan_inode]s ascending;
+    [Index_mismatch]es. *)
+
 val is_clean : report -> bool
+
+val check_invariants : Fs.t -> unit
+(** Every group's {!Cg.check_invariants}, then a clean {!run}; raises
+    {!Error.Error} [Corrupt] with the report otherwise. For test
+    oracles and the crash explorer. It replaces [Fs.check_invariants],
+    which did not check orphans, dangling entries or inode bits. *)
+
+val run_in_data_area : Fs.t -> int -> int -> bool
+(** [run_in_data_area fs addr frags]: do the [frags] fragments from
+    [addr] all lie in groups' data areas? [frags] is bounded before
+    [addr + frags] is formed. The one run validator: the audit,
+    {!repair} and fault injection share it. *)
+
 val pp_problem : Format.formatter -> problem -> unit
 val pp : Format.formatter -> report -> unit
 
@@ -60,7 +87,7 @@ val pp : Format.formatter -> report -> unit
 
 type repair_log = {
   bad_runs_cleared : int;
-      (** runs with nonsensical addresses or lengths, dropped *)
+      (** runs {!run_in_data_area} rejects, dropped whole *)
   double_claims_resolved : int;
       (** runs dropped because an earlier inode already claimed a
           fragment (first owner wins, the later run is lost whole) *)

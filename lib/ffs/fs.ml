@@ -988,10 +988,8 @@ let dir_entries t inum =
          end)
   |> List.rev
 
-let dir_of_inum t inum =
-  match find_parent t inum with
-  | Some (dir, _) -> dir
-  | None -> raise Not_found
+let parent = find_parent
+let dir_of_inum t inum = match find_parent t inum with Some (dir, _) -> dir | None -> raise Not_found
 
 (* --- file API ------------------------------------------------------------ *)
 
@@ -1171,34 +1169,6 @@ let rebuild_allocation t =
         Cg.add_dir t.cgs.(cg_of_inum t inum))
     t.dirs;
   rebuild_layout_counts t
-
-(* --- invariants ----------------------------------------------------------- *)
-
-let check_invariants t =
-  Array.iter Cg.check_invariants t.cgs;
-  (* rebuild the fragment usage from the inodes and compare *)
-  let claimed = Hashtbl.create 4096 in
-  let claim addr frags owner =
-    for a = addr to addr + frags - 1 do
-      match Hashtbl.find_opt claimed a with
-      | Some other ->
-          Error.raise_
-            (Error.Corrupt
-               (Fmt.str "fragment %d claimed by inode %d and inode %d" a other owner))
-      | None -> Hashtbl.replace claimed a owner
-    done
-  in
-  iter_all_inodes t (fun ino ->
-      let inum = ino.Inode.inum in
-      Array.iter (fun e -> claim e.Inode.addr e.Inode.frags inum) ino.Inode.entries;
-      Array.iter (fun a -> claim a (fpb t) inum) ino.Inode.indirect_addrs);
-  assert (Hashtbl.length claimed = used_data_frags t);
-  Array.iter (fun sh -> assert (recount_links sh = (sh.optimal, sh.counted))) t.shards;
-  Hashtbl.iter
-    (fun addr _ ->
-      let cg, frag = local_of_global t addr in
-      assert (not (Cg.frag_is_free t.cgs.(cg) frag)))
-    claimed
 
 (* --- portable form --------------------------------------------------------- *)
 

@@ -111,6 +111,11 @@ val lookup : t -> dir:int -> name:string -> int option
 val dir_entries : t -> int -> (string * int) list
 (** Entries of a directory in insertion order. *)
 
+val parent : t -> int -> (int * string) option
+(** The entry naming an inode, as [(directory, name)]: the record every
+    entry write keeps, so no directory is scanned. [None] for an inode
+    no directory names. *)
+
 val dir_of_inum : t -> int -> int
 (** Parent directory of a file or directory. The root is its own
     parent. Raises [Not_found]. *)
@@ -232,11 +237,6 @@ val utilization : t -> float
 
 val cg_states : t -> Cg.t array
 (** The live cylinder-group states (for analysis; do not mutate). *)
-
-val check_invariants : t -> unit
-(** Cross-checks per-group bitmaps/counters and that no two files claim
-    the same fragment. Raises {!Error.Error} with [Corrupt _] on a
-    double claim. For tests; O(total fragments). *)
 
 val digest : t -> string
 (** Canonical hex digest of the file system's logical content: params,

@@ -250,15 +250,13 @@ let eval_state base fp spec steps =
   match Check.repair s with
   | Error e -> Broken (Fmt.str "repair failed: %a" Ffs.Error.pp e)
   | Ok _ -> (
-      let rep = Check.run s in
-      if not (Check.is_clean rep) then Broken (Fmt.str "re-audit dirty: %a" Check.pp rep)
-      else
-        match Fs.check_invariants s with
-        | exception _ -> Broken "invariants violated after repair"
-        | () ->
-            if not (preserved s fp) then Damaged "pre-existing file damaged"
-            else if not (spec.state_check s) then Damaged "op target in impossible state"
-            else Good s)
+      match Check.check_invariants s with
+      | exception Ffs.Error.Error e -> Broken (Fmt.str "re-audit dirty: %a" Ffs.Error.pp e)
+      | exception _ -> Broken "invariants violated after repair"
+      | () ->
+          if not (preserved s fp) then Damaged "pre-existing file damaged"
+          else if not (spec.state_check s) then Damaged "op target in impossible state"
+          else Good s)
 
 let explore_class ?(window = 3) fs cls =
   let labels = [ ("class", class_name cls) ] in

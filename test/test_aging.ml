@@ -29,7 +29,7 @@ let test_replay_basic () =
   Array.iter
     (fun u -> check_bool "utilization in [0,1]" true (u >= 0.0 && u <= 1.0))
     r.Aging.Replay.daily_utilization;
-  Ffs.Fs.check_invariants r.Aging.Replay.fs;
+  Ffs.Check.check_invariants r.Aging.Replay.fs;
   assert_fsck_clean r
 
 let test_replay_live_set_matches () =

@@ -338,15 +338,49 @@ let paper_ops =
      in
      Workload.Reconstruct.of_ground_truth params (Workload.Ground_truth.generate params profile))
 
-let test_paper_pin config_name config ~digest ~scores () =
-  let r =
-    Aging.Replay.run ~config ~params:Ffs.Params.paper_fs ~days:paper_days (Lazy.force paper_ops)
-  in
+let paper_image config =
+  lazy (Aging.Replay.run ~config ~params:Ffs.Params.paper_fs ~days:paper_days (Lazy.force paper_ops))
+
+let paper_traditional = paper_image Ffs.Fs.default_config
+
+let test_paper_pin config_name image ~digest ~scores () =
+  let r = Lazy.force image in
   check_pin config_name ~digest ~scores r;
   Alcotest.(check int)
     (config_name ^ ": blocks allocated")
     544_929
     (Ffs.Fs.stats r.Aging.Replay.fs).Ffs.Fs.blocks_allocated
+
+(* --- fsck's work budget ----------------------------------------------------- *)
+
+(* Words [f] allocates: minor plus those allocated straight into the
+   major heap (the claim table is one such block), less the cost of
+   reading the counters. *)
+let heap_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  let w1 = words () in
+  let v = f () in
+  let w2 = words () in
+  ignore (Sys.opaque_identity v);
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* The audit and repair of the 30-day traditional paper image, each
+   bounded at its measured words plus 10%. Before the shared claim table
+   they allocated 2.92M (run) and 3.99M (repair) words. *)
+let test_fsck_words () =
+  let fs = (Lazy.force paper_traditional).Aging.Replay.fs in
+  let bound what words limit =
+    if words > limit then Alcotest.failf "%s allocated %d words (bound %d)" what words limit
+  in
+  (* measured 851,665 and 978,616 *)
+  bound "Check.run" (heap_words (fun () -> Ffs.Check.run fs)) 936_832;
+  let copy = Ffs.Fs.copy fs in
+  bound "Check.repair" (heap_words (fun () -> Ffs.Check.repair_exn copy)) 1_076_478
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -372,10 +406,11 @@ let () =
       ( "paper pins",
         [
           tc "traditional allocator, 30 days"
-            (test_paper_pin "paper traditional" Ffs.Fs.default_config
+            (test_paper_pin "paper traditional" paper_traditional
                ~digest:"7e78aa470076785caa5d17f70bc9965d" ~scores:"20acc5c1");
           tc "realloc allocator, 30 days"
-            (test_paper_pin "paper realloc" Ffs.Fs.realloc_config
+            (test_paper_pin "paper realloc" (paper_image Ffs.Fs.realloc_config)
                ~digest:"2b9f10862488164b3cf5e16c158c9ba8" ~scores:"798b1a23");
+          tc "fsck words, 30 days" test_fsck_words;
         ] );
     ]

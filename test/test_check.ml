@@ -127,6 +127,30 @@ let test_detects_bad_run () =
   check_bool "bad run reported" true
     (has_problem r (function Ffs.Check.Bad_run _ -> true | _ -> false))
 
+(* A run the data-area check rejects is one [Bad_run], whatever its
+   shape, and repair drops it whole. [Fs.set_entries] keeps the layout
+   sums current, so the bad run is the only problem. *)
+let bad_run_reported_once what ~addr ~frags () =
+  let fs, a, _ = populated () in
+  let ia = Ffs.Fs.inode fs a in
+  Ffs.Fs.set_entries fs ia (Array.append ia.Ffs.Inode.entries [| { Ffs.Inode.addr; frags } |]);
+  let r = Ffs.Check.run fs in
+  if r.Ffs.Check.problems <> [ Ffs.Check.Bad_run { inum = a; addr; frags } ] then
+    Alcotest.failf "%s: want one bad run, got %a" what Ffs.Check.pp r;
+  let log = Ffs.Check.repair_exn fs in
+  check_int (what ^ ": one bad run cleared") 1 log.Ffs.Check.bad_runs_cleared;
+  check_bool (what ^ ": nothing else repaired") true
+    (Ffs.Check.repair_is_noop { log with Ffs.Check.bad_runs_cleared = 0 });
+  check_bool (what ^ ": clean after repair") true (Ffs.Check.is_clean (Ffs.Check.run fs))
+
+(* [addr + frags] overflows to a negative end *)
+let test_detects_overflowing_run = bad_run_reported_once "overflow" ~addr:5 ~frags:max_int
+
+(* inside group 1's metadata area (its superblock copy), which no
+   inode may claim *)
+let test_detects_metadata_run =
+  bad_run_reported_once "metadata" ~addr:(Ffs.Params.group_base params 1) ~frags:2
+
 (* --- repair: directed cases with exact log counts -------------------------- *)
 
 let test_repair_double_claim_first_owner_wins () =
@@ -182,6 +206,8 @@ let () =
           tc "detects claim of free fragment" test_detects_claim_of_free_fragment;
           tc "detects corrupted bitmap" test_detects_corrupted_bitmap;
           tc "detects bad run" test_detects_bad_run;
+          tc "detects overflowing run" test_detects_overflowing_run;
+          tc "metadata-area run is one bad run" test_detects_metadata_run;
           tc "detects skewed extent index" test_detects_skewed_index;
           tc "skewed index pp" test_skewed_index_pp;
           tc "pp smoke" test_pp_smoke;

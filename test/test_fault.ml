@@ -65,7 +65,7 @@ let inject_repair_clean ~name ~spec ~classifies () =
     (name ^ ": second repair is a no-op")
     true
     (Ffs.Check.repair_is_noop (Ffs.Check.repair_exn fs));
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let class_cases =
   let open Fault.Plan in
@@ -134,7 +134,7 @@ let prop_random_plan_repairs_clean =
       let spec = Fault.Plan.gen ~rng ~intensity in
       ignore (Fault.Inject.apply fs ~rng spec);
       ignore (Ffs.Check.repair_exn fs);
-      Ffs.Fs.check_invariants fs;
+      Ffs.Check.check_invariants fs;
       Ffs.Check.is_clean (Ffs.Check.run fs)
       && Ffs.Check.repair_is_noop (Ffs.Check.repair_exn fs))
 
@@ -167,7 +167,7 @@ let test_crash_replay_recovers_and_scores_close () =
         (label ^ ": final image fsck-clean")
         true
         (Ffs.Check.is_clean (Ffs.Check.run aged.Aging.Replay.fs));
-      Ffs.Fs.check_invariants aged.Aging.Replay.fs;
+      Ffs.Check.check_invariants aged.Aging.Replay.fs;
       let delta =
         abs_float
           (final plain.Aging.Replay.daily_scores -. final aged.Aging.Replay.daily_scores)

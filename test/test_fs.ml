@@ -32,7 +32,7 @@ let test_empty_fs () =
   check_bool "root exists" true (Ffs.Fs.root fs >= 0);
   (* only the root directory's fragment is allocated *)
   check_int "one fragment used" 1 (Ffs.Fs.used_data_frags fs);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_create_small_file () =
   let fs = fresh () in
@@ -43,14 +43,14 @@ let test_create_small_file () =
   check_int "5 fragments" 5 (Ffs.Inode.frag_count ino);
   check_int "file counted" 1 (Ffs.Fs.file_count fs);
   check_bool "exists" true (Ffs.Fs.file_exists fs inum);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_create_multi_block_contiguous_on_empty () =
   let fs = fresh () in
   let inum = create fs ~dir:(Ffs.Fs.root fs) ~name:"a" ~size:(5 * block) in
   check_int "five runs" 5 (Array.length (entries fs inum));
   check_bool "contiguous on an empty fs" true (is_contiguous fs inum);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_tail_fragments () =
   let fs = fresh () in
@@ -65,7 +65,7 @@ let test_tail_fragments () =
     e.(2).Ffs.Inode.addr;
   check_bool "full blocks still contiguous" true
     (e.(1).Ffs.Inode.addr = e.(0).Ffs.Inode.addr + fpb);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_duplicate_name_rejected () =
   let fs = fresh () in
@@ -73,7 +73,7 @@ let test_duplicate_name_rejected () =
   (match Ffs.Fs.create_file fs ~dir:(Ffs.Fs.root fs) ~name:"a" ~size:100 with
   | Error (Ffs.Error.Name_exists _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Error Name_exists");
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_delete_releases_space () =
   let fs = fresh () in
@@ -86,7 +86,7 @@ let test_delete_releases_space () =
   (match Ffs.Fs.inode fs inum with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "inode should be gone");
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* a file of two block runs plus a tail fragment: [a b c] occupy
    blocks, [b] is deleted, and the new file's first block takes [b]'s
@@ -125,7 +125,7 @@ let test_delete_journal_per_entry () =
     "one Data_clear per entry, in entry order"
     (Array.to_list (Array.map (fun x -> (x.Ffs.Inode.addr, x.Ffs.Inode.frags)) e))
     clears;
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* Minor words allocated by [f], net of the measurement's own. *)
 let minor_words f =
@@ -149,7 +149,7 @@ let test_delete_allocation_flat () =
     let w_large = minor_words (fun () -> Ffs.Fs.delete_inum_exn fs large) in
     if w_large > w_small then
       Alcotest.failf "deleting 200 blocks allocated %d words, 2 blocks %d" w_large w_small;
-    Ffs.Fs.check_invariants fs
+    Ffs.Check.check_invariants fs
   end
 
 let test_delete_by_name () =
@@ -169,7 +169,7 @@ let test_rewrite_keeps_inode () =
   check_int "new size" (4 * block) ino.Ffs.Inode.size;
   check_int "four runs" 4 (Array.length ino.Ffs.Inode.entries);
   Alcotest.(check (float 0.0)) "mtime stamped" 99.0 ino.Ffs.Inode.mtime;
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* --- directories -------------------------------------------------------------- *)
 
@@ -179,7 +179,7 @@ let test_mkdir_in_cg_pins_group () =
     let d = Ffs.Fs.mkdir_in_cg_exn fs ~parent:(Ffs.Fs.root fs) ~name:(Fmt.str "d%d" cg) ~cg in
     check_int (Fmt.str "dir in group %d" cg) cg (Ffs.Fs.cg_of_inum fs d)
   done;
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_files_follow_directory_group () =
   let fs = fresh () in
@@ -226,7 +226,7 @@ let test_rmdir () =
   (match Ffs.Fs.rmdir fs ~parent:(Ffs.Fs.root fs) ~name:"d" with
   | Error (Ffs.Error.No_such_name _) -> ()
   | Ok () | Error _ -> Alcotest.fail "expected Error No_such_name");
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_dir_growth () =
   let fs = fresh () in
@@ -238,7 +238,7 @@ let test_dir_growth () =
   done;
   (* 40 entries: 1 + 40/16 = 3 fragments *)
   check_int "grew with entries" 3 (frags_of_dir ());
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* --- allocation policy --------------------------------------------------------- *)
 
@@ -260,7 +260,7 @@ let test_traditional_fragments_in_sieve () =
   let inum = create fs ~dir:d ~name:"big" ~size:(6 * block) in
   (* the traditional allocator fills the one-block holes: fragmented *)
   check_bool "fragmented" false (is_contiguous fs inum);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_realloc_defragments_in_sieve () =
   let fs = fresh ~config:Ffs.Fs.realloc_config () in
@@ -271,7 +271,7 @@ let test_realloc_defragments_in_sieve () =
   check_bool "contiguous" true (is_contiguous fs inum);
   check_bool "realloc moved something" true
     ((Ffs.Fs.stats fs).Ffs.Fs.realloc_moves >= 1);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_realloc_not_invoked_below_two_blocks () =
   let fs = fresh ~config:Ffs.Fs.realloc_config () in
@@ -304,7 +304,7 @@ let test_indirect_block_switches_group () =
   check_int "space charge includes indirect"
     ((16 * fpb) + fpb)
     (Ffs.Inode.total_frags_with_metadata ino);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_contiguous_stat () =
   let fs = fresh () in
@@ -325,7 +325,7 @@ let test_rotdelay_spaces_blocks () =
       (e.(i - 1).Ffs.Inode.addr + (2 * fpb))
       e.(i).Ffs.Inode.addr
   done;
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* [f ()] with the default metrics registry on and emptied; its result
    and the registry's snapshot afterwards *)
@@ -388,7 +388,7 @@ let test_run_claim_per_block () =
   check_int "ffs_alloc_pref_hit_total" !hits (counter "ffs_alloc_pref_hit_total");
   check_int "ffs_alloc_pref_miss_total" (nfull - !hits) (counter "ffs_alloc_pref_miss_total");
   check_int "ffs_alloc_contiguous_total" !contig (counter "ffs_alloc_contiguous_total");
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* with a rotational gap the preference is never the next block, so no
    claim may take more than one: every block lands on its own preference,
@@ -410,7 +410,7 @@ let test_rotdelay_claims_singly () =
   check_int "every later block a pref hit" (n - 1)
     (Obs.Metrics.counter_value snap "ffs_alloc_pref_hit_total");
   check_int "none contiguous" 0 (Ffs.Fs.stats fs).Ffs.Fs.contiguous_allocations;
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 (* --- capacity and rollback ------------------------------------------------------ *)
 
@@ -436,7 +436,7 @@ let test_out_of_space_rollback () =
   check_int "free space unchanged after failed create" free_before
     (Ffs.Fs.free_data_frags fs);
   check_int "file count unchanged" files_before (Ffs.Fs.file_count fs);
-  Ffs.Fs.check_invariants fs
+  Ffs.Check.check_invariants fs
 
 let test_copy_independence () =
   let fs = fresh () in
@@ -446,8 +446,8 @@ let test_copy_independence () =
   check_bool "copy still has the file" true (Ffs.Fs.file_exists dup inum);
   ignore (create dup ~dir:(Ffs.Fs.root dup) ~name:"b" ~size:block);
   check_int "original unaffected" 0 (Ffs.Fs.file_count fs);
-  Ffs.Fs.check_invariants fs;
-  Ffs.Fs.check_invariants dup
+  Ffs.Check.check_invariants fs;
+  Ffs.Check.check_invariants dup
 
 (* A create whose directory-extension fragment fails after the entry
    went in: the volume is full, and the directory's sixteenth entry needs
@@ -485,7 +485,7 @@ let test_dir_extension_rollback () =
       Alcotest.(check (option int)) (what ^ ": entry gone") None (Ffs.Fs.lookup fs ~dir:d ~name:"x");
       check_int (what ^ ": entries unchanged") 15 (List.length (Ffs.Fs.dir_entries fs d));
       check_int (what ^ ": file count unchanged") files (Ffs.Fs.file_count fs);
-      Ffs.Fs.check_invariants fs;
+      Ffs.Check.check_invariants fs;
       check_bool (what ^ ": fsck clean") true (Ffs.Check.is_clean (Ffs.Check.run fs));
       if forked then
         Alcotest.(check string) "source untouched" src_digest (Ffs.Fs.digest src))
@@ -543,7 +543,7 @@ let prop_random_workload_invariants =
                   | Error e -> Ffs.Error.raise_ e)
               | [] -> ()))
         script;
-      Ffs.Fs.check_invariants fs;
+      Ffs.Check.check_invariants fs;
       true)
 
 (* --- property: a fork and its source never see each other's writes --------- *)
@@ -658,7 +658,7 @@ let prop_fork_independence =
       run [| s0; s1; s2 |] after "a";
       List.iter
         (fun (fs, tw) ->
-          Ffs.Fs.check_invariants fs;
+          Ffs.Check.check_invariants fs;
           if Ffs.Fs.digest fs <> Ffs.Fs.digest tw then
             Test.fail_reportf "digest differs from the unforked twin: %a"
               Fmt.(list ~sep:comma (pair ~sep:(any "=") string string))

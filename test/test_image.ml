@@ -38,7 +38,7 @@ let test_roundtrip () =
         (Ffs.Fs.file_count result.Aging.Replay.fs)
         (Ffs.Fs.file_count loaded.Aging.Image.result.Aging.Replay.fs);
       (* the loaded image is fully functional *)
-      Ffs.Fs.check_invariants loaded.Aging.Image.result.Aging.Replay.fs;
+      Ffs.Check.check_invariants loaded.Aging.Image.result.Aging.Replay.fs;
       check_bool "loaded image audits clean" true
         (Ffs.Check.is_clean (Ffs.Check.run loaded.Aging.Image.result.Aging.Replay.fs));
       (* and usable: create a file on it *)

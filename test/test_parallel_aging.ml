@@ -117,7 +117,7 @@ let test_cross_cg_refused () =
       | Ok _ -> Alcotest.fail "mkdir succeeded while pinned");
   (* every refusal left the image untouched *)
   check_string "digest unchanged by refusals" before (Ffs.Fs.digest fs);
-  Ffs.Fs.check_invariants fs;
+  Ffs.Check.check_invariants fs;
   assert_fsck_clean fs;
   (* a fork shares every directory state until its first write of it,
      and only an unpinned caller may install the clone: a pinned write
@@ -139,7 +139,7 @@ let test_cross_cg_refused () =
     "refused create left no entry" None
     (Ffs.Fs.lookup fork ~dir:dirs.(1) ~name:"mine");
   check_int "refused create left no file" (Ffs.Fs.file_count fs) (Ffs.Fs.file_count fork);
-  Ffs.Fs.check_invariants fork;
+  Ffs.Check.check_invariants fork;
   assert_fsck_clean fork
 
 (* inums past the last group have no shard: lookups report them missing
@@ -187,7 +187,7 @@ let test_cross_cg_rollback_restores_state () =
       check_int (Fmt.str "cg %d free blocks restored" i) fb' fb;
       check_int (Fmt.str "cg %d free inodes restored" i) ni' ni)
     (free_counts ());
-  Ffs.Fs.check_invariants fs;
+  Ffs.Check.check_invariants fs;
   assert_fsck_clean fs
 
 (* --- concurrent per-group operations from real domains ---------------------- *)
@@ -226,7 +226,7 @@ let test_concurrent_group_ops_safe () =
   in
   let domains = List.init (min 4 ncg) (fun cg -> Domain.spawn (worker cg)) in
   List.iter Domain.join domains;
-  Ffs.Fs.check_invariants fs;
+  Ffs.Check.check_invariants fs;
   assert_fsck_clean fs
 
 (* --- run_parallel determinism ----------------------------------------------- *)
@@ -298,7 +298,7 @@ let test_jobs_levels_bit_identical () =
         r1.Aging.Replay.skipped_ops r2.Aging.Replay.skipped_ops;
       check_int (what "skips jobs 1 = jobs 4")
         r1.Aging.Replay.skipped_ops r4.Aging.Replay.skipped_ops;
-      Ffs.Fs.check_invariants r4.Aging.Replay.fs;
+      Ffs.Check.check_invariants r4.Aging.Replay.fs;
       assert_fsck_clean r4.Aging.Replay.fs)
     jobs_identity_inputs
 
@@ -393,7 +393,7 @@ let qcheck_jobs_identity =
       let ops = workload ~seed () in
       let (r1, b1) = run_parallel_at ~jobs:1 ops in
       let (r4, b4) = run_parallel_at ~jobs:4 ops in
-      Ffs.Fs.check_invariants r4.Aging.Replay.fs;
+      Ffs.Check.check_invariants r4.Aging.Replay.fs;
       assert_fsck_clean r4.Aging.Replay.fs;
       Ffs.Fs.digest r1.Aging.Replay.fs = Ffs.Fs.digest r4.Aging.Replay.fs
       && r1.Aging.Replay.daily_scores = r4.Aging.Replay.daily_scores

@@ -35,7 +35,7 @@ let test_all_replayable () =
         (Workload.Profiles.name kind ^ " replays without skips")
         true
         (r.Aging.Replay.skipped_ops = 0);
-      Ffs.Fs.check_invariants r.Aging.Replay.fs)
+      Ffs.Check.check_invariants r.Aging.Replay.fs)
     Workload.Profiles.all
 
 let test_deterministic () =
