@@ -42,13 +42,13 @@ let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet ~kind ~profile_kind 
    interrupted, 2 when the resume state is unusable. *)
 let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
     ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume
-    ~scrub_every ops =
+    ~scrub_every ~on_skip ops =
   let dir = match checkpoint_dir with Some d -> Some d | None -> resume in
   let resume_ck =
     match resume with
     | None -> None
     | Some rdir -> (
-        match Aging.Checkpoint.load_latest ~backend ~dir:rdir with
+        match Aging.Checkpoint.load_latest ~dir:rdir with
         | Error e ->
             Fmt.epr "cannot resume: %a@." Ffs.Error.pp e;
             exit 2
@@ -102,7 +102,7 @@ let replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_se
     with_sigint (fun () ->
         try
           Aging.Replay.run_resumable ~backend ~config
-            ~progress:(Common.progress_of ~days ~quiet)
+            ~progress:(Common.progress_of ~days ~quiet) ~on_skip
             ?resume:resume_ck
             ~should_stop:(fun () -> Atomic.get stop)
             ~checkpoint_every ~on_checkpoint:save_ck ~scrub_every ~on_scrub ~params
@@ -184,9 +184,18 @@ let run days seed nseeds jobs realloc policy backend store_faults
   let scrub_every =
     if scrub_every > 0 then scrub_every else if store_faults <> None then 1 else 0
   in
+  (* a resumed run sees only the skips since its checkpoint *)
+  let full = ref 0 and missing = ref 0 and live = ref 0 in
+  let on_skip _ ~cause ~skipped:_ =
+    incr
+      (match cause with
+      | Aging.Replay.Out_of_space -> full
+      | No_live_file -> missing
+      | Already_live -> live)
+  in
   let result, recoveries =
     replay_checkpointed ~backend ~params ~days ~config ~quiet ~crashes ~fault_seed
-      ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume ~scrub_every ops
+      ~checkpoint_every ~checkpoint_dir ~checkpoint_keep ~resume ~scrub_every ~on_skip ops
   in
   let scores = result.Aging.Replay.daily_scores in
   Fmt.pr "allocator: %s@." (if realloc then "FFS + realloc" else "traditional FFS");
@@ -196,8 +205,20 @@ let run days seed nseeds jobs realloc policy backend store_faults
   Fmt.pr "aggregate layout score: day 1 %.3f -> day %d %.3f@." scores.(0) days
     scores.(Array.length scores - 1);
   Fmt.pr "score history: %s@." (Util.Chart.sparkline scores);
-  if result.Aging.Replay.skipped_ops > 0 then
-    Fmt.pr "WARNING: %d operations skipped (out of space)@." result.Aging.Replay.skipped_ops;
+  let skipped = result.Aging.Replay.skipped_ops in
+  if skipped > 0 then begin
+    let causes =
+      List.filter_map
+        (fun (k, what) -> if k > 0 then Some (Fmt.str "%d %s" k what) else None)
+        [
+          (!full, "out of space");
+          (!missing, "on files with no live inode");
+          (!live, "creating files already live");
+          (skipped - !full - !missing - !live, "before the resume");
+        ]
+    in
+    Fmt.pr "WARNING: %d operations skipped (%s)@." skipped (String.concat ", " causes)
+  end;
   (* end-state gauges so the snapshot carries the run's outcome, not
      just its event counts *)
   let m = Obs.Metrics.default in

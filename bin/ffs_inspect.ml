@@ -122,7 +122,7 @@ let print_manifest path =
                    (fun (e : Fleet.Manifest.entry) ->
                      let ckdir = Filename.concat dir e.Fleet.Manifest.checkpoint_dir in
                      let newest =
-                       match Aging.Checkpoint.load_latest_opt ?backend:None ~dir:ckdir with
+                       match Aging.Checkpoint.load_latest_opt ~dir:ckdir with
                        | Some (p, ck) ->
                            Fmt.str "%s (day %d, op %d)" (Filename.basename p)
                              (Aging.Replay.checkpoint_day ck)

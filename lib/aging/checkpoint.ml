@@ -27,20 +27,16 @@ let list ~dir =
 
 (* --- reading --------------------------------------------------------------- *)
 
-let[@warning "-16"] load ?backend ~path =
-  match Recover.Container.read ~path ~kind with
-  | Error _ as e -> e
-  | Ok payload -> (
-      let pc = (Marshal.from_string payload 0 : Replay.portable_checkpoint) in
-      match Replay.checkpoint_of_portable ?backend pc with
-      | ck -> Ok ck
-      | exception Ffs.Error.Error e -> Error e)
+let load ~path =
+  Result.map
+    (fun payload -> (Marshal.from_string payload 0 : Replay.checkpoint))
+    (Recover.Container.read ~path ~kind)
 
-let[@warning "-16"] load_latest ?backend ~dir =
+let load_latest ~dir =
   let rec try_all = function
     | [] -> Error (Ffs.Error.Corrupt (Fmt.str "%s: no valid checkpoint found" dir))
     | path :: older -> (
-        match load ?backend ~path with
+        match load ~path with
         | Ok ck -> Ok (path, ck)
         | Error e ->
             Log.warn (fun m ->
@@ -49,8 +45,7 @@ let[@warning "-16"] load_latest ?backend ~dir =
   in
   try_all (list ~dir)
 
-let[@warning "-16"] load_latest_opt ?backend ~dir =
-  match load_latest ?backend ~dir with Ok v -> Some v | Error _ -> None
+let load_latest_opt ~dir = match load_latest ~dir with Ok v -> Some v | Error _ -> None
 
 (* --- writing --------------------------------------------------------------- *)
 
@@ -72,12 +67,8 @@ let prune ~dir ~keep =
 let save ~dir ~keep ck =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename ck) in
-  let pc = Replay.portable_of_checkpoint ck in
-  match Recover.Container.write ~path ~kind (Marshal.to_string pc []) with
+  match Recover.Container.write ~path ~kind (Marshal.to_string ck []) with
   | () ->
-      (* acknowledge the save: on a resilient store this refreshes the
-         CRCs of the chunks written since the last one *)
-      Ffs.Fs.clear_dirty (Replay.checkpoint_fs ck);
       prune ~dir ~keep;
       Ok path
   | exception exn -> io_error ~path exn

@@ -12,6 +12,8 @@ type result = {
 
 exception Too_many_skips of { skipped : int; total : int; limit : float }
 
+type skip_cause = Out_of_space | No_live_file | Already_live
+
 let () =
   Printexc.register_printer (function
     | Too_many_skips { skipped; total; limit } ->
@@ -35,7 +37,7 @@ type engine = {
   days : int;
   total_ops : int;
   max_skip_fraction : float;
-  on_skip : Workload.Op.t -> skipped:int -> unit;
+  on_skip : Workload.Op.t -> cause:skip_cause -> skipped:int -> unit;
   progress : day:int -> score:float -> unit;
   mutable skipped : int;
   mutable next_day : int;
@@ -83,10 +85,10 @@ let finish_day e =
   e.progress ~day:d ~score:e.daily_scores.(d);
   e.next_day <- e.next_day + 1
 
-let skip e op =
+let skip e op cause =
   e.skipped <- e.skipped + 1;
   Obs.Metrics.inc metrics "replay_skips_total";
-  e.on_skip op ~skipped:e.skipped;
+  e.on_skip op ~cause ~skipped:e.skipped;
   if float_of_int e.skipped > e.max_skip_fraction *. float_of_int e.total_ops then
     raise (Too_many_skips { skipped = e.skipped; total = e.total_ops; limit = e.max_skip_fraction })
 
@@ -119,7 +121,7 @@ let skip_if_full e op = function
       Log.warn (fun m ->
           m "out of space replaying %s inode %d; op skipped" (op_kind op)
             (Workload.Op.ino_of op));
-      skip e op
+      skip e op Out_of_space
   | Error err -> Ffs.Error.raise_ err
 
 let apply e op =
@@ -129,8 +131,8 @@ let apply e op =
   | Workload.Op.Create { ino; size; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
       | Some _ ->
-          (* shouldn't happen in a well-formed workload; treat as modify *)
-          skip e op
+          (* shouldn't happen in a well-formed workload *)
+          skip e op Already_live
       | None ->
           let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
           let cg = ino / ipg mod Array.length e.group_dirs in
@@ -140,13 +142,13 @@ let apply e op =
           |> skip_if_full e op)
   | Workload.Op.Delete { ino; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op
+      | None -> skip e op No_live_file
       | Some inum ->
           Ffs.Fs.delete_inum_exn e.fs inum;
           Hashtbl.remove e.ino_map ino)
   | Workload.Op.Modify { ino; size; _ } -> (
       match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op
+      | None -> skip e op No_live_file
       | Some inum -> skip_if_full e op (Ffs.Fs.rewrite_file e.fs ~inum ~size))
 
 let step e op =
@@ -281,7 +283,7 @@ let papply e b op =
    digest, score series and counters, is bit-identical at every jobs
    level. *)
 let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_backend)
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
+    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~cause:_ ~skipped:_ -> ())
     ?(max_skip_fraction = default_max_skip_fraction)
     ?(on_day_stats = fun (_ : day_stats) -> ()) ~pool ~params ~days ops =
   Obs.Trace.span "replay.run_parallel"
@@ -335,7 +337,15 @@ let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_ba
       overlays;
     (* deterministic merge: skips, then the serial redo of deferred ops
        (unpinned, whole volume visible), each in canonical op order *)
-    Array.iteri (fun i -> function Skipped -> skip e ops.(lo + i) | Applied | Deferred -> ()) outcomes;
+    Array.iteri
+      (fun i -> function
+        | Skipped ->
+            (* [papply] skips only a create of a live file and a delete
+               or modify of a file that is not live *)
+            let op = ops.(lo + i) in
+            skip e op (match op with Workload.Op.Create _ -> Already_live | _ -> No_live_file)
+        | Applied | Deferred -> ())
+      outcomes;
     let deferred = ref 0 in
     Array.iteri
       (fun i -> function
@@ -445,25 +455,28 @@ let crash e ~after_op ~rng ~intensity =
    except its callbacks (closures don't marshal; the caller re-supplies
    them on resume), plus the position in the op stream, the fault PRNG
    state, the not-yet-fired crash points, the recoveries so far, and a
-   snapshot of the metrics registry. A checkpoint SHARES structure with
-   the live engine — serialise it (Checkpoint.save) before continuing
-   the run, or treat the run as abandoned. *)
+   snapshot of the metrics registry. The fs is flattened to its
+   canonical {!Ffs.Fs.portable} (raw bitmap bytes, no derived indexes,
+   no backend handles — an mmap-backed volume's [Fs.t] must never meet
+   [Marshal]), the inode map to a sorted association list, and every
+   mutable piece is copied: a checkpoint is a value, stable while the
+   run continues, and it is exactly what {!Checkpoint} marshals. *)
 type checkpoint = {
-  ck_fs : Ffs.Fs.t;
-  ck_group_dirs : int array;
-  ck_ino_map : (int, int) Hashtbl.t;
-  ck_daily_scores : float array;
-  ck_daily_utilization : float array;
-  ck_days : int;
-  ck_total_ops : int;
-  ck_skipped : int;
-  ck_next_day : int;
-  ck_next_op : int;  (* index of the first op not yet applied *)
-  ck_ops_crc : int32;  (* fingerprint of the workload being replayed *)
-  ck_fault_rng : Util.Prng.t;
-  ck_pending_crashes : int list;
-  ck_recoveries : recovery list;  (* reverse chronological *)
-  ck_metrics : Obs.Metrics.snapshot;
+  pc_fs : Ffs.Fs.portable;
+  pc_group_dirs : int array;
+  pc_ino_map : (int * int) list;  (* sorted by workload inode *)
+  pc_daily_scores : float array;
+  pc_daily_utilization : float array;
+  pc_days : int;
+  pc_total_ops : int;
+  pc_skipped : int;
+  pc_next_day : int;
+  pc_next_op : int;  (* index of the first op not yet applied *)
+  pc_ops_crc : int32;  (* fingerprint of the workload being replayed *)
+  pc_fault_rng : Util.Prng.t;
+  pc_pending_crashes : int list;
+  pc_recoveries : recovery list;  (* reverse chronological *)
+  pc_metrics : Obs.Metrics.snapshot;
 }
 
 (* Each op's kind, ino, size and time bits, streamed through CRC-32 from
@@ -483,98 +496,14 @@ let ops_fingerprint ops =
          Util.Crc32.update crc view ~pos:0 ~len:25)
        Util.Crc32.empty ops)
 
-let checkpoint_day ck = ck.ck_next_day
-let checkpoint_next_op ck = ck.ck_next_op
-let checkpoint_metrics ck = ck.ck_metrics
-let checkpoint_fs ck = ck.ck_fs
-
-let checkpoint_of_engine e ~next_op ~ops_crc ~rng ~pending ~recoveries =
-  {
-    ck_fs = e.fs;
-    ck_group_dirs = e.group_dirs;
-    ck_ino_map = e.ino_map;
-    ck_daily_scores = e.daily_scores;
-    ck_daily_utilization = e.daily_utilization;
-    ck_days = e.days;
-    ck_total_ops = e.total_ops;
-    ck_skipped = e.skipped;
-    ck_next_day = e.next_day;
-    ck_next_op = next_op;
-    ck_ops_crc = ops_crc;
-    ck_fault_rng = Util.Prng.copy rng;
-    ck_pending_crashes = pending;
-    ck_recoveries = recoveries;
-    ck_metrics = Obs.Metrics.snapshot metrics;
-  }
-
-(* --- portable (serialisable) forms ----------------------------------------- *)
-
-(* What actually reaches disk: the fs flattened to its canonical
-   {!Ffs.Fs.portable} (raw bitmap bytes, no derived indexes, no backend
-   handles — an mmap-backed volume's [Fs.t] must never meet [Marshal]),
-   the inode map as a sorted association list, everything else verbatim.
-   Conversions deep-copy the mutable pieces, so a portable value is a
-   stable snapshot even while the run continues. *)
-type portable_checkpoint = {
-  pc_fs : Ffs.Fs.portable;
-  pc_group_dirs : int array;
-  pc_ino_map : (int * int) list;  (* sorted by workload inode *)
-  pc_daily_scores : float array;
-  pc_daily_utilization : float array;
-  pc_days : int;
-  pc_total_ops : int;
-  pc_skipped : int;
-  pc_next_day : int;
-  pc_next_op : int;
-  pc_ops_crc : int32;
-  pc_fault_rng : Util.Prng.t;
-  pc_pending_crashes : int list;
-  pc_recoveries : recovery list;
-  pc_metrics : Obs.Metrics.snapshot;
-}
+let checkpoint_day ck = ck.pc_next_day
+let checkpoint_next_op ck = ck.pc_next_op
+let checkpoint_metrics ck = ck.pc_metrics
 
 let sorted_bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
 
-let portable_of_checkpoint ck =
-  {
-    pc_fs = Ffs.Fs.to_portable ck.ck_fs;
-    pc_group_dirs = Array.copy ck.ck_group_dirs;
-    pc_ino_map = sorted_bindings ck.ck_ino_map;
-    pc_daily_scores = Array.copy ck.ck_daily_scores;
-    pc_daily_utilization = Array.copy ck.ck_daily_utilization;
-    pc_days = ck.ck_days;
-    pc_total_ops = ck.ck_total_ops;
-    pc_skipped = ck.ck_skipped;
-    pc_next_day = ck.ck_next_day;
-    pc_next_op = ck.ck_next_op;
-    pc_ops_crc = ck.ck_ops_crc;
-    pc_fault_rng = Util.Prng.copy ck.ck_fault_rng;
-    pc_pending_crashes = ck.ck_pending_crashes;
-    pc_recoveries = ck.ck_recoveries;
-    pc_metrics = ck.ck_metrics;
-  }
-
-let checkpoint_of_portable ?backend pc =
-  let ino_map = Hashtbl.create (max 4096 (List.length pc.pc_ino_map)) in
-  List.iter (fun (k, v) -> Hashtbl.replace ino_map k v) pc.pc_ino_map;
-  {
-    ck_fs = Ffs.Fs.of_portable ?backend pc.pc_fs;
-    ck_group_dirs = Array.copy pc.pc_group_dirs;
-    ck_ino_map = ino_map;
-    ck_daily_scores = Array.copy pc.pc_daily_scores;
-    ck_daily_utilization = Array.copy pc.pc_daily_utilization;
-    ck_days = pc.pc_days;
-    ck_total_ops = pc.pc_total_ops;
-    ck_skipped = pc.pc_skipped;
-    ck_next_day = pc.pc_next_day;
-    ck_next_op = pc.pc_next_op;
-    ck_ops_crc = pc.pc_ops_crc;
-    ck_fault_rng = Util.Prng.copy pc.pc_fault_rng;
-    ck_pending_crashes = pc.pc_pending_crashes;
-    ck_recoveries = pc.pc_recoveries;
-    ck_metrics = pc.pc_metrics;
-  }
-
+(* What Image persists: the aged fs flattened to its portable form, the
+   inode map sorted, everything else verbatim *)
 type portable_result = {
   pr_fs : Ffs.Fs.portable;
   pr_daily_scores : float array;
@@ -605,33 +534,37 @@ let result_of_portable ?backend pr =
 
 let corrupt_resume fmt = Fmt.kstr (fun m -> Ffs.Error.raise_ (Ffs.Error.Corrupt m)) fmt
 
-let engine_of_checkpoint ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck =
-  if ck.ck_ops_crc <> ops_crc () then
+(* The engine a checkpoint resumes, its image rebuilt on [backend];
+   the checkpoint itself is left untouched, so it can be resumed again *)
+let engine_of_checkpoint ~backend ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck =
+  if ck.pc_ops_crc <> ops_crc () then
     corrupt_resume "resume: checkpoint was taken against a different workload";
-  if ck.ck_days <> days then
-    corrupt_resume "resume: checkpoint is for a %d-day run, not %d days" ck.ck_days days;
-  if ck.ck_total_ops <> Array.length ops then
-    corrupt_resume "resume: checkpoint expects %d operations, workload has %d" ck.ck_total_ops
+  if ck.pc_days <> days then
+    corrupt_resume "resume: checkpoint is for a %d-day run, not %d days" ck.pc_days days;
+  if ck.pc_total_ops <> Array.length ops then
+    corrupt_resume "resume: checkpoint expects %d operations, workload has %d" ck.pc_total_ops
       (Array.length ops);
+  let ino_map = Hashtbl.create (max 4096 (List.length ck.pc_ino_map)) in
+  List.iter (fun (k, v) -> Hashtbl.replace ino_map k v) ck.pc_ino_map;
   {
-    fs = ck.ck_fs;
-    group_dirs = ck.ck_group_dirs;
-    ino_map = ck.ck_ino_map;
-    daily_scores = ck.ck_daily_scores;
-    daily_utilization = ck.ck_daily_utilization;
+    fs = Ffs.Fs.of_portable ~backend ck.pc_fs;
+    group_dirs = Array.copy ck.pc_group_dirs;
+    ino_map;
+    daily_scores = Array.copy ck.pc_daily_scores;
+    daily_utilization = Array.copy ck.pc_daily_utilization;
     days;
-    total_ops = ck.ck_total_ops;
+    total_ops = ck.pc_total_ops;
     max_skip_fraction;
     on_skip;
     progress;
-    skipped = ck.ck_skipped;
-    next_day = ck.ck_next_day;
+    skipped = ck.pc_skipped;
+    next_day = ck.pc_next_day;
   }
 
 (* --- the resumable driver -------------------------------------------------- *)
 
 let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_backend)
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
+    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~cause:_ ~skipped:_ -> ())
     ?(max_skip_fraction = default_max_skip_fraction) ?(intensity = 4) ?resume
     ?(should_stop = fun () -> false) ?(checkpoint_every = 0)
     ?(on_checkpoint = fun (_ : checkpoint) -> ()) ?(scrub_every = 0)
@@ -662,8 +595,11 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
         let points = Fault.Plan.crash_points ~rng ~n_ops:(Array.length ops) ~crashes in
         (e, rng, points, [], 0)
     | Some ck ->
-        let e = engine_of_checkpoint ~progress ~on_skip ~max_skip_fraction ~days ~ops ~ops_crc ck in
-        (e, ck.ck_fault_rng, ck.ck_pending_crashes, ck.ck_recoveries, ck.ck_next_op)
+        let e =
+          engine_of_checkpoint ~backend ~progress ~on_skip ~max_skip_fraction ~days ~ops
+            ~ops_crc ck
+        in
+        (e, Util.Prng.copy ck.pc_fault_rng, ck.pc_pending_crashes, ck.pc_recoveries, ck.pc_next_op)
   in
   let recoveries = ref recoveries0 in
   let pending = ref pending0 in
@@ -674,8 +610,23 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
   let i = ref start_op in
   (* outside the loop: a closure built per op would allocate per op *)
   let take () =
-    checkpoint_of_engine e ~next_op:!i ~ops_crc:(ops_crc ()) ~rng ~pending:!pending
-      ~recoveries:!recoveries
+    {
+      pc_fs = Ffs.Fs.to_portable e.fs;
+      pc_group_dirs = Array.copy e.group_dirs;
+      pc_ino_map = sorted_bindings e.ino_map;
+      pc_daily_scores = Array.copy e.daily_scores;
+      pc_daily_utilization = Array.copy e.daily_utilization;
+      pc_days = e.days;
+      pc_total_ops = e.total_ops;
+      pc_skipped = e.skipped;
+      pc_next_day = e.next_day;
+      pc_next_op = !i;
+      pc_ops_crc = ops_crc ();
+      pc_fault_rng = Util.Prng.copy rng;
+      pc_pending_crashes = !pending;
+      pc_recoveries = !recoveries;
+      pc_metrics = Obs.Metrics.snapshot metrics;
+    }
   in
   while !interrupted = None && !i < n do
     let idx = !i in
@@ -716,7 +667,7 @@ let completed_exn = function
   | `Interrupted _ -> assert false (* no should_stop was supplied *)
 
 let run ?(config = Ffs.Fs.default_config) ?backend
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
+    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~cause:_ ~skipped:_ -> ())
     ?(max_skip_fraction = default_max_skip_fraction) ~params ~days ops =
   Obs.Trace.span "replay.run"
     [ Obs.Trace.i "days" days; Obs.Trace.i "ops" (Array.length ops) ]
@@ -727,7 +678,7 @@ let run ?(config = Ffs.Fs.default_config) ?backend
     .result
 
 let run_with_crashes ?(config = Ffs.Fs.default_config) ?backend
-    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~skipped:_ -> ())
+    ?(progress = fun ~day:_ ~score:_ -> ()) ?(on_skip = fun _ ~cause:_ ~skipped:_ -> ())
     ?(max_skip_fraction = default_max_skip_fraction) ?(intensity = 4) ~params ~days
     ~crashes ~fault_seed ops =
   completed_exn

@@ -23,6 +23,14 @@ exception Too_many_skips of { skipped : int; total : int; limit : float }
     the workload: an experiment silently dropping a large share of its
     operations is not measuring what it claims to. *)
 
+(** Why the replay dropped an operation. *)
+type skip_cause =
+  | Out_of_space  (** a create or modify the allocator found no room for *)
+  | No_live_file
+      (** a delete or modify of a file with no live inode: its create
+          was skipped, or a crash repair or scrub lost it *)
+  | Already_live  (** a create of a file that is already live *)
+
 val default_max_skip_fraction : float
 (** 0.9 — catastrophic-only by default; tighten per experiment. *)
 
@@ -30,7 +38,7 @@ val run :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
+  ?on_skip:(Workload.Op.t -> cause:skip_cause -> skipped:int -> unit) ->
   ?max_skip_fraction:float ->
   params:Ffs.Params.t ->
   days:int ->
@@ -39,10 +47,10 @@ val run :
 (** Replay a time-sorted workload. [config] selects the allocator under
     test (default: traditional FFS); [backend] selects the volume's
     storage backend (default in-heap; the aged image is bit-identical
-    either way). [on_skip] observes every dropped operation with the
-    running skip count (default: ignore); [max_skip_fraction] bounds the
-    tolerated skips as a fraction of the whole workload, raising
-    {!Too_many_skips} mid-run when crossed. *)
+    either way). [on_skip] observes every dropped operation with its
+    cause and the running skip count (default: ignore);
+    [max_skip_fraction] bounds the tolerated skips as a fraction of the
+    whole workload, raising {!Too_many_skips} mid-run when crossed. *)
 
 (** {2 Intra-volume parallel replay}
 
@@ -75,7 +83,7 @@ val run_parallel :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
+  ?on_skip:(Workload.Op.t -> cause:skip_cause -> skipped:int -> unit) ->
   ?max_skip_fraction:float ->
   ?on_day_stats:(day_stats -> unit) ->
   pool:Par.Pool.t ->
@@ -116,7 +124,7 @@ val run_with_crashes :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
+  ?on_skip:(Workload.Op.t -> cause:skip_cause -> skipped:int -> unit) ->
   ?max_skip_fraction:float ->
   ?intensity:int ->
   params:Ffs.Params.t ->
@@ -139,7 +147,13 @@ val run_with_crashes :
     history, the fault PRNG state and pending crash points, and a
     metrics-registry snapshot — and a resumed run is bit-identical to
     one that was never interrupted (same marshalled image, same score
-    series, same counters). *)
+    series, same counters).
+
+    A checkpoint is a value: the image inside it is the portable form
+    ({!Ffs.Fs.portable}: no derived indexes, no backend handles), every
+    table is copied, and it is exactly what {!Checkpoint} persists. It
+    stays valid while the run that took it continues, and resuming it
+    does not consume it. *)
 
 type checkpoint
 
@@ -154,44 +168,11 @@ val checkpoint_metrics : checkpoint -> Obs.Metrics.snapshot
     {!Obs.Metrics.restore} before resuming so counter totals match an
     uninterrupted run. *)
 
-val checkpoint_fs : checkpoint -> Ffs.Fs.t
-(** The live image inside the checkpoint (shared with the engine) — how
-    {!Checkpoint.save} acknowledges the image's dirty chunks after a
-    successful write. *)
+(** {3 Portable results}
 
-(** {3 Portable forms}
-
-    What {!Checkpoint} and {!Image} actually persist: the file system
-    flattened to {!Ffs.Fs.portable} (no derived indexes, no backend
-    handles — an mmap-backed [Fs.t] must never meet [Marshal]), tables
-    as sorted association lists, everything else verbatim. Conversions
-    deep-copy the mutable pieces, so a portable value is a stable
-    snapshot even while the run continues. *)
-
-type portable_checkpoint = {
-  pc_fs : Ffs.Fs.portable;
-  pc_group_dirs : int array;
-  pc_ino_map : (int * int) list;
-  pc_daily_scores : float array;
-  pc_daily_utilization : float array;
-  pc_days : int;
-  pc_total_ops : int;
-  pc_skipped : int;
-  pc_next_day : int;
-  pc_next_op : int;
-  pc_ops_crc : int32;
-  pc_fault_rng : Util.Prng.t;
-  pc_pending_crashes : int list;
-  pc_recoveries : recovery list;
-  pc_metrics : Obs.Metrics.snapshot;
-}
-
-val portable_of_checkpoint : checkpoint -> portable_checkpoint
-
-val checkpoint_of_portable : ?backend:Ffs.Store.spec -> portable_checkpoint -> checkpoint
-(** Rebuild a live checkpoint on the chosen backend (default in-heap).
-    Raises [Ffs.Error.Error Corrupt] if the portable image disagrees
-    with its own geometry. *)
+    What {!Image} persists: the aged file system flattened to
+    {!Ffs.Fs.portable}, the inode map as a sorted association list,
+    everything else verbatim. *)
 
 type portable_result = {
   pr_fs : Ffs.Fs.portable;
@@ -208,7 +189,7 @@ val run_resumable :
   ?config:Ffs.Fs.config ->
   ?backend:Ffs.Store.spec ->
   ?progress:(day:int -> score:float -> unit) ->
-  ?on_skip:(Workload.Op.t -> skipped:int -> unit) ->
+  ?on_skip:(Workload.Op.t -> cause:skip_cause -> skipped:int -> unit) ->
   ?max_skip_fraction:float ->
   ?intensity:int ->
   ?resume:checkpoint ->
@@ -227,12 +208,14 @@ val run_resumable :
     resume.
 
     [resume] continues from a checkpoint instead of an empty file
-    system; the same workload, [days] and (for crash runs) fault
-    schedule must be supplied — the checkpoint carries a workload
-    fingerprint, and a mismatch raises {!Ffs.Error.Error} with
-    [Corrupt _]. [should_stop] is polled between operations; when it
-    returns [true] the run stops and returns [`Interrupted] with a
-    checkpoint of the exact position. [checkpoint_every] > 0 calls
+    system, rebuilding its image on [backend]; the same workload,
+    [days] and (for crash runs) fault schedule must be supplied — the
+    checkpoint carries a workload fingerprint, and a mismatch (or an
+    image that disagrees with its own geometry) raises
+    {!Ffs.Error.Error} with [Corrupt _]. [should_stop] is polled
+    between operations; when it returns [true] the run stops and
+    returns [`Interrupted] with a checkpoint of the exact position.
+    [checkpoint_every] > 0 calls
     [on_checkpoint] whenever that many further days complete (measured
     at the first operation past each boundary). [scrub_every] > 0 runs
     {!Ffs.Check.scrub_exn} on the same day-boundary cadence, before any
@@ -244,10 +227,8 @@ val run_resumable :
     live in the store, not the checkpoint, so a resumed run re-arms its
     plan against the freshly rebuilt store.
 
-    A checkpoint shares structure with the live engine: serialise it
-    (see {!Checkpoint}) inside [on_checkpoint]; do not keep using an
-    in-memory checkpoint after the run has advanced. [config] matters
-    only for fresh runs (a resumed image keeps its allocator). *)
+    [config] matters only for fresh runs (a resumed image keeps its
+    allocator). *)
 
 val hot_inums : result -> since:float -> int list
 (** Files in the aged image last modified at or after [since] — the

@@ -15,13 +15,6 @@ type t = {
   mutable ilow : int;  (* no inode slot below this one is free *)
 }
 
-(* Bitmap writes mark the group's dirty chunk through the store; the
-   counter-only mutators below call [touch] so "dirty" keeps meaning
-   "changed since the last checkpoint" even when the bitmaps did not
-   move (conservative for the resilient store: a touched chunk's CRC is
-   refreshed at the next checkpoint and skipped by scrub until then). *)
-let touch t = Store.mark_dirty t.store ~pos:t.region_base
-
 let create_in ~store ~base params ~index =
   let regions = Store.Layout.of_params params in
   let nblocks = Params.data_blocks_per_group params in
@@ -379,13 +372,10 @@ let free_inode t i =
 
 let inode_is_free t i = not (Bitmap.get t.inode_used i)
 
-let add_dir t =
-  touch t;
-  t.ndirs <- t.ndirs + 1
+let add_dir t = t.ndirs <- t.ndirs + 1
 
 let remove_dir t =
   assert (t.ndirs > 0);
-  touch t;
   t.ndirs <- t.ndirs - 1
 
 (* --- fsck/repair plumbing ----------------------------------------------- *)
@@ -425,7 +415,6 @@ let corrupt_clear_frag t f = Bitmap.clear t.frag_used f
 let corrupt_set_frag t f = Bitmap.set t.frag_used f
 
 let corrupt_counters t ~nffree ~nbfree =
-  touch t;
   t.nffree <- nffree;
   t.nbfree <- nbfree
 
@@ -440,7 +429,6 @@ let corrupt_clear_inode t i =
   t.ilow <- Int.min t.ilow i
 
 let corrupt_adjust_dirs t delta =
-  touch t;
   t.ndirs <- max 0 (t.ndirs + delta)
 
 let corrupt_index_toggle_free t b = Extent_index.corrupt_toggle_free t.ext b
@@ -453,7 +441,7 @@ let audit_index t =
     ~frag_free:(fun f -> not (Bitmap.get t.frag_used f))
     ~block_free:(fun b -> not (Bitmap.get t.block_used b))
 
-let check_invariants t =
+let check_bitmaps t =
   assert (t.nffree = Bitmap.count_clear t.frag_used);
   assert (t.nbfree = Bitmap.count_clear t.block_used);
   assert (t.nifree = Bitmap.count_clear t.inode_used);
@@ -461,7 +449,10 @@ let check_invariants t =
   for b = 0 to data_blocks t - 1 do
     let any_used = not (Bitmap.all_clear t.frag_used ~pos:(b * fpb) ~len:fpb) in
     assert (Bitmap.get t.block_used b = any_used)
-  done;
+  done
+
+let check_invariants t =
+  check_bitmaps t;
   match audit_index t with
   | [] -> ()
   | msg :: _ -> Error.raise_ (Error.Corrupt msg)

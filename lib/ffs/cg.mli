@@ -129,10 +129,13 @@ val audit_index : t -> string list
     Reads only, never raises; feeds [Check.run]'s index-consistency
     pass. *)
 
-val check_invariants : t -> unit
+val check_bitmaps : t -> unit
 (** Raises [Assert_failure] if internal counters disagree with the
-    bitmaps, or [Error.Error Corrupt] if a derived index does. For
-    tests. *)
+    bitmaps, or the block bitmap with the fragment bitmap. *)
+
+val check_invariants : t -> unit
+(** {!check_bitmaps}, then raises [Error.Error Corrupt] if the derived
+    index disagrees with the bitmaps ({!audit_index}). For tests. *)
 
 (** {2 Repair plumbing}
 

@@ -367,10 +367,10 @@ let scrub_exn fs =
      sectors), verify clean chunks against their CRCs, quarantine
      persistently unreadable ones *)
   let sr = Store.scrub store in
-  (* pass 2: the logical audit always runs.  Checksums cannot vouch for
-     dirty chunks (their CRC is stale by rule) and torn syncs corrupt
-     exactly the chunks that were being written, so the cross-view audit
-     is the authority on what the bitmaps must say. *)
+  (* pass 2: the logical audit always runs.  Checksums vouch only for
+     the bytes the last sync acknowledged: a chunk quarantined while the
+     sync read it comes back zeroed under a fresh CRC, so the cross-view
+     audit is the authority on what the bitmaps must say. *)
   let before = run fs in
   let flagged = sr.Store.scrub_mismatched <> [] in
   let repaired =
@@ -400,8 +400,8 @@ let scrub fs = Error.guard (fun () -> scrub_exn fs)
 
 let pp_scrub ppf log =
   let sr = log.store_report in
-  Fmt.pf ppf "scrub: %d chunks (%d verified, %d stale, %d mismatched, %d quarantined); %d logical problem(s)%s"
-    sr.Store.scrub_chunks sr.Store.scrub_verified sr.Store.scrub_stale
+  Fmt.pf ppf "scrub: %d chunks (%d verified, %d mismatched, %d quarantined); %d logical problem(s)%s"
+    sr.Store.scrub_chunks sr.Store.scrub_verified
     (List.length sr.Store.scrub_mismatched)
     (List.length sr.Store.scrub_quarantined)
     log.problems_found
@@ -464,6 +464,7 @@ let pp ppf r =
       (Fmt.list ~sep:Fmt.cut pp_problem) r.problems
 
 let check_invariants fs =
-  Array.iter Cg.check_invariants (Fs.cg_states fs);
+  (* [run] audits the extent index (its step 6) *)
+  Array.iter Cg.check_bitmaps (Fs.cg_states fs);
   let r = run fs in
   if not (is_clean r) then Error.raise_ (Error.Corrupt (Fmt.str "%a" pp r))

@@ -63,7 +63,8 @@ val run : Fs.t -> report
 val is_clean : report -> bool
 
 val check_invariants : Fs.t -> unit
-(** Every group's {!Cg.check_invariants}, then a clean {!run}; raises
+(** Every group's {!Cg.check_bitmaps}, then a clean {!run} (which
+    audits each group's extent index); raises
     {!Error.Error} [Corrupt] with the report otherwise. For test
     oracles and the crash explorer. It replaces [Fs.check_invariants],
     which did not check orphans, dangling entries or inode bits. *)

@@ -1260,9 +1260,8 @@ let of_portable ?(backend = Store.Heap_backend) p =
           shared = Atomic.make false;
         })
     p.pf_dirs;
-  (* loading wrote every byte, so the dirty map is all-set — the
-     conservative truth for a resumed volume (the first checkpoint after
-     a resume is a full one anyway) *)
+  (* loading wrote every byte, so the dirty map is all-set: the next
+     sync acknowledges every chunk *)
   let t =
     {
       params;
@@ -1343,8 +1342,6 @@ let digest t = digest_of_parts (digest_parts t)
 let store t = t.store
 let backend_name t = Store.repr_name t.store
 let sync t = Store.sync t.store
-
-let clear_dirty t = Store.clear_dirty t.store
 
 (* --- crash-state materialisation ------------------------------------------ *)
 

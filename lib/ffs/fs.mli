@@ -297,14 +297,10 @@ val backend_name : t -> string
 (** Display name of the live backend ("bytes", "mmap", "mmap:PATH"). *)
 
 val sync : t -> unit
-(** Flush the backend to durable storage (fsync for file-backed
-    mappings; no-op for the heap). *)
-
-val clear_dirty : t -> unit
-(** Acknowledge a checkpoint ({!Store.clear_dirty}): on a resilient
-    store, refresh the CRCs of the groups written since the last call,
-    then clear the dirty map. [Aging.Checkpoint.save] calls it after
-    every successful write. *)
+(** {!Store.sync}: on a resilient store, acknowledge the CRCs of the
+    groups written since the last sync; then flush the backend to
+    durable storage (fsync for file-backed mappings; no-op for the
+    heap). *)
 
 (* Repair & fault-injection plumbing — the raw directory and inode-table
    edits [Check.repair] and the fault injector are built from. These

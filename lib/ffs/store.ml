@@ -29,11 +29,12 @@
      at the existing dirty-chunk granularity, retries transient faults
      with bounded exponential backoff, quarantines persistently bad
      chunks by remapping them to spare regions past the logical end, and
-     exposes {!scrub} to walk chunks and report mismatches.  A dirty
-     chunk's CRC is stale by definition; {!clear_dirty} (the checkpoint
-     acknowledgement) recomputes CRCs for dirty chunks before clearing,
-     so checksums are meaningful exactly for clean chunks.  When no
-     fault plan is attached the layer runs in passthrough: the remap is
+     exposes {!scrub} to walk chunks and report mismatches.  {!sync}
+     is the acknowledgement: it recomputes the CRCs of the chunks
+     written since the last sync before clearing the dirty map and
+     flushing, so after a sync every chunk's checksum is meaningful and
+     only damage that lands beneath the writer can contradict it.  When
+     no fault plan is attached the layer runs in passthrough: the remap is
      provably the identity (quarantine only fires on injected faults),
      so [heap_bytes] exposes the inner heap buffer and the bitmap
      layer's fast path — and therefore placements and timings — are
@@ -46,9 +47,8 @@
    [dirty].  Writes from concurrently pinned domains land on distinct
    dirty bytes (one group, one chunk), so marking needs no lock beyond
    the per-group discipline {!Locks} already enforces.  Dirty tracking
-   exists for the checksums: a successful checkpoint calls {!clear_dirty},
-   the acknowledgement that refreshes the CRCs of the chunks written
-   since the last one, and {!scrub} skips chunks still dirty.  Fault
+   exists for the checksums: "dirty" means "written since the last
+   sync", and {!sync} refreshes exactly those chunks' CRCs.  Fault
    injection is serial-engine only: the injection state (rng, bad set)
    is deliberately unsynchronised. *)
 
@@ -151,7 +151,7 @@ and t = {
   repr : repr;
   len : int;
   chunk_shift : int;
-  dirty : Bytes.t;  (* one byte per chunk; '\001' = written since last clear *)
+  dirty : Bytes.t;  (* one byte per chunk; '\001' = written since the last sync *)
 }
 
 type spec =
@@ -418,13 +418,6 @@ and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
 let length t = t.len
 let chunk_bytes t = 1 lsl t.chunk_shift
 
-let rec is_heap t =
-  match t.repr with
-  | Heap _ -> true
-  | Map _ -> false
-  | Faulty f -> is_heap f.f_inner
-  | Checked st -> is_heap st.c_inner
-
 let rec heap_bytes t =
   match t.repr with
   | Heap b -> Some b
@@ -436,13 +429,6 @@ let dirty_cell t ~pos ~len =
   else
     let c0 = pos lsr t.chunk_shift and c1 = (pos + len - 1) lsr t.chunk_shift in
     if c0 = c1 then Some (t.dirty, c0) else None
-
-let rec backing_path t =
-  match t.repr with
-  | Map { path; _ } -> path
-  | Heap _ -> None
-  | Faulty f -> backing_path f.f_inner
-  | Checked st -> backing_path st.c_inner
 
 let rec repr_name t =
   match t.repr with
@@ -573,7 +559,23 @@ let rec digest_region t ~pos ~len =
   | Checked st when st.c_passthrough -> digest_region st.c_inner ~pos ~len
   | Map _ | Faulty _ | Checked _ -> Digest.to_hex (Digest.string (read t ~pos ~len))
 
+let chunk_len t c = min (1 lsl t.chunk_shift) (t.len - (c lsl t.chunk_shift))
+
+let chunk_crc t c =
+  Util.Crc32.string (read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c))
+
 let rec sync t =
+  (* the acknowledgement: the writer's bytes are the truth, so a
+     checksummed store refreshes the CRCs of the chunks written since
+     the last sync before the flush (where a fault plan's damage lands
+     beneath them) *)
+  (match t.repr with
+  | Checked st ->
+      for c = 0 to st.c_chunks - 1 do
+        if Bytes.unsafe_get t.dirty c <> '\000' then st.c_crcs.(c) <- chunk_crc t c
+      done
+  | Heap _ | Map _ | Faulty _ -> ());
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   match t.repr with
   | Heap _ -> ()
   | Map { fd; _ } ->
@@ -601,27 +603,8 @@ let rec close t =
 
 (* --- dirty chunks --------------------------------------------------------- *)
 
-let chunk_dirty t c = Bytes.get t.dirty c <> '\000'
-
-let chunk_len t c = min (1 lsl t.chunk_shift) (t.len - (c lsl t.chunk_shift))
-
-let chunk_crc t c =
-  Util.Crc32.string (read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c))
-
 let refresh_chunk_crc t c =
   match t.repr with Checked st -> st.c_crcs.(c) <- chunk_crc t c | _ -> ()
-
-let clear_dirty t =
-  (* a dirty chunk's CRC is stale by definition; the checkpoint
-     acknowledgement is the moment the content is known good, so refresh
-     checksums for exactly the chunks being cleared *)
-  (match t.repr with
-  | Checked st ->
-      for c = 0 to st.c_chunks - 1 do
-        if Bytes.unsafe_get t.dirty c <> '\000' then st.c_crcs.(c) <- chunk_crc t c
-      done
-  | _ -> ());
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
 let copy_dirty ~src ~dst =
   assert (Bytes.length src.dirty = Bytes.length dst.dirty);
@@ -632,13 +615,12 @@ let copy_dirty ~src ~dst =
 type scrub_report = {
   scrub_chunks : int;
   scrub_verified : int;
-  scrub_stale : int;  (* dirty chunks skipped: their CRC is stale by rule *)
   scrub_mismatched : int list;
   scrub_quarantined : int list;
 }
 
 let empty_scrub_report =
-  { scrub_chunks = 0; scrub_verified = 0; scrub_stale = 0; scrub_mismatched = []; scrub_quarantined = [] }
+  { scrub_chunks = 0; scrub_verified = 0; scrub_mismatched = []; scrub_quarantined = [] }
 
 let checksummed t = match t.repr with Checked _ -> true | _ -> false
 
@@ -658,19 +640,16 @@ let scrub t =
   | Checked st ->
       let before = List.length st.c_quarantined in
       sync t;
-      let verified = ref 0 and stale = ref 0 and mismatched = ref [] in
+      let verified = ref 0 and mismatched = ref [] in
       for c = st.c_chunks - 1 downto 0 do
-        if chunk_dirty t c then incr stale
-        else begin
-          let q0 = List.length st.c_quarantined in
-          let content = read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c) in
-          if List.length st.c_quarantined > q0 then
-            (* the walk itself hit a latent chunk: its content is gone
-               and the logical audit must rebuild the region *)
-            mismatched := c :: !mismatched
-          else if Util.Crc32.string content <> st.c_crcs.(c) then mismatched := c :: !mismatched
-          else incr verified
-        end
+        let q0 = List.length st.c_quarantined in
+        let content = read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c) in
+        if List.length st.c_quarantined > q0 then
+          (* the walk itself hit a latent chunk: its content is gone
+             and the logical audit must rebuild the region *)
+          mismatched := c :: !mismatched
+        else if Util.Crc32.string content <> st.c_crcs.(c) then mismatched := c :: !mismatched
+        else incr verified
       done;
       Obs.Metrics.add (metrics ()) "scrub_chunks_total" st.c_chunks;
       let fresh = List.length st.c_quarantined - before in
@@ -680,7 +659,6 @@ let scrub t =
       {
         scrub_chunks = st.c_chunks;
         scrub_verified = !verified;
-        scrub_stale = !stale;
         scrub_mismatched = !mismatched;
         scrub_quarantined;
       }

@@ -29,12 +29,13 @@
     Every write also marks its {e chunk} (a power-of-two span, one per
     cylinder group under {!Layout}) in a dirty map, under the same
     per-group {!Locks} discipline that already serialises the writes
-    themselves.  The map exists for the resilient layer's checksums: a
-    successful checkpoint acknowledges it with {!clear_dirty}, which
-    refreshes the CRCs of the chunks written since the last one, and
-    {!scrub} skips chunks still dirty.  Fault injection and quarantine
-    state are deliberately unsynchronised: a fault-injecting store must
-    only be driven by the serial replay engine. *)
+    themselves.  Dirty means "written since the last {!sync}", and the
+    map exists for the resilient layer's checksums: {!sync} is the
+    acknowledgement that refreshes the CRCs of exactly those chunks,
+    so a {!scrub} (a sync, then a verify pass) checks every chunk.
+    Fault injection and quarantine state are deliberately
+    unsynchronised: a fault-injecting store must only be driven by the
+    serial replay engine. *)
 
 type t
 
@@ -105,17 +106,12 @@ val mmap : ?path:string -> length:int -> chunk_bytes:int -> unit -> t
 val length : t -> int
 val chunk_bytes : t -> int
 
-val is_heap : t -> bool
-(** Is the data plane in-heap? (Heap-backed values are safe to
-    [Marshal]; mapped ones are not. Resilient wrappers answer for their
-    innermost representation.) *)
-
 val heap_bytes : t -> Bytes.t option
 (** The live buffer of a heap store — the bitmap layer's bit-poke fast
     path (the allocator flips bits per fragment, so the per-byte
     dispatch of {!get_byte}/{!set_byte} is measurable there). Writes
-    through it bypass dirty tracking; the writer must {!mark_dirty}
-    every byte it touches (or set the {!dirty_cell} directly). A
+    through it bypass dirty tracking; the writer must set the
+    {!dirty_cell} covering every byte it touches. A
     resilient store exposes its inner heap buffer only in passthrough
     mode (no fault plan), where the quarantine remap is provably the
     identity; with faults active this is [None] and every access takes
@@ -124,12 +120,9 @@ val heap_bytes : t -> Bytes.t option
 val dirty_cell : t -> pos:int -> len:int -> (Bytes.t * int) option
 (** The dirty-map byte covering [pos .. pos+len-1], when that range
     lies within one chunk — so a hot writer can mark its writes with a
-    single [Bytes.unsafe_set buf idx '\001'] instead of a
-    {!mark_dirty} call per byte. [None] when the range spans chunks
-    (or is empty). *)
-
-val backing_path : t -> string option
-(** The persistent file behind an [Mmap_backend (Some _)] store. *)
+    single [Bytes.unsafe_set buf idx '\001'] instead of a dispatched
+    store write per byte. [None] when the range spans chunks (or is
+    empty). *)
 
 val repr_name : t -> string
 (** The representation, for display: ["bytes"], ["mmap"],
@@ -148,10 +141,13 @@ val digest_region : t -> pos:int -> len:int -> string
 (** MD5 (hex) of the region's current bytes. *)
 
 val sync : t -> unit
-(** Flush to durable storage: fsync for file-backed mappings, a no-op
-    for the heap. On a fault-injecting store this is also where
-    scheduled device damage (latent arming, bit rot, torn writes)
-    lands. *)
+(** Acknowledge and flush. A checksummed store first refreshes the CRC
+    of every chunk written since the last sync; every store then
+    clears its dirty map and flushes to durable storage (fsync for
+    file-backed mappings, a no-op for the heap). On a fault-injecting
+    store the flush is also where scheduled device damage (latent
+    arming, bit rot, torn writes) lands, after the acknowledgement, so
+    a following {!scrub} walk sees it as a mismatch. *)
 
 val close : t -> unit
 (** Release backend resources (the mapping's fd). The store must not be
@@ -159,24 +155,16 @@ val close : t -> unit
 
 (** {2 Dirty chunks} *)
 
-val clear_dirty : t -> unit
-(** Acknowledge a checkpoint: clear the dirty map. On a checksummed
-    store this first refreshes the CRCs of the chunks being cleared —
-    the stale-means-dirty rule that keeps checksums meaningful exactly
-    for clean chunks. *)
-
-val mark_dirty : t -> pos:int -> unit
-
 val copy_dirty : src:t -> dst:t -> unit
 (** Overwrite [dst]'s dirty map with [src]'s (same geometry required) —
-    used by deep copies that must preserve checkpoint state exactly. *)
+    used by deep copies, so a copy's unacknowledged chunks (and its
+    marshalled bytes) match the source's. *)
 
 (** {2 Self-healing (checksums, scrub, quarantine)} *)
 
 type scrub_report = {
   scrub_chunks : int;  (** logical chunks walked *)
-  scrub_verified : int;  (** clean chunks whose CRC matched *)
-  scrub_stale : int;  (** dirty chunks skipped (their CRC is stale by rule) *)
+  scrub_verified : int;  (** chunks whose CRC matched *)
   scrub_mismatched : int list;  (** chunks whose content contradicts the CRC,
       including chunks lost to quarantine during the walk — callers must
       escalate these to the logical audit/repair *)
@@ -184,9 +172,10 @@ type scrub_report = {
 }
 
 val scrub : t -> scrub_report
-(** Sync the store (firing any scheduled device faults, as a real
-    scrub's first pass over the medium would surface them), then walk
-    every clean chunk verifying content against its CRC. Persistently
+(** Sync the store (acknowledging every written chunk, then firing any
+    scheduled device faults, as a real scrub's first pass over the
+    medium would surface them), then walk every chunk verifying content
+    against its CRC. Persistently
     unreadable chunks are quarantined during the walk. Does not repair
     logical state — [Check.scrub] escalates mismatches to
     [Check.repair]. Raises [Error.Media_error] when quarantine runs out

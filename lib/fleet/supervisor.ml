@@ -107,8 +107,9 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
         v
   in
   (* a volume with a device-fault plan runs on the self-healing store,
-     its injection seeded from the volume's own fault seed — the same
-     backend for checkpoint loads, so a resumed store heals identically *)
+     its injection seeded from the volume's own fault seed; a resumed
+     volume rebuilds its image on the same backend, so it heals
+     identically *)
   let vol_backend, scrub_every =
     match spec.Spec.device_faults with
     | None -> (cfg.backend, 0)
@@ -118,9 +119,7 @@ let attempt_volume cfg ~pool ~ckdir ~ops (spec : Spec.volume) ~attempt =
             cfg.backend,
           max 1 cfg.scrub_every )
   in
-  let resume =
-    Option.map snd (Aging.Checkpoint.load_latest_opt ~backend:vol_backend ~dir:ckdir)
-  in
+  let resume = Option.map snd (Aging.Checkpoint.load_latest_opt ~dir:ckdir) in
   let deadline =
     if cfg.watchdog > 0.0 then Unix.gettimeofday () +. cfg.watchdog else infinity
   in

@@ -6,14 +6,18 @@
 #   bit-identical to the raw store at every jobs level — same image
 #   digest from ffs_inspect at --jobs 1 and --jobs 2.
 #
-# Leg 2 — chaos: a checkpointed aging run with seeded device faults
+# Leg 2 — verification: the store acknowledges its checksums at every
+#   sync and a scrub syncs before it walks, so every scrub of a short
+#   faultless resilient run must verify every chunk.
+#
+# Leg 3 — chaos: a checkpointed aging run with seeded device faults
 #   injected beneath the checksums (transients, latent bad chunks, bit
 #   rot, torn syncs) and a scrub every day is killed mid-flight with
 #   SIGKILL, resumed from its checkpoint, and the final image must pass
 #   a zero-fault, no-repair fsck: scrub-and-repair healed everything
 #   the device broke, with no user data lost.
 #
-# Leg 3 — the fsck surface: `ffs_fsck --scrub` on the healed image
+# Leg 4 — the fsck surface: `ffs_fsck --scrub` on the healed image
 #   must report it clean.
 #
 # Uses the built binaries directly (not `dune exec`) so the SIGKILL
@@ -41,6 +45,22 @@ for jobs in 1 2; do
     exit 1
   fi
 done
+
+echo "== scrub smoke: every scrub verifies every chunk =="
+scrubs=$("$AGE" --fs small --days 3 --backend resilient --scrub-every 1 2>&1 >/dev/null \
+  | grep '^scrub:' || true)
+if [ -z "$scrubs" ]; then
+  echo "the resilient run printed no scrub line"
+  exit 1
+fi
+# "scrub: N chunks (V verified, ...": every line needs N > 0 and V = N
+short=$(printf '%s\n' "$scrubs" | awk '{ v = substr($4, 2) } $2 == 0 || v != $2')
+if [ -n "$short" ]; then
+  echo "a scrub left chunks unverified:"
+  echo "$short"
+  exit 1
+fi
+echo "   $(printf '%s\n' "$scrubs" | wc -l) scrubs, each verified every chunk"
 
 echo "== scrub smoke: chaos leg (device faults + kill -9 + resume) =="
 FAULTS="transient=0.001,latent=1,bitrot=6,torn=2,horizon=60"

@@ -214,15 +214,37 @@ let test_on_skip_observes_every_skip () =
   let seen = ref 0 in
   let r =
     Aging.Replay.run ~params ~days:1 ~max_skip_fraction:1.0
-      ~on_skip:(fun op ~skipped ->
+      ~on_skip:(fun op ~cause ~skipped ->
         incr seen;
         check_int "running count" !seen skipped;
         check_bool "op is a modify" true
-          (match op with Workload.Op.Modify _ -> true | _ -> false))
+          (match op with Workload.Op.Modify _ -> true | _ -> false);
+        check_bool "of a file with no live inode" true (cause = Aging.Replay.No_live_file))
       ops
   in
   check_int "all skips observed" 8 !seen;
   check_int "result agrees" 8 r.Aging.Replay.skipped_ops
+
+(* each way an op can be dropped reaches [on_skip] under its own cause *)
+let test_on_skip_names_the_cause () =
+  let ops =
+    Workload.Op.
+      [|
+        Create { ino = 1; size = 1024; time = 0.0 };
+        Create { ino = 1; size = 1024; time = 1.0 };
+        Modify { ino = 2; size = 1024; time = 2.0 };
+        Create { ino = 3; size = 1 lsl 30; time = 3.0 };
+        Delete { ino = 4; time = 4.0 };
+      |]
+  in
+  let causes = ref [] in
+  ignore
+    (Aging.Replay.run ~params ~days:1 ~max_skip_fraction:1.0
+       ~on_skip:(fun _ ~cause ~skipped:_ -> causes := cause :: !causes)
+       ops);
+  check_bool "already live, no live file, out of space, no live file" true
+    (List.rev !causes
+    = Aging.Replay.[ Already_live; No_live_file; Out_of_space; No_live_file ])
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -252,5 +274,6 @@ let () =
         [
           tc "raises past the limit" test_skip_guard_raises;
           tc "on_skip sees every skip" test_on_skip_observes_every_skip;
+          tc "on_skip names the cause" test_on_skip_names_the_cause;
         ] );
     ]

@@ -176,7 +176,7 @@ let test_resume_bit_identical () =
           | `Completed _ -> Alcotest.fail "expected the run to stop after the checkpoint");
           (* resume from the on-disk checkpoint *)
           let path, ck =
-            match Aging.Checkpoint.load_latest ?backend:None ~dir with
+            match Aging.Checkpoint.load_latest ~dir with
             | Ok (path, ck) -> (path, ck)
             | Error e -> Alcotest.failf "load_latest failed: %a" Ffs.Error.pp e
           in
@@ -229,7 +229,7 @@ let test_resume_rejects_other_workload () =
       | `Interrupted _ -> ()
       | `Completed _ -> Alcotest.fail "expected interruption");
       let _, ck =
-        match Aging.Checkpoint.load_latest ?backend:None ~dir with
+        match Aging.Checkpoint.load_latest ~dir with
         | Ok v -> v
         | Error e -> Alcotest.failf "load_latest failed: %a" Ffs.Error.pp e
       in
@@ -255,15 +255,15 @@ let test_checkpoint_retention_and_fallback () =
       check_int "retention keeps 3" 3 (List.length files);
       let newest = List.hd files in
       let newest_day =
-        match Aging.Checkpoint.load ?backend:None ~path:newest with
+        match Aging.Checkpoint.load ~path:newest with
         | Ok ck -> Aging.Replay.checkpoint_day ck
         | Error e -> Alcotest.failf "newest unreadable: %a" Ffs.Error.pp e
       in
       (* corrupt the newest checkpoint: load_latest must fall back to
          the next one instead of failing *)
       flip_byte newest ~pos:(-100) ~mask:0x08;
-      expect_corrupt "corrupted newest" (Aging.Checkpoint.load ?backend:None ~path:newest);
-      (match Aging.Checkpoint.load_latest ?backend:None ~dir with
+      expect_corrupt "corrupted newest" (Aging.Checkpoint.load ~path:newest);
+      (match Aging.Checkpoint.load_latest ~dir with
       | Ok (path, ck) ->
           check_bool "fell back past the corrupt file" true (path <> newest);
           check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
@@ -274,8 +274,8 @@ let test_checkpoint_retention_and_fallback () =
       let delta = Filename.concat dir "ckpt-op999999999-day9999-delta.ffsck" in
       Recover.Container.write ~path:delta ~kind:"aging-checkpoint-delta-1" (String.make 4096 'd');
       check_bool "delta file listed newest" true (List.hd (Aging.Checkpoint.list ~dir) = delta);
-      expect_corrupt "delta kind refused" (Aging.Checkpoint.load ?backend:None ~path:delta);
-      (match Aging.Checkpoint.load_latest ?backend:None ~dir with
+      expect_corrupt "delta kind refused" (Aging.Checkpoint.load ~path:delta);
+      (match Aging.Checkpoint.load_latest ~dir with
       | Ok (path, ck) ->
           check_bool "fell back past the delta file" true (path <> delta && path <> newest);
           check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
@@ -286,8 +286,8 @@ let test_checkpoint_retention_and_fallback () =
       let old_kind = Filename.concat dir "ckpt-op999999999-day9999.ffsck" in
       Recover.Container.write ~path:old_kind ~kind:"aging-checkpoint-3" (String.make 4096 'k');
       check_bool "kind-3 file listed newest" true (List.hd (Aging.Checkpoint.list ~dir) = old_kind);
-      expect_corrupt "kind-3 refused" (Aging.Checkpoint.load ?backend:None ~path:old_kind);
-      (match Aging.Checkpoint.load_latest ?backend:None ~dir with
+      expect_corrupt "kind-3 refused" (Aging.Checkpoint.load ~path:old_kind);
+      (match Aging.Checkpoint.load_latest ~dir with
       | Ok (path, ck) ->
           check_bool "fell back past the kind-3 file" true
             (path <> old_kind && path <> delta && path <> newest);
@@ -296,15 +296,15 @@ let test_checkpoint_retention_and_fallback () =
       (* with every file corrupted there is nothing to resume from (a
          fresh mask, so the already-flipped newest is not flipped back) *)
       List.iter (fun p -> flip_byte p ~pos:(-100) ~mask:0x04) (Aging.Checkpoint.list ~dir);
-      expect_corrupt "no valid checkpoint" (Aging.Checkpoint.load_latest ?backend:None ~dir))
+      expect_corrupt "no valid checkpoint" (Aging.Checkpoint.load_latest ~dir))
 
-(* A successful save acknowledges the image's dirty chunks: on a
-   resilient store every chunk's CRC is fresh right after it, so a scrub
-   verifies them all instead of skipping them as stale. *)
+(* The store acknowledges its CRCs at every sync, and a scrub syncs
+   before it walks: on a resilient store every scrub of a checkpointed
+   run verifies every chunk, none skipped and none mismatched. *)
 let test_checkpoint_acknowledges_crcs () =
   with_temp_dir (fun dir ->
       let ops = build_ops ~seed:77 in
-      let saves = ref 0 in
+      let saves = ref 0 and scrubs = ref 0 in
       ignore
         (completed
            (Aging.Replay.run_resumable
@@ -312,16 +312,50 @@ let test_checkpoint_acknowledges_crcs () =
               ~params ~days ~crashes:0 ~fault_seed:0 ~checkpoint_every:1
               ~on_checkpoint:(fun ck ->
                 ignore (Aging.Checkpoint.save_exn ~dir ~keep:3 ck);
-                incr saves;
-                let store = Ffs.Fs.store (Aging.Replay.checkpoint_fs ck) in
-                check_bool "store is checksummed" true (Ffs.Store.checksummed store);
-                let r = Ffs.Store.scrub store in
-                check_bool "chunks walked" true (r.Ffs.Store.scrub_chunks > 0);
-                check_int "no stale chunk after a save" 0 r.Ffs.Store.scrub_stale;
+                incr saves)
+              ~scrub_every:1
+              ~on_scrub:(fun log ->
+                incr scrubs;
+                let r = log.Ffs.Check.store_report in
+                check_bool "store is checksummed (the scrub walked chunks)" true
+                  (r.Ffs.Store.scrub_chunks > 0);
                 check_int "every chunk verified" r.Ffs.Store.scrub_chunks
-                  r.Ffs.Store.scrub_verified)
+                  r.Ffs.Store.scrub_verified;
+                check_bool "no chunk mismatched" true (r.Ffs.Store.scrub_mismatched = []))
               ops));
-      check_bool "checkpoints were taken" true (!saves >= 2))
+      check_bool "checkpoints were taken" true (!saves >= 2);
+      check_bool "scrubs ran" true (!scrubs >= 2))
+
+(* A checkpoint is a value: one held in memory while its run goes on to
+   completion still resumes to the straight run's image and scores. *)
+let test_held_checkpoint_resumes () =
+  let ops = build_ops ~seed:77 in
+  let straight =
+    (completed (Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0 ops))
+      .Aging.Replay.result
+  in
+  let held = ref None in
+  ignore
+    (completed
+       (Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0
+          ~checkpoint_every:2
+          ~on_checkpoint:(fun ck -> if !held = None then held := Some ck)
+          ops));
+  let ck =
+    match !held with Some ck -> ck | None -> Alcotest.fail "no checkpoint was taken"
+  in
+  check_int "held at day 2" 2 (Aging.Replay.checkpoint_day ck);
+  let resumed =
+    (completed
+       (Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0 ~resume:ck ops))
+      .Aging.Replay.result
+  in
+  Alcotest.(check string)
+    "digest of the straight run" (fs_bytes straight.Aging.Replay.fs)
+    (fs_bytes resumed.Aging.Replay.fs);
+  Alcotest.(check (array (float 0.0)))
+    "score series of the straight run" straight.Aging.Replay.daily_scores
+    resumed.Aging.Replay.daily_scores
 
 (* --- crash-point explorer --------------------------------------------------- *)
 
@@ -387,6 +421,7 @@ let () =
           slow "rejects a different workload" test_resume_rejects_other_workload;
           slow "retention and corrupt-fallback" test_checkpoint_retention_and_fallback;
           slow "save acknowledges store CRCs" test_checkpoint_acknowledges_crcs;
+          slow "a held checkpoint resumes to the straight run" test_held_checkpoint_resumes;
         ] );
       ( "explore",
         [

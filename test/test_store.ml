@@ -192,6 +192,48 @@ let test_transient_retry () =
   check_bool "transients were actually injected" true
     (List.assoc "transient" (Ffs.Store.device_counts noisy) > 0)
 
+(* one byte written into every chunk of [store] *)
+let write_every_chunk store =
+  let cb = Ffs.Store.chunk_bytes store in
+  for c = 0 to ((Ffs.Store.length store + cb - 1) / cb) - 1 do
+    Ffs.Store.set_byte store (c * cb) 'w'
+  done
+
+(* The scrub's own sync acknowledges what was written since the last
+   sync, so one scrub of a freshly written volume verifies every chunk. *)
+let test_scrub_verifies_fresh_writes () =
+  let store =
+    Ffs.Store.Layout.store_for (Ffs.Store.resilient_spec Ffs.Store.Heap_backend) small
+  in
+  write_every_chunk store;
+  let r = Ffs.Store.scrub store in
+  check_bool "chunks walked" true (r.Ffs.Store.scrub_chunks > 0);
+  check_int "every chunk verified" r.Ffs.Store.scrub_chunks r.Ffs.Store.scrub_verified;
+  check_bool "nothing mismatched" true (r.Ffs.Store.scrub_mismatched = [])
+
+(* Damage lands after the acknowledgement: rot that fires at the
+   scrub's own sync, on a chunk written since the previous sync, is a
+   mismatch of that chunk. *)
+let test_rot_at_scrub_sync_is_caught () =
+  let plan = { Ffs.Store.Device.none with bitrot = 1; horizon = 1 } in
+  let store = faulty_store ~plan ~seed:1 in
+  write_every_chunk store;
+  let len = Ffs.Store.length store in
+  let before = Ffs.Store.read store ~pos:0 ~len in
+  let r = Ffs.Store.scrub store in
+  let after = Ffs.Store.read store ~pos:0 ~len in
+  check_int "the rot fired at the scrub's sync" 1
+    (List.assoc "bitrot" (Ffs.Store.device_counts store));
+  let flipped = List.filter (fun i -> before.[i] <> after.[i]) (List.init len Fun.id) in
+  match flipped with
+  | [ pos ] ->
+      Alcotest.(check (list int))
+        "the rotted chunk is mismatched"
+        [ pos / Ffs.Store.chunk_bytes store ]
+        r.Ffs.Store.scrub_mismatched
+  | _ -> Alcotest.failf "expected one flipped byte in the logical range, found %d"
+           (List.length flipped)
+
 (* ------------------------------------------------------------------ *)
 (* Scrub-and-repair on a live file system                              *)
 (* ------------------------------------------------------------------ *)
@@ -334,6 +376,8 @@ let () =
           slow "bit rot is healed and scrub is idempotent" test_scrub_heals_bitrot;
           slow "latent chunks are quarantined" test_latent_quarantine;
           tc "spare exhaustion raises Media_error" test_spare_exhaustion;
+          tc "one scrub verifies fresh writes" test_scrub_verifies_fresh_writes;
+          tc "rot at the scrub's sync is a mismatch" test_rot_at_scrub_sync_is_caught;
           slow "chaos run loses no user data" test_chaos_no_data_loss;
           QCheck_alcotest.to_alcotest prop_scrub_idempotent;
         ] );
