@@ -192,6 +192,33 @@ let test_transient_retry () =
   check_bool "transients were actually injected" true
     (List.assoc "transient" (Ffs.Store.device_counts noisy) > 0)
 
+(* A plan's scheduled damage fires once per [Store.sync], however many
+   attempts the sync's flush takes: driving one seeded plan with and
+   without transient faults (whose syncs retry without exhausting) must
+   leave the same latent, bit-rot and torn counts after every sync, so
+   [horizon] counts syncs. *)
+let test_sync_damage_counts_syncs () =
+  let scheduled =
+    { Ffs.Store.Device.none with latent = 2; bitrot = 8; torn = 4; horizon = 48 }
+  in
+  let drive plan =
+    let store = faulty_store ~plan ~seed:2 in
+    let rng = Util.Prng.create ~seed:19 in
+    let after_each_sync =
+      List.init 48 (fun _ ->
+          Ffs.Store.set_byte store (Util.Prng.int rng (Ffs.Store.length store)) 'd';
+          Ffs.Store.sync store;
+          List.filter (fun (cls, _) -> cls <> "transient") (Ffs.Store.device_counts store))
+    in
+    (store, after_each_sync)
+  in
+  let _, quiet = drive scheduled in
+  let noisy_store, noisy = drive { scheduled with transient = 0.02 } in
+  check_bool "transients were injected" true
+    (List.assoc "transient" (Ffs.Store.device_counts noisy_store) > 0);
+  Alcotest.(check (list (list (pair string int))))
+    "scheduled damage after every sync matches the transient-free run" quiet noisy
+
 (* one byte written into every chunk of [store] *)
 let write_every_chunk store =
   let cb = Ffs.Store.chunk_bytes store in
@@ -370,6 +397,7 @@ let () =
         [
           tc "same seed, same damage" test_fault_determinism;
           tc "transient faults are retried away" test_transient_retry;
+          tc "scheduled damage counts syncs, not attempts" test_sync_damage_counts_syncs;
         ] );
       ( "scrub",
         [
