@@ -17,7 +17,6 @@ let fig2_realloc_end = 0.899
 let fig2_improvement_pct = 56.8
 let fig4_read_96k_gain_pct = 58.0
 let fig4_write_64k_gain_pct = 44.0
-let fig4_write_large_gain_pct = 25.0
 let fig4_raw_read_mb_s = 5.4
 let fig4_raw_write_mb_s = 2.6
 let table2_ffs_layout = 0.80

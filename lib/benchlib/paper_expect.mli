@@ -29,7 +29,6 @@ val fig2_improvement_pct : float
 (* Figure 4 *)
 val fig4_read_96k_gain_pct : float
 val fig4_write_64k_gain_pct : float
-val fig4_write_large_gain_pct : float
 val fig4_raw_read_mb_s : float
 val fig4_raw_write_mb_s : float
 

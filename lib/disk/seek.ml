@@ -54,5 +54,3 @@ let time t distance =
        the operating points; never report less than a settle time *)
     Float.max s t.head_switch_s
   end
-
-let head_switch t = t.head_switch_s

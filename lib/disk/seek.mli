@@ -21,6 +21,3 @@ val default_for : Geometry.t -> average_ms:float -> t
 val time : t -> int -> float
 (** [time t distance] in seconds; 0 for distance 0. Distances beyond
     [max_cylinder] are clamped. *)
-
-val head_switch : t -> float
-(** Time to switch active head within a cylinder (settle only). *)

@@ -3,46 +3,43 @@
    own little heap store), so unit tests and scratch structures are
    unchanged; the allocator's real bitmaps are [of_store] views into the
    volume's shared backend, which is how every bit poke reaches the
-   selected storage representation (and its dirty tracking) without the
-   call sites changing.
+   selected storage representation without the call sites changing.
 
    Padding bits of the final byte are never set (every mutator asserts
    [i < len]), so whole-byte shortcuts and [count_set] need no masking
    as long as [load] is only fed strings produced by [to_string].
 
-   [Fast] caches the heap store's live buffer plus the single dirty-map
-   cell covering the view (a group's bitmaps always fit one chunk, and
-   [create]'s standalone store is chunked as one), so the allocator's
-   per-fragment bit flips stay direct [Bytes] pokes — one data byte,
-   one dirty byte — instead of dispatched store calls; the alloc
-   benchmark gates on this path.  Both buffers alias the store's own,
+   On a heap plane the allocator's per-fragment bit flips stay direct
+   [Bytes] pokes instead of dispatched store calls: [Fast] caches the
+   plain heap store's live buffer (one data byte per poke), and
+   [Tracked] adds the checksummed store's dirty-map cell covering the
+   view (a group's bitmaps always fit one chunk), so a poke there is one
+   data byte and one dirty byte.  Both buffers alias the store's own,
    so Marshal sharing keeps marshalled twins bit-identical.  A view
-   that is mapped, fault-injecting or chunk-straddling takes the dispatched
-   path instead. *)
+   that is mapped, fault-injecting or chunk-straddling takes the
+   dispatched path instead. *)
 
 type fast =
   | No_fast
-  | Fast of { bits : Bytes.t; dirty : Bytes.t; dirty_pos : int }
+  | Fast of Bytes.t
+  | Tracked of { bits : Bytes.t; dirty : Bytes.t; dirty_pos : int }
 
 type t = { store : Store.t; base : int; len : int; fast : fast }
 
 let bytes_for len = (len + 7) / 8
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 let fast_of store ~base ~len =
-  match
-    (Store.heap_bytes store, Store.dirty_cell store ~pos:base ~len:(max 1 (bytes_for len)))
-  with
-  | Some bits, Some (dirty, dirty_pos) -> Fast { bits; dirty; dirty_pos }
-  | _ -> No_fast
+  match Store.heap_bytes store with
+  | None -> No_fast
+  | Some bits when not (Store.checksummed store) -> Fast bits
+  | Some bits -> (
+      match Store.dirty_cell store ~pos:base ~len:(max 1 (bytes_for len)) with
+      | Some (dirty, dirty_pos) -> Tracked { bits; dirty; dirty_pos }
+      | None -> No_fast)
 
 let create len =
   assert (len >= 0);
-  let nbytes = max 1 (bytes_for len) in
-  let store = Store.heap ~length:nbytes ~chunk_bytes:(next_pow2 nbytes) in
+  let store = Store.heap ~length:(max 1 (bytes_for len)) in
   { store; base = 0; len; fast = fast_of store ~base:0 ~len }
 
 let of_store store ~base ~len =
@@ -54,12 +51,13 @@ let base t = t.base
 
 let byte t i =
   match t.fast with
-  | Fast { bits; _ } -> Bytes.unsafe_get bits (t.base + i)
+  | Fast bits | Tracked { bits; _ } -> Bytes.unsafe_get bits (t.base + i)
   | No_fast -> Store.get_byte t.store (t.base + i)
 
 let put t i c =
   match t.fast with
-  | Fast { bits; dirty; dirty_pos } ->
+  | Fast bits -> Bytes.unsafe_set bits (t.base + i) c
+  | Tracked { bits; dirty; dirty_pos } ->
       Bytes.unsafe_set dirty dirty_pos '\001';
       Bytes.unsafe_set bits (t.base + i) c
   | No_fast -> Store.set_byte t.store (t.base + i) c
@@ -67,15 +65,6 @@ let put t i c =
 let copy t =
   let c = create t.len in
   Store.blit ~src:t.store ~src_pos:t.base ~dst:c.store ~dst_pos:0 ~len:(bytes_for t.len);
-  (* a copy of a standalone map reproduces its dirty state exactly, so
-     marshalled twins stay bit-identical; a copy of a shared-store view
-     conservatively keeps the blit's all-dirty marking *)
-  if
-    t.base = 0
-    && Store.length t.store = Store.length c.store
-    && Store.chunk_bytes t.store = Store.chunk_bytes c.store
-  then
-    Store.copy_dirty ~src:t.store ~dst:c.store;
   c
 
 let get t i =

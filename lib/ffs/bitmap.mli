@@ -9,7 +9,8 @@
     The bits live in a {!Store}: {!create} gives a standalone map over
     its own little heap store, while {!of_store} views a byte range of a
     shared volume store — that is how every bitmap poke reaches the
-    selected storage backend (and its dirty-chunk tracking). *)
+    selected storage backend (and, on a checksummed store, its
+    dirty-chunk tracking). *)
 
 type t
 

@@ -42,16 +42,12 @@ let create_in ~store ~base params ~index =
 
 let create params ~index =
   let regions = Store.Layout.of_params params in
-  let store =
-    Store.heap ~length:regions.Store.Layout.region_bytes
-      ~chunk_bytes:regions.Store.Layout.region_bytes
-  in
+  let store = Store.heap ~length:regions.Store.Layout.region_bytes in
   create_in ~store ~base:0 params ~index
 
 (* Rebind [t]'s views onto [store] (same layout, same region offset),
    deep-copying the derived heap state. The caller must already have
-   copied the region's bytes (and, if exactness matters, the dirty
-   flags) into [store]. *)
+   copied the region's bytes into [store]. *)
 let rebind t ~store =
   {
     t with
@@ -68,11 +64,8 @@ let rebind t ~store =
   }
 
 let copy t =
-  let store =
-    Store.heap ~length:(Store.length t.store) ~chunk_bytes:(Store.chunk_bytes t.store)
-  in
+  let store = Store.heap ~length:(Store.length t.store) in
   Store.blit ~src:t.store ~src_pos:0 ~dst:store ~dst_pos:0 ~len:(Store.length t.store);
-  Store.copy_dirty ~src:t.store ~dst:store;
   rebind t ~store
 
 (* no-op until a harness enables the registry *)

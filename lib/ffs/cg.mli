@@ -30,8 +30,8 @@ val create_in : store:Store.t -> base:int -> Params.t -> index:int -> t
     [base] of a shared volume [store], laid out by {!Store.Layout}. *)
 
 val copy : t -> t
-(** A deep standalone copy (fresh heap store, bytes, dirty flags and
-    derived indexes all duplicated). *)
+(** A deep standalone copy (fresh heap store, bytes and derived
+    indexes all duplicated). *)
 
 val rebind : t -> store:Store.t -> t
 (** Rebind [t]'s views onto [store] at the same offsets, deep-copying

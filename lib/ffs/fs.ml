@@ -293,49 +293,10 @@ let try_inode_cg t c =
       Some inum
   | None -> None
 
-let alloc_inode_near t ~cg =
-  let ncg = t.params.Params.ncg in
-  match Locks.pinned () with
-  | Some p ->
-      (* pinned domains may only touch their own group; a full group
-         means the serial phase must place this inode (the overflow
-         search reads every group) *)
-      if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p });
-      (match try_inode_cg t p with
-      | Some _ as r -> r
-      | None -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p }))
-  | None -> (
-      match try_inode_cg t cg with
-      | Some _ as r -> r
-      | None -> (
-          let rec quadratic c i =
-            if i >= ncg then None
-            else begin
-              let c = (c + i) mod ncg in
-              match try_inode_cg t c with Some _ as r -> r | None -> quadratic c (i * 2)
-            end
-          in
-          let rec brute c i =
-            if i >= ncg then None
-            else
-              match try_inode_cg t (c mod ncg) with
-              | Some _ as r -> r
-              | None -> brute (c + 1) (i + 1)
-          in
-          match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2))
-
-(* --- block and fragment allocation ------------------------------------- *)
-
-(* total free blocks across the file system (27 groups: cheap to sum) *)
-let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_count cg) 0 t.cgs
-
-(* [overflow t ~cg ~f] is the FFS cylinder-group overflow discipline
-   once the preferred group [cg] came up empty: quadratic rehash, then
-   brute force. [f] gets the group index and must return [None] to mean
-   "nothing here". A pinned domain cannot search other groups, so it
-   defers instead. *)
-let overflow t pin ~cg ~f =
-  if Option.is_some pin then Error.raise_ (Error.Cross_cg { cg = -1; pinned = cg });
+(* The FFS cylinder-group overflow walk once the preferred group [cg]
+   came up empty: quadratic rehash, then brute force. [f] gets a group
+   index and returns [None] to mean "nothing here". *)
+let rehash t ~cg ~f =
   let ncg = t.params.Params.ncg in
   let rec quadratic c i =
     if i >= ncg then None
@@ -348,14 +309,40 @@ let overflow t pin ~cg ~f =
     if i >= ncg then None
     else match f (c mod ncg) with Some _ as r -> r | None -> brute (c + 1) (i + 1)
   in
-  let result = match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2 in
-  (match result with
-  | Some _ ->
+  match quadratic cg 1 with Some _ as r -> r | None -> brute (cg + 2) 2
+
+let alloc_inode_near t ~cg =
+  match Locks.pinned () with
+  | Some p ->
+      (* pinned domains may only touch their own group; a full group
+         means the serial phase must place this inode (the overflow
+         search reads every group) *)
+      if cg <> p then Error.raise_ (Error.Cross_cg { cg; pinned = p });
+      (match try_inode_cg t p with
+      | Some _ as r -> r
+      | None -> Error.raise_ (Error.Cross_cg { cg = -1; pinned = p }))
+  | None -> (
+      match try_inode_cg t cg with
+      | Some _ as r -> r
+      | None -> rehash t ~cg ~f:(try_inode_cg t))
+
+(* --- block and fragment allocation ------------------------------------- *)
+
+(* total free blocks across the file system (27 groups: cheap to sum) *)
+let total_free_blocks t = Array.fold_left (fun acc cg -> acc + Cg.free_block_count cg) 0 t.cgs
+
+(* [overflow t ~cg ~f] places a block or fragment once the preferred
+   group [cg] came up empty, by {!rehash}, and counts the fallback. A
+   pinned domain cannot search other groups, so it defers instead. *)
+let overflow t pin ~cg ~f =
+  if Option.is_some pin then Error.raise_ (Error.Cross_cg { cg = -1; pinned = cg });
+  match rehash t ~cg ~f with
+  | Some addr ->
       (* unpinned only: a pinned caller deferred above *)
       t.stats.cg_fallbacks <- t.stats.cg_fallbacks + 1;
-      Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total"
-  | None -> ());
-  match result with Some addr -> addr | None -> Error.raise_ Error.Out_of_space
+      Obs.Metrics.inc metrics "ffs_alloc_cg_fallbacks_total";
+      addr
+  | None -> Error.raise_ Error.Out_of_space
 
 (* Preference for the block following global address [prev]: the next
    block slot, which may fall past the end of the group's data area — in
@@ -880,11 +867,8 @@ let copy t =
   (* one whole-store blit, then rebind the group views onto the copy.
      The copy is always heap-backed — copies are in-memory twins for
      differential tests and crash exploration, never out-of-core. *)
-  let store =
-    Store.heap ~length:(Store.length t.store) ~chunk_bytes:(Store.chunk_bytes t.store)
-  in
+  let store = Store.heap ~length:(Store.length t.store) in
   Store.blit ~src:t.store ~src_pos:0 ~dst:store ~dst_pos:0 ~len:(Store.length t.store);
-  Store.copy_dirty ~src:t.store ~dst:store;
   (* both sides keep the directory states, marked shared, until their
      first write of each (see [writable_dir]) *)
   Hashtbl.iter (fun _ d -> if not (Atomic.get d.shared) then Atomic.set d.shared true) t.dirs;
@@ -950,11 +934,11 @@ let mkdir_in_cg_exn t ~parent ~name ~cg =
   add_dir_entry t ~dir:parent ~name ~inum;
   inum
 
-let lookup_opt t ~dir ~name = Hashtbl.find_opt (get_dir t dir).by_name name
+let lookup t ~dir ~name = Hashtbl.find_opt (get_dir t dir).by_name name
 
 let rmdir_exn t ~parent ~name =
   unpinned_only ();
-  match lookup_opt t ~dir:parent ~name with
+  match lookup t ~dir:parent ~name with
   | None -> Error.raise_ (Error.No_such_name { dir = parent; name })
   | Some inum ->
       let d = get_dir t inum in
@@ -970,8 +954,6 @@ let rmdir_exn t ~parent ~name =
       jot t (Journal.Dir_count { cg = cg_of_inum t inum; delta = -1 });
       Cg.free_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t);
       jot t (Journal.Inode_slot_clear { inum })
-
-let lookup t ~dir ~name = lookup_opt t ~dir ~name
 
 let dir_entries t inum =
   let d = get_dir t inum in
@@ -1260,8 +1242,8 @@ let of_portable ?(backend = Store.Heap_backend) p =
           shared = Atomic.make false;
         })
     p.pf_dirs;
-  (* loading wrote every byte, so the dirty map is all-set: the next
-     sync acknowledges every chunk *)
+  (* loading wrote every byte, so a checksummed store's dirty map is
+     all-set: the next sync acknowledges every chunk *)
   let t =
     {
       params;

@@ -1,8 +1,8 @@
 (* The storage backend behind a volume's on-disk metadata regions.
 
    Every byte the allocator persists — the per-group fragment, block and
-   inode bitmaps — lives in one flat address space owned by a [t].  Two
-   base representations:
+   inode bitmaps — lives in one flat address space owned by a [t].  The
+   bytes sit on one of two planes:
 
    - [Heap]: an in-process [Bytes.t], the seed's behaviour and the
      default everywhere (bit-identical placements, Marshal-able, free);
@@ -11,46 +11,41 @@
      temporary file (purely out-of-core scratch); with a path the file
      persists and [sync] pushes the dirty pages with fsync.
 
-   The hot path ([get_byte]/[set_byte]) dispatches on the representation
-   variant, which keeps the per-bit cost of the allocator's bitmap pokes
-   flat.  Two further representations stack on top of either base and
-   form the self-healing pair:
+   A plain store is just its plane: no chunk bookkeeping, no dirty map.
+   The self-healing layer (the [Resilient_backend] spec) is one
+   [checked] record beside the plane, and it is the only owner of
+   per-chunk state.  It keeps a CRC-32 per chunk (a power-of-two span,
+   one per cylinder group the way {!Layout} sizes them), a dirty map
+   saying which chunks were written since the last sync, the quarantine
+   remap of persistently bad chunks to spare regions past the logical
+   end, and, when a fault plan is attached, the [device] state that
+   injects seeded faults into the plane directly:
 
-   - [Faulty] injects seeded, deterministic device faults into the store
-     below it: transient I/O errors on any access, latent bad chunks
-     (persistent read errors), silent bit rot, and torn syncs.  All
-     scheduled damage (latent arming, rot, tears) fires at seeded *sync*
-     indexes drawn from [Util.Prng.derive] child streams of one device
-     seed, so a replay with the same seed injects the same faults at the
-     same points; transient errors are an independent per-access child
-     stream.  Rot and tears write beneath dirty tracking — that is the
-     point: the medium changed, the writer did not.
-   - [Checked] (the [Resilient_backend] spec) keeps a CRC-32 per chunk
-     at the existing dirty-chunk granularity, retries transient faults
-     with bounded exponential backoff, quarantines persistently bad
-     chunks by remapping them to spare regions past the logical end, and
-     exposes {!scrub} to walk chunks and report mismatches.  {!sync}
-     is the acknowledgement: it recomputes the CRCs of the chunks
-     written since the last sync before clearing the dirty map and
-     flushing, so after a sync every chunk's checksum is meaningful and
-     only damage that lands beneath the writer can contradict it.  When
-     no fault plan is attached the layer runs in passthrough: the remap is
-     provably the identity (quarantine only fires on injected faults),
-     so [heap_bytes] exposes the inner heap buffer and the bitmap
-     layer's fast path — and therefore placements and timings — are
-     bit-identical to the raw backend.  When spares run out the store
-     raises [Error.Media_error]: the volume degrades, it does not lie.
+   - transient I/O errors on any access, retried with bounded
+     exponential backoff;
+   - latent bad chunks (persistent read errors), quarantined when read;
+   - silent bit rot and torn syncs, poked into the plane beneath the
+     dirty map: the medium changed, the writer did not.
 
-   Dirty-region tracking rides on the same object: the address space is
-   divided into power-of-two chunks (one chunk per cylinder group the
-   way {!Layout} sizes them) and every write marks its chunk's byte in
-   [dirty].  Writes from concurrently pinned domains land on distinct
-   dirty bytes (one group, one chunk), so marking needs no lock beyond
-   the per-group discipline {!Locks} already enforces.  Dirty tracking
-   exists for the checksums: "dirty" means "written since the last
-   sync", and {!sync} refreshes exactly those chunks' CRCs.  Fault
-   injection is serial-engine only: the injection state (rng, bad set)
-   is deliberately unsynchronised. *)
+   All scheduled damage (latent arming, rot, tears) fires at seeded
+   sync indexes drawn from [Util.Prng.derive] child streams of one
+   device seed, so a replay with the same seed injects the same faults
+   at the same points; transient errors are an independent per-access
+   child stream.  {!sync} is the acknowledgement: it recomputes the CRCs
+   of the chunks written since the last sync, clears the dirty map, then
+   fires that sync's damage once, and only the flush (with its transient
+   draw) is retried, so a plan's [horizon] counts syncs.  With no plan
+   the remap is provably the identity (quarantine only fires on injected
+   faults), so [heap_bytes] exposes the plane and the bitmap layer's
+   fast path — and therefore placements and timings — are bit-identical
+   to the raw backend.  When spares run out the store raises
+   [Error.Media_error]: the volume degrades, it does not lie.
+
+   Dirty marks from concurrently pinned domains land on distinct dirty
+   bytes (one group, one chunk), so marking needs no lock beyond the
+   per-group discipline {!Locks} already enforces.  Fault injection is
+   serial-engine only: the device state (rng, bad set) is deliberately
+   unsynchronised. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -109,6 +104,9 @@ module Device = struct
     end
 end
 
+(* raised by the device state and absorbed by the checked layer: retry
+   for transients, quarantine for latent chunks; an unhealable
+   condition surfaces as [Error.Media_error] instead *)
 exception Io_fault of { op : string; chunk : int; persistent : bool }
 
 type fault_event =
@@ -116,42 +114,40 @@ type fault_event =
   | Rot of { pos : int; bit : int }   (* silent single-bit flip *)
   | Tear of int                       (* chunk loses the tail half of its write *)
 
-type repr =
+type plane =
   | Heap of Bytes.t
   | Map of { arr : bigstring; fd : Unix.file_descr; path : string option }
-  | Faulty of faulty
-  | Checked of checked
 
-and faulty = {
-  f_inner : t;
-  f_plan : Device.plan;
-  f_rng : Util.Prng.t;  (* transient draws; child 0 of the device seed *)
-  mutable f_scheduled : (int * fault_event) list;  (* ascending sync index *)
-  f_bad : (int, unit) Hashtbl.t;  (* armed latent chunks *)
-  mutable f_syncs : int;
-  mutable f_transient : int;
-  mutable f_latent : int;
-  mutable f_bitrot : int;
-  mutable f_torn : int;
+(* a fault plan's live state; it acts on the plane, in physical chunks *)
+type device = {
+  d_plan : Device.plan;
+  d_rng : Util.Prng.t;  (* transient draws; child 0 of the device seed *)
+  mutable d_scheduled : (int * fault_event) list;  (* ascending sync index *)
+  d_bad : (int, unit) Hashtbl.t;  (* armed latent chunks *)
+  mutable d_syncs : int;
+  mutable d_transient : int;
+  mutable d_latent : int;
+  mutable d_bitrot : int;
+  mutable d_torn : int;
 }
 
-and checked = {
-  c_inner : t;
-  c_chunks : int;  (* logical chunk count; inner also holds the spares *)
+type checked = {
+  c_shift : int;  (* log2 of the chunk size *)
+  c_chunks : int;  (* logical chunk count; the plane also holds the spares *)
   c_crcs : int32 array;  (* per logical chunk; meaningful only when clean *)
-  c_remap : int array;  (* logical chunk -> inner chunk *)
+  c_dirty : Bytes.t;  (* one byte per logical chunk; '\001' = written since the last sync *)
+  c_remap : int array;  (* logical chunk -> physical chunk *)
   mutable c_spare_next : int;
   c_spare_limit : int;
   mutable c_quarantined : int list;  (* logical chunks, newest first *)
   c_jitter_seed : int;
-  c_passthrough : bool;  (* no fault plan: remap is the identity, delegate *)
+  c_device : device option;  (* the fault plan, when one is attached *)
 }
 
-and t = {
-  repr : repr;
-  len : int;
-  chunk_shift : int;
-  dirty : Bytes.t;  (* one byte per chunk; '\001' = written since the last sync *)
+type t = {
+  plane : plane;
+  len : int;  (* logical length; a checked plane is longer by its spares *)
+  checked : checked option;
 }
 
 type spec =
@@ -194,17 +190,6 @@ let shift_of_chunk chunk_bytes =
   log2 chunk_bytes 0
 
 let nchunks ~length ~chunk_bytes = (length + chunk_bytes - 1) / chunk_bytes
-
-let make repr ~length ~chunk_bytes =
-  {
-    repr;
-    len = length;
-    chunk_shift = shift_of_chunk chunk_bytes;
-    dirty = Bytes.make (max 1 (nchunks ~length ~chunk_bytes)) '\000';
-  }
-
-let heap ~length ~chunk_bytes =
-  make (Heap (Bytes.make length '\000')) ~length ~chunk_bytes
 
 let map_file path ~length =
   (* with no path, back the mapping by an unlinked temporary: the pages
@@ -249,8 +234,25 @@ let map_file path ~length =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       fail message
 
-let mmap ?path ~length ~chunk_bytes () =
-  make (map_file path ~length) ~length ~chunk_bytes
+(* --- plane primitives ------------------------------------------------------- *)
+
+let plane_get p i =
+  match p with
+  | Heap b -> Bytes.unsafe_get b i
+  | Map { arr; _ } -> Bigarray.Array1.unsafe_get arr i
+
+let plane_set p i c =
+  match p with
+  | Heap b -> Bytes.unsafe_set b i c
+  | Map { arr; _ } -> Bigarray.Array1.unsafe_set arr i c
+
+let plane_flush = function
+  | Heap _ -> ()
+  | Map { fd; _ } ->
+      (* fsync on the backing fd flushes the mapping's dirty page-cache
+         pages (there is no msync binding in the stdlib; on Linux the
+         pages share the page cache, so fsync covers them) *)
+      Unix.fsync fd
 
 (* --- fault scheduling ------------------------------------------------------ *)
 
@@ -259,24 +261,10 @@ let metrics () = Obs.Metrics.default
 let fault_injected cls =
   Obs.Metrics.inc (metrics ()) ~labels:[ ("class", cls) ] "store_faults_injected_total"
 
-(* raw pokes beneath dirty tracking and fault injection: how rot and
-   tears reach the medium without looking like writes *)
-let rec raw_get t i =
-  match t.repr with
-  | Heap b -> Bytes.unsafe_get b i
-  | Map { arr; _ } -> Bigarray.Array1.unsafe_get arr i
-  | Faulty f -> raw_get f.f_inner i
-  | Checked _ -> assert false (* fault layers wrap base representations only *)
-
-let rec raw_set t i c =
-  match t.repr with
-  | Heap b -> Bytes.unsafe_set b i c
-  | Map { arr; _ } -> Bigarray.Array1.unsafe_set arr i c
-  | Faulty f -> raw_set f.f_inner i c
-  | Checked _ -> assert false
-
-let faulty_state inner plan ~seed =
-  let chunkc = Bytes.length inner.dirty in
+(* [physical] bytes in [physical / chunk_bytes] chunks: the whole plane,
+   spares included, is the medium the plan damages *)
+let device_state plan ~seed ~physical ~chunk_bytes =
+  let chunkc = nchunks ~length:physical ~chunk_bytes in
   let sched = ref [] in
   let schedule n stream mk =
     let rng = Util.Prng.create ~seed:(Util.Prng.derive ~seed ~index:stream) in
@@ -287,55 +275,57 @@ let faulty_state inner plan ~seed =
   in
   schedule plan.Device.latent 1 (fun r -> Arm_latent (Util.Prng.int r chunkc));
   schedule plan.Device.bitrot 2 (fun r ->
-      Rot { pos = Util.Prng.int r (max 1 inner.len); bit = Util.Prng.int r 8 });
+      Rot { pos = Util.Prng.int r (max 1 physical); bit = Util.Prng.int r 8 });
   schedule plan.Device.torn 3 (fun r -> Tear (Util.Prng.int r chunkc));
   {
-    f_inner = inner;
-    f_plan = plan;
-    f_rng = Util.Prng.create ~seed:(Util.Prng.derive ~seed ~index:0);
-    f_scheduled = List.stable_sort (fun (a, _) (b, _) -> compare a b) !sched;
-    f_bad = Hashtbl.create 8;
-    f_syncs = 0;
-    f_transient = 0;
-    f_latent = 0;
-    f_bitrot = 0;
-    f_torn = 0;
+    d_plan = plan;
+    d_rng = Util.Prng.create ~seed:(Util.Prng.derive ~seed ~index:0);
+    d_scheduled = List.stable_sort (fun (a, _) (b, _) -> compare a b) !sched;
+    d_bad = Hashtbl.create 8;
+    d_syncs = 0;
+    d_transient = 0;
+    d_latent = 0;
+    d_bitrot = 0;
+    d_torn = 0;
   }
 
-let faulty_transient f ~op ~chunk =
-  if f.f_plan.Device.transient > 0.0 && Util.Prng.chance f.f_rng f.f_plan.Device.transient
+let transient d ~op ~chunk =
+  if d.d_plan.Device.transient > 0.0 && Util.Prng.chance d.d_rng d.d_plan.Device.transient
   then begin
-    f.f_transient <- f.f_transient + 1;
+    d.d_transient <- d.d_transient + 1;
     fault_injected "transient";
     raise (Io_fault { op; chunk; persistent = false })
   end
 
-let faulty_fire_events t f =
-  let cb = 1 lsl t.chunk_shift in
+(* the damage scheduled up to this sync lands on the plane directly,
+   beneath the dirty map *)
+let fire_events t st d =
+  let shift = st.c_shift in
+  let physical = st.c_spare_limit lsl shift in
   let rec go = function
-    | (at, ev) :: rest when at <= f.f_syncs ->
+    | (at, ev) :: rest when at <= d.d_syncs ->
         (match ev with
         | Arm_latent c ->
-            Hashtbl.replace f.f_bad c ();
-            f.f_latent <- f.f_latent + 1;
+            Hashtbl.replace d.d_bad c ();
+            d.d_latent <- d.d_latent + 1;
             fault_injected "latent"
         | Rot { pos; bit } ->
-            let cur = Char.code (raw_get f.f_inner pos) in
-            raw_set f.f_inner pos (Char.chr (cur lxor (1 lsl bit)));
-            f.f_bitrot <- f.f_bitrot + 1;
+            let cur = Char.code (plane_get t.plane pos) in
+            plane_set t.plane pos (Char.chr (cur lxor (1 lsl bit)));
+            d.d_bitrot <- d.d_bitrot + 1;
             fault_injected "bitrot"
         | Tear c ->
-            let base = (c lsl t.chunk_shift) + (cb / 2) in
-            let stop = min ((c + 1) lsl t.chunk_shift) t.len in
+            let base = (c lsl shift) + ((1 lsl shift) / 2) in
+            let stop = min ((c + 1) lsl shift) physical in
             for i = base to stop - 1 do
-              raw_set f.f_inner i '\000'
+              plane_set t.plane i '\000'
             done;
-            f.f_torn <- f.f_torn + 1;
+            d.d_torn <- d.d_torn + 1;
             fault_injected "torn");
         go rest
-    | rest -> f.f_scheduled <- rest
+    | rest -> d.d_scheduled <- rest
   in
-  go f.f_scheduled
+  go d.d_scheduled
 
 (* --- the resilient layer's retry machinery --------------------------------- *)
 
@@ -375,240 +365,211 @@ let with_retry st ~op ~chunk f =
 
 (* --- constructors ---------------------------------------------------------- *)
 
+let heap ~length = { plane = Heap (Bytes.make length '\000'); len = length; checked = None }
+let mmap ?path ~length () = { plane = map_file path ~length; len = length; checked = None }
+
 let rec create spec ~length ~chunk_bytes =
   match spec with
-  | Heap_backend -> heap ~length ~chunk_bytes
-  | Mmap_backend path -> mmap ?path ~length ~chunk_bytes ()
+  | Heap_backend -> heap ~length
+  | Mmap_backend path -> mmap ?path ~length ()
   | Resilient_backend { base; faults; seed } ->
-      resilient ?faults ~seed (base_spec base) ~length ~chunk_bytes
-
-and resilient ?faults ?(seed = 0) base ~length ~chunk_bytes =
-  let chunks = max 1 (nchunks ~length ~chunk_bytes) in
-  let spares = max 4 (chunks / 8) in
-  let inner_len = (chunks + spares) * chunk_bytes in
-  let plan = match faults with Some p when not (Device.is_none p) -> Some p | _ -> None in
-  let base_store = create (base_spec base) ~length:inner_len ~chunk_bytes in
-  let inner =
-    match plan with
-    | None -> base_store
-    | Some plan ->
-        make (Faulty (faulty_state base_store plan ~seed)) ~length:inner_len ~chunk_bytes
-  in
-  let full_crc = Util.Crc32.string (String.make chunk_bytes '\000') in
-  let crc0 c =
-    let l = min chunk_bytes (length - (c * chunk_bytes)) in
-    if l = chunk_bytes then full_crc
-    else Util.Crc32.string (String.make (max 0 l) '\000')
-  in
-  make
-    (Checked
-       {
-         c_inner = inner;
-         c_chunks = chunks;
-         c_crcs = Array.init chunks crc0;
-         c_remap = Array.init chunks (fun c -> c);
-         c_spare_next = chunks;
-         c_spare_limit = chunks + spares;
-         c_quarantined = [];
-         c_jitter_seed = Util.Prng.derive ~seed ~index:9;
-         c_passthrough = plan = None;
-       })
-    ~length ~chunk_bytes
+      let chunks = max 1 (nchunks ~length ~chunk_bytes) in
+      let spares = max 4 (chunks / 8) in
+      let physical = (chunks + spares) * chunk_bytes in
+      let full_crc = Util.Crc32.string (String.make chunk_bytes '\000') in
+      let crc0 c =
+        let l = min chunk_bytes (length - (c * chunk_bytes)) in
+        if l = chunk_bytes then full_crc
+        else Util.Crc32.string (String.make (max 0 l) '\000')
+      in
+      let c_device =
+        match faults with
+        | Some plan when not (Device.is_none plan) ->
+            Some (device_state plan ~seed ~physical ~chunk_bytes)
+        | _ -> None
+      in
+      {
+        plane = (create (base_spec base) ~length:physical ~chunk_bytes).plane;
+        len = length;
+        checked =
+          Some
+            {
+              c_shift = shift_of_chunk chunk_bytes;
+              c_chunks = chunks;
+              c_crcs = Array.init chunks crc0;
+              c_dirty = Bytes.make chunks '\000';
+              c_remap = Array.init chunks (fun c -> c);
+              c_spare_next = chunks;
+              c_spare_limit = chunks + spares;
+              c_quarantined = [];
+              c_jitter_seed = Util.Prng.derive ~seed ~index:9;
+              c_device;
+            };
+      }
 
 let length t = t.len
-let chunk_bytes t = 1 lsl t.chunk_shift
 
-let rec heap_bytes t =
-  match t.repr with
-  | Heap b -> Some b
-  | Checked st when st.c_passthrough -> heap_bytes st.c_inner
-  | Map _ | Faulty _ | Checked _ -> None
+let heap_bytes t =
+  match (t.plane, t.checked) with
+  | Heap b, (None | Some { c_device = None; _ }) -> Some b
+  | _ -> None
 
 let dirty_cell t ~pos ~len =
-  if len <= 0 then None
-  else
-    let c0 = pos lsr t.chunk_shift and c1 = (pos + len - 1) lsr t.chunk_shift in
-    if c0 = c1 then Some (t.dirty, c0) else None
+  match t.checked with
+  | Some st when len > 0 ->
+      let c0 = pos lsr st.c_shift and c1 = (pos + len - 1) lsr st.c_shift in
+      if c0 = c1 then Some (st.c_dirty, c0) else None
+  | _ -> None
 
-let rec repr_name t =
-  match t.repr with
-  | Heap _ -> "bytes"
-  | Map { path = None; _ } -> "mmap"
-  | Map { path = Some p; _ } -> "mmap:" ^ p
-  | Faulty f -> "faulty:" ^ repr_name f.f_inner
-  | Checked st -> "resilient:" ^ repr_name st.c_inner
+let repr_name t =
+  let plane =
+    match t.plane with
+    | Heap _ -> "bytes"
+    | Map { path = None; _ } -> "mmap"
+    | Map { path = Some p; _ } -> "mmap:" ^ p
+  in
+  match t.checked with
+  | None -> plane
+  | Some { c_device = None; _ } -> "resilient:" ^ plane
+  | Some _ -> "resilient:faulty:" ^ plane
 
-(* --- the byte plane ------------------------------------------------------- *)
+(* --- byte access ------------------------------------------------------------ *)
 
-let mark_dirty t ~pos = Bytes.unsafe_set t.dirty (pos lsr t.chunk_shift) '\001'
-
-(* logical chunk -> inner position, through the quarantine remap *)
-let translate t st i =
-  let c = i lsr t.chunk_shift in
+(* logical position -> physical position, through the quarantine remap *)
+let translate st i =
+  let c = i lsr st.c_shift in
   let rc = st.c_remap.(c) in
-  if rc = c then i else (rc lsl t.chunk_shift) lor (i land ((1 lsl t.chunk_shift) - 1))
+  if rc = c then i else (rc lsl st.c_shift) lor (i land ((1 lsl st.c_shift) - 1))
 
-let rec get_byte t i =
-  match t.repr with
-  | Heap b -> Bytes.unsafe_get b i
-  | Map { arr; _ } -> Bigarray.Array1.unsafe_get arr i
-  | Faulty f ->
-      let c = i lsr t.chunk_shift in
-      faulty_transient f ~op:"read" ~chunk:c;
-      if Hashtbl.mem f.f_bad c then raise (Io_fault { op = "read"; chunk = c; persistent = true });
-      get_byte f.f_inner i
-  | Checked st -> if st.c_passthrough then get_byte st.c_inner i else checked_get t st i
-
-and checked_get t st i =
-  let c = i lsr t.chunk_shift in
-  match with_retry st ~op:"read" ~chunk:c (fun () -> get_byte st.c_inner (translate t st i)) with
+let rec checked_get t st d i =
+  let c = i lsr st.c_shift in
+  let read () =
+    let p = translate st i in
+    let pc = p lsr st.c_shift in
+    transient d ~op:"read" ~chunk:pc;
+    if Hashtbl.mem d.d_bad pc then raise (Io_fault { op = "read"; chunk = pc; persistent = true });
+    plane_get t.plane p
+  in
+  match with_retry st ~op:"read" ~chunk:c read with
   | v -> v
   | exception Io_fault { persistent = true; _ } ->
-      quarantine t st ~chunk:c ~reason:"latent read error";
-      checked_get t st i
-
-and set_byte t i c =
-  mark_dirty t ~pos:i;
-  match t.repr with
-  | Heap b -> Bytes.unsafe_set b i c
-  | Map { arr; _ } -> Bigarray.Array1.unsafe_set arr i c
-  | Faulty f ->
-      faulty_transient f ~op:"write" ~chunk:(i lsr t.chunk_shift);
-      set_byte f.f_inner i c
-  | Checked st -> if st.c_passthrough then set_byte st.c_inner i c else checked_set t st i c
-
-and checked_set t st i c =
-  let ch = i lsr t.chunk_shift in
-  try with_retry st ~op:"write" ~chunk:ch (fun () -> set_byte st.c_inner (translate t st i) c)
-  with Io_fault { persistent = true; _ } ->
-    quarantine t st ~chunk:ch ~reason:"write to latent chunk";
-    checked_set t st i c
+      quarantine t st d ~chunk:c ~reason:"latent read error";
+      checked_get t st d i
 
 (* a persistently unreadable chunk is remapped to the next spare region.
    Its old content is gone (that is what a latent error means); the
    replacement starts zeroed and the logical audit ({!Check.repair})
    rebuilds the lost bitmap state from the in-heap inode table, which is
    why quarantine loses no user data. *)
-and quarantine t st ~chunk ~reason =
+and quarantine t st d ~chunk ~reason =
   if st.c_spare_next >= st.c_spare_limit then
     Error.raise_ (Error.Media_error { chunk; detail = reason ^ "; spare regions exhausted" });
   let spare = st.c_spare_next in
   st.c_spare_next <- spare + 1;
-  let dst = spare lsl t.chunk_shift in
-  for i = 0 to (1 lsl t.chunk_shift) - 1 do
-    with_retry st ~op:"quarantine" ~chunk (fun () -> set_byte st.c_inner (dst + i) '\000')
+  let dst = spare lsl st.c_shift in
+  for i = 0 to (1 lsl st.c_shift) - 1 do
+    with_retry st ~op:"quarantine" ~chunk (fun () ->
+        transient d ~op:"write" ~chunk:spare;
+        plane_set t.plane (dst + i) '\000')
   done;
   st.c_remap.(chunk) <- spare;
   st.c_quarantined <- chunk :: st.c_quarantined;
-  mark_dirty t ~pos:(chunk lsl t.chunk_shift);
+  Bytes.unsafe_set st.c_dirty chunk '\001';
   Obs.Metrics.inc (metrics ()) "store_quarantined_chunks_total"
 
+let get_byte t i =
+  match t.checked with
+  | None | Some { c_device = None; _ } -> plane_get t.plane i
+  | Some ({ c_device = Some d; _ } as st) -> checked_get t st d i
+
+(* the device raises persistent faults only on reads, so a write either
+   lands or exhausts its retries *)
+let set_byte t i c =
+  match t.checked with
+  | None -> plane_set t.plane i c
+  | Some st -> (
+      Bytes.unsafe_set st.c_dirty (i lsr st.c_shift) '\001';
+      match st.c_device with
+      | None -> plane_set t.plane i c
+      | Some d ->
+          with_retry st ~op:"write" ~chunk:(i lsr st.c_shift) (fun () ->
+              let p = translate st i in
+              transient d ~op:"write" ~chunk:(p lsr st.c_shift);
+              plane_set t.plane p c))
+
 let mark_dirty_range t ~pos ~len =
-  if len > 0 then
-    for c = pos lsr t.chunk_shift to (pos + len - 1) lsr t.chunk_shift do
-      Bytes.unsafe_set t.dirty c '\001'
-    done
+  match t.checked with
+  | Some st when len > 0 ->
+      for c = pos lsr st.c_shift to (pos + len - 1) lsr st.c_shift do
+        Bytes.unsafe_set st.c_dirty c '\001'
+      done
+  | _ -> ()
 
-let rec read t ~pos ~len =
+let read t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  match t.repr with
-  | Heap b -> Bytes.sub_string b pos len
-  | Checked st when st.c_passthrough -> read st.c_inner ~pos ~len
-  | Map _ | Faulty _ | Checked _ -> String.init len (fun i -> get_byte t (pos + i))
+  match heap_bytes t with
+  | Some b -> Bytes.sub_string b pos len
+  | None -> String.init len (fun i -> get_byte t (pos + i))
 
-let rec write t ~pos s =
+let write t ~pos s =
   let len = String.length s in
   assert (pos >= 0 && pos + len <= t.len);
-  match t.repr with
-  | Heap b ->
+  match heap_bytes t with
+  | Some b ->
       mark_dirty_range t ~pos ~len;
       Bytes.blit_string s 0 b pos len
-  | Map { arr; _ } ->
-      mark_dirty_range t ~pos ~len;
-      for i = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set arr (pos + i) s.[i]
-      done
-  | Checked st when st.c_passthrough ->
-      mark_dirty_range t ~pos ~len;
-      write st.c_inner ~pos s
-  | Faulty _ | Checked _ ->
-      for i = 0 to len - 1 do
-        set_byte t (pos + i) s.[i]
-      done
-
-let rec unwrap_passthrough t =
-  match t.repr with
-  | Checked st when st.c_passthrough -> unwrap_passthrough st.c_inner
-  | _ -> t
+  | None -> String.iteri (fun i c -> set_byte t (pos + i) c) s
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   assert (src_pos >= 0 && len >= 0 && src_pos + len <= src.len);
   assert (dst_pos >= 0 && dst_pos + len <= dst.len);
-  mark_dirty_range dst ~pos:dst_pos ~len;
-  match ((unwrap_passthrough src).repr, (unwrap_passthrough dst).repr) with
-  | Heap s, Heap d -> Bytes.blit s src_pos d dst_pos len
+  match (heap_bytes src, heap_bytes dst) with
+  | Some s, Some d ->
+      mark_dirty_range dst ~pos:dst_pos ~len;
+      Bytes.blit s src_pos d dst_pos len
   | _ ->
       for i = 0 to len - 1 do
         set_byte dst (dst_pos + i) (get_byte src (src_pos + i))
       done
 
-let rec digest_region t ~pos ~len =
+let digest_region t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  match t.repr with
-  | Heap b -> Digest.to_hex (Digest.subbytes b pos len)
-  | Checked st when st.c_passthrough -> digest_region st.c_inner ~pos ~len
-  | Map _ | Faulty _ | Checked _ -> Digest.to_hex (Digest.string (read t ~pos ~len))
+  match heap_bytes t with
+  | Some b -> Digest.to_hex (Digest.subbytes b pos len)
+  | None -> Digest.to_hex (Digest.string (read t ~pos ~len))
 
-let chunk_len t c = min (1 lsl t.chunk_shift) (t.len - (c lsl t.chunk_shift))
+let chunk_len t st c = min (1 lsl st.c_shift) (t.len - (c lsl st.c_shift))
 
-let chunk_crc t c =
-  Util.Crc32.string (read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c))
+let chunk_crc t st c =
+  Util.Crc32.string (read t ~pos:(c lsl st.c_shift) ~len:(chunk_len t st c))
 
-let rec sync t =
-  (* the acknowledgement: the writer's bytes are the truth, so a
-     checksummed store refreshes the CRCs of the chunks written since
-     the last sync before the flush (where a fault plan's damage lands
-     beneath them) *)
-  (match t.repr with
-  | Checked st ->
+let sync t =
+  match t.checked with
+  | None -> plane_flush t.plane
+  | Some st -> (
+      (* the acknowledgement: the writer's bytes are the truth, so the
+         CRCs of the chunks written since the last sync are refreshed
+         before the flush *)
       for c = 0 to st.c_chunks - 1 do
-        if Bytes.unsafe_get t.dirty c <> '\000' then st.c_crcs.(c) <- chunk_crc t c
-      done
-  | Heap _ | Map _ | Faulty _ -> ());
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  match t.repr with
-  | Heap _ -> ()
-  | Map { fd; _ } ->
-      (* fsync on the backing fd flushes the mapping's dirty page-cache
-         pages (there is no msync binding in the stdlib; on Linux the
-         pages share the page cache, so fsync covers them) *)
-      Unix.fsync fd
-  | Faulty f ->
-      (* scheduled damage lands at sync points: that is when a real
-         device commits (or fails to commit) writes to the medium *)
-      f.f_syncs <- f.f_syncs + 1;
-      faulty_fire_events t f;
-      faulty_transient f ~op:"sync" ~chunk:(-1);
-      sync f.f_inner
-  | Checked st ->
-      if st.c_passthrough then sync st.c_inner
-      else with_retry st ~op:"sync" ~chunk:(-1) (fun () -> sync st.c_inner)
+        if Bytes.unsafe_get st.c_dirty c <> '\000' then st.c_crcs.(c) <- chunk_crc t st c
+      done;
+      Bytes.fill st.c_dirty 0 st.c_chunks '\000';
+      match st.c_device with
+      | None -> plane_flush t.plane
+      | Some d ->
+          (* scheduled damage lands once per sync, beneath the fresh
+             CRCs: that is when a real device commits (or fails to
+             commit) writes to the medium.  Only the flush is retried. *)
+          d.d_syncs <- d.d_syncs + 1;
+          fire_events t st d;
+          with_retry st ~op:"sync" ~chunk:(-1) (fun () ->
+              transient d ~op:"sync" ~chunk:(-1);
+              plane_flush t.plane))
 
-let rec close t =
-  match t.repr with
+let close t =
+  match t.plane with
   | Heap _ -> ()
   | Map { fd; _ } -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | Faulty f -> close f.f_inner
-  | Checked st -> close st.c_inner
-
-(* --- dirty chunks --------------------------------------------------------- *)
-
-let refresh_chunk_crc t c =
-  match t.repr with Checked st -> st.c_crcs.(c) <- chunk_crc t c | _ -> ()
-
-let copy_dirty ~src ~dst =
-  assert (Bytes.length src.dirty = Bytes.length dst.dirty);
-  Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty)
 
 (* --- self-healing surface -------------------------------------------------- *)
 
@@ -619,31 +580,33 @@ type scrub_report = {
   scrub_quarantined : int list;
 }
 
-let empty_scrub_report =
-  { scrub_chunks = 0; scrub_verified = 0; scrub_mismatched = []; scrub_quarantined = [] }
+let checksummed t = t.checked <> None
 
-let checksummed t = match t.repr with Checked _ -> true | _ -> false
+let refresh_chunk_crc t c =
+  match t.checked with Some st -> st.c_crcs.(c) <- chunk_crc t st c | None -> ()
 
 let quarantined_chunks t =
-  match t.repr with Checked st -> List.rev st.c_quarantined | _ -> []
+  match t.checked with Some st -> List.rev st.c_quarantined | None -> []
 
-let rec device_counts t =
-  match t.repr with
-  | Faulty f ->
-      [ ("transient", f.f_transient); ("latent", f.f_latent);
-        ("bitrot", f.f_bitrot); ("torn", f.f_torn) ]
-  | Checked st -> device_counts st.c_inner
-  | Heap _ | Map _ -> []
+let device_counts t =
+  match t.checked with
+  | Some { c_device = Some d; _ } ->
+      [ ("transient", d.d_transient); ("latent", d.d_latent);
+        ("bitrot", d.d_bitrot); ("torn", d.d_torn) ]
+  | _ -> []
 
 let scrub t =
-  match t.repr with
-  | Checked st ->
+  match t.checked with
+  | None ->
+      sync t;
+      { scrub_chunks = 0; scrub_verified = 0; scrub_mismatched = []; scrub_quarantined = [] }
+  | Some st ->
       let before = List.length st.c_quarantined in
       sync t;
       let verified = ref 0 and mismatched = ref [] in
       for c = st.c_chunks - 1 downto 0 do
         let q0 = List.length st.c_quarantined in
-        let content = read t ~pos:(c lsl t.chunk_shift) ~len:(chunk_len t c) in
+        let content = read t ~pos:(c lsl st.c_shift) ~len:(chunk_len t st c) in
         if List.length st.c_quarantined > q0 then
           (* the walk itself hit a latent chunk: its content is gone
              and the logical audit must rebuild the region *)
@@ -662,17 +625,14 @@ let scrub t =
         scrub_mismatched = !mismatched;
         scrub_quarantined;
       }
-  | Heap _ | Map _ | Faulty _ ->
-      sync t;
-      empty_scrub_report
 
 (* --- the metadata layout --------------------------------------------------- *)
 
 (* Where each group's persisted metadata lives in the store's flat
    address space: one fixed-size region per group, its size rounded up
-   to a power of two so the region doubles as the dirty-tracking chunk
-   (region index = chunk index = group index, and dirty marking inside
-   [set_byte] is a single shift). *)
+   to a power of two so the region doubles as a checksummed store's
+   chunk (region index = chunk index = group index, and finding a
+   byte's chunk is a single shift). *)
 module Layout = struct
   type regions = {
     frag_off : int;

@@ -2,40 +2,41 @@
 
     A {!t} owns one flat byte address space holding everything the
     allocator persists — each cylinder group's fragment, block and inode
-    bitmaps, laid out by {!Layout}.  The data plane is swappable:
+    bitmaps, laid out by {!Layout}.  The bytes sit on one of two planes:
 
-    - {!Heap_backend} keeps the bytes in an in-process [Bytes.t] — the
+    - {!Heap_backend} keeps them in an in-process [Bytes.t] — the
       default, bit-identical to the seed's behaviour and [Marshal]-able
       (so differential tests may compare whole values);
     - {!Mmap_backend} maps a file with [Bigarray], letting a volume's
       image live out of core.  [Mmap_backend None] is backed by an
       unlinked temporary (scratch space, reclaimed on close);
       [Mmap_backend (Some path)] persists and {!sync} fsyncs it.
-    - {!Resilient_backend} stacks the self-healing layer on either:
-      per-chunk CRC-32 checksums at dirty-chunk granularity, bounded
-      exponential-backoff retry of transient device faults, {!scrub},
-      and quarantine of persistently bad chunks into spare regions.
-      With a {!Device.plan} attached it also injects seeded,
-      deterministic device faults beneath the checksums (the test rig
-      for the healing machinery); with no plan it is bit-identical to
-      its base backend — the remap is provably the identity, so even
-      the bitmap layer's heap fast path still engages.
 
-    The byte contract both base representations implement: addresses
-    are absolute offsets into the store, reads see the latest write, and
-    placements must not depend on the representation — the differential
-    suite pins [Heap] and [Map] images bit-identical.
+    A plain store is only its plane: addresses are absolute offsets,
+    reads see the latest write, and placements must not depend on the
+    plane — the differential suite pins heap and mmap images
+    bit-identical.
 
-    Every write also marks its {e chunk} (a power-of-two span, one per
-    cylinder group under {!Layout}) in a dirty map, under the same
-    per-group {!Locks} discipline that already serialises the writes
-    themselves.  Dirty means "written since the last {!sync}", and the
-    map exists for the resilient layer's checksums: {!sync} is the
-    acknowledgement that refreshes the CRCs of exactly those chunks,
-    so a {!scrub} (a sync, then a verify pass) checks every chunk.
-    Fault injection and quarantine state are deliberately
-    unsynchronised: a fault-injecting store must only be driven by the
-    serial replay engine. *)
+    {!Resilient_backend} adds the self-healing layer to either plane,
+    and that layer alone keeps per-chunk state (a {e chunk} is a
+    power-of-two span, one per cylinder group under {!Layout}): a CRC-32
+    per chunk, a dirty map of the chunks written since the last {!sync},
+    bounded exponential-backoff retry of transient device faults,
+    {!scrub}, and quarantine of persistently bad chunks into spare
+    regions.  With a {!Device.plan} attached it also injects seeded,
+    deterministic device faults into the plane beneath the checksums
+    (the test rig for the healing machinery); with no plan it is
+    bit-identical to its plane — the remap is provably the identity, so
+    the bitmap layer's heap fast path still engages.
+
+    {!sync} is the acknowledgement that refreshes the CRCs of exactly
+    the dirty chunks, so a {!scrub} (a sync, then a verify pass) checks
+    every chunk.  Dirty marks from concurrently pinned domains land on
+    distinct bytes (one group, one chunk) under the per-group {!Locks}
+    discipline that already serialises the writes themselves.  Fault
+    injection and quarantine state are deliberately unsynchronised: a
+    fault-injecting store must only be driven by the serial replay
+    engine. *)
 
 type t
 
@@ -66,14 +67,6 @@ module Device : sig
   val pp : Format.formatter -> plan -> unit
 end
 
-exception Io_fault of { op : string; chunk : int; persistent : bool }
-(** The device-fault exception raised by the fault-injecting layer
-    ([persistent = false] for transients, [true] for latent bad chunks).
-    The resilient layer absorbs it — retry for transients, quarantine
-    for latent chunks — so it never escapes a {!Resilient_backend}
-    store; an unhealable condition surfaces as [Error.Media_error]
-    instead. *)
-
 (** Backend selection, as taken by [Fs.create] and [Aging.Image.load]
     (and the CLIs' [--backend bytes|mmap\[:PATH\]|resilient\[:BASE\]]). *)
 type spec =
@@ -93,41 +86,40 @@ val resilient_spec : ?faults:Device.plan -> ?seed:int -> spec -> spec
     the injected faults and the retry jitter. *)
 
 val create : spec -> length:int -> chunk_bytes:int -> t
-(** A zero-filled store of [length] bytes with dirty tracking at
-    [chunk_bytes] granularity ([chunk_bytes] must be a power of two).
-    For a resilient spec the underlying store is over-provisioned with
-    spare chunks beyond [length]; {!length} still reports the logical
-    size. Raises [Error.Error (Io _)] when a named mmap backing file
-    cannot be created, opened, or is truncated. *)
+(** A zero-filled store of [length] bytes.  [chunk_bytes] (a power of
+    two) is the checksum and dirty-tracking granularity of a resilient
+    spec, which also over-provisions the plane with spare chunks beyond
+    [length] ({!length} still reports the logical size); a plain spec
+    ignores it. Raises [Error.Error (Io _)] when a named mmap backing
+    file cannot be created, opened, or is truncated. *)
 
-val heap : length:int -> chunk_bytes:int -> t
-val mmap : ?path:string -> length:int -> chunk_bytes:int -> unit -> t
+val heap : length:int -> t
+val mmap : ?path:string -> length:int -> unit -> t
 
 val length : t -> int
-val chunk_bytes : t -> int
 
 val heap_bytes : t -> Bytes.t option
-(** The live buffer of a heap store — the bitmap layer's bit-poke fast
-    path (the allocator flips bits per fragment, so the per-byte
-    dispatch of {!get_byte}/{!set_byte} is measurable there). Writes
-    through it bypass dirty tracking; the writer must set the
-    {!dirty_cell} covering every byte it touches. A
-    resilient store exposes its inner heap buffer only in passthrough
-    mode (no fault plan), where the quarantine remap is provably the
-    identity; with faults active this is [None] and every access takes
-    the checked path. *)
+(** The live heap plane — the bitmap layer's bit-poke fast path (the
+    allocator flips bits per fragment, so the per-byte dispatch of
+    {!get_byte}/{!set_byte} is measurable there). [Some] for a plain
+    heap store and for a resilient heap store with no fault plan, where
+    the quarantine remap is provably the identity; with faults attached
+    this is [None] and every access takes the checked path. Writes
+    through the buffer of a {!checksummed} store must also set the
+    {!dirty_cell} covering every byte they touch. *)
 
 val dirty_cell : t -> pos:int -> len:int -> (Bytes.t * int) option
-(** The dirty-map byte covering [pos .. pos+len-1], when that range
-    lies within one chunk — so a hot writer can mark its writes with a
-    single [Bytes.unsafe_set buf idx '\001'] instead of a dispatched
-    store write per byte. [None] when the range spans chunks (or is
-    empty). *)
+(** The dirty-map byte covering [pos .. pos+len-1] of a
+    {!checksummed} store, when that range lies within one chunk — so a
+    hot writer can mark its writes with a single
+    [Bytes.unsafe_set buf idx '\001'] instead of a dispatched store
+    write per byte. [None] when the range spans chunks, is empty, or
+    the store keeps no dirty map (a plain store). *)
 
 val repr_name : t -> string
-(** The representation, for display: ["bytes"], ["mmap"],
-    ["mmap:PATH"], or those prefixed by ["resilient:"] /
-    ["faulty:"] for the self-healing layers. *)
+(** The representation, for display: ["bytes"], ["mmap"] or
+    ["mmap:PATH"], prefixed by ["resilient:"] for the self-healing
+    layer and ["resilient:faulty:"] when it carries a fault plan. *)
 
 val get_byte : t -> int -> char
 val set_byte : t -> int -> char -> unit
@@ -142,23 +134,18 @@ val digest_region : t -> pos:int -> len:int -> string
 
 val sync : t -> unit
 (** Acknowledge and flush. A checksummed store first refreshes the CRC
-    of every chunk written since the last sync; every store then
-    clears its dirty map and flushes to durable storage (fsync for
+    of every chunk written since the last sync and clears its dirty
+    map; every store then flushes to durable storage (fsync for
     file-backed mappings, a no-op for the heap). On a fault-injecting
-    store the flush is also where scheduled device damage (latent
-    arming, bit rot, torn writes) lands, after the acknowledgement, so
-    a following {!scrub} walk sees it as a mismatch. *)
+    store each sync also fires the device damage scheduled up to it
+    (latent arming, bit rot, torn writes) exactly once, after the
+    acknowledgement, so a following {!scrub} walk sees it as a
+    mismatch; only the flush and its transient-fault draw are retried,
+    so a plan's [horizon] counts syncs, not attempts. *)
 
 val close : t -> unit
 (** Release backend resources (the mapping's fd). The store must not be
     used afterwards. *)
-
-(** {2 Dirty chunks} *)
-
-val copy_dirty : src:t -> dst:t -> unit
-(** Overwrite [dst]'s dirty map with [src]'s (same geometry required) —
-    used by deep copies, so a copy's unacknowledged chunks (and its
-    marshalled bytes) match the source's. *)
 
 (** {2 Self-healing (checksums, scrub, quarantine)} *)
 
@@ -202,7 +189,7 @@ val device_counts : t -> (string * int) list
 
 (** The flat layout of persisted metadata: one fixed region per cylinder
     group (fragment bitmap, block bitmap, inode bitmap back to back),
-    rounded to a power of two so region index = dirty-chunk index =
+    rounded to a power of two so region index = checksum chunk index =
     group index. *)
 module Layout : sig
   type regions = {

@@ -79,11 +79,3 @@ let zipf ~n ~s =
     float_of_int (!lo + 1)
   in
   { sample; mean }
-
-let empirical pairs =
-  assert (Array.length pairs > 0);
-  let mean =
-    let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
-    Array.fold_left (fun acc (v, w) -> acc +. (v *. w /. total)) 0.0 pairs
-  in
-  { sample = (fun rng -> Prng.pick_weighted rng pairs); mean }

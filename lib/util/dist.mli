@@ -47,7 +47,3 @@ val mixture : (t * float) array -> t
 val zipf : n:int -> s:float -> t
 (** Zipf over ranks 1..n with exponent [s]; returns the rank as a float.
     Sampling is O(log n) via a precomputed CDF. *)
-
-val empirical : (float * float) array -> t
-(** [empirical [| (v1, w1); ... |]] draws value [vi] with probability
-    proportional to [wi]. *)

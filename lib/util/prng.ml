@@ -76,14 +76,6 @@ let rec gaussian t =
   let s = (u *. u) +. (v *. v) in
   if s >= 1.0 || s = 0.0 then gaussian t else u *. sqrt (-2.0 *. log s /. s)
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))

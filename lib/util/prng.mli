@@ -59,9 +59,6 @@ val chance : t -> float -> bool
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller, polar form). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniformly random element. Array must be non-empty. *)
 

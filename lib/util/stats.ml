@@ -58,28 +58,3 @@ let ratio a b = if b = 0.0 then nan else a /. b
 
 let pct_change ~from_ ~to_ =
   if from_ = 0.0 then nan else (to_ -. from_) /. from_ *. 100.0
-
-type histogram = { lo : float; counts : int array }
-
-let log2_histogram ~lo ~buckets =
-  assert (lo > 0.0 && buckets > 0);
-  { lo; counts = Array.make buckets 0 }
-
-let hist_add h v =
-  let n = Array.length h.counts in
-  let idx =
-    if v < h.lo then 0
-    else begin
-      let i = int_of_float (Float.floor (Float.log2 (v /. h.lo))) in
-      if i < 0 then 0 else if i >= n then n - 1 else i
-    end
-  in
-  h.counts.(idx) <- h.counts.(idx) + 1
-
-let hist_counts h =
-  Array.mapi (fun i c -> (h.lo *. (2.0 ** float_of_int i), c)) h.counts
-
-let weighted_mean pairs =
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
-  if total = 0.0 then 0.0
-  else Array.fold_left (fun acc (v, w) -> acc +. (v *. w)) 0.0 pairs /. total

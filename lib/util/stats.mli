@@ -32,18 +32,3 @@ val ratio : float -> float -> float
 val pct_change : from_:float -> to_:float -> float
 (** Percentage change from [from_] to [to_]: [(to_ - from_) / from_ * 100].
     [nan] when [from_ = 0]. *)
-
-type histogram
-
-val log2_histogram : lo:float -> buckets:int -> histogram
-(** Histogram with power-of-two bucket boundaries starting at [lo]:
-    bucket [i] holds values in [\[lo*2^i, lo*2^(i+1))]. Values below [lo]
-    land in bucket 0; values beyond the last boundary land in the last
-    bucket. *)
-
-val hist_add : histogram -> float -> unit
-val hist_counts : histogram -> (float * int) array
-(** [(lower_bound, count)] per bucket. *)
-
-val weighted_mean : (float * float) array -> float
-(** [weighted_mean [|(v, w); ...|]]; 0 when total weight is 0. *)

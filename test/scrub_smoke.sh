@@ -3,8 +3,9 @@
 # store (checksummed chunks, device-fault injection, scrub-and-repair).
 #
 # Leg 1 — identity: with no fault plan the resilient layer must be
-#   bit-identical to the raw store at every jobs level — same image
-#   digest from ffs_inspect at --jobs 1 and --jobs 2.
+#   bit-identical to the raw store, and so must a transient-only fault
+#   plan, whose faults (a sync's included) are all retried away — one
+#   image digest from ffs_inspect for all three runs.
 #
 # Leg 2 — verification: the store acknowledges its checksums at every
 #   sync and a scrub syncs before it walks, so every scrub of a short
@@ -30,21 +31,25 @@ INSPECT=_build/default/bin/ffs_inspect.exe
 WORK=$(mktemp -d /tmp/ffs_scrub_smoke.XXXXXX)
 trap 'rm -rf "$WORK"' EXIT
 
-echo "== scrub smoke: resilient passthrough identity leg =="
-for jobs in 1 2; do
-  "$AGE" --fs small --days 5 --workload ground-truth -q --jobs "$jobs" \
-    --backend bytes --image "$WORK/raw$jobs.img"
-  "$AGE" --fs small --days 5 --workload ground-truth -q --jobs "$jobs" \
-    --backend resilient --image "$WORK/res$jobs.img"
-  a=$("$INSPECT" --image "$WORK/raw$jobs.img" --digest)
-  b=$("$INSPECT" --image "$WORK/res$jobs.img" --digest)
-  if [ "$a" = "$b" ] && [ -n "$a" ]; then
-    echo "   jobs $jobs: digests match: $a"
-  else
-    echo "resilient passthrough diverged at jobs $jobs: raw=$a resilient=$b"
-    exit 1
-  fi
-done
+echo "== scrub smoke: identity leg (raw, resilient, retried transients) =="
+RUN="--fs small --days 5 --workload ground-truth -q"
+"$AGE" $RUN --backend bytes --image "$WORK/raw.img"
+"$AGE" $RUN --backend resilient --image "$WORK/res.img"
+# a transient-only plan at a rate and seed whose run retries a sync
+# (checked in its trace) without ever exhausting the retries
+"$AGE" $RUN --store-faults transient=0.01,horizon=6 --fault-seed 42 \
+  --image "$WORK/tr.img" --trace "$WORK/tr.jsonl"
+grep '"store.retry"' "$WORK/tr.jsonl" | grep -q '"op":"sync"' \
+  || { echo "the transient run retried no sync"; exit 1; }
+a=$("$INSPECT" --image "$WORK/raw.img" --digest)
+b=$("$INSPECT" --image "$WORK/res.img" --digest)
+c=$("$INSPECT" --image "$WORK/tr.img" --digest)
+if [ -n "$a" ] && [ "$a" = "$b" ] && [ "$a" = "$c" ]; then
+  echo "   digests match: $a"
+else
+  echo "digests diverged: raw=$a resilient=$b transient=$c"
+  exit 1
+fi
 
 echo "== scrub smoke: every scrub verifies every chunk =="
 scrubs=$("$AGE" --fs small --days 3 --backend resilient --scrub-every 1 2>&1 >/dev/null \

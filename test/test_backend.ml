@@ -184,7 +184,7 @@ let test_mmap_missing_directory () =
       let path = Filename.concat (Filename.concat dir "no-such-dir") "volume.ffs" in
       let r =
         Ffs.Error.guard (fun () ->
-            Ffs.Store.mmap ~path ~length:4096 ~chunk_bytes:1024 ())
+            Ffs.Store.mmap ~path ~length:4096 ())
       in
       ignore (expect_io "missing directory" r))
 
@@ -192,7 +192,7 @@ let test_mmap_path_is_directory () =
   with_temp_dir (fun dir ->
       let r =
         Ffs.Error.guard (fun () ->
-            Ffs.Store.mmap ~path:dir ~length:4096 ~chunk_bytes:1024 ())
+            Ffs.Store.mmap ~path:dir ~length:4096 ())
       in
       ignore (expect_io "path is a directory" r))
 
@@ -204,7 +204,7 @@ let test_mmap_truncated_backing_file () =
       close_out oc;
       let r =
         Ffs.Error.guard (fun () ->
-            Ffs.Store.mmap ~path ~length:4096 ~chunk_bytes:1024 ())
+            Ffs.Store.mmap ~path ~length:4096 ())
       in
       let message = expect_io "truncated backing file" r in
       check_bool "message says the file is too short" true

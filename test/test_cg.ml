@@ -403,10 +403,7 @@ let range_op_gen =
 let rebuilt cg =
   let p = Ffs.Cg.to_portable cg in
   let regions = Ffs.Store.Layout.of_params params in
-  let store =
-    Ffs.Store.heap ~length:regions.Ffs.Store.Layout.region_bytes
-      ~chunk_bytes:regions.Ffs.Store.Layout.region_bytes
-  in
+  let store = Ffs.Store.heap ~length:regions.Ffs.Store.Layout.region_bytes in
   Ffs.Cg.of_portable_into ~store ~base:0 params p
 
 let prop_range_updates_match_rebuild =

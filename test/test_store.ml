@@ -219,9 +219,12 @@ let test_sync_damage_counts_syncs () =
   Alcotest.(check (list (list (pair string int))))
     "scheduled damage after every sync matches the transient-free run" quiet noisy
 
+(* the chunk size of a store built for [small] *)
+let chunk_bytes = (Ffs.Store.Layout.of_params small).Ffs.Store.Layout.region_bytes
+
 (* one byte written into every chunk of [store] *)
 let write_every_chunk store =
-  let cb = Ffs.Store.chunk_bytes store in
+  let cb = chunk_bytes in
   for c = 0 to ((Ffs.Store.length store + cb - 1) / cb) - 1 do
     Ffs.Store.set_byte store (c * cb) 'w'
   done
@@ -256,7 +259,7 @@ let test_rot_at_scrub_sync_is_caught () =
   | [ pos ] ->
       Alcotest.(check (list int))
         "the rotted chunk is mismatched"
-        [ pos / Ffs.Store.chunk_bytes store ]
+        [ pos / chunk_bytes ]
         r.Ffs.Store.scrub_mismatched
   | _ -> Alcotest.failf "expected one flipped byte in the logical range, found %d"
            (List.length flipped)
@@ -376,6 +379,81 @@ let prop_scrub_idempotent =
       && Ffs.Check.scrub_is_clean second)
 
 (* ------------------------------------------------------------------ *)
+(* Property: every byte plane reads back the same bytes                *)
+(* ------------------------------------------------------------------ *)
+
+type op =
+  | Set of int * char
+  | Write of int * string
+  | Blit of int * int * int  (* from a shared source store: src_pos, dst_pos, len *)
+  | Sync
+  | Scrub
+
+(* a length that leaves the last chunk partial *)
+let plane_len = 3000
+let plane_chunk = 512
+
+let show_op = function
+  | Set (p, c) -> Printf.sprintf "set %d %C" p c
+  | Write (p, s) -> Printf.sprintf "write %d %S" p s
+  | Blit (s, d, l) -> Printf.sprintf "blit %d->%d len %d" s d l
+  | Sync -> "sync"
+  | Scrub -> "scrub"
+
+let arb_script =
+  let open QCheck.Gen in
+  let pos = int_bound (plane_len - 1) in
+  let op =
+    frequency
+      [
+        (6, map2 (fun p c -> Set (p, c)) pos char);
+        (3, map2 (fun p s -> Write (p, s)) pos (string_size ~gen:char (int_bound 64)));
+        (2, map3 (fun s d l -> Blit (s, d, l)) pos pos (int_bound 700));
+        (2, return Sync);
+        (1, return Scrub);
+      ]
+  in
+  QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) (list_size (int_range 1 40) op)
+
+let prop_byte_planes_agree =
+  QCheck.Test.make ~count:60
+    ~name:"heap, resilient and transient-faulted stores read back the same bytes" arb_script
+    (fun ops ->
+      let source = Ffs.Store.heap ~length:plane_len in
+      Ffs.Store.write source ~pos:0 (String.init plane_len (fun i -> Char.chr ((i * 7) land 255)));
+      let make spec = Ffs.Store.create spec ~length:plane_len ~chunk_bytes:plane_chunk in
+      let stores =
+        [
+          make Ffs.Store.Heap_backend;
+          make (Ffs.Store.resilient_spec Ffs.Store.Heap_backend);
+          make
+            (Ffs.Store.resilient_spec
+               ~faults:{ Ffs.Store.Device.none with transient = 0.01 }
+               ~seed:3 Ffs.Store.Heap_backend);
+        ]
+      in
+      let scrubs_verified = ref true in
+      let apply store = function
+        | Set (p, c) -> Ffs.Store.set_byte store p c
+        | Write (p, s) -> Ffs.Store.write store ~pos:(min p (plane_len - String.length s)) s
+        | Blit (s, d, l) ->
+            Ffs.Store.blit ~src:source ~src_pos:s ~dst:store ~dst_pos:d
+              ~len:(min l (plane_len - max s d))
+        | Sync -> Ffs.Store.sync store
+        | Scrub ->
+            let r = Ffs.Store.scrub store in
+            if Ffs.Store.checksummed store
+               && (r.Ffs.Store.scrub_chunks = 0
+                  || r.Ffs.Store.scrub_verified <> r.Ffs.Store.scrub_chunks)
+            then scrubs_verified := false
+      in
+      List.iter (fun op -> List.iter (fun store -> apply store op) stores) (ops @ [ Scrub ]);
+      let digests =
+        List.map (fun store -> Ffs.Store.digest_region store ~pos:0 ~len:plane_len) stores
+      in
+      !scrubs_verified && List.for_all (String.equal (List.hd digests)) digests)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -399,6 +477,7 @@ let () =
           tc "transient faults are retried away" test_transient_retry;
           tc "scheduled damage counts syncs, not attempts" test_sync_damage_counts_syncs;
         ] );
+      ("byte plane", [ QCheck_alcotest.to_alcotest prop_byte_planes_agree ]);
       ( "scrub",
         [
           slow "bit rot is healed and scrub is idempotent" test_scrub_heals_bitrot;

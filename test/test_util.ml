@@ -87,14 +87,6 @@ let test_prng_gaussian_moments () =
   check_bool "mean near 0" true (Float.abs mean < 0.02);
   check_bool "stddev near 1" true (Float.abs (sd -. 1.0) < 0.02)
 
-let test_prng_shuffle_permutation () =
-  let rng = Util.Prng.create ~seed:14 in
-  let a = Array.init 100 Fun.id in
-  Util.Prng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 100 Fun.id) sorted
-
 let test_prng_chance_extremes () =
   let rng = Util.Prng.create ~seed:15 in
   check_bool "p=0 never" false (Util.Prng.chance rng 0.0);
@@ -222,11 +214,6 @@ let test_dist_mixture_mean () =
   let xs = sample_many d 8 20_000 in
   check_bool "sampled mean near 5" true (Float.abs (Util.Stats.mean xs -. 5.0) < 0.2)
 
-let test_dist_empirical () =
-  let d = Util.Dist.empirical [| (1.0, 1.0); (2.0, 0.0) |] in
-  let xs = sample_many d 9 1000 in
-  Array.iter (fun v -> check_float "only weighted value" 1.0 v) xs
-
 (* --- Stats ----------------------------------------------------------------- *)
 
 let test_stats_mean_stddev () =
@@ -254,21 +241,6 @@ let test_stats_ratio_pct () =
   check_float "ratio" 2.0 (Util.Stats.ratio 4.0 2.0);
   check_bool "ratio by zero is nan" true (Float.is_nan (Util.Stats.ratio 1.0 0.0));
   check_float "pct change" 50.0 (Util.Stats.pct_change ~from_:2.0 ~to_:3.0)
-
-let test_stats_histogram () =
-  let h = Util.Stats.log2_histogram ~lo:1.0 ~buckets:4 in
-  List.iter (Util.Stats.hist_add h) [ 0.5; 1.0; 1.9; 2.0; 4.0; 100.0 ];
-  let counts = Util.Stats.hist_counts h in
-  check_int "bucket count" 4 (Array.length counts);
-  check_int "bucket [1,2)" 3 (snd counts.(0));
-  (* 0.5 clamps down into bucket 0 *)
-  check_int "bucket [2,4)" 1 (snd counts.(1));
-  check_int "bucket [4,8)" 1 (snd counts.(2));
-  check_int "overflow clamps to last" 1 (snd counts.(3))
-
-let test_weighted_mean () =
-  check_float "weighted" 3.0 (Util.Stats.weighted_mean [| (1.0, 1.0); (4.0, 2.0) |]);
-  check_float "zero weights" 0.0 (Util.Stats.weighted_mean [| (1.0, 0.0) |])
 
 (* --- Vec ------------------------------------------------------------------- *)
 
@@ -460,7 +432,6 @@ let () =
           tc "split independence" test_prng_split_independence;
           tc "copy" test_prng_copy;
           tc "gaussian moments" test_prng_gaussian_moments;
-          tc "shuffle permutation" test_prng_shuffle_permutation;
           tc "chance extremes" test_prng_chance_extremes;
           tc "pick_weighted" test_pick_weighted;
           tc "known answers" test_prng_known_answers;
@@ -482,7 +453,6 @@ let () =
           tc "truncate" test_dist_truncate;
           tc "zipf ranks" test_dist_zipf_ranks;
           tc "mixture mean" test_dist_mixture_mean;
-          tc "empirical" test_dist_empirical;
         ] );
       ( "stats",
         [
@@ -490,8 +460,6 @@ let () =
           tc "percentile" test_stats_percentile;
           tc "summary" test_stats_summary;
           tc "ratio/pct" test_stats_ratio_pct;
-          tc "histogram" test_stats_histogram;
-          tc "weighted mean" test_weighted_mean;
         ] );
       ( "vec",
         [ tc "basic ops" test_vec_basic; tc "bounds" test_vec_bounds ] );
