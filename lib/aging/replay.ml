@@ -31,7 +31,12 @@ let () =
 type engine = {
   fs : Ffs.Fs.t;
   group_dirs : int array;
-  ino_map : (int, int) Hashtbl.t;
+  ipg : int;  (* inodes per group: the placement trick's ino -> group map *)
+  mutable inums : int array;
+      (* workload ino -> live inum, [not_live] when none: dense, sized
+         to the volume's inode count and doubled when a trace names a
+         larger ino (see [bind]). Grown only by serial code: parallel
+         batches read it and write their own overlays. *)
   daily_scores : float array;
   daily_utilization : float array;
   days : int;
@@ -42,6 +47,13 @@ type engine = {
   mutable skipped : int;
   mutable next_day : int;
 }
+
+let not_live = -1
+
+(* One slot per inode the volume holds: a workload that reuses inode
+   numbers as the original system did never grows the table. *)
+let initial_inums params =
+  Array.make (max 1 (params.Ffs.Params.ncg * Ffs.Params.inodes_per_group params)) not_live
 
 let make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~days ~total_ops =
   let fs = Ffs.Fs.create ~config ~backend params in
@@ -54,7 +66,8 @@ let make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~
   {
     fs;
     group_dirs;
-    ino_map = Hashtbl.create 4096;
+    ipg = Ffs.Params.inodes_per_group params;
+    inums = initial_inums params;
     daily_scores = Array.make days 1.0;
     daily_utilization = Array.make days 0.0;
     days;
@@ -65,6 +78,40 @@ let make_engine ~config ~backend ~progress ~on_skip ~max_skip_fraction ~params ~
     skipped = 0;
     next_day = 0;
   }
+
+let find e ino = if ino >= 0 && ino < Array.length e.inums then e.inums.(ino) else not_live
+
+let bind e ino inum =
+  let n = Array.length e.inums in
+  if ino >= n then begin
+    let len = ref n in
+    while !len <= ino do
+      len := 2 * !len
+    done;
+    let grown = Array.make !len not_live in
+    Array.blit e.inums 0 grown 0 n;
+    e.inums <- grown
+  end;
+  e.inums.(ino) <- inum
+
+(* an ino past the end was never bound (a batch may create and delete
+   one before its overlay is folded in) *)
+let unbind e ino = if ino >= 0 && ino < Array.length e.inums then e.inums.(ino) <- not_live
+
+(* The live mappings in ascending workload-ino order. *)
+let bindings e =
+  let acc = ref [] in
+  for ino = Array.length e.inums - 1 downto 0 do
+    let inum = e.inums.(ino) in
+    if inum <> not_live then acc := (ino, inum) :: !acc
+  done;
+  !acc
+
+(* The placement trick's directory for workload inode [ino], checked
+   before a create touches the volume. *)
+let group_dir e ino =
+  if ino < 0 then invalid_arg (Fmt.str "Aging.Replay: negative workload inode %d" ino);
+  e.group_dirs.(ino / e.ipg mod Array.length e.group_dirs)
 
 let day_end d = float_of_int (d + 1) *. Workload.Op.seconds_per_day
 
@@ -114,42 +161,41 @@ let count_op op =
 
 (* out of space is an expected outcome at high utilization (the op is
    skipped, as the paper's aging tool does); every other error means the
-   replay itself is broken, so it escapes *)
-let skip_if_full e op = function
-  | Ok _ -> ()
-  | Error Ffs.Error.Out_of_space ->
-      Log.warn (fun m ->
-          m "out of space replaying %s inode %d; op skipped" (op_kind op)
-            (Workload.Op.ino_of op));
-      skip e op Out_of_space
-  | Error err -> Ffs.Error.raise_ err
+   replay itself is broken, so [apply] lets it escape *)
+let skip_full e op =
+  Log.warn (fun m ->
+      m "out of space replaying %s inode %d; op skipped" (op_kind op) (Workload.Op.ino_of op));
+  skip e op Out_of_space
+
+let file_name ino = Util.Name.numbered "f" ino
 
 let apply e op =
   Ffs.Fs.set_time e.fs (Workload.Op.time_of op);
   count_op op;
   match op with
-  | Workload.Op.Create { ino; size; _ } -> (
-      match Hashtbl.find_opt e.ino_map ino with
-      | Some _ ->
-          (* shouldn't happen in a well-formed workload *)
-          skip e op Already_live
-      | None ->
-          let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
-          let cg = ino / ipg mod Array.length e.group_dirs in
-          let dir = e.group_dirs.(cg) in
-          Ffs.Fs.create_file e.fs ~dir ~name:("f" ^ string_of_int ino) ~size
-          |> Result.map (fun inum -> Hashtbl.replace e.ino_map ino inum)
-          |> skip_if_full e op)
-  | Workload.Op.Delete { ino; _ } -> (
-      match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op No_live_file
-      | Some inum ->
-          Ffs.Fs.delete_inum_exn e.fs inum;
-          Hashtbl.remove e.ino_map ino)
+  | Workload.Op.Create { ino; size; _ } ->
+      if find e ino <> not_live then
+        (* shouldn't happen in a well-formed workload *)
+        skip e op Already_live
+      else begin
+        match Ffs.Fs.create_file_exn e.fs ~dir:(group_dir e ino) ~name:(file_name ino) ~size with
+        | inum -> bind e ino inum
+        | exception Ffs.Error.Error Ffs.Error.Out_of_space -> skip_full e op
+      end
+  | Workload.Op.Delete { ino; _ } ->
+      let inum = find e ino in
+      if inum = not_live then skip e op No_live_file
+      else begin
+        Ffs.Fs.delete_inum_exn e.fs inum;
+        unbind e ino
+      end
   | Workload.Op.Modify { ino; size; _ } -> (
-      match Hashtbl.find_opt e.ino_map ino with
-      | None -> skip e op No_live_file
-      | Some inum -> skip_if_full e op (Ffs.Fs.rewrite_file e.fs ~inum ~size))
+      let inum = find e ino in
+      if inum = not_live then skip e op No_live_file
+      else
+        match Ffs.Fs.rewrite_file_exn e.fs ~inum ~size with
+        | () -> ()
+        | exception Ffs.Error.Error Ffs.Error.Out_of_space -> skip_full e op)
 
 let step e op =
   while e.next_day < e.days && Workload.Op.time_of op >= day_end e.next_day do
@@ -161,12 +207,14 @@ let finish e =
   while e.next_day < e.days do
     finish_day e
   done;
+  let ino_map = Hashtbl.create 4096 in
+  Array.iteri (fun ino inum -> if inum <> not_live then Hashtbl.replace ino_map ino inum) e.inums;
   {
     fs = e.fs;
     daily_scores = e.daily_scores;
     daily_utilization = e.daily_utilization;
     skipped_ops = e.skipped;
-    ino_map = e.ino_map;
+    ino_map;
   }
 
 let default_max_skip_fraction = 0.9
@@ -187,11 +235,12 @@ type day_stats = {
    day's outcomes in canonical op order. *)
 type outcome = Applied | Skipped | Deferred
 
-(* A batch's private state. The shared [ino_map] is read-only while the
-   batches run: each batch writes its creates ([Some inum]) and deletes
-   ([None]) into its own [overlay], which the coordinator folds in after
-   the join. Batches own disjoint workload inodes (the partition key is
-   the inode's group), so fold order does not matter.
+(* A batch's private state. The engine's [inums] table is read-only
+   while the batches run (nothing grows it then): each batch writes its
+   creates ([Some inum]) and deletes ([None]) into its own [overlay],
+   which the coordinator folds in after the join. Batches own disjoint
+   workload inodes (the partition key is the inode's group), so fold
+   order does not matter.
 
    [deferred] holds the workload inodes with a deferred op earlier in
    this batch. Once a file's op defers, every later op on it this day
@@ -206,7 +255,9 @@ let new_batch () = { overlay = Hashtbl.create 64; deferred = Hashtbl.create 8 }
 let batch_lookup e b ino =
   match Hashtbl.find_opt b.overlay ino with
   | Some v -> v
-  | None -> Hashtbl.find_opt e.ino_map ino
+  | None ->
+      let inum = find e ino in
+      if inum = not_live then None else Some inum
 
 (* a top-level function, not a per-op closure over [b] *)
 let defer b ino =
@@ -231,41 +282,40 @@ let papply e b op =
           count_op op;
           Skipped
       | None -> (
-          let ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params e.fs) in
-          let cg = ino / ipg mod Array.length e.group_dirs in
-          let dir = e.group_dirs.(cg) in
-          match Ffs.Fs.create_file_at e.fs ~time ~dir ~name:("f" ^ string_of_int ino) ~size with
-          | Ok inum ->
+          match
+            Ffs.Fs.create_file_at_exn e.fs ~time ~dir:(group_dir e ino) ~name:(file_name ino)
+              ~size
+          with
+          | inum ->
               Hashtbl.replace b.overlay ino (Some inum);
               count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer b ino
-          | Error err -> Ffs.Error.raise_ err))
+          | exception Ffs.Error.Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) ->
+              defer b ino))
   | Workload.Op.Delete { ino; _ } -> (
       match batch_lookup e b ino with
       | None ->
           count_op op;
           Skipped
       | Some inum -> (
-          match Ffs.Fs.delete_inum e.fs inum with
-          | Ok () ->
+          match Ffs.Fs.delete_inum_exn e.fs inum with
+          | () ->
               Hashtbl.replace b.overlay ino None;
               count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _) -> defer b ino
-          | Error err -> Ffs.Error.raise_ err))
+          | exception Ffs.Error.Error (Ffs.Error.Cross_cg _) -> defer b ino))
   | Workload.Op.Modify { ino; size; _ } -> (
       match batch_lookup e b ino with
       | None ->
           count_op op;
           Skipped
       | Some inum -> (
-          match Ffs.Fs.rewrite_file_at e.fs ~time ~inum ~size with
-          | Ok () ->
+          match Ffs.Fs.rewrite_file_at_exn e.fs ~time ~inum ~size with
+          | () ->
               count_op op;
               Applied
-          | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> defer b ino
-          | Error err -> Ffs.Error.raise_ err))
+          | exception Ffs.Error.Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) ->
+              defer b ino))
 
 (* Replay with several domains aging the one volume.
 
@@ -331,9 +381,7 @@ let run_parallel ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_ba
         nonempty
     in
     Array.iter
-      (Hashtbl.iter (fun ino -> function
-         | Some inum -> Hashtbl.replace e.ino_map ino inum
-         | None -> Hashtbl.remove e.ino_map ino))
+      (Hashtbl.iter (fun ino -> function Some inum -> bind e ino inum | None -> unbind e ino))
       overlays;
     (* deterministic merge: skips, then the serial redo of deferred ops
        (unpinned, whole volume visible), each in canonical op order *)
@@ -394,19 +442,19 @@ type crash_result = { result : result; recoveries : recovery list }
    inode cannot be salvaged. *)
 let drop_lost_mappings e =
   let lost =
-    Hashtbl.fold
-      (fun ino inum acc ->
+    List.filter_map
+      (fun (ino, inum) ->
         (* presence alone does not prove the mapping still points at
            the workload's file: repair may recycle a forgotten file's
            inum for its own lost+found directory, so a mapping whose
            inode is no longer a plain file is as lost as a vanished
            one *)
         match Ffs.Fs.inode e.fs inum with
-        | inode -> if inode.Ffs.Inode.kind <> Ffs.Inode.File then ino :: acc else acc
-        | exception Not_found -> ino :: acc)
-      e.ino_map []
+        | inode -> if inode.Ffs.Inode.kind <> Ffs.Inode.File then Some ino else None
+        | exception Not_found -> Some ino)
+      (bindings e)
   in
-  List.iter (fun ino -> Hashtbl.remove e.ino_map ino) lost;
+  List.iter (unbind e) lost;
   (* the placement trick's per-group directories are infrastructure,
      not workload data: if the repair concluded one was unrecoverable,
      recreate it so its group keeps receiving the workload's
@@ -544,22 +592,26 @@ let engine_of_checkpoint ~backend ~progress ~on_skip ~max_skip_fraction ~days ~o
   if ck.pc_total_ops <> Array.length ops then
     corrupt_resume "resume: checkpoint expects %d operations, workload has %d" ck.pc_total_ops
       (Array.length ops);
-  let ino_map = Hashtbl.create (max 4096 (List.length ck.pc_ino_map)) in
-  List.iter (fun (k, v) -> Hashtbl.replace ino_map k v) ck.pc_ino_map;
-  {
-    fs = Ffs.Fs.of_portable ~backend ck.pc_fs;
-    group_dirs = Array.copy ck.pc_group_dirs;
-    ino_map;
-    daily_scores = Array.copy ck.pc_daily_scores;
-    daily_utilization = Array.copy ck.pc_daily_utilization;
-    days;
-    total_ops = ck.pc_total_ops;
-    max_skip_fraction;
-    on_skip;
-    progress;
-    skipped = ck.pc_skipped;
-    next_day = ck.pc_next_day;
-  }
+  let fs = Ffs.Fs.of_portable ~backend ck.pc_fs in
+  let e =
+    {
+      fs;
+      group_dirs = Array.copy ck.pc_group_dirs;
+      ipg = Ffs.Params.inodes_per_group (Ffs.Fs.params fs);
+      inums = initial_inums (Ffs.Fs.params fs);
+      daily_scores = Array.copy ck.pc_daily_scores;
+      daily_utilization = Array.copy ck.pc_daily_utilization;
+      days;
+      total_ops = ck.pc_total_ops;
+      max_skip_fraction;
+      on_skip;
+      progress;
+      skipped = ck.pc_skipped;
+      next_day = ck.pc_next_day;
+    }
+  in
+  List.iter (fun (ino, inum) -> bind e ino inum) ck.pc_ino_map;
+  e
 
 (* --- the resumable driver -------------------------------------------------- *)
 
@@ -613,7 +665,7 @@ let run_resumable ?(config = Ffs.Fs.default_config) ?(backend = Ffs.Store.Heap_b
     {
       pc_fs = Ffs.Fs.to_portable e.fs;
       pc_group_dirs = Array.copy e.group_dirs;
-      pc_ino_map = sorted_bindings e.ino_map;
+      pc_ino_map = bindings e;
       pc_daily_scores = Array.copy e.daily_scores;
       pc_daily_utilization = Array.copy e.daily_utilization;
       pc_days = e.days;

@@ -50,7 +50,12 @@ val run :
     either way). [on_skip] observes every dropped operation with its
     cause and the running skip count (default: ignore);
     [max_skip_fraction] bounds the tolerated skips as a fraction of the
-    whole workload, raising {!Too_many_skips} mid-run when crossed. *)
+    whole workload, raising {!Too_many_skips} mid-run when crossed.
+
+    Workload inode numbers index a dense table that starts at the
+    volume's inode count and doubles when a create names a larger one
+    (see {!Workload.Trace_file.load}); a create of a negative inode
+    number raises [Invalid_argument]. *)
 
 (** {2 Intra-volume parallel replay}
 

@@ -39,9 +39,10 @@ let run_size ~aged ~drive ?(corpus_bytes = 32 * 1024 * 1024) ?metadata ~file_byt
   (* the benchmark's directory tree: fresh directories, <= 25 files each,
      placed by dirpref so the corpus spans many cylinder groups *)
   let ndirs = (nfiles + files_per_dir - 1) / files_per_dir in
+  let dir_prefix = Util.Name.numbered "seqio." file_bytes ^ "." in
   let dirs =
     Array.init ndirs (fun i ->
-        Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:(Fmt.str "seqio.%d.%d" file_bytes i))
+        Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:(Util.Name.numbered dir_prefix i))
   in
   let created = Array.make nfiles 0 in
   let write_elapsed =
@@ -49,7 +50,7 @@ let run_size ~aged ~drive ?(corpus_bytes = 32 * 1024 * 1024) ?metadata ~file_byt
         for i = 0 to nfiles - 1 do
           created.(i) <-
             Ffs.Io_engine.create_and_write engine ~dir:dirs.(i / files_per_dir)
-              ~name:(Fmt.str "f%d" i) ~size:file_bytes
+              ~name:(Util.Name.numbered "f" i) ~size:file_bytes
         done)
   in
   let read_elapsed =

@@ -96,8 +96,9 @@ type t = {
 (* Record one journal step if a recording is open. *)
 let jot t step = match t.jrec with Some r -> r := step :: !r | None -> ()
 
-(* The per-block and per-entry paths test this before building a step:
-   the step would otherwise be allocated even when nothing records. *)
+(* Every path a replay runs per block, entry or file tests this before
+   building a step: the step would otherwise be allocated even when
+   nothing records. *)
 let recording t = Option.is_some t.jrec
 
 let record_journal t f =
@@ -289,7 +290,7 @@ let try_inode_cg t c =
   | Some local ->
       Obs.Metrics.inc metrics "ffs_alloc_inodes_total";
       let inum = (c * ipg t) + local in
-      jot t (Journal.Inode_slot_set { inum });
+      if recording t then jot t (Journal.Inode_slot_set { inum });
       Some inum
   | None -> None
 
@@ -786,18 +787,24 @@ let writable_dir t dir d =
     own
   end
 
-let add_dir_entry t ~dir ~name ~inum =
-  let d = get_dir t dir in
-  if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
+(* Insert [name] into [d], the state of directory [dir], which the
+   caller has already looked up and found without [name]: a create
+   probes the directory once. *)
+let insert_dir_entry t ~dir d ~name ~inum =
   let d = writable_dir t dir d in
-  Hashtbl.replace d.by_name name inum;
+  Hashtbl.add d.by_name name inum;
   d.order <- name :: d.order;
   d.live_entries <- d.live_entries + 1;
   set_parent t inum (Some (dir, name));
   (* real write order: the directory grows first, then the new entry's
      block is written — so the extension steps precede the entry step *)
   maybe_extend_dir t d;
-  jot t (Journal.Dir_add { dir; name; inum })
+  if recording t then jot t (Journal.Dir_add { dir; name; inum })
+
+let add_dir_entry t ~dir ~name ~inum =
+  let d = get_dir t dir in
+  if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
+  insert_dir_entry t ~dir d ~name ~inum
 
 let remove_dir_entry t ~dir ~name =
   let d = get_dir t dir in
@@ -808,7 +815,7 @@ let remove_dir_entry t ~dir ~name =
       set_parent t inum None;
       Hashtbl.remove d.by_name name;
       d.live_entries <- d.live_entries - 1;
-      jot t (Journal.Dir_remove { dir; name })
+      if recording t then jot t (Journal.Dir_remove { dir; name })
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -994,14 +1001,14 @@ let create_file_at_exn t ~time ~dir ~name ~size =
         in
         set_inode t inum (Some ino);
         jot_inode t ino;
-        add_dir_entry t ~dir ~name ~inum;
+        insert_dir_entry t ~dir d ~name ~inum;
         inum
       with Error.Error (Error.Out_of_space | Error.Cross_cg _) as exn ->
         (* unwind exactly the stages reached: the directory entry (the
            dir-extension fragment can fail *after* the entry is in), the
            file data, the inode-table insert, the inode slot.
            [allocate_data] already rolled back its own partial work. The
-           entry is looked up afresh: [add_dir_entry] may have replaced a
+           entry is looked up afresh: [insert_dir_entry] may have replaced a
            shared [d] with its own clone. *)
         if Hashtbl.mem (get_dir t dir).by_name name then remove_dir_entry t ~dir ~name;
         (match !allocated with
@@ -1059,10 +1066,10 @@ let delete_inum_exn t inum =
   | None -> ());
   free_file_data t ino;
   set_inode t inum None;
-  jot t (Journal.Inode_clear { inum });
+  if recording t then jot t (Journal.Inode_clear { inum });
   (match parent with Some (dir, name) -> remove_dir_entry t ~dir ~name | None -> ());
   Cg.free_inode t.cgs.(cg_of_inum t inum) (inum mod ipg t);
-  jot t (Journal.Inode_slot_clear { inum })
+  if recording t then jot t (Journal.Inode_slot_clear { inum })
 
 let delete_file_exn t ~dir ~name =
   match lookup t ~dir ~name with

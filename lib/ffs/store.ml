@@ -528,9 +528,17 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
       mark_dirty_range dst ~pos:dst_pos ~len;
       Bytes.blit s src_pos d dst_pos len
   | _ ->
-      for i = 0 to len - 1 do
-        set_byte dst (dst_pos + i) (get_byte src (src_pos + i))
-      done
+      (* memmove, as [Bytes.blit]: a store blitted forward onto itself
+         is copied from the end, so no byte is read after it is
+         overwritten *)
+      if src == dst && dst_pos > src_pos then
+        for i = len - 1 downto 0 do
+          set_byte dst (dst_pos + i) (get_byte src (src_pos + i))
+        done
+      else
+        for i = 0 to len - 1 do
+          set_byte dst (dst_pos + i) (get_byte src (src_pos + i))
+        done
 
 let digest_region t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);

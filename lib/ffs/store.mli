@@ -128,6 +128,9 @@ val read : t -> pos:int -> len:int -> string
 val write : t -> pos:int -> string -> unit
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+(** Copy [len] bytes with [Bytes.blit]'s semantics on every
+    representation: overlapping ranges of one store copy as if through
+    a temporary buffer. *)
 
 val digest_region : t -> pos:int -> len:int -> string
 (** MD5 (hex) of the region's current bytes. *)

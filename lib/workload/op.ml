@@ -143,6 +143,7 @@ let check_well_formed ops =
         last_time := time;
         match op with
         | Create { ino; size; _ } ->
+            if ino < 0 then raise (Bad (Fmt.str "op %d: negative inode %d" i ino));
             if size < 0 then raise (Bad (Fmt.str "op %d: negative size" i));
             if Hashtbl.mem live ino then
               raise (Bad (Fmt.str "op %d: create of live inode %d" i ino));

@@ -43,5 +43,5 @@ val sort_by_time : t array -> unit
     @raise Invalid_argument if a time is NaN. *)
 
 val check_well_formed : t array -> (unit, string) result
-(** Validate: times non-decreasing; no create of a live inode, no
-    delete/modify of a dead one. *)
+(** Validate: times non-decreasing; no create of a negative or live
+    inode, no delete/modify of a dead one. *)

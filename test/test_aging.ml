@@ -109,6 +109,158 @@ let test_hot_inums () =
     (List.length (Aging.Replay.hot_inums r ~since:0.0));
   assert_fsck_clean r
 
+(* --- the workload-inode table ---------------------------------------------------- *)
+
+let sorted_bindings h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
+
+(* The 10-day workload with a third of its files renumbered past the
+   volume's inode count and a seventh further still, so the replay's
+   dense table must grow, and grow while files are live; plus deletes
+   and modifies of files that never existed (below, inside and beyond
+   the table, and negative) and a create of a live file. *)
+let grown_ops () =
+  let ops = (workload ()).Workload.Ground_truth.ops in
+  let slots = params.Ffs.Params.ncg * Ffs.Params.inodes_per_group params in
+  let renumber ino =
+    if ino mod 3 = 0 then ino + (3 * slots) else if ino mod 7 = 1 then ino + (9 * slots) else ino
+  in
+  let used = Hashtbl.create 1024 in
+  let ops =
+    Array.map
+      (fun op ->
+        Hashtbl.replace used (Workload.Op.ino_of op) ();
+        match op with
+        | Workload.Op.Create c -> Workload.Op.Create { c with ino = renumber c.ino }
+        | Delete d -> Delete { d with ino = renumber d.ino }
+        | Modify m -> Modify { m with ino = renumber m.ino })
+      ops
+  in
+  let unused = ref 1 in
+  while Hashtbl.mem used !unused do
+    incr unused
+  done;
+  assert (!unused < slots);
+  let first =
+    Option.get (Array.find_index (function Workload.Op.Create _ -> true | _ -> false) ops)
+  in
+  let at = Array.length ops / 3 in
+  assert (first < at);
+  let time = Workload.Op.time_of ops.(at) in
+  let never_created =
+    [|
+      Workload.Op.Delete { ino = 20 * slots; time };
+      Modify { ino = !unused; size = 4096; time };
+      Delete { ino = !unused; time };
+      Modify { ino = (6 * slots) + 1; size = 8192; time };
+      Delete { ino = -5; time };
+    |]
+  in
+  Array.concat
+    [
+      Array.sub ops 0 (first + 1);
+      [| ops.(first) |];
+      Array.sub ops (first + 1) (at - first - 1);
+      never_created;
+      Array.sub ops at (Array.length ops - at);
+    ]
+
+(* The reference the dense table must match: the replay's placement
+   with its inode map in a polymorphic [Hashtbl], the same directories,
+   names, clock and calls. Daily scoring only reads the image, so it is
+   left out. Returns the image, the sorted map and each skip's
+   (ino, cause). *)
+let reference_replay ops =
+  let fs = Ffs.Fs.create params in
+  let ncg = params.Ffs.Params.ncg and ipg = Ffs.Params.inodes_per_group params in
+  let dirs =
+    Array.init ncg (fun cg ->
+        Ffs.Fs.mkdir_in_cg_exn fs ~parent:(Ffs.Fs.root fs) ~name:(Fmt.str "cg%03d" cg) ~cg)
+  in
+  let map = Hashtbl.create 64 and skips = ref [] in
+  let skip ino cause = skips := (ino, cause) :: !skips in
+  let full ino = function
+    | Ok () -> ()
+    | Error Ffs.Error.Out_of_space -> skip ino Aging.Replay.Out_of_space
+    | Error e -> Ffs.Error.raise_ e
+  in
+  Array.iter
+    (fun op ->
+      Ffs.Fs.set_time fs (Workload.Op.time_of op);
+      match op with
+      | Workload.Op.Create { ino; size; _ } ->
+          if Hashtbl.mem map ino then skip ino Aging.Replay.Already_live
+          else
+            Ffs.Fs.create_file fs ~dir:dirs.(ino / ipg mod ncg) ~name:("f" ^ string_of_int ino)
+              ~size
+            |> Result.map (fun inum -> Hashtbl.replace map ino inum)
+            |> full ino
+      | Delete { ino; _ } -> (
+          match Hashtbl.find_opt map ino with
+          | None -> skip ino Aging.Replay.No_live_file
+          | Some inum ->
+              Ffs.Fs.delete_inum_exn fs inum;
+              Hashtbl.remove map ino)
+      | Modify { ino; size; _ } -> (
+          match Hashtbl.find_opt map ino with
+          | None -> skip ino Aging.Replay.No_live_file
+          | Some inum -> full ino (Ffs.Fs.rewrite_file fs ~inum ~size)))
+    ops;
+  (fs, sorted_bindings map, List.rev !skips)
+
+let test_ino_table_matches_hashtbl () =
+  let ops = grown_ops () in
+  let skips = ref [] in
+  let r =
+    Aging.Replay.run ~params ~days
+      ~on_skip:(fun op ~cause ~skipped:_ -> skips := (Workload.Op.ino_of op, cause) :: !skips)
+      ops
+  in
+  let ref_fs, ref_map, ref_skips = reference_replay ops in
+  let slots = params.Ffs.Params.ncg * Ffs.Params.inodes_per_group params in
+  let map = sorted_bindings r.Aging.Replay.ino_map in
+  check_bool "some live file lies past the first growth" true
+    (List.exists (fun (ino, _) -> ino >= 9 * slots) map);
+  check_bool "same ino_map bindings" true (map = ref_map);
+  check_bool "same skips, in order" true (List.rev !skips = ref_skips);
+  check_int "skip count" (List.length ref_skips) r.Aging.Replay.skipped_ops;
+  check_bool "every cause skipped"
+    true
+    (List.for_all
+       (fun c -> List.exists (fun (_, c') -> c' = c) ref_skips)
+       [ Aging.Replay.No_live_file; Aging.Replay.Already_live ]);
+  Alcotest.(check string) "same digest" (Ffs.Fs.digest ref_fs) (Ffs.Fs.digest r.Aging.Replay.fs);
+  match Aging.Replay.run ~params ~days [| Workload.Op.Create { ino = -1; size = 1; time = 0.0 } |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a create of a negative inode was replayed"
+
+(* A checkpoint carries the inode map; the resumed run ends with the
+   straight run's map and image. *)
+let test_resume_keeps_ino_map () =
+  let ops = grown_ops () in
+  let straight = Aging.Replay.run ~params ~days ops in
+  let polls = ref 0 in
+  let stop_at = Array.length ops / 2 in
+  let ck =
+    match
+      Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0
+        ~should_stop:(fun () ->
+          incr polls;
+          !polls = stop_at)
+        ops
+    with
+    | `Interrupted ck -> ck
+    | `Completed _ -> Alcotest.fail "the run was not interrupted"
+  in
+  let resumed =
+    match Aging.Replay.run_resumable ~resume:ck ~params ~days ~crashes:0 ~fault_seed:0 ops with
+    | `Completed c -> c.Aging.Replay.result
+    | `Interrupted _ -> Alcotest.fail "the resumed run was interrupted"
+  in
+  check_bool "same sorted ino_map" true
+    (sorted_bindings straight.Aging.Replay.ino_map = sorted_bindings resumed.Aging.Replay.ino_map);
+  Alcotest.(check string)
+    "same digest" (Ffs.Fs.digest straight.Aging.Replay.fs) (Ffs.Fs.digest resumed.Aging.Replay.fs)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "aging"
@@ -122,5 +274,10 @@ let () =
           tc "realloc beats traditional" test_realloc_beats_traditional;
           tc "progress callback" test_progress_callback;
           tc "hot set" test_hot_inums;
+        ] );
+      ( "inode table",
+        [
+          tc "growth and skips match a Hashtbl replay" test_ino_table_matches_hashtbl;
+          tc "checkpoint resume keeps the map" test_resume_keeps_ino_map;
         ] );
     ]

@@ -382,6 +382,28 @@ let test_fsck_words () =
   let copy = Ffs.Fs.copy fs in
   bound "Check.repair" (heap_words (fun () -> Ffs.Check.repair_exn copy)) 1_076_478
 
+(* --- replay dispatch's work budget ---------------------------------------------- *)
+
+(* Words the 30-day traditional paper replay allocates per operation:
+   everything [Replay.run] allocates (inode records and entry arrays,
+   directory names, daily scoring, the engine's own tables, its dense
+   workload-inode table included) over the workload's 98,034 ops.
+   Bounded at its measured 78.31 words per op plus 10%. With a
+   polymorphic [Hashtbl] inode map, [string_of_int] names and
+   result-wrapped calls it was 96.48. Only meaningful in native code
+   (bytecode boxes differently). *)
+let test_replay_words () =
+  if Sys.backend_type = Sys.Native then begin
+    let ops = Lazy.force paper_ops in
+    let words =
+      heap_words (fun () -> Aging.Replay.run ~params:Ffs.Params.paper_fs ~days:paper_days ops)
+    in
+    let per_op = float_of_int words /. float_of_int (Array.length ops) in
+    if per_op > 86.14 then
+      Alcotest.failf "replay allocated %.2f words per op (%d words, %d ops; bound 86.14)" per_op
+        words (Array.length ops)
+  end
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "cg_diff"
@@ -412,5 +434,6 @@ let () =
             (test_paper_pin "paper realloc" (paper_image Ffs.Fs.realloc_config)
                ~digest:"2b9f10862488164b3cf5e16c158c9ba8" ~scores:"798b1a23");
           tc "fsck words, 30 days" test_fsck_words;
+          tc "replay words per op, 30 days" test_replay_words;
         ] );
     ]

@@ -453,6 +453,31 @@ let prop_byte_planes_agree =
       in
       !scrubs_verified && List.for_all (String.equal (List.hd digests)) digests)
 
+(* A store blitted forward onto itself copies as [Bytes.blit] does, on
+   every representation: the per-byte path (mmap planes, fault-injecting
+   stores) once copied forward and smeared the first byte. *)
+let test_self_blit_overlap () =
+  let specs =
+    [
+      ("bytes", Ffs.Store.Heap_backend);
+      ("mmap", Ffs.Store.Mmap_backend None);
+      ("resilient", Ffs.Store.resilient_spec Ffs.Store.Heap_backend);
+      ("resilient mmap", Ffs.Store.resilient_spec (Ffs.Store.Mmap_backend None));
+      ( "resilient, fault plan",
+        Ffs.Store.resilient_spec ~faults:Ffs.Store.Device.none Ffs.Store.Heap_backend );
+    ]
+  in
+  List.iter
+    (fun (what, spec) ->
+      let store = Ffs.Store.create spec ~length:10 ~chunk_bytes:8 in
+      Ffs.Store.write store ~pos:0 "abcdefghij";
+      Ffs.Store.blit ~src:store ~src_pos:0 ~dst:store ~dst_pos:1 ~len:8;
+      check_string (what ^ ": forward overlap") "aabcdefghj" (Ffs.Store.read store ~pos:0 ~len:10);
+      Ffs.Store.blit ~src:store ~src_pos:1 ~dst:store ~dst_pos:0 ~len:8;
+      check_string (what ^ ": backward overlap") "abcdefghhj" (Ffs.Store.read store ~pos:0 ~len:10);
+      Ffs.Store.close store)
+    specs
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -477,7 +502,11 @@ let () =
           tc "transient faults are retried away" test_transient_retry;
           tc "scheduled damage counts syncs, not attempts" test_sync_damage_counts_syncs;
         ] );
-      ("byte plane", [ QCheck_alcotest.to_alcotest prop_byte_planes_agree ]);
+      ( "byte plane",
+        [
+          QCheck_alcotest.to_alcotest prop_byte_planes_agree;
+          tc "self-blit with overlap copies as memmove" test_self_blit_overlap;
+        ] );
       ( "scrub",
         [
           slow "bit rot is healed and scrub is idempotent" test_scrub_heals_bitrot;

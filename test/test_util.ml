@@ -345,7 +345,23 @@ let test_units () =
   check_bool "zero seconds" true
     (Float.is_nan (Util.Units.mb_per_sec ~bytes:1 ~seconds:0.0))
 
+(* --- Name ------------------------------------------------------------------------ *)
+
+let test_name_numbered () =
+  List.iter
+    (fun n -> check_string (Fmt.str "f%d" n) ("f" ^ string_of_int n) (Util.Name.numbered "f" n))
+    [ 0; 9; 10; max_int ];
+  check_string "longer prefix" "seqio.16384.7"
+    (Util.Name.numbered (Util.Name.numbered "seqio." 16384 ^ ".") 7);
+  check_string "empty prefix" "42" (Util.Name.numbered "" 42);
+  check_string "negative" "f-12" (Util.Name.numbered "f" (-12))
+
 (* --- property tests ------------------------------------------------------------ *)
+
+let prop_name_numbered =
+  QCheck.Test.make ~name:"Name.numbered \"f\" n = \"f\" ^ string_of_int n" ~count:1000
+    QCheck.(map (fun n -> n land max_int) int)
+    (fun n -> String.equal (Util.Name.numbered "f" n) ("f" ^ string_of_int n))
 
 let prop_percentile_bounded =
   QCheck.Test.make ~name:"percentile lies within [min,max]" ~count:500
@@ -473,8 +489,9 @@ let () =
           tc "sparkline" test_sparkline;
         ] );
       ("units", [ tc "formatting" test_units ]);
+      ("name", [ tc "numbered" test_name_numbered ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_percentile_bounded; prop_prng_int_in_range; prop_vec_roundtrip;
-            prop_truncate_bounds ] );
+            prop_truncate_bounds; prop_name_numbered ] );
     ]

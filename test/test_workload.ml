@@ -76,6 +76,9 @@ let test_op_well_formed_detects () =
   in
   check_bool "double create caught" true
     (Result.is_error (Workload.Op.check_well_formed bad_double_create));
+  let bad_negative = [| Workload.Op.Create { ino = -1; size = 1; time = 1.0 } |] in
+  check_bool "negative inode caught" true
+    (Result.is_error (Workload.Op.check_well_formed bad_negative));
   let bad_dead_delete = [| Workload.Op.Delete { ino = 1; time = 1.0 } |] in
   check_bool "dead delete caught" true
     (Result.is_error (Workload.Op.check_well_formed bad_dead_delete));
