@@ -17,6 +17,13 @@ type stats = {
 let metrics = Obs.Metrics.default
 let heat = Obs.Heatmap.global
 
+(* Per-op tables keyed by their real types: names compare with
+   [String.equal], not the polymorphic [compare]. [String.hash] and
+   [Int.hash] equal [Hashtbl.hash], so bucket and iteration orders are
+   those of the generic table. *)
+module Names = Hashtbl.Make (String)
+module Dirs = Hashtbl.Make (Int)
+
 (* A directory's entries. [copy] shares the states of its source, after
    marking each [shared]; a write goes through [writable_dir], which
    first clones a shared state into the writer's own table, so neither
@@ -24,7 +31,7 @@ let heat = Obs.Heatmap.global
    because several domains may fork one image at once. *)
 type dir_state = {
   dir_inum : int;
-  by_name : (string, int) Hashtbl.t;
+  by_name : int Names.t;
   mutable order : string list;  (* reverse insertion order *)
   mutable live_entries : int;
   shared : bool Atomic.t;
@@ -33,7 +40,7 @@ type dir_state = {
 let new_dir_state inum =
   {
     dir_inum = inum;
-    by_name = Hashtbl.create 16;
+    by_name = Names.create 16;
     order = [];
     live_entries = 0;
     shared = Atomic.make false;
@@ -82,7 +89,7 @@ type t = {
          chunk index = cg index *)
   cgs : Cg.t array;
   shards : shard array;  (* one per group; shard of an inum = inum / ipg *)
-  dirs : (int, dir_state) Hashtbl.t;
+  dirs : dir_state Dirs.t;
       (* written only unpinned: pinned domains read it, never insert *)
   cfg : config;
   mutable clock : float;
@@ -741,7 +748,7 @@ let allocate_data t ~home_cg ~size =
 let dir_data_frags_for entries = 1 + (entries / 16)
 
 let get_dir t inum =
-  match Hashtbl.find_opt t.dirs inum with
+  match Dirs.find_opt t.dirs inum with
   | Some d -> d
   | None -> Error.raise_ (Error.Not_a_directory { inum })
 
@@ -782,8 +789,8 @@ let writable_dir t dir d =
   if not (Atomic.get d.shared) then d
   else begin
     unpinned_only ();
-    let own = { d with by_name = Hashtbl.copy d.by_name; shared = Atomic.make false } in
-    Hashtbl.replace t.dirs dir own;
+    let own = { d with by_name = Names.copy d.by_name; shared = Atomic.make false } in
+    Dirs.replace t.dirs dir own;
     own
   end
 
@@ -792,7 +799,7 @@ let writable_dir t dir d =
    probes the directory once. *)
 let insert_dir_entry t ~dir d ~name ~inum =
   let d = writable_dir t dir d in
-  Hashtbl.add d.by_name name inum;
+  Names.add d.by_name name inum;
   d.order <- name :: d.order;
   d.live_entries <- d.live_entries + 1;
   set_parent t inum (Some (dir, name));
@@ -803,17 +810,17 @@ let insert_dir_entry t ~dir d ~name ~inum =
 
 let add_dir_entry t ~dir ~name ~inum =
   let d = get_dir t dir in
-  if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
+  if Names.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
   insert_dir_entry t ~dir d ~name ~inum
 
 let remove_dir_entry t ~dir ~name =
   let d = get_dir t dir in
-  match Hashtbl.find_opt d.by_name name with
+  match Names.find_opt d.by_name name with
   | None -> Error.raise_ (Error.No_such_name { dir; name })
   | Some inum ->
       let d = writable_dir t dir d in
       set_parent t inum None;
-      Hashtbl.remove d.by_name name;
+      Names.remove d.by_name name;
       d.live_entries <- d.live_entries - 1;
       if recording t then jot t (Journal.Dir_remove { dir; name })
 
@@ -838,7 +845,7 @@ let make_dir_at t ~cg ~time =
         }
       in
       set_inode t inum (Some ino);
-      Hashtbl.replace t.dirs inum (new_dir_state inum);
+      Dirs.replace t.dirs inum (new_dir_state inum);
       Cg.add_dir t.cgs.(cg_of_inum t inum);
       jot_inode t ino;
       jot t (Journal.Dir_count { cg = cg_of_inum t inum; delta = 1 });
@@ -858,7 +865,7 @@ let create ?(config = default_config) ?(backend = Store.Heap_backend) params =
               ~base:(Store.Layout.region_base regions ~index)
               params ~index);
       shards = Array.init params.Params.ncg (fun _ -> new_shard ());
-      dirs = Hashtbl.create 64;
+      dirs = Dirs.create 64;
       cfg = config;
       clock = 0.0;
       root_inum = -1;
@@ -878,7 +885,7 @@ let copy t =
   Store.blit ~src:t.store ~src_pos:0 ~dst:store ~dst_pos:0 ~len:(Store.length t.store);
   (* both sides keep the directory states, marked shared, until their
      first write of each (see [writable_dir]) *)
-  Hashtbl.iter (fun _ d -> if not (Atomic.get d.shared) then Atomic.set d.shared true) t.dirs;
+  Dirs.iter (fun _ d -> if not (Atomic.get d.shared) then Atomic.set d.shared true) t.dirs;
   {
     t with
     store;
@@ -894,7 +901,7 @@ let copy t =
             counts = { sh.counts with blocks_allocated = sh.counts.blocks_allocated };
           })
         t.shards;
-    dirs = Hashtbl.copy t.dirs;
+    dirs = Dirs.copy t.dirs;
     stats = { t.stats with blocks_allocated = t.stats.blocks_allocated };
     jrec = None;
   }
@@ -941,7 +948,7 @@ let mkdir_in_cg_exn t ~parent ~name ~cg =
   add_dir_entry t ~dir:parent ~name ~inum;
   inum
 
-let lookup t ~dir ~name = Hashtbl.find_opt (get_dir t dir).by_name name
+let lookup t ~dir ~name = Names.find_opt (get_dir t dir).by_name name
 
 let rmdir_exn t ~parent ~name =
   unpinned_only ();
@@ -954,7 +961,7 @@ let rmdir_exn t ~parent ~name =
       let ino = inode t inum in
       free_entries t ino.Inode.entries;
       set_inode t inum None;
-      Hashtbl.remove t.dirs inum;
+      Dirs.remove t.dirs inum;
       jot t (Journal.Inode_clear { inum });
       remove_dir_entry t ~dir:parent ~name;
       Cg.remove_dir t.cgs.(cg_of_inum t inum);
@@ -967,13 +974,13 @@ let dir_entries t inum =
   (* [order] keeps tombstones of removed names; a name deleted and later
      re-created therefore appears more than once. Deduplicate keeping the
      newest occurrence (the head-most, since [order] is newest-first). *)
-  let seen = Hashtbl.create 16 in
+  let seen = Names.create 16 in
   d.order
   |> List.filter_map (fun name ->
-         if Hashtbl.mem seen name then None
+         if Names.mem seen name then None
          else begin
-           Hashtbl.add seen name ();
-           Hashtbl.find_opt d.by_name name |> Option.map (fun inum -> (name, inum))
+           Names.add seen name ();
+           Names.find_opt d.by_name name |> Option.map (fun inum -> (name, inum))
          end)
   |> List.rev
 
@@ -986,7 +993,7 @@ let create_file_at_exn t ~time ~dir ~name ~size =
   let d = get_dir t dir in
   (* the entry table belongs to the directory's group *)
   confine (Locks.pinned ()) ~cg:(cg_of_inum t dir);
-  if Hashtbl.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
+  if Names.mem d.by_name name then Error.raise_ (Error.Name_exists { dir; name });
   let home_cg = cg_of_inum t dir in
   match alloc_inode_near t ~cg:home_cg with
   | None -> Error.raise_ Error.Out_of_space
@@ -1010,7 +1017,7 @@ let create_file_at_exn t ~time ~dir ~name ~size =
            [allocate_data] already rolled back its own partial work. The
            entry is looked up afresh: [insert_dir_entry] may have replaced a
            shared [d] with its own clone. *)
-        if Hashtbl.mem (get_dir t dir).by_name name then remove_dir_entry t ~dir ~name;
+        if Names.mem (get_dir t dir).by_name name then remove_dir_entry t ~dir ~name;
         (match !allocated with
         | None -> ()
         | Some (entries, indirects) ->
@@ -1062,7 +1069,7 @@ let delete_inum_exn t inum =
   | Some (dir, _) ->
       confine pin ~cg:(cg_of_inum t dir);
       if Option.is_some pin then
-        Option.iter (fun d -> ignore (writable_dir t dir d)) (Hashtbl.find_opt t.dirs dir)
+        Option.iter (fun d -> ignore (writable_dir t dir d)) (Dirs.find_opt t.dirs dir)
   | None -> ());
   free_file_data t ino;
   set_inode t inum None;
@@ -1111,7 +1118,7 @@ let fold_files t ~init ~f =
   !acc
 
 let file_count t = fold_files t ~init:0 ~f:(fun acc _ -> acc + 1)
-let dir_inums t = Hashtbl.fold (fun inum _ acc -> inum :: acc) t.dirs []
+let dir_inums t = Dirs.fold (fun inum _ acc -> inum :: acc) t.dirs []
 
 (* --- space accounting ---------------------------------------------------- *)
 
@@ -1152,7 +1159,7 @@ let rebuild_allocation t =
       in
       Array.iter (fun e -> mark e.Inode.addr e.Inode.frags) ino.Inode.entries;
       Array.iter (fun a -> mark a (fpb t)) ino.Inode.indirect_addrs);
-  Hashtbl.iter
+  Dirs.iter
     (fun inum _ ->
       if Option.is_some (find_inode t inum) then
         Cg.add_dir t.cgs.(cg_of_inum t inum))
@@ -1186,7 +1193,7 @@ type portable = {
   pf_parents : (int * (int * string)) list;  (* sorted by inum *)
 }
 
-let sorted_keys h = Hashtbl.fold (fun k _ acc -> k :: acc) h [] |> List.sort compare
+let sorted_keys h = Dirs.fold (fun k _ acc -> k :: acc) h [] |> List.sort Int.compare
 
 (* every filled slot of one table across the shards, as (inum, value)
    pairs in inum order *)
@@ -1212,9 +1219,9 @@ let to_portable t =
     pf_dirs =
       List.map
         (fun dnum ->
-          let d = Hashtbl.find t.dirs dnum in
+          let d = Dirs.find t.dirs dnum in
           let names =
-            Hashtbl.fold (fun name inum acc -> (name, inum) :: acc) d.by_name []
+            Names.fold (fun name inum acc -> (name, inum) :: acc) d.by_name []
             |> List.sort compare
           in
           ( dnum,
@@ -1235,12 +1242,12 @@ let of_portable ?(backend = Store.Heap_backend) p =
           params cp)
       p.pf_cgs
   in
-  let dirs = Hashtbl.create (max 64 (List.length p.pf_dirs)) in
+  let dirs = Dirs.create (max 64 (List.length p.pf_dirs)) in
   List.iter
     (fun (dnum, pd) ->
-      let by_name = Hashtbl.create 16 in
-      List.iter (fun (name, inum) -> Hashtbl.replace by_name name inum) pd.pd_names;
-      Hashtbl.replace dirs dnum
+      let by_name = Names.create 16 in
+      List.iter (fun (name, inum) -> Names.replace by_name name inum) pd.pd_names;
+      Dirs.replace dirs dnum
         {
           dir_inum = pd.pd_inum;
           by_name;
@@ -1359,31 +1366,31 @@ let apply_step t step =
       (* many crash states install the same recorded record: it is
          immutable, so they may share it *)
       set_inode t ino.Inode.inum (Some ino);
-      if ino.Inode.kind = Inode.Dir && not (Hashtbl.mem t.dirs ino.Inode.inum) then
-        Hashtbl.replace t.dirs ino.Inode.inum (new_dir_state ino.Inode.inum)
+      if ino.Inode.kind = Inode.Dir && not (Dirs.mem t.dirs ino.Inode.inum) then
+        Dirs.replace t.dirs ino.Inode.inum (new_dir_state ino.Inode.inum)
   | Journal.Inode_clear { inum } ->
       set_inode t inum None;
-      Hashtbl.remove t.dirs inum
+      Dirs.remove t.dirs inum
   | Journal.Dir_add { dir; name; inum } -> (
-      match Hashtbl.find_opt t.dirs dir with
+      match Dirs.find_opt t.dirs dir with
       | None -> ()  (* the directory's own inode write was lost *)
       | Some d ->
-          if not (Hashtbl.mem d.by_name name) then begin
+          if not (Names.mem d.by_name name) then begin
             let d = writable_dir t dir d in
-            Hashtbl.replace d.by_name name inum;
+            Names.replace d.by_name name inum;
             d.order <- name :: d.order;
             d.live_entries <- d.live_entries + 1
           end;
           set_parent t inum (Some (dir, name)))
   | Journal.Dir_remove { dir; name } -> (
-      match Hashtbl.find_opt t.dirs dir with
+      match Dirs.find_opt t.dirs dir with
       | None -> ()
       | Some d -> (
-          match Hashtbl.find_opt d.by_name name with
+          match Names.find_opt d.by_name name with
           | None -> ()
           | Some inum ->
               let d = writable_dir t dir d in
-              Hashtbl.remove d.by_name name;
+              Names.remove d.by_name name;
               d.live_entries <- d.live_entries - 1;
               set_parent t inum None))
   | Journal.Dir_count { cg; delta } -> Cg.corrupt_adjust_dirs t.cgs.(cg) delta
@@ -1395,21 +1402,5 @@ let apply_journal t steps = List.iter (apply_step t) steps
 let create_file t ~dir ~name ~size =
   Error.guard (fun () -> create_file_exn t ~dir ~name ~size)
 
-let create_file_at t ~time ~dir ~name ~size =
-  Error.guard (fun () -> create_file_at_exn t ~time ~dir ~name ~size)
-
-let mkdir t ~parent ~name = Error.guard (fun () -> mkdir_exn t ~parent ~name)
-
-let mkdir_in_cg t ~parent ~name ~cg =
-  Error.guard (fun () -> mkdir_in_cg_exn t ~parent ~name ~cg)
-
-let rmdir t ~parent ~name = Error.guard (fun () -> rmdir_exn t ~parent ~name)
 let delete_file t ~dir ~name = Error.guard (fun () -> delete_file_exn t ~dir ~name)
-let delete_inum t inum = Error.guard (fun () -> delete_inum_exn t inum)
-let rewrite_file t ~inum ~size =
-  Error.guard (fun () -> rewrite_file_exn t ~inum ~size)
-
-let rewrite_file_at t ~time ~inum ~size =
-  Error.guard (fun () -> rewrite_file_at_exn t ~time ~inum ~size)
-
-let forget_inode t inum = Error.guard (fun () -> forget_inode_exn t inum)
+let rewrite_file t ~inum ~size = Error.guard (fun () -> rewrite_file_exn t ~inum ~size)

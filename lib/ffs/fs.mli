@@ -11,12 +11,10 @@
     cluster reallocation of each completed write window, exactly the
     McKusick enhancement the paper evaluates.
 
-    {b Errors.} Every mutating entry point comes in two flavours: the
-    primary returns [(_, Error.t) result], and the [_exn] twin raises
-    {!Error.Error} carrying the same value. Use the result forms when a
-    failure is an expected outcome to branch on (the aging workload
-    skipping an operation at high utilization); use [_exn] when a
-    failure means the caller's own setup is wrong. Read-only lookups
+    {b Errors.} Every mutating entry point has an [_exn] form that raises
+    {!Error.Error}; wrap one in {!Error.guard} to branch on the
+    [(_, Error.t) result] instead. [create_file], [delete_file] and
+    [rewrite_file] are that wrapping, ready-made. Read-only lookups
     ([inode], [dir_of_inum], [lookup]) keep their option/[Not_found]
     conventions.
 
@@ -82,30 +80,24 @@ val now : t -> float
 
 val root : t -> int
 
-val mkdir : t -> parent:int -> name:string -> (int, Error.t) result
+val mkdir_exn : t -> parent:int -> name:string -> int
 (** New directory placed by [dirpref]: among groups with at least the
     average number of free inodes, the one with the fewest directories.
-    Returns its inode number. Errors: [Out_of_space],
-    [Not_a_directory], [Name_exists]. *)
-
-val mkdir_exn : t -> parent:int -> name:string -> int
-
-val mkdir_in_cg : t -> parent:int -> name:string -> cg:int -> (int, Error.t) result
-(** New directory pinned to a specific cylinder group — the mechanism the
-    paper's aging tool uses (one directory per group, files steered by
-    inode number). Errors: those of {!mkdir}, plus [Invalid_cg]. Like
-    every directory-table write ({!mkdir}, {!rmdir}) and the repair
-    plumbing below, refused with [Cross_cg] under a {!Locks.with_pin}:
-    pinned domains only read the directory table. *)
+    Returns its inode number. Raises {!Error.Error} with
+    [Out_of_space], [Not_a_directory] or [Name_exists]. *)
 
 val mkdir_in_cg_exn : t -> parent:int -> name:string -> cg:int -> int
-
-val rmdir : t -> parent:int -> name:string -> (unit, Error.t) result
-(** Remove an empty directory: its data fragments and inode return to
-    the free pool. Errors: [No_such_name], [Directory_not_empty],
-    [Cannot_remove_root]. *)
+(** New directory pinned to a specific cylinder group — the mechanism the
+    paper's aging tool uses (one directory per group, files steered by
+    inode number). Errors: those of {!mkdir_exn}, plus [Invalid_cg].
+    Like every directory-table write ({!mkdir_exn}, {!rmdir_exn}) and
+    the repair plumbing below, refused with [Cross_cg] under a
+    {!Locks.with_pin}: pinned domains only read the directory table. *)
 
 val rmdir_exn : t -> parent:int -> name:string -> unit
+(** Remove an empty directory: its data fragments and inode return to
+    the free pool. Raises {!Error.Error} with [No_such_name],
+    [Directory_not_empty] or [Cannot_remove_root]. *)
 
 val lookup : t -> dir:int -> name:string -> int option
 val dir_entries : t -> int -> (string * int) list
@@ -134,27 +126,22 @@ val create_file : t -> dir:int -> name:string -> size:int -> (int, Error.t) resu
 
 val create_file_exn : t -> dir:int -> name:string -> size:int -> int
 
-val create_file_at :
-  t -> time:float -> dir:int -> name:string -> size:int -> (int, Error.t) result
-(** {!create_file} stamping the inode with an explicit [time] instead of
-    the shared fs clock — what parallel replay uses so that worker
-    interleaving never reads or writes the clock. *)
-
 val create_file_at_exn : t -> time:float -> dir:int -> name:string -> size:int -> int
+(** {!create_file_exn} stamping the inode with an explicit [time]
+    instead of the shared fs clock — what parallel replay uses so that
+    worker interleaving never reads or writes the clock. *)
 
 val delete_file : t -> dir:int -> name:string -> (unit, Error.t) result
 (** Errors: [No_such_name], [Is_a_directory]. *)
 
 val delete_file_exn : t -> dir:int -> name:string -> unit
 
-val delete_inum : t -> int -> (unit, Error.t) result
-(** Errors: [No_such_inode] (also for numbers outside every group),
-    [Is_a_directory]; under a {!Locks.with_pin}, [Cross_cg] for an
-    inode of another group — refused before that group's tables are
-    read — or with data or a directory entry outside the pinned group,
-    in every case before any mutation. *)
-
 val delete_inum_exn : t -> int -> unit
+(** Raises {!Error.Error} with [No_such_inode] (also for numbers outside
+    every group) or [Is_a_directory]; under a {!Locks.with_pin}, with
+    [Cross_cg] for an inode of another group — refused before that
+    group's tables are read — or with data or a directory entry outside
+    the pinned group, in every case before any mutation. *)
 
 val rewrite_file : t -> inum:int -> size:int -> (unit, Error.t) result
 (** The paper's model of modification: truncate to zero, then write
@@ -169,11 +156,9 @@ val rewrite_file : t -> inum:int -> size:int -> (unit, Error.t) result
 
 val rewrite_file_exn : t -> inum:int -> size:int -> unit
 
-val rewrite_file_at : t -> time:float -> inum:int -> size:int -> (unit, Error.t) result
-(** {!rewrite_file} stamping mtime with an explicit [time] instead of
-    the shared fs clock. *)
-
 val rewrite_file_at_exn : t -> time:float -> inum:int -> size:int -> unit
+(** {!rewrite_file_exn} stamping mtime with an explicit [time] instead
+    of the shared fs clock. *)
 
 val inode : t -> int -> Inode.t
 (** Raises [Not_found] for unallocated inode numbers, including numbers
@@ -322,12 +307,11 @@ val attach_entry_exn : t -> dir:int -> name:string -> inum:int -> unit
     allocation state must be consistent when called. Raises
     {!Error.Error} with [Name_exists] or [Not_a_directory]. *)
 
-val forget_inode : t -> int -> (unit, Error.t) result
+val forget_inode_exn : t -> int -> unit
 (** Drop a {e file} inode from the inode table, leaving its directory
     entry dangling, its bitmap bits set and its inode slot claimed (a
-    lost inode-block write). Errors: [No_such_inode], [Is_a_directory]. *)
-
-val forget_inode_exn : t -> int -> unit
+    lost inode-block write). Raises {!Error.Error} with [No_such_inode]
+    or [Is_a_directory]. *)
 
 val rebuild_allocation : t -> unit
 (** Rebuild every cylinder group's bitmaps, counters, extent index, inode

@@ -1,13 +1,18 @@
 type metadata_mode = Synchronous | Soft_updates
 
+(* block-address tables, hashed and compared as ints; [Int.hash] equals
+   [Hashtbl.hash], so the soft-update flush walks [dirty_meta] in the
+   generic table's order *)
+module Addrs = Hashtbl.Make (Int)
+
 type t = {
   fs : Fs.t;
   drive : Disk.Drive.t;
   host_gap : float;
   metadata : metadata_mode;
   mutable clock : float;
-  meta_cached : (int, unit) Hashtbl.t;
-  mutable dirty_meta : (int, int) Hashtbl.t;
+  meta_cached : unit Addrs.t;
+  dirty_meta : int Addrs.t;
       (* soft updates: metadata blocks with a pending delayed write
          (addr -> frags) *)
 }
@@ -19,8 +24,8 @@ let create ~fs ~drive ?(host_gap = 0.7e-3) ?(metadata = Synchronous) () =
     host_gap;
     metadata;
     clock = 0.0;
-    meta_cached = Hashtbl.create 256;
-    dirty_meta = Hashtbl.create 64;
+    meta_cached = Addrs.create 256;
+    dirty_meta = Addrs.create 64;
   }
 
 let fs t = t.fs
@@ -29,8 +34,8 @@ let clock t = t.clock
 let reset t =
   t.clock <- 0.0;
   Disk.Drive.reset t.drive;
-  Hashtbl.reset t.meta_cached;
-  Hashtbl.reset t.dirty_meta
+  Addrs.reset t.meta_cached;
+  Addrs.reset t.dirty_meta
 
 let sector_bytes t =
   (Disk.Drive.config t.drive).Disk.Drive.geometry.Disk.Geometry.sector_bytes
@@ -58,9 +63,9 @@ let write_block t ~addr ~frags = request t Disk.Drive.Write ~addr ~frags
 
 (* Read a metadata block through the cache. *)
 let meta_read t ~addr ~frags =
-  if not (Hashtbl.mem t.meta_cached addr) then begin
+  if not (Addrs.mem t.meta_cached addr) then begin
     read_block t ~addr ~frags;
-    Hashtbl.replace t.meta_cached addr ()
+    Addrs.replace t.meta_cached addr ()
   end
 
 (* A metadata update. Synchronously, every update is a disk write before
@@ -72,15 +77,15 @@ let meta_write t ~addr ~frags =
   (match t.metadata with
   | Synchronous -> write_block t ~addr ~frags
   | Soft_updates ->
-      if not (Hashtbl.mem t.dirty_meta addr) then begin
-        if Hashtbl.length t.dirty_meta >= 8 then begin
+      if not (Addrs.mem t.dirty_meta addr) then begin
+        if Addrs.length t.dirty_meta >= 8 then begin
           (* flush the oldest dirty blocks to bound the window *)
-          Hashtbl.iter (fun a f -> write_block t ~addr:a ~frags:f) t.dirty_meta;
-          Hashtbl.reset t.dirty_meta
+          Addrs.iter (fun a f -> write_block t ~addr:a ~frags:f) t.dirty_meta;
+          Addrs.reset t.dirty_meta
         end;
-        Hashtbl.replace t.dirty_meta addr frags
+        Addrs.replace t.dirty_meta addr frags
       end);
-  Hashtbl.replace t.meta_cached addr ()
+  Addrs.replace t.meta_cached addr ()
 
 let fpb t = (Fs.params t.fs).Params.frags_per_block
 
@@ -184,8 +189,8 @@ let sync t =
   (* the fsync path: pending delayed metadata goes to the drive, then
      the volume's backend store is made durable (a real fsync for
      mmap-backed volumes, free for the heap) *)
-  Hashtbl.iter (fun a f -> write_block t ~addr:a ~frags:f) t.dirty_meta;
-  Hashtbl.reset t.dirty_meta;
+  Addrs.iter (fun a f -> write_block t ~addr:a ~frags:f) t.dirty_meta;
+  Addrs.reset t.dirty_meta;
   Fs.sync t.fs
 
 let elapsed_of t action =

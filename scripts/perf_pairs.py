@@ -19,14 +19,19 @@ read, --seconds is left off and perfbench/run.py applies its own
 default. Each run builds its own tree's benchmark from source. The last
 line of each run's output is its JSON result.
 
-Prints every run's end-to-end metrics, plus `setup_host_s`, the
-median set-up in host seconds (not a gated metric: the gated `setup_s`
-is in reference seconds), then one table with a row per workload and
-metric in the format EXPERIMENTS.md uses: q1 / median / q3 for each
-side, how many pairs the change won (ties count for neither side), and
-whether the gain rule holds: the change wins at least nine tenths of
-the pairs and the medians differ by more than the distance between the
-base's quartiles. A metric's better direction comes from BENCHMARK.json.
+Before the runs, prints how each tree is compiled: the build profile
+its dune-workspace names (`dev`, dune's default, when it has none) and
+the `ocamlopt_flags` that `dune printenv` reports for lib/ffs, plus a
+line saying so when the two sides differ; the report repeats these
+lines above its table. Then prints every run's end-to-end metrics,
+plus `setup_host_s`, the median set-up in host seconds (not a gated
+metric: the gated `setup_s` is in reference seconds), then one table
+with a row per workload and metric in the format EXPERIMENTS.md uses:
+q1 / median / q3 for each side, how many pairs the change won (ties
+count for neither side), and whether the gain rule holds: the change
+wins at least nine tenths of the pairs and the medians differ by more
+than the distance between the base's quartiles. A metric's better
+direction comes from BENCHMARK.json.
 
 Exits 1 if any run fails or reports a failed check. Reads perfbench/
 and changes nothing in it.
@@ -44,6 +49,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETUP_HOST = re.compile(r"setup \d+: host ([0-9.]+) s")
+PROFILE = re.compile(r"^\s*\(profile\s+([^\s()]+)\s*\)", re.MULTILINE)
+OCAMLOPT_FLAGS = re.compile(r"\(ocamlopt_flags\s*\(([^()]*)\)\)")
 
 
 def export_tree(rev, dest):
@@ -57,6 +64,28 @@ def export_tree(rev, dest):
         tar.extractall(tree)
     os.remove(archive)
     return tree
+
+
+def build_settings(tree):
+    """[tree]'s build profile and lib/ffs's ocamlopt_flags, as text."""
+    try:
+        with open(os.path.join(tree, "dune-workspace")) as f:
+            m = PROFILE.search(f.read())
+        profile = m.group(1) if m else "dev"
+    except OSError:
+        profile = "dev"
+    dune = shutil.which("dune")
+    cmd = [dune] if dune else ["opam", "exec", "--", "dune"]
+    env = subprocess.run(
+        cmd + ["printenv", "--root", tree, "lib/ffs"],
+        cwd=tree,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    m = OCAMLOPT_FLAGS.search(env.stdout)
+    flags = " ".join(m.group(1).split()) if m else "unknown"
+    return f"profile {profile}, ocamlopt_flags `{flags}`"
 
 
 def benchmark_spec():
@@ -147,6 +176,12 @@ def main():
     try:
         base_tree = export_tree(args.base, scratch)
         sides = {"base": base_tree, "change": ROOT}
+        # read before any run: the change side builds in the working tree
+        builds = {side: build_settings(tree) for side, tree in sides.items()}
+        header = [f"{side} ({tree}): {builds[side]}" for side, tree in sides.items()]
+        if builds["base"] != builds["change"]:
+            header.append("the two sides are compiled differently")
+        print("\n".join(header), flush=True)
         runs = {w: {"base": [], "change": []} for w in workloads}
         for w in workloads:
             for i in range(args.pairs):
@@ -163,6 +198,8 @@ def main():
         if not args.workdir:
             shutil.rmtree(scratch, ignore_errors=True)
 
+    print()
+    print("\n".join(header))
     print()
     print("| workload | seed | pairs | metric | before | after | after wins | gain rule |")
     print("|---|---|---|---|---|---|---|---|")

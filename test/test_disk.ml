@@ -169,6 +169,50 @@ let test_slow_bus_limits_transfers () =
   check_bool "slow bus much slower" true (time slow > 2.0 *. time fast);
   check_bool "slow bus bounded by bus rate" true (time slow > 0.065)
 
+(* Words [f] allocates: in the minor heap, plus directly in the major
+   heap, net of the measurement's own. *)
+let heap_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  let w1 = words () in
+  let v = f () in
+  let w2 = words () in
+  ignore (Sys.opaque_identity v);
+  w2 -. w1 -. (w1 -. w0)
+
+(* Heap words per request over 10,000 scattered 16-sector writes. The
+   geometry and seek arithmetic hand floats across module boundaries,
+   and a float result is boxed only where its call is not inlined, so
+   this guards how the product is compiled: the root dune-workspace's
+   release profile (no -opaque) and its -inline 200. Measured 15.00
+   words; the release profile without -inline 200 gives 25.00, and
+   dune's dev profile (-opaque, no cross-module inlining) 31.00, which
+   fails the bound. Only meaningful in native code (bytecode boxes
+   every float). *)
+let test_drive_words_per_request () =
+  if Sys.backend_type = Sys.Native then begin
+    let d = fresh () in
+    let n = 10_000 in
+    let span = Disk.Geometry.total_sectors geom - 16 in
+    let words =
+      heap_words (fun () ->
+          let now = ref 0.0 in
+          for i = 1 to n do
+            (* a multiplicative hash scatters the targets over the disk *)
+            let lba = (i * 2_654_435_761) land max_int mod span in
+            now := Disk.Drive.service d ~now:!now Disk.Drive.Write ~lba ~nsectors:16
+          done;
+          !now)
+    in
+    let per = words /. float_of_int n in
+    if per > 16.5 then
+      Alcotest.failf "Drive.service allocated %.2f words per request (bound 16.5)" per
+  end
+
 (* --- Raw bench ----------------------------------------------------------------- *)
 
 let test_raw_read_write_shape () =
@@ -241,6 +285,7 @@ let () =
           tc "reset" test_drive_reset;
           tc "max transfer" test_max_transfer;
           tc "slow bus (SparcStation config)" test_slow_bus_limits_transfers;
+          tc "words per request" test_drive_words_per_request;
         ] );
       ( "raw bench",
         [

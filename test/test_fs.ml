@@ -216,14 +216,14 @@ let test_rmdir () =
   let before = Ffs.Fs.free_data_frags fs in
   let d = Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d" in
   ignore (create fs ~dir:d ~name:"f" ~size:100);
-  (match Ffs.Fs.rmdir fs ~parent:(Ffs.Fs.root fs) ~name:"d" with
+  (match Ffs.Error.guard (fun () -> Ffs.Fs.rmdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d") with
   | Error (Ffs.Error.Directory_not_empty _) -> ()
   | Ok () | Error _ -> Alcotest.fail "expected Error Directory_not_empty");
   Ffs.Fs.delete_file_exn fs ~dir:d ~name:"f";
   Ffs.Fs.rmdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d";
   check_int "space returned" before (Ffs.Fs.free_data_frags fs);
   Alcotest.(check (option int)) "gone" None (Ffs.Fs.lookup fs ~dir:(Ffs.Fs.root fs) ~name:"d");
-  (match Ffs.Fs.rmdir fs ~parent:(Ffs.Fs.root fs) ~name:"d" with
+  (match Ffs.Error.guard (fun () -> Ffs.Fs.rmdir_exn fs ~parent:(Ffs.Fs.root fs) ~name:"d") with
   | Error (Ffs.Error.No_such_name _) -> ()
   | Ok () | Error _ -> Alcotest.fail "expected Error No_such_name");
   Ffs.Check.check_invariants fs
@@ -579,7 +579,8 @@ let apply_fork_op fs ~name op =
       Option.iter
         (fun inum -> ignore_full (Ffs.Fs.rewrite_file fs ~inum ~size))
         (pick k (sorted_files fs))
-  | Mkdir -> ignore_full (Ffs.Fs.mkdir fs ~parent:(Ffs.Fs.root fs) ~name)
+  | Mkdir ->
+      ignore_full (Ffs.Error.guard (fun () -> Ffs.Fs.mkdir_exn fs ~parent:(Ffs.Fs.root fs) ~name))
   | Rmdir k ->
       let empty =
         List.filter

@@ -106,12 +106,19 @@ let test_cross_cg_refused () =
   let locks = Ffs.Locks.create ~ncg:params.Ffs.Params.ncg in
   Ffs.Locks.with_pin locks ~cg:0 (fun () ->
       expect_cross_cg "create"
-        (Ffs.Fs.create_file_at fs ~time:1.0 ~dir:dirs.(1) ~name:"foreign" ~size:8192);
+        (Ffs.Error.guard (fun () ->
+             Ffs.Fs.create_file_at_exn fs ~time:1.0 ~dir:dirs.(1) ~name:"foreign" ~size:8192));
       (* a foreign inum is refused before its group's tables are read *)
-      expect_cross_cg "delete_inum" (Ffs.Fs.delete_inum fs foreign);
-      expect_cross_cg "rewrite" (Ffs.Fs.rewrite_file_at fs ~time:1.0 ~inum:foreign ~size:4096);
+      expect_cross_cg "delete_inum"
+        (Ffs.Error.guard (fun () -> Ffs.Fs.delete_inum_exn fs foreign));
+      expect_cross_cg "rewrite"
+        (Ffs.Error.guard (fun () ->
+             Ffs.Fs.rewrite_file_at_exn fs ~time:1.0 ~inum:foreign ~size:4096));
       (* the directory table is shared: no pinned domain writes it *)
-      match Ffs.Fs.mkdir_in_cg fs ~parent:(Ffs.Fs.root fs) ~name:"pinned" ~cg:0 with
+      match
+        Ffs.Error.guard (fun () ->
+            Ffs.Fs.mkdir_in_cg_exn fs ~parent:(Ffs.Fs.root fs) ~name:"pinned" ~cg:0)
+      with
       | Error (Ffs.Error.Cross_cg { cg = -1; pinned = 0 }) -> ()
       | Error e -> Alcotest.failf "mkdir: expected Cross_cg, got %a" Ffs.Error.pp e
       | Ok _ -> Alcotest.fail "mkdir succeeded while pinned");
@@ -131,10 +138,12 @@ let test_cross_cg_refused () =
     | Ok _ -> Alcotest.failf "%s of a shared directory succeeded while pinned" what
   in
   Ffs.Locks.with_pin locks ~cg:1 (fun () ->
-      expect_shared "delete_inum" (Ffs.Fs.delete_inum fork foreign);
+      expect_shared "delete_inum"
+        (Ffs.Error.guard (fun () -> Ffs.Fs.delete_inum_exn fork foreign));
       check_string "fork untouched by the refused delete" fork_before (Ffs.Fs.digest fork);
       expect_shared "create"
-        (Ffs.Fs.create_file_at fork ~time:1.0 ~dir:dirs.(1) ~name:"mine" ~size:8192));
+        (Ffs.Error.guard (fun () ->
+             Ffs.Fs.create_file_at_exn fork ~time:1.0 ~dir:dirs.(1) ~name:"mine" ~size:8192)));
   Alcotest.(check (option int))
     "refused create left no entry" None
     (Ffs.Fs.lookup fork ~dir:dirs.(1) ~name:"mine");
@@ -154,7 +163,7 @@ let test_out_of_range_inum () =
       Alcotest.check_raises (Fmt.str "dir_of_inum %d" inum) Not_found (fun () ->
           ignore (Ffs.Fs.dir_of_inum fs inum));
       check_bool (Fmt.str "file_exists %d" inum) false (Ffs.Fs.file_exists fs inum);
-      match Ffs.Fs.delete_inum fs inum with
+      match Ffs.Error.guard (fun () -> Ffs.Fs.delete_inum_exn fs inum) with
       | Error (Ffs.Error.No_such_inode { inum = i }) -> check_int "inum reported" inum i
       | Error e -> Alcotest.failf "delete_inum %d: expected No_such_inode, got %a" inum Ffs.Error.pp e
       | Ok () -> Alcotest.failf "delete_inum %d succeeded" inum)
@@ -175,7 +184,10 @@ let test_cross_cg_rollback_restores_state () =
      allocation rotors and cumulative stats may move; space must not) *)
   let huge = 20 * 1024 * 1024 in
   Ffs.Locks.with_pin locks ~cg:2 (fun () ->
-      match Ffs.Fs.create_file_at fs ~time:1.0 ~dir:dirs.(2) ~name:"huge" ~size:huge with
+      match
+        Ffs.Error.guard (fun () ->
+            Ffs.Fs.create_file_at_exn fs ~time:1.0 ~dir:dirs.(2) ~name:"huge" ~size:huge)
+      with
       | Error (Ffs.Error.Cross_cg _) -> ()
       | Error e -> Alcotest.failf "expected Cross_cg, got %a" Ffs.Error.pp e
       | Ok _ -> Alcotest.fail "indirect-boundary create succeeded while pinned");
@@ -206,19 +218,21 @@ let test_concurrent_group_ops_safe () =
           let name = Fmt.str "f%d_%d" cg i in
           let size = 1024 + Util.Prng.int rng (96 * 1024) in
           match
-            Ffs.Fs.create_file_at fs ~time:(float_of_int i) ~dir:dirs.(cg) ~name ~size
+            Ffs.Error.guard (fun () ->
+                Ffs.Fs.create_file_at_exn fs ~time:(float_of_int i) ~dir:dirs.(cg) ~name ~size)
           with
           | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> ()
           | Error e -> Ffs.Error.raise_ e
           | Ok inum ->
               if Util.Prng.int rng 3 = 0 then
-                match Ffs.Fs.delete_inum fs inum with
+                match Ffs.Error.guard (fun () -> Ffs.Fs.delete_inum_exn fs inum) with
                 | Ok () | Error (Ffs.Error.Cross_cg _) -> ()
                 | Error e -> Ffs.Error.raise_ e
               else if Util.Prng.int rng 3 = 1 then
+                let size = 1024 + Util.Prng.int rng (32 * 1024) in
                 match
-                  Ffs.Fs.rewrite_file_at fs ~time:(float_of_int i) ~inum
-                    ~size:(1024 + Util.Prng.int rng (32 * 1024))
+                  Ffs.Error.guard (fun () ->
+                      Ffs.Fs.rewrite_file_at_exn fs ~time:(float_of_int i) ~inum ~size)
                 with
                 | Ok () | Error (Ffs.Error.Cross_cg _ | Ffs.Error.Out_of_space) -> ()
                 | Error e -> Ffs.Error.raise_ e)
