@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke perf-pairs repro figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke perf-pairs profile repro figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -51,6 +51,15 @@ BASE ?= HEAD
 W ?= age-serial
 perf-pairs:
 	python3 scripts/perf_pairs.py --base $(BASE) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+
+# a function-level CPU profile of one command: scripts/sampler.c,
+# preloaded, samples the process's own PC on ITIMER_PROF, and
+# scripts/profile.py resolves the samples against a copy of the exact
+# binary that ran. CMD is a built executable with its arguments, not
+# `dune exec` (see scripts/profile.py). Not in verify.
+CMD ?= _build/default/bin/ffs_age.exe -q
+profile: build
+	python3 scripts/profile.py -- $(CMD)
 
 # the paper reproduction at full scale: regenerate every figure's CSV
 # into results/ (three 300-day replays, seqio sweeps, hot files), fail

@@ -35,7 +35,7 @@ let demo ~name ~config =
   in
   let ino = Ffs.Fs.inode fs inum in
   let blocks =
-    Array.to_list (Array.map (fun e -> block_of params e.Ffs.Inode.addr) ino.Ffs.Inode.entries)
+    Array.to_list (Array.map (fun e -> block_of params (Ffs.Inode.addr e)) ino.Ffs.Inode.entries)
   in
   Fmt.pr "  6-block file landed on blocks: %a@."
     Fmt.(list ~sep:(any ", ") int)

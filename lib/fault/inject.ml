@@ -38,7 +38,7 @@ let pick_valid_run fs rng =
          build on those *)
       let valid = Ffs.Check.run_in_data_area fs in
       Array.to_list ino.Inode.entries
-      |> List.filter (fun e -> valid e.Inode.addr e.Inode.frags)
+      |> List.filter (fun e -> valid (Inode.addr e) (Inode.frags e))
       |> pick rng
       |> Option.map (fun e -> (inum, ino, e))
 
@@ -53,7 +53,7 @@ let duplicate_claim fs ~rng =
           Fs.set_entries fs tho (Array.append tho.Inode.entries [| e |]);
           Some
             (Duplicated_claim
-               { victim; thief; addr = e.Inode.addr; frags = e.Inode.frags }))
+               { victim; thief; addr = Inode.addr e; frags = Inode.frags e }))
 
 let drop_claim fs ~rng =
   match pick rng (files_with_entries fs) with
@@ -65,7 +65,7 @@ let drop_claim fs ~rng =
       let e = ino.Inode.entries.(victim) in
       Fs.set_entries fs ino
         (Array.init (n - 1) (fun i -> ino.Inode.entries.(if i < victim then i else i + 1)));
-      Some (Dropped_claim { inum; addr = e.Inode.addr; frags = e.Inode.frags })
+      Some (Dropped_claim { inum; addr = Inode.addr e; frags = Inode.frags e })
 
 let forget_inode fs ~rng =
   match pick rng (file_inums fs) with
@@ -118,7 +118,7 @@ let clear_bitmap_bit fs ~rng =
   match pick_valid_run fs rng with
   | None -> None
   | Some (_, _, e) ->
-      let fragment = e.Inode.addr + Util.Prng.int rng e.Inode.frags in
+      let fragment = Inode.addr e + Util.Prng.int rng (Inode.frags e) in
       let params = Fs.params fs in
       let cg = Params.group_of_frag params fragment in
       let local = fragment - Params.data_base params cg in
@@ -169,7 +169,7 @@ let bad_run fs ~rng =
         else Params.total_frags params + Util.Prng.int rng 1000
       in
       let ino = Fs.inode fs inum in
-      Fs.set_entries fs ino (Array.append ino.Inode.entries [| { Inode.addr; frags } |]);
+      Fs.set_entries fs ino (Array.append ino.Inode.entries [| Inode.entry ~addr ~frags |]);
       Some (Corrupted_run { inum; addr; frags })
 
 let zero_counters fs ~rng =

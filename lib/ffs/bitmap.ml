@@ -81,62 +81,46 @@ let clear t i =
   let b = i lsr 3 in
   put t b (Char.unsafe_chr (Char.code (byte t b) land lnot (1 lsl (i land 7)) land 0xFF))
 
-(* The range operations take whole bytes at a time once aligned: a
-   block's fragment bits are one aligned byte under the standard
-   geometry, so a block claim/free/probe is a single byte access. *)
+(* The range operations visit each byte of the range once: a byte the
+   range covers whole is written outright, a partial one at either end
+   gets one masked read-modify-write. A block's fragment bits are one
+   aligned byte under the standard geometry, so a block claim, free or
+   probe is a single byte access. Loops over refs, not local
+   recursions: a closure capturing [t] would allocate per call. *)
+
+(* The bits of byte [b] that fall in [pos, stop); an empty range
+   ([stop = pos]) visits no byte. *)
+let span_mask ~b ~pos ~stop =
+  let first = b lsl 3 in
+  let lo = Int.max pos first - first and hi = Int.min stop (first + 8) - first in
+  ((1 lsl (hi - lo)) - 1) lsl lo
 
 let set_range t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
   let stop = pos + len in
-  let i = ref pos in
-  while !i < stop && !i land 7 <> 0 do
-    set t !i;
-    incr i
-  done;
-  while stop - !i >= 8 do
-    put t (!i lsr 3) '\255';
-    i := !i + 8
-  done;
-  while !i < stop do
-    set t !i;
-    incr i
+  for b = pos lsr 3 to (stop - 1) asr 3 do
+    let m = span_mask ~b ~pos ~stop in
+    put t b (if m = 0xFF then '\255' else Char.unsafe_chr (Char.code (byte t b) lor m))
   done
 
 let clear_range t ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
   let stop = pos + len in
-  let i = ref pos in
-  while !i < stop && !i land 7 <> 0 do
-    clear t !i;
-    incr i
-  done;
-  while stop - !i >= 8 do
-    put t (!i lsr 3) '\000';
-    i := !i + 8
-  done;
-  while !i < stop do
-    clear t !i;
-    incr i
+  for b = pos lsr 3 to (stop - 1) asr 3 do
+    let m = span_mask ~b ~pos ~stop in
+    put t b (if m = 0xFF then '\000' else Char.unsafe_chr (Char.code (byte t b) land lnot m))
   done
 
-(* Every bit of [pos ..+ len] equal to [v], whole bytes at a time once
-   aligned. A loop over refs rather than a local recursion: the
-   allocator asserts this on every claim and free, and a closure
-   capturing [t] would be a heap allocation per call. *)
+(* Every bit of [pos ..+ len] equal to [v]: under each byte's mask the
+   byte must read all ones or all zeros. *)
 let all_equal t ~pos ~len v =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len);
-  let whole = if v then '\255' else '\000' in
   let stop = pos + len in
-  let i = ref pos and ok = ref true in
-  while !ok && !i < stop do
-    if !i land 7 = 0 && stop - !i >= 8 then begin
-      ok := byte t (!i lsr 3) = whole;
-      i := !i + 8
-    end
-    else begin
-      ok := get t !i = v;
-      incr i
-    end
+  let b = ref (pos lsr 3) and ok = ref true in
+  while !ok && !b lsl 3 < stop do
+    let m = span_mask ~b:!b ~pos ~stop in
+    ok := Char.code (byte t !b) land m = if v then m else 0;
+    incr b
   done;
   !ok
 
@@ -159,15 +143,32 @@ let count_set t =
 
 let count_clear t = t.len - count_set t
 
+(* Lowest clear bit of each byte value (8 for 0xFF). *)
+let lowest_clear =
+  String.init 256 (fun v ->
+      let i = ref 0 in
+      while !i < 8 && v land (1 lsl !i) <> 0 do
+        incr i
+      done;
+      Char.unsafe_chr !i)
+
+(* One byte per step: the bits below [start] in its first byte read as
+   set. A clear bit found in the final byte's padding lies past the
+   end, where no real clear bit can follow. *)
 let find_clear t ~start =
   assert (start >= 0);
-  let rec scan i =
-    if i >= t.len then None
-    else if i land 7 = 0 && i + 8 <= t.len && byte t (i lsr 3) = '\255' then scan (i + 8)
-    else if not (get t i) then Some i
-    else scan (i + 1)
-  in
-  if start >= t.len then None else scan start
+  if start >= t.len then None
+  else begin
+    let last = (t.len - 1) lsr 3 in
+    let b = ref (start lsr 3) in
+    let x = ref (Char.code (byte t !b) lor ((1 lsl (start land 7)) - 1)) in
+    while !x = 0xFF && !b < last do
+      incr b;
+      x := Char.code (byte t !b)
+    done;
+    let i = (!b lsl 3) + Char.code (String.unsafe_get lowest_clear !x) in
+    if !x = 0xFF || i >= t.len then None else Some i
+  end
 
 (* Per-byte run tables, for the allocator's per-block probes (a block's
    fragment bits are one aligned byte): longest clear run in the byte,
@@ -217,18 +218,17 @@ let find_clear_fit t ~pos ~len ~count =
   assert (pos >= 0 && len >= 0 && pos + len <= t.len && count > 0);
   if len = 8 && pos land 7 = 0 && count <= 8 then begin
     match byte_clear_fit.((Char.code (byte t (pos lsr 3)) * 9) + count) with
-    | -1 -> None
-    | off -> Some (pos + off)
+    | -1 -> -1
+    | off -> pos + off
   end
   else begin
     let stop = pos + len in
-    let rec scan i run =
-      if i >= stop then None
-      else if not (get t i) then
-        if run + 1 >= count then Some (i - count + 1) else scan (i + 1) (run + 1)
-      else scan (i + 1) 0
-    in
-    scan pos 0
+    let i = ref pos and run = ref 0 in
+    while !run < count && !i < stop do
+      if get t !i then run := 0 else incr run;
+      incr i
+    done;
+    if !run >= count then !i - count else -1
   end
 
 (* --- raw bytes (for portable serialization) ------------------------------- *)

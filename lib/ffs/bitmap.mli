@@ -2,9 +2,10 @@
 
     A fixed-length vector of bits; a {e set} bit means the resource is
     allocated. Includes the scanning primitives the allocators need
-    (first clear bit, per-block fragment probes). Scans are
-    byte-at-a-time with full-byte shortcuts, which is ample for
-    cylinder-group-sized maps (a few thousand bits).
+    (first clear bit, per-block fragment probes). Range operations and
+    scans touch each byte once — a whole byte directly, a partial one
+    through a mask — which is ample for cylinder-group-sized maps (a
+    few thousand bits).
 
     The bits live in a {!Store}: {!create} gives a standalone map over
     its own little heap store, while {!of_store} views a byte range of a
@@ -51,10 +52,11 @@ val max_clear_run : t -> pos:int -> len:int -> int
     table lookup when the range is one aligned byte (a block's fragment
     bits under the standard geometry). *)
 
-val find_clear_fit : t -> pos:int -> len:int -> count:int -> int option
+val find_clear_fit : t -> pos:int -> len:int -> count:int -> int
 (** First start in [\[pos, pos+len)] of [count] consecutive clear bits
-    lying wholly inside the range — first-fit, same placement as a
-    left-to-right scan; table-driven for one aligned byte. *)
+    lying wholly inside the range, or [-1] when there is none —
+    first-fit, same placement as a left-to-right scan; table-driven for
+    one aligned byte. *)
 
 val to_string : t -> string
 (** The raw backing bytes ([ceil (len/8)] of them; padding bits zero) —

@@ -13,13 +13,18 @@ type t = {
   mutable ndirs : int;
   mutable rotor : int;  (* block index where the last preference-less scan ended *)
   mutable ilow : int;  (* no inode slot below this one is free *)
+  fpb_shift : int;  (* log2 frags_per_block: Params makes it a power of two *)
 }
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let create_in ~store ~base params ~index =
   let regions = Store.Layout.of_params params in
   let nblocks = Params.data_blocks_per_group params in
   let nfrags = nblocks * params.Params.frags_per_block in
   let ninodes = Params.inodes_per_group params in
+  let fpb_shift = log2 params.Params.frags_per_block in
+  assert (1 lsl fpb_shift = params.Params.frags_per_block);
   {
     params;
     cg_index = index;
@@ -38,6 +43,7 @@ let create_in ~store ~base params ~index =
     ndirs = 0;
     rotor = 0;
     ilow = 0;
+    fpb_shift;
   }
 
 let create params ~index =
@@ -114,9 +120,9 @@ let resync_block t b =
    the span move as one index range — one run split or merge however
    long the span — and a partial block at either end re-derives. *)
 let sync_span t ~pos ~count ~claim =
-  let fpb = fpb t in
-  let fb = pos / fpb and lb = (pos + count - 1) / fpb in
-  let head = pos <> fb * fpb and tail = pos + count <> (lb + 1) * fpb in
+  let shift = t.fpb_shift in
+  let fb = pos lsr shift and lb = (pos + count - 1) lsr shift in
+  let head = pos <> fb lsl shift and tail = pos + count <> (lb + 1) lsl shift in
   let first = if head then fb + 1 else fb and last = if tail then lb - 1 else lb in
   if first > last then
     for b = fb to lb do
@@ -162,7 +168,7 @@ let free_frags t ~pos ~count =
 (* Find a [count]-fragment fit inside the (not entirely free) block [b],
    scanning its fragments left to right. *)
 let fit_in_block t b ~count =
-  if block_is_free t b then None
+  if block_is_free t b then -1
   else begin
     let fpb = fpb t in
     Bitmap.find_clear_fit t.frag_used ~pos:(b * fpb) ~len:fpb ~count
@@ -171,15 +177,15 @@ let fit_in_block t b ~count =
 (* first entirely-free block scanning forward from [start], wrapping *)
 let free_block_wrap t ~start =
   let n = data_blocks t in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let start = start mod n in
-    match Extent_index.succ_free t.ext ~start with
-    | Some _ as r -> r
-    | None -> (
-        match Extent_index.succ_free t.ext ~start:0 with
-        | Some b when b < start -> Some b
-        | _ -> None)
+    let b = Extent_index.succ_free t.ext ~start in
+    if b >= 0 then b
+    else begin
+      let b = Extent_index.succ_free t.ext ~start:0 in
+      if b < start then b else -1
+    end
   end
 
 (* The rotationally nearest free block in [pref]'s file-system cylinder
@@ -193,76 +199,85 @@ let free_in_cylinder t ~pref =
   let cyl_blocks = t.params.Params.fs_cylinder_blocks in
   let cyl_start = pref / cyl_blocks * cyl_blocks in
   let cyl_end = Int.min (cyl_start + cyl_blocks) nblocks - 1 in
-  match Extent_index.succ_free t.ext ~start:(pref + 1) with
-  | Some b when b <= cyl_end -> Some b
-  | Some _ | None -> (
-      match Extent_index.succ_free t.ext ~start:cyl_start with
-      | Some b when b < pref -> Some b
-      | Some _ | None -> None)
+  let b = Extent_index.succ_free t.ext ~start:(pref + 1) in
+  if b >= 0 && b <= cyl_end then b
+  else begin
+    let b = Extent_index.succ_free t.ext ~start:cyl_start in
+    if b < pref then b else -1
+  end
 
 (* first in-block [count]-fragment fit, scanning blocks from
    [start_block] with wrap; never breaks a free block *)
 let partial_fit t ~start_block ~count =
   let n = data_blocks t in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let start = start_block mod n in
-    match Extent_index.succ_fit t.ext ~count ~start with
-    | Some b -> fit_in_block t b ~count
-    | None -> (
-        match Extent_index.succ_fit t.ext ~count ~start:0 with
-        | Some b when b < start -> fit_in_block t b ~count
-        | _ -> None)
+    let b = Extent_index.succ_fit t.ext ~count ~start in
+    if b >= 0 then fit_in_block t b ~count
+    else begin
+      let b = Extent_index.succ_fit t.ext ~count ~start:0 in
+      if b >= 0 && b < start then fit_in_block t b ~count else -1
+    end
   end
 
 (* first run of [len] free blocks scanning forward from [start],
    wrapping; a run never wraps around the end of the group *)
 let cluster_first_fit t ~start ~len =
   let n = data_blocks t in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let start = start mod n in
-    match Extent_index.first_fit t.ext ~start ~len with
-    | Some _ as r -> r
-    | None -> (
-        match Extent_index.first_fit t.ext ~start:0 ~len with
-        | Some b when b < start -> Some b
-        | _ -> None)
+    let b = Extent_index.first_fit t.ext ~start ~len in
+    if b >= 0 then b
+    else begin
+      let b = Extent_index.first_fit t.ext ~start:0 ~len in
+      if b < start then b else -1
+    end
   end
 
 (* start of the shortest adequate maximal free run, first occurrence
    winning ties: the run summary knows the shortest adequate length,
    and the winner is the first run of exactly that length *)
 let cluster_best_fit t ~len =
-  match Extent_index.shortest_run t.ext ~len with
-  | None -> None
-  | Some target -> Extent_index.first_run_of t.ext ~len:target
+  let target = Extent_index.shortest_run t.ext ~len in
+  if target < 0 then -1 else Extent_index.first_run_of t.ext ~len:target
 
 (* --- allocation ----------------------------------------------------------- *)
 
-let alloc_block t ~pref =
-  if t.nbfree = 0 then None
+(* The allocators answer [-1] for "none" and take [-1] for "no
+   preference"; the option forms below wrap them for callers off the
+   write path. *)
+let opt i = if i < 0 then None else Some i
+let pref_of = function Some p -> p | None -> -1
+
+let alloc_block_i t ~pref =
+  if t.nbfree = 0 then -1
   else begin
-    let chosen =
-      match pref with
-      | Some b when block_is_free t (b mod data_blocks t) ->
+    let n = data_blocks t in
+    let b =
+      if pref < 0 then free_block_wrap t ~start:t.rotor
+      else begin
+        let p = pref mod n in
+        if block_is_free t p then begin
           Obs.Metrics.inc metrics "ffs_alloc_pref_hit_total";
-          Some (b mod data_blocks t)
-      | Some b -> (
+          p
+        end
+        else begin
           Obs.Metrics.inc metrics "ffs_alloc_pref_miss_total";
-          let b = b mod data_blocks t in
-          match free_in_cylinder t ~pref:b with
-          | Some _ as r -> r
-          | None -> free_block_wrap t ~start:b)
-      | None -> free_block_wrap t ~start:t.rotor
+          let b = free_in_cylinder t ~pref:p in
+          if b >= 0 then b else free_block_wrap t ~start:p
+        end
+      end
     in
-    match chosen with
-    | None -> None
-    | Some b as r ->
-        claim_frags t ~pos:(b * fpb t) ~count:(fpb t);
-        t.rotor <- (b + 1) mod data_blocks t;
-        r
+    if b >= 0 then begin
+      claim_frags t ~pos:(b * fpb t) ~count:(fpb t);
+      t.rotor <- (b + 1) mod n
+    end;
+    b
   end
+
+let alloc_block t ~pref = opt (alloc_block_i t ~pref:(pref_of pref))
 
 let free_block t b = free_frags t ~pos:(b * fpb t) ~count:(fpb t)
 
@@ -279,64 +294,61 @@ let claim_pref_run t ~pref ~max =
     len
   end
 
-let alloc_frags t ~pref ~count =
+let alloc_frags_i t ~pref ~count =
   assert (count >= 1 && count < fpb t);
-  if t.nffree < count then None
+  if t.nffree < count then -1
   else begin
-    let start_block =
-      match pref with Some f -> f / fpb t mod data_blocks t | None -> t.rotor
-    in
-    match partial_fit t ~start_block ~count with
-    | Some pos ->
-        claim_frags t ~pos ~count;
-        Some pos
-    | None -> (
-        (* no fit among partial blocks: break a free block *)
-        match alloc_block t ~pref:(Some start_block) with
-        | None -> None
-        | Some b ->
-            let pos = b * fpb t in
-            (* give back the surplus fragments of the broken block *)
-            free_frags t ~pos:(pos + count) ~count:(fpb t - count);
-            Some pos)
+    let start_block = if pref >= 0 then pref / fpb t mod data_blocks t else t.rotor in
+    let pos = partial_fit t ~start_block ~count in
+    if pos >= 0 then begin
+      claim_frags t ~pos ~count;
+      pos
+    end
+    else begin
+      (* no fit among partial blocks: break a free block *)
+      let b = alloc_block_i t ~pref:start_block in
+      if b < 0 then -1
+      else begin
+        let pos = b * fpb t in
+        (* give back the surplus fragments of the broken block *)
+        free_frags t ~pos:(pos + count) ~count:(fpb t - count);
+        pos
+      end
+    end
   end
+
+let alloc_frags t ~pref ~count = opt (alloc_frags_i t ~pref:(pref_of pref) ~count)
 
 (* static label sets: with metrics off a cluster costs no allocation *)
 let first_fit_labels = Some [ ("policy", "first_fit") ]
 let best_fit_labels = Some [ ("policy", "best_fit") ]
 
-let alloc_cluster t ~policy ~pref ~len =
+let alloc_cluster_i t ~policy ~pref ~len =
   assert (len >= 1);
   (* the run summary rejects hopeless requests without a scan — the
      point of cg_clustersum in the real file system *)
-  if t.nbfree < len || Option.is_none (Extent_index.shortest_run t.ext ~len) then None
+  if t.nbfree < len || Extent_index.shortest_run t.ext ~len < 0 then -1
   else begin
     let nblocks = data_blocks t in
-    let start = match pref with Some b -> b mod nblocks | None -> 0 in
-    let exact_at_pref =
-      match pref with
-      | Some b when b mod nblocks + len <= nblocks
-                    && Bitmap.all_clear t.block_used ~pos:(b mod nblocks) ~len ->
-          Some (b mod nblocks)
-      | Some _ | None -> None
+    let start = if pref >= 0 then pref mod nblocks else 0 in
+    let b =
+      if pref >= 0 && start + len <= nblocks && Bitmap.all_clear t.block_used ~pos:start ~len
+      then start
+      else
+        match policy with
+        | `First_fit -> cluster_first_fit t ~start ~len
+        | `Best_fit -> cluster_best_fit t ~len
     in
-    let found =
-      match exact_at_pref with
-      | Some _ as r -> r
-      | None -> (
-          match policy with
-          | `First_fit -> cluster_first_fit t ~start ~len
-          | `Best_fit -> cluster_best_fit t ~len)
-    in
-    match found with
-    | None -> None
-    | Some b ->
-        claim_frags t ~pos:(b * fpb t) ~count:(len * fpb t);
-        Obs.Metrics.inc metrics
-          ?labels:(match policy with `First_fit -> first_fit_labels | `Best_fit -> best_fit_labels)
-          "ffs_alloc_clusters_total";
-        Some b
+    if b >= 0 then begin
+      claim_frags t ~pos:(b * fpb t) ~count:(len * fpb t);
+      Obs.Metrics.inc metrics
+        ?labels:(match policy with `First_fit -> first_fit_labels | `Best_fit -> best_fit_labels)
+        "ffs_alloc_clusters_total"
+    end;
+    b
   end
+
+let alloc_cluster t ~policy ~pref ~len = opt (alloc_cluster_i t ~policy ~pref:(pref_of pref) ~len)
 
 let longest_free_run t = Extent_index.longest_run t.ext
 

@@ -53,6 +53,17 @@ val block_is_free : t -> int -> bool
 
 val frag_is_free : t -> int -> bool
 
+(** {2 Allocation}
+
+    Each allocator comes in two forms. The [_i] form, which {!Fs}'s
+    write path uses, takes [-1] for "no preference" and answers [-1]
+    for "none", so a search allocates nothing on the heap. The option
+    form wraps it for callers off that path; the two place identically.
+    A preference is never negative otherwise. *)
+
+val alloc_block_i : t -> pref:int -> int
+(** {!alloc_block} with a sentinel preference and result. *)
+
 val alloc_block : t -> pref:int option -> int option
 (** Allocate one full block. If [pref] (a block index, taken mod the
     group size) is free it is taken; otherwise the rotationally nearest
@@ -72,6 +83,9 @@ val claim_pref_run : t -> pref:int -> max:int -> int
     the last, would leave them while they hit. [pref] must be a block
     index of the group and [max >= 1]. *)
 
+val alloc_frags_i : t -> pref:int -> count:int -> int
+(** {!alloc_frags} with a sentinel preference and result. *)
+
 val alloc_frags : t -> pref:int option -> count:int -> int option
 (** Allocate a run of [count] (1 .. frags_per_block-1) fragments inside a
     single block, as FFS does for file tails: first a fit inside an
@@ -84,6 +98,9 @@ val free_block : t -> int -> unit
 
 val free_frags : t -> pos:int -> count:int -> unit
 (** Return a fragment run (possibly a whole block) to the free pool. *)
+
+val alloc_cluster_i : t -> policy:[ `First_fit | `Best_fit ] -> pref:int -> len:int -> int
+(** {!alloc_cluster} with a sentinel preference and result. *)
 
 val alloc_cluster :
   t -> policy:[ `First_fit | `Best_fit ] -> pref:int option -> len:int -> int option

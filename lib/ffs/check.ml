@@ -72,7 +72,7 @@ let claim_table fs ~bad ~claim =
       let entries = ino.Inode.entries and indirects = ino.Inode.indirect_addrs in
       let dropped_entries = ref [] and dropped_indirects = ref [] in
       for i = 0 to Array.length entries - 1 do
-        if not (keep inum entries.(i).Inode.addr entries.(i).Inode.frags) then
+        if not (keep inum (Inode.addr entries.(i)) (Inode.frags entries.(i))) then
           dropped_entries := i :: !dropped_entries
       done;
       for i = 0 to Array.length indirects - 1 do

@@ -214,10 +214,16 @@ let copy t =
 
 let block_maxrun t b = Char.code (Bytes.get t.maxrun b)
 
-(* public queries answer in options; the sentinel stays inside *)
-let opt j = if j < 0 then None else Some j
+(* An inline loop, not [Bytes.fill]: a range is usually one block, and
+   the C call costs more than the store. *)
+let fill_maxrun t ~first ~len v =
+  let c = Char.unsafe_chr v in
+  for b = first to first + len - 1 do
+    Bytes.unsafe_set t.maxrun b c
+  done
 
-let succ_free t ~start = opt (Hier.succ t.free start)
+(* Queries answer [-1] for "none": an option would allocate per search. *)
+let succ_free t ~start = Hier.succ t.free start
 
 let run_end t b =
   let u = Hier.succ t.used b in
@@ -241,7 +247,7 @@ let take_range t ~first ~len =
   drop_run t (e - s + 1);
   Hier.clear_range t.free ~pos:first ~len;
   Hier.set_range t.used ~pos:first ~len;
-  Bytes.fill t.maxrun first len '\000';
+  fill_maxrun t ~first ~len 0;
   add_run t ~s ~e:(first - 1);
   add_run t ~s:(last + 1) ~e
 
@@ -261,7 +267,7 @@ let give_range t ~first ~len =
   (* clear_range checks that every block was used *)
   Hier.clear_range t.used ~pos:first ~len;
   Hier.set_range t.free ~pos:first ~len;
-  Bytes.fill t.maxrun first len (Char.chr t.fpb);
+  fill_maxrun t ~first ~len t.fpb;
   add_run t ~s:(first - left) ~e:(last + right)
 
 let update t b ~maxrun =
@@ -285,9 +291,9 @@ let update t b ~maxrun =
 
 let succ_fit t ~count ~start =
   assert (count >= 1 && count < t.fpb);
-  opt (Hier.succ t.fit.(count - 1) start)
+  Hier.succ t.fit.(count - 1) start
 
-let shortest_run t ~len = opt (Hier.succ t.lens len)
+let shortest_run t ~len = Hier.succ t.lens len
 
 (* Past the run holding [pos], every hop lands on a run start, where
    [lengths] is valid: one successor query on [free] per run. The first
@@ -302,10 +308,10 @@ let rec first_fit_hop t ~s ~len =
 let first_fit t ~start ~len =
   assert (len >= 1);
   let s = Hier.succ t.free start in
-  if s < 0 || s + len > t.nblocks then None
+  if s < 0 || s + len > t.nblocks then -1
   else begin
     let e = run_end t s in
-    if e - s + 1 >= len then Some s else opt (first_fit_hop t ~s:(Hier.succ t.free (e + 1)) ~len)
+    if e - s + 1 >= len then s else first_fit_hop t ~s:(Hier.succ t.free (e + 1)) ~len
   end
 
 let rec first_run_hop t ~s ~len =
@@ -316,7 +322,7 @@ let rec first_run_hop t ~s ~len =
   end
 
 (* block 0 starts a run if free, so every hop reads [lengths] *)
-let first_run_of t ~len = opt (first_run_hop t ~s:(Hier.succ t.free 0) ~len)
+let first_run_of t ~len = first_run_hop t ~s:(Hier.succ t.free 0) ~len
 
 let longest_run t =
   let rec go l = if l = 0 || count_of t l > 0 then l else go (l - 1) in

@@ -63,30 +63,32 @@ val give_range : t -> first:int -> len:int -> unit
 val block_maxrun : t -> int -> int
 (** The recorded in-block longest free run (for audits and tests). *)
 
-(** {2 Queries} — all successor-style, [O(log nblocks)]. *)
+(** {2 Queries} — all successor-style, [O(log nblocks)]. Each answers
+    [-1] for "none", so a search allocates nothing; only {!Cg} calls
+    them. *)
 
-val succ_free : t -> start:int -> int option
+val succ_free : t -> start:int -> int
 (** First entirely-free block at index [>= start]. *)
 
 val run_end : t -> int -> int
 (** Last block of the free run holding free block [b]: one successor
     query on the used hierarchy. *)
 
-val succ_fit : t -> count:int -> start:int -> int option
+val succ_fit : t -> count:int -> start:int -> int
 (** First partially-filled block at index [>= start] holding a free
     fragment run of [>= count] fragments ([1 <= count < fpb]). *)
 
-val shortest_run : t -> len:int -> int option
-(** Length of the shortest maximal free-block run of [>= len] blocks, if
-    any — the cluster summary's "can this request succeed" and
+val shortest_run : t -> len:int -> int
+(** Length of the shortest maximal free-block run of [>= len] blocks
+    ([-1] if none) — the cluster summary's "can this request succeed" and
     best-fit's target length in one query. *)
 
-val first_fit : t -> start:int -> len:int -> int option
+val first_fit : t -> start:int -> len:int -> int
 (** First block [s >= start] that begins [len] free blocks, all inside
     the group (no wrap). Hops from free run to free run: one successor
     query per run, each run's length read from its endpoint. *)
 
-val first_run_of : t -> len:int -> int option
+val first_run_of : t -> len:int -> int
 (** Start of the lowest-addressed maximal free run of exactly [len]
     blocks — best-fit's winner once {!shortest_run} names the length. *)
 

@@ -352,20 +352,31 @@ let overflow t pin ~cg ~f =
       addr
   | None -> Error.raise_ Error.Out_of_space
 
-(* Preference for the block following global address [prev]: the next
-   block slot, which may fall past the end of the group's data area — in
-   which case prefer the start of the next group. *)
+(* [g]'s fragment index in its group's data area, or -1 when [g] lies
+   past the volume or outside its group's data area. *)
+let data_local t g =
+  if g >= t.geo.nfrags then -1
+  else begin
+    let cg = cg_of_global t g in
+    let local = g - data_base t cg in
+    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then -1 else local
+  end
+
+(* Preference for the block following global address [prev], as a
+   global fragment address: the next block slot, which may fall past
+   the end of the group's data area — in which case prefer the start of
+   the next group's (group 0's past the end of the volume). One int, so
+   a preference allocates no pair. *)
 let pref_after_block t prev =
   (* rotdelay leaves a gap of whole blocks between a file's consecutive
      blocks (0 on the paper's system: its drive has a track buffer) *)
   let g = prev + (fpb t * (1 + t.params.Params.rotdelay_blocks)) in
-  if g >= t.geo.nfrags then (0, 0)
-  else begin
-    let cg = cg_of_global t g in
-    let local = g - data_base t cg in
-    if local < 0 || local >= Cg.data_frags t.cgs.(cg) then ((cg + 1) mod t.params.Params.ncg, 0)
-    else (cg, local / fpb t)
-  end
+  if data_local t g >= 0 then g
+  else if g >= t.geo.nfrags then data_base t 0
+  else data_base t ((cg_of_global t g + 1) mod t.params.Params.ncg)
+
+(* block index of global address [pref] in its group [cg] *)
+let block_in t ~cg pref = (pref - data_base t cg) / fpb t
 
 let count_block stats ~contig =
   stats.blocks_allocated <- stats.blocks_allocated + 1;
@@ -374,10 +385,10 @@ let count_block stats ~contig =
 let count_frags stats ~count = stats.frags_allocated <- stats.frags_allocated + count
 
 (* The bookkeeping of one placed block, however it was found: counters,
-   journal step, metrics, heatmap and trace, all per block. *)
-let note_block t pin ~pref_cg ~addr ~contig =
+   journal step, metrics, heatmap and trace, all per block. [cg] is the
+   block's group, which the caller knows. *)
+let note_block t pin ~pref_cg ~cg ~addr ~contig =
   count_block (counts t pin) ~contig;
-  let cg = cg_of_global t addr in
   if recording t then jot t (Journal.Data_set { addr; frags = fpb t });
   Obs.Metrics.inc metrics "ffs_alloc_blocks_total";
   if contig then Obs.Metrics.inc metrics "ffs_alloc_contiguous_total";
@@ -404,31 +415,28 @@ let follows t ~prev addr = prev <> no_prev && addr = prev + fpb t
 let alloc_block t ~pref_cg ~pref_block ~prev =
   let pin = Locks.pinned () in
   confine pin ~cg:pref_cg;
+  let b = Cg.alloc_block_i t.cgs.(pref_cg) ~pref:pref_block in
   let addr =
-    match Cg.alloc_block t.cgs.(pref_cg) ~pref:(Some pref_block) with
-    | Some b -> global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
-    | None ->
-        overflow t pin ~cg:pref_cg ~f:(fun c ->
-            let pref = if c = pref_cg then Some pref_block else None in
-            match Cg.alloc_block t.cgs.(c) ~pref with
-            | Some b -> Some (global_of_local t ~cg:c ~frag:(b * fpb t))
-            | None -> None)
+    if b >= 0 then global_of_local t ~cg:pref_cg ~frag:(b * fpb t)
+    else
+      overflow t pin ~cg:pref_cg ~f:(fun c ->
+          let b = Cg.alloc_block_i t.cgs.(c) ~pref:(if c = pref_cg then pref_block else -1) in
+          if b < 0 then None else Some (global_of_local t ~cg:c ~frag:(b * fpb t)))
   in
-  note_block t pin ~pref_cg ~addr ~contig:(follows t ~prev addr);
+  note_block t pin ~pref_cg ~cg:(cg_of_global t addr) ~addr ~contig:(follows t ~prev addr);
   addr
 
+(* [pref_frag] is a local fragment of [pref_cg], or -1 for none *)
 let alloc_frags t ~pref_cg ~pref_frag ~count =
   let pin = Locks.pinned () in
   confine pin ~cg:pref_cg;
+  let f = Cg.alloc_frags_i t.cgs.(pref_cg) ~pref:pref_frag ~count in
   let addr =
-    match Cg.alloc_frags t.cgs.(pref_cg) ~pref:pref_frag ~count with
-    | Some f -> global_of_local t ~cg:pref_cg ~frag:f
-    | None ->
-        overflow t pin ~cg:pref_cg ~f:(fun c ->
-            let pref = if c = pref_cg then pref_frag else None in
-            match Cg.alloc_frags t.cgs.(c) ~pref ~count with
-            | Some f -> Some (global_of_local t ~cg:c ~frag:f)
-            | None -> None)
+    if f >= 0 then global_of_local t ~cg:pref_cg ~frag:f
+    else
+      overflow t pin ~cg:pref_cg ~f:(fun c ->
+          let f = Cg.alloc_frags_i t.cgs.(c) ~pref:(if c = pref_cg then pref_frag else -1) ~count in
+          if f < 0 then None else Some (global_of_local t ~cg:c ~frag:f))
   in
   count_frags (counts t pin) ~count;
   let cg = cg_of_global t addr in
@@ -464,19 +472,19 @@ let release t ~cg ~addr ~frags =
 let free_entry_range t entries ~first ~stop =
   let i = ref first in
   while !i < stop do
-    let addr = entries.(!i).Inode.addr in
+    let addr = Inode.addr entries.(!i) in
     let cg = cg_of_global t addr in
     confine (Locks.pinned ()) ~cg;
     let data_end = data_base t cg + Cg.data_frags t.cgs.(cg) in
-    let j = ref (!i + 1) and fin = ref (addr + entries.(!i).Inode.frags) in
-    while !j < stop && entries.(!j).Inode.addr = !fin && !fin < data_end do
-      fin := !fin + entries.(!j).Inode.frags;
+    let j = ref (!i + 1) and fin = ref (addr + Inode.frags entries.(!i)) in
+    while !j < stop && Inode.addr entries.(!j) = !fin && !fin < data_end do
+      fin := !fin + Inode.frags entries.(!j);
       incr j
     done;
     if recording t then
       for k = !i to !j - 1 do
         let e = entries.(k) in
-        jot t (Journal.Data_clear { addr = e.Inode.addr; frags = e.Inode.frags })
+        jot t (Journal.Data_clear { addr = Inode.addr e; frags = Inode.frags e })
       done;
     release t ~cg ~addr ~frags:(!fin - addr);
     i := !j
@@ -541,7 +549,7 @@ type walk = {
   mutable win_cg : int;
 }
 
-let unfilled = { Inode.addr = -1; frags = 0 }
+let unfilled = Inode.entry ~addr:(-1) ~frags:0
 
 let new_walk ~entries ~indirects =
   {
@@ -555,16 +563,18 @@ let new_walk ~entries ~indirects =
     win_cg = -1;
   }
 
+(* a loop over refs: a local recursion would capture [t] and [walk]
+   in a closure per call *)
 let window_is_contiguous t walk =
-  let rec loop i =
-    if i >= walk.win_len then true
-    else begin
-      let a = walk.entries.(walk.win_start + i - 1).Inode.addr in
-      let b = walk.entries.(walk.win_start + i).Inode.addr in
-      b = a + fpb t && loop (i + 1)
-    end
-  in
-  loop 1
+  let i = ref 1 in
+  while
+    !i < walk.win_len
+    && Inode.addr walk.entries.(walk.win_start + !i)
+       = Inode.addr walk.entries.(walk.win_start + !i - 1) + fpb t
+  do
+    incr i
+  done;
+  !i >= walk.win_len
 
 (* Flush the open realloc window: if its blocks are not already
    physically contiguous, try to move them as one unit into a free
@@ -577,20 +587,20 @@ let flush_window t walk =
     if not (window_is_contiguous t walk) then begin
       let cg = walk.win_cg in
       let pref =
-        if walk.win_start = 0 then None
+        if walk.win_start = 0 then -1
         else begin
-          let before = walk.entries.(walk.win_start - 1).Inode.addr in
-          let pcg, pblock = pref_after_block t before in
-          if pcg = cg then Some pblock else None
+          let p = pref_after_block t (Inode.addr walk.entries.(walk.win_start - 1)) in
+          if cg_of_global t p = cg then block_in t ~cg p else -1
         end
       in
-      match
-        Cg.alloc_cluster t.cgs.(cg) ~policy:t.cfg.cluster_policy ~pref ~len:walk.win_len
-      with
-      | None ->
-          c.realloc_failures <- c.realloc_failures + 1;
-          Obs.Metrics.inc metrics "ffs_realloc_failures_total"
-      | Some base_block ->
+      let base_block =
+        Cg.alloc_cluster_i t.cgs.(cg) ~policy:t.cfg.cluster_policy ~pref ~len:walk.win_len
+      in
+      if base_block < 0 then begin
+        c.realloc_failures <- c.realloc_failures + 1;
+        Obs.Metrics.inc metrics "ffs_realloc_failures_total"
+      end
+      else begin
           c.realloc_moves <- c.realloc_moves + 1;
           Obs.Metrics.inc metrics "ffs_realloc_moves_total";
           Obs.Metrics.add metrics "ffs_realloc_moved_blocks_total" walk.win_len;
@@ -600,28 +610,29 @@ let flush_window t walk =
               [
                 Obs.Trace.i "cg" cg;
                 Obs.Trace.i "len" walk.win_len;
-                Obs.Trace.i "from" walk.entries.(walk.win_start).Inode.addr;
+                Obs.Trace.i "from" (Inode.addr walk.entries.(walk.win_start));
                 Obs.Trace.i "to" (global_of_local t ~cg ~frag:(base_block * fpb t));
               ];
           let stop = walk.win_start + walk.win_len in
           free_entry_range t walk.entries ~first:walk.win_start ~stop;
           for k = walk.win_start to stop - 1 do
             let addr = global_of_local t ~cg ~frag:((base_block + k - walk.win_start) * fpb t) in
-            walk.entries.(k) <- { (walk.entries.(k)) with Inode.addr }
+            walk.entries.(k) <- Inode.entry ~addr ~frags:(Inode.frags walk.entries.(k))
           done;
-          walk.prev <- walk.entries.(stop - 1).Inode.addr
+          walk.prev <- Inode.addr walk.entries.(stop - 1)
+      end
     end
   end;
   walk.win_start <- walk.win_start + walk.win_len;
   walk.win_len <- 0;
   walk.win_cg <- -1
 
-let push_block t walk addr =
-  let cg = cg_of_global t addr in
+(* [cg] is [addr]'s group, which the caller knows *)
+let push_block t walk ~cg addr =
   (* a window must stay within one group; close the open one first if
      this block landed elsewhere (win_len does not yet include it) *)
   if walk.win_len > 0 && cg <> walk.win_cg then flush_window t walk;
-  walk.entries.(walk.len) <- { Inode.addr; frags = fpb t };
+  walk.entries.(walk.len) <- Inode.entry ~addr ~frags:(fpb t);
   walk.len <- walk.len + 1;
   walk.prev <- addr;
   if walk.win_len = 0 then begin
@@ -699,39 +710,39 @@ let allocate_data t ~home_cg ~size =
           walk.prev <- addr
         done
       end;
-      let pref_cg, pref_block =
-        if walk.prev = no_prev then (home_cg, 0) else pref_after_block t walk.prev
-      in
+      let pref = if walk.prev = no_prev then data_base t home_cg else pref_after_block t walk.prev in
+      let pref_cg = cg_of_global t pref in
+      let pref_block = block_in t ~cg:pref_cg pref in
       confine pin ~cg:pref_cg;
       let max = run_cap t walk ~lbn:at ~nfull ~pref_cg in
       let n = Cg.claim_pref_run t.cgs.(pref_cg) ~pref:pref_block ~max in
-      if n = 0 then push_block t walk (alloc_block t ~pref_cg ~pref_block ~prev:walk.prev)
+      if n = 0 then begin
+        let addr = alloc_block t ~pref_cg ~pref_block ~prev:walk.prev in
+        push_block t walk ~cg:(cg_of_global t addr) addr
+      end
       else
         for i = 0 to n - 1 do
           let addr = global_of_local t ~cg:pref_cg ~frag:((pref_block + i) * fpb t) in
-          note_block t pin ~pref_cg ~addr ~contig:(follows t ~prev:walk.prev addr);
-          push_block t walk addr
+          note_block t pin ~pref_cg ~cg:pref_cg ~addr ~contig:(follows t ~prev:walk.prev addr);
+          push_block t walk ~cg:pref_cg addr
         done;
       lbn := at + Int.max n 1
     done;
     flush_window t walk;
     if tail_frags > 0 then begin
-      let pref_cg, pref_frag =
-        if walk.prev = no_prev then (home_cg, Some 0)
-        else begin
-          let g = walk.prev + fpb t in
-          if g >= t.geo.nfrags then (home_cg, None)
-          else begin
-            let cg = cg_of_global t g in
-            let local = g - data_base t cg in
-            if local < 0 || local >= Cg.data_frags t.cgs.(cg) then
-              ((cg + 1) mod params.Params.ncg, None)
-            else (cg, Some local)
-          end
-        end
+      (* the tail prefers the fragment right after the last block; when
+         that is off the data area, any fragment of the next group (of
+         the home group past the volume's end); a file that is only a
+         tail, its home group's first fragment *)
+      let g = walk.prev + fpb t in
+      let pref_frag = if walk.prev = no_prev then 0 else data_local t g in
+      let pref_cg =
+        if walk.prev = no_prev || g >= t.geo.nfrags then home_cg
+        else if pref_frag >= 0 then cg_of_global t g
+        else (cg_of_global t g + 1) mod params.Params.ncg
       in
       let addr = alloc_frags t ~pref_cg ~pref_frag ~count:tail_frags in
-      walk.entries.(walk.len) <- { Inode.addr; frags = tail_frags };
+      walk.entries.(walk.len) <- Inode.entry ~addr ~frags:tail_frags;
       walk.len <- walk.len + 1
     end;
     assert (walk.len = Array.length walk.entries && walk.nind = Array.length walk.indirects);
@@ -763,18 +774,18 @@ let maybe_extend_dir t dir =
     let cg = cg_of_inum t dir.dir_inum in
     let pref =
       match Array.length ino.Inode.entries with
-      | 0 -> Some 0
+      | 0 -> 0
       | n ->
           let last = ino.Inode.entries.(n - 1) in
-          let g = last.Inode.addr + last.Inode.frags in
+          let g = Inode.addr last + Inode.frags last in
           let lcg = if g >= t.geo.nfrags then cg else cg_of_global t g in
-          if lcg = cg then Some (g - data_base t cg) else None
+          if lcg = cg then g - data_base t cg else -1
     in
     let addr = alloc_frags t ~pref_cg:cg ~pref_frag:pref ~count:1 in
     let ino =
       {
         ino with
-        Inode.entries = Array.append ino.Inode.entries [| { Inode.addr; frags = 1 } |];
+        Inode.entries = Array.append ino.Inode.entries [| Inode.entry ~addr ~frags:1 |];
         size = ino.Inode.size + t.params.Params.frag_bytes;
       }
     in
@@ -832,13 +843,13 @@ let make_dir_at t ~cg ~time =
   | None -> Error.raise_ Error.Out_of_space
   | Some inum ->
       (* initial directory data: one fragment in its own group *)
-      let addr = alloc_frags t ~pref_cg:(cg_of_inum t inum) ~pref_frag:(Some 0) ~count:1 in
+      let addr = alloc_frags t ~pref_cg:(cg_of_inum t inum) ~pref_frag:0 ~count:1 in
       let ino =
         {
           Inode.inum;
           kind = Inode.Dir;
           size = t.params.Params.frag_bytes;
-          entries = [| { Inode.addr; frags = 1 } |];
+          entries = [| Inode.entry ~addr ~frags:1 |];
           indirect_addrs = [||];
           ctime = time;
           mtime = time;
@@ -1045,7 +1056,7 @@ let assert_data_local t ~pin ino =
     let cg = cg_of_global t addr in
     if cg <> pin then Error.raise_ (Error.Cross_cg { cg; pinned = pin })
   in
-  Array.iter (fun e -> check e.Inode.addr) ino.Inode.entries;
+  Array.iter (fun e -> check (Inode.addr e)) ino.Inode.entries;
   Array.iter check ino.Inode.indirect_addrs
 
 (* The file inode [inum] names, for [op]. A pinned caller is refused
@@ -1157,7 +1168,7 @@ let rebuild_allocation t =
         let cg, frag = local_of_global t addr in
         Cg.mark_frags_used t.cgs.(cg) ~pos:frag ~count:frags
       in
-      Array.iter (fun e -> mark e.Inode.addr e.Inode.frags) ino.Inode.entries;
+      Array.iter (fun e -> mark (Inode.addr e) (Inode.frags e)) ino.Inode.entries;
       Array.iter (fun a -> mark a (fpb t)) ino.Inode.indirect_addrs);
   Dirs.iter
     (fun inum _ ->
@@ -1181,6 +1192,21 @@ type portable_dir = {
   pd_live : int;
 }
 
+(* A run and an inode as the portable form keeps them: the records
+   they were before runs were packed into ints, field for field, so
+   images, checkpoints and digest parts marshal to the same bytes. *)
+type portable_run = { addr : int; frags : int }
+
+type portable_inode = {
+  pi_inum : int;
+  pi_kind : Inode.kind;
+  pi_size : int;
+  pi_entries : portable_run array;
+  pi_indirect_addrs : int array;
+  pi_ctime : float;
+  pi_mtime : float;
+}
+
 type portable = {
   pf_params : Params.t;
   pf_config : config;
@@ -1188,7 +1214,7 @@ type portable = {
   pf_root : int;
   pf_stats : stats;
   pf_cgs : Cg.portable array;
-  pf_inodes : (int * Inode.t) list;  (* sorted by inum *)
+  pf_inodes : (int * portable_inode) list;  (* sorted by inum *)
   pf_dirs : (int * portable_dir) list;  (* sorted by inum *)
   pf_parents : (int * (int * string)) list;  (* sorted by inum *)
 }
@@ -1207,6 +1233,44 @@ let shard_bindings t table =
   done;
   !acc
 
+(* The float fields are copied as the pointers they are, so a record
+   whose two times share one box keeps sharing it, as Marshal saw it. *)
+let portable_inode (ino : Inode.t) =
+  {
+    pi_inum = ino.inum;
+    pi_kind = ino.kind;
+    pi_size = ino.size;
+    pi_entries =
+      Array.map (fun e -> { addr = Inode.addr e; frags = Inode.frags e }) ino.entries;
+    pi_indirect_addrs = ino.indirect_addrs;
+    pi_ctime = ino.ctime;
+    pi_mtime = ino.mtime;
+  }
+
+let inode_of_portable pi =
+  let entry r =
+    if r.frags < 0 || r.frags > 15 then
+      Error.raise_
+        (Error.Corrupt
+           (Fmt.str "portable image: inode %d has a run of %d fragments" pi.pi_inum r.frags));
+    let e = Inode.entry ~addr:r.addr ~frags:r.frags in
+    if Inode.addr e <> r.addr then
+      Error.raise_
+        (Error.Corrupt
+           (Fmt.str "portable image: inode %d has a run address %d out of range" pi.pi_inum
+              r.addr));
+    e
+  in
+  {
+    Inode.inum = pi.pi_inum;
+    kind = pi.pi_kind;
+    size = pi.pi_size;
+    entries = Array.map entry pi.pi_entries;
+    indirect_addrs = pi.pi_indirect_addrs;
+    ctime = pi.pi_ctime;
+    mtime = pi.pi_mtime;
+  }
+
 let to_portable t =
   {
     pf_params = t.params;
@@ -1215,7 +1279,8 @@ let to_portable t =
     pf_root = t.root_inum;
     pf_stats = stats t;
     pf_cgs = Array.map Cg.to_portable t.cgs;
-    pf_inodes = shard_bindings t (fun sh -> sh.inodes);
+    pf_inodes =
+      List.map (fun (inum, ino) -> (inum, portable_inode ino)) (shard_bindings t (fun sh -> sh.inodes));
     pf_dirs =
       List.map
         (fun dnum ->
@@ -1278,9 +1343,9 @@ let of_portable ?(backend = Store.Heap_backend) p =
       Error.raise_ (Error.Corrupt (Fmt.str "portable image: %s %d out of range" what inum))
   in
   List.iter
-    (fun (inum, ino) ->
+    (fun (inum, pi) ->
       in_range "inode" inum;
-      set_inode t inum (Some ino))
+      set_inode t inum (Some (inode_of_portable pi)))
     p.pf_inodes;
   List.iter
     (fun (inum, v) ->

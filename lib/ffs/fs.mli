@@ -247,6 +247,23 @@ type portable_dir = {
   pd_live : int;
 }
 
+type portable_run = { addr : int; frags : int }
+(** A data run as the portable form keeps it: the record {!Inode.entry}
+    was before runs were packed into ints. *)
+
+type portable_inode = {
+  pi_inum : int;
+  pi_kind : Inode.kind;
+  pi_size : int;
+  pi_entries : portable_run array;
+  pi_indirect_addrs : int array;
+  pi_ctime : float;
+  pi_mtime : float;
+}
+(** An {!Inode.t} with its runs as {!portable_run} records, field for
+    field in {!Inode.t}'s order, so images, checkpoints and digests
+    marshal to the bytes they had when inodes held such records. *)
+
 type portable = {
   pf_params : Params.t;
   pf_config : config;
@@ -254,7 +271,7 @@ type portable = {
   pf_root : int;
   pf_stats : stats;
   pf_cgs : Cg.portable array;
-  pf_inodes : (int * Inode.t) list;
+  pf_inodes : (int * portable_inode) list;
   pf_dirs : (int * portable_dir) list;
   pf_parents : (int * (int * string)) list;
 }
@@ -262,13 +279,16 @@ type portable = {
 val to_portable : t -> portable
 (** Flatten to the canonical form: raw bitmap bytes plus counters per
     group (no derived indexes), tables as sorted
-    association lists, sharing the immutable inode records. Independent
-    of the storage backend and safe to [Marshal]. *)
+    association lists, each inode's packed runs unpacked into
+    {!portable_run} records. Independent of the storage backend and
+    safe to [Marshal]. *)
 
 val of_portable : ?backend:Store.spec -> portable -> t
 (** Rebuild a live file system (derived indexes reconstructed from the
-    bitmaps) on the chosen backend. Raises [Error.Error Corrupt] if a
-    group's bitmap strings disagree with the geometry. *)
+    bitmaps, runs packed) on the chosen backend. Raises
+    [Error.Error Corrupt] if a group's bitmap strings disagree with the
+    geometry, or a run's [frags] lies outside [0..15] or its address
+    does not pack. *)
 
 val digest_portable : portable -> string
 (** [digest_portable (to_portable t) = digest t]. *)

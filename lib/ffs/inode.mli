@@ -10,11 +10,28 @@
     [frags = frags_per_block]; the final run of a small file may be a
     shorter fragment run.
 
+    A run is one packed [int] — the address above four bits of
+    fragment count — as FFS keeps an inode's block map as a flat array
+    of disk addresses ([di_db]). An [entries] array is therefore a flat
+    int array: building or storing a run allocates nothing and runs no
+    write barrier. {!Fs.portable} still persists runs as
+    [{addr; frags}] records, so images and checkpoints are unchanged.
+
     A record is immutable, and so are its arrays once it is installed in
     an inode table: a write builds a new record ([{ ino with ... }]) and
     installs it, so a copy of the table may share every record. *)
 
-type entry = { addr : int; frags : int }
+type entry = private int
+(** A data run: [frags] fragments starting at global fragment [addr]. *)
+
+val entry : addr:int -> frags:int -> entry
+(** Pack a run. [addr] may be any int whose shift by four bits does not
+    overflow (negative addresses round-trip). Raises [Invalid_argument]
+    unless [0 <= frags <= 15], which covers every legal block size
+    ({!Params} caps [frags_per_block] at 8). *)
+
+val addr : entry -> int
+val frags : entry -> int
 
 type kind = File | Dir
 

@@ -123,22 +123,22 @@ let io_plan t ino =
           end
         done
       end;
-      let contiguous = !cur_frags > 0 && e.Inode.addr = !cur_addr + !cur_frags in
-      if contiguous && !cur_frags + e.Inode.frags <= cluster_frags then
-        cur_frags := !cur_frags + e.Inode.frags
+      let contiguous = !cur_frags > 0 && Inode.addr e = !cur_addr + !cur_frags in
+      if contiguous && !cur_frags + Inode.frags e <= cluster_frags then
+        cur_frags := !cur_frags + Inode.frags e
       else begin
         flush_extent !cur_addr !cur_frags;
-        cur_addr := e.Inode.addr;
-        cur_frags := e.Inode.frags
+        cur_addr := Inode.addr e;
+        cur_frags := Inode.frags e
       end;
-      if e.Inode.frags = fpb then incr lbn)
+      if Inode.frags e = fpb then incr lbn)
     ino.Inode.entries;
   flush_extent !cur_addr !cur_frags;
   Util.Vec.to_array steps
 
 let dir_first_frag t dir =
   let ino = Fs.inode t.fs dir in
-  if Array.length ino.Inode.entries = 0 then None else Some ino.Inode.entries.(0).Inode.addr
+  if Array.length ino.Inode.entries = 0 then None else Some (Inode.addr ino.Inode.entries.(0))
 
 let read_file t ~inum =
   let params = Fs.params t.fs in

@@ -95,7 +95,6 @@ let test_word_boundary_runs () =
    every byte value, aligned (table path) and not (scan path) *)
 let test_block_probes () =
   let check = Alcotest.(check int) in
-  let check_opt = Alcotest.(check (option int)) in
   for v = 0 to 255 do
     let b = Ffs.Bitmap.create 24 in
     for i = 0 to 7 do
@@ -118,9 +117,9 @@ let test_block_probes () =
     in
     let naive_fit pos len count =
       let rec scan i run =
-        if i >= pos + len then None
+        if i >= pos + len then -1
         else if not (Ffs.Bitmap.get b i) then
-          if run + 1 >= count then Some (i - count + 1) else scan (i + 1) (run + 1)
+          if run + 1 >= count then i - count + 1 else scan (i + 1) (run + 1)
         else scan (i + 1) 0
       in
       scan pos 0
@@ -130,11 +129,11 @@ let test_block_probes () =
     check (Fmt.str "maxrun unaligned %02x" v) (naive_max 3 8)
       (Ffs.Bitmap.max_clear_run b ~pos:3 ~len:8);
     for count = 1 to 8 do
-      check_opt
+      check
         (Fmt.str "fit aligned %02x count %d" v count)
         (naive_fit 8 8 count)
         (Ffs.Bitmap.find_clear_fit b ~pos:8 ~len:8 ~count);
-      check_opt
+      check
         (Fmt.str "fit unaligned %02x count %d" v count)
         (naive_fit 3 8 count)
         (Ffs.Bitmap.find_clear_fit b ~pos:3 ~len:8 ~count)
@@ -247,6 +246,75 @@ let prop_alloc_free_roundtrip =
       && Ffs.Bitmap.count_set b = !count
       && Ffs.Bitmap.count_clear b = 64 - !count)
 
+(* The range operations and scans against a bit-by-bit model, on a
+   view at an odd byte offset of every store representation: a plain
+   heap store (the direct byte path), a resilient store whose view
+   fits one chunk (direct bytes plus the dirty cell), one whose view
+   straddles chunks, and an mmap store (both dispatched per byte). *)
+let stores =
+  [
+    ("heap", fun length -> Ffs.Store.heap ~length);
+    ("mmap", fun length -> Ffs.Store.mmap ~length ());
+    ( "resilient",
+      fun length ->
+        Ffs.Store.create
+          (Ffs.Store.resilient_spec Ffs.Store.Heap_backend)
+          ~length ~chunk_bytes:4096 );
+    ( "resilient, chunk-straddling",
+      fun length ->
+        Ffs.Store.create (Ffs.Store.resilient_spec Ffs.Store.Heap_backend) ~length ~chunk_bytes:8
+    );
+  ]
+
+let prop_ranges_match_model (name, make_store) =
+  let open QCheck in
+  Test.make
+    ~name:(name ^ ": set/clear_range, all_clear/all_set, find_clear = bit-by-bit model")
+    ~count:150
+    (make
+       Gen.(
+         pair (int_range 1 100)
+           (list_size (int_range 1 30) (quad bool (int_bound 99) (int_bound 40) (int_bound 99)))))
+    (fun (n, script) ->
+      let base = 3 in
+      let store = make_store (base + ((n + 7) / 8) + 2) in
+      Fun.protect
+        ~finally:(fun () -> Ffs.Store.close store)
+        (fun () ->
+          let b = Ffs.Bitmap.of_store store ~base ~len:n in
+          let model = Array.make n false in
+          let all v pos len =
+            let ok = ref true in
+            for i = pos to pos + len - 1 do
+              if model.(i) <> v then ok := false
+            done;
+            !ok
+          in
+          let find_clear start =
+            let rec go i = if i >= n then None else if not model.(i) then Some i else go (i + 1) in
+            go start
+          in
+          List.for_all
+            (fun (set, pos, len, probe) ->
+              let pos = pos mod n in
+              let len = Int.min len (n - pos) in
+              if set then Ffs.Bitmap.set_range b ~pos ~len else Ffs.Bitmap.clear_range b ~pos ~len;
+              Array.fill model pos len set;
+              let ppos = probe mod n in
+              let plen = Int.min len (n - ppos) in
+              List.for_all (fun i -> Ffs.Bitmap.get b i = model.(i)) (List.init n Fun.id)
+              && Ffs.Bitmap.all_clear b ~pos ~len = all false pos len
+              && Ffs.Bitmap.all_set b ~pos ~len = all true pos len
+              && Ffs.Bitmap.all_clear b ~pos:ppos ~len:plen = all false ppos plen
+              && Ffs.Bitmap.all_set b ~pos:ppos ~len:plen = all true ppos plen
+              && Ffs.Bitmap.find_clear b ~start:ppos = find_clear ppos
+              && Ffs.Bitmap.find_clear b ~start:pos = find_clear pos
+              && Ffs.Bitmap.count_set b = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model)
+            script
+          (* the bytes around the view are never written *)
+          && Ffs.Store.get_byte store (base - 1) = '\000'
+          && Ffs.Store.get_byte store (base + ((n + 7) / 8)) = '\000'))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "bitmap"
@@ -265,5 +333,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_model_based;
           QCheck_alcotest.to_alcotest prop_alloc_free_roundtrip;
-        ] );
+        ]
+        @ List.map (fun st -> QCheck_alcotest.to_alcotest (prop_ranges_match_model st)) stores );
     ]

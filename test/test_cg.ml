@@ -573,11 +573,10 @@ let test_succ_every_bit () =
     for p = 0 to 62 do
       let b = (w * 63) + p in
       ei_give m ~first:b ~len:1;
-      check_opt (Printf.sprintf "from 0 to bit %d" b) (Some b) (Ei.succ_free m.ei ~start:0);
-      check_opt (Printf.sprintf "from %d" b) (Some b) (Ei.succ_free m.ei ~start:b);
-      check_opt (Printf.sprintf "word start to %d" b) (Some b)
-        (Ei.succ_free m.ei ~start:(w * 63));
-      check_opt (Printf.sprintf "past %d" b) None (Ei.succ_free m.ei ~start:(b + 1));
+      check_int (Printf.sprintf "from 0 to bit %d" b) b (Ei.succ_free m.ei ~start:0);
+      check_int (Printf.sprintf "from %d" b) b (Ei.succ_free m.ei ~start:b);
+      check_int (Printf.sprintf "word start to %d" b) b (Ei.succ_free m.ei ~start:(w * 63));
+      check_int (Printf.sprintf "past %d" b) (-1) (Ei.succ_free m.ei ~start:(b + 1));
       check_int (Printf.sprintf "run end at %d" b) b (Ei.run_end m.ei b);
       ei_take m ~first:b ~len:1
     done
@@ -632,10 +631,11 @@ let prop_cluster_searches_match_naive =
       ei_audit m = []
       && List.for_all
            (fun len ->
-             Ei.first_run_of m.ei ~len = naive_first_run_of m.free ~len
+             Ei.first_run_of m.ei ~len = Option.value (naive_first_run_of m.free ~len) ~default:(-1)
              && List.for_all
                   (fun start ->
-                    Ei.first_fit m.ei ~start ~len = naive_first_fit m.free ~start ~len)
+                    Ei.first_fit m.ei ~start ~len
+                    = Option.value (naive_first_fit m.free ~start ~len) ~default:(-1))
                   [ 0; 1; n / 3; n / 2; n - 1 ])
            [ 1; 2; 3; 5; 8; 16; 64 ])
 

@@ -66,7 +66,7 @@ let test_detects_claim_of_free_fragment () =
 let test_detects_corrupted_bitmap () =
   let fs, a, _ = populated () in
   let ia = Ffs.Fs.inode fs a in
-  let addr = ia.Ffs.Inode.entries.(0).Ffs.Inode.addr in
+  let addr = Ffs.Inode.addr ia.Ffs.Inode.entries.(0) in
   let cg = Ffs.Params.group_of_frag params addr in
   let local = addr - Ffs.Params.data_base params cg in
   (* flip one of a's fragments free behind the inode's back: the bitmap
@@ -122,7 +122,7 @@ let test_skewed_index_pp () =
 let test_detects_bad_run () =
   let fs, a, _ = populated () in
   Ffs.Fs.corrupt_inode fs a (fun ia ->
-      { ia with Ffs.Inode.entries = [| { Ffs.Inode.addr = -5; frags = 8 } |] });
+      { ia with Ffs.Inode.entries = [| Ffs.Inode.entry ~addr:(-5) ~frags:8 |] });
   let r = Ffs.Check.run fs in
   check_bool "bad run reported" true
     (has_problem r (function Ffs.Check.Bad_run _ -> true | _ -> false))
@@ -133,7 +133,7 @@ let test_detects_bad_run () =
 let bad_run_reported_once what ~addr ~frags () =
   let fs, a, _ = populated () in
   let ia = Ffs.Fs.inode fs a in
-  Ffs.Fs.set_entries fs ia (Array.append ia.Ffs.Inode.entries [| { Ffs.Inode.addr; frags } |]);
+  Ffs.Fs.set_entries fs ia (Array.append ia.Ffs.Inode.entries [| Ffs.Inode.entry ~addr ~frags |]);
   let r = Ffs.Check.run fs in
   if r.Ffs.Check.problems <> [ Ffs.Check.Bad_run { inum = a; addr; frags } ] then
     Alcotest.failf "%s: want one bad run, got %a" what Ffs.Check.pp r;
@@ -143,8 +143,29 @@ let bad_run_reported_once what ~addr ~frags () =
     (Ffs.Check.repair_is_noop { log with Ffs.Check.bad_runs_cleared = 0 });
   check_bool (what ^ ": clean after repair") true (Ffs.Check.is_clean (Ffs.Check.run fs))
 
-(* [addr + frags] overflows to a negative end *)
-let test_detects_overflowing_run = bad_run_reported_once "overflow" ~addr:5 ~frags:max_int
+(* A run whose [addr + frags] would overflow to a negative end can no
+   longer reach the checker: a packed run holds at most 15 fragments,
+   so both doors an inode's runs come through refuse it — packing the
+   entry, and loading a portable image that carries it. *)
+let test_detects_overflowing_run () =
+  (match Ffs.Inode.entry ~addr:5 ~frags:max_int with
+  | _ -> Alcotest.fail "an overflowing run was packed"
+  | exception Invalid_argument _ -> ());
+  let fs, a, _ = populated () in
+  let p = Ffs.Fs.to_portable fs in
+  let overflowing (inum, pi) =
+    if inum <> a then (inum, pi)
+    else
+      ( inum,
+        {
+          pi with
+          Ffs.Fs.pi_entries =
+            Array.append pi.Ffs.Fs.pi_entries [| { Ffs.Fs.addr = 5; frags = max_int } |];
+        } )
+  in
+  match Ffs.Fs.of_portable { p with Ffs.Fs.pf_inodes = List.map overflowing p.Ffs.Fs.pf_inodes } with
+  | _ -> Alcotest.fail "an image with an overflowing run loaded"
+  | exception Ffs.Error.Error (Ffs.Error.Corrupt _) -> ()
 
 (* inside group 1's metadata area (its superblock copy), which no
    inode may claim *)
@@ -175,7 +196,7 @@ let test_repair_bad_run_cleared () =
       {
         ia with
         Ffs.Inode.entries =
-          Array.append ia.Ffs.Inode.entries [| { Ffs.Inode.addr = -5; frags = 8 } |];
+          Array.append ia.Ffs.Inode.entries [| Ffs.Inode.entry ~addr:(-5) ~frags:8 |];
       });
   let log = Ffs.Check.repair_exn fs in
   check_int "one bad run cleared" 1 log.Ffs.Check.bad_runs_cleared;
@@ -190,7 +211,7 @@ let test_pp_smoke () =
   check_bool "clean report mentions clean" true
     (String.length clean > 0 && String.sub clean 0 5 = "clean");
   Ffs.Fs.corrupt_inode fs a (fun ia ->
-      { ia with Ffs.Inode.entries = [| { Ffs.Inode.addr = -1; frags = 1 } |] });
+      { ia with Ffs.Inode.entries = [| Ffs.Inode.entry ~addr:(-1) ~frags:1 |] });
   let dirty = Fmt.str "%a" Ffs.Check.pp (Ffs.Check.run fs) in
   check_bool "dirty report nonempty" true (String.length dirty > 10)
 

@@ -38,7 +38,7 @@ module Reference = struct
         (match ino.Inode.kind with
         | Inode.File -> incr files
         | Inode.Dir -> incr directories);
-        Array.iter (fun e -> claim ino.Inode.inum e.Inode.addr e.Inode.frags) ino.Inode.entries;
+        Array.iter (fun e -> claim ino.Inode.inum (Inode.addr e) (Inode.frags e)) ino.Inode.entries;
         Array.iter (fun a -> claim ino.Inode.inum a fpb) ino.Inode.indirect_addrs);
     (* 2: every claim must be marked allocated in its group's bitmap *)
     let cgs = Fs.cg_states fs in

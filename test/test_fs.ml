@@ -19,7 +19,7 @@ let is_contiguous fs inum =
   let e = entries fs inum in
   let ok = ref true in
   for i = 1 to Array.length e - 1 do
-    if e.(i).Ffs.Inode.addr <> e.(i - 1).Ffs.Inode.addr + e.(i - 1).Ffs.Inode.frags then
+    if Ffs.Inode.addr e.(i) <> Ffs.Inode.addr e.(i - 1) + Ffs.Inode.frags e.(i - 1) then
       ok := false
   done;
   !ok
@@ -57,14 +57,14 @@ let test_tail_fragments () =
   let inum = create fs ~dir:(Ffs.Fs.root fs) ~name:"a" ~size:((2 * block) + 3000) in
   let e = entries fs inum in
   check_int "three runs" 3 (Array.length e);
-  check_int "tail is 3 frags" 3 e.(2).Ffs.Inode.frags;
+  check_int "tail is 3 frags" 3 (Ffs.Inode.frags e.(2));
   (* FFS prefers an existing partial block for the tail over breaking a
      free one: here the root directory's block has 7 free fragments, so
      the tail lands right after the directory fragment *)
   check_int "tail fills the partial block" (Ffs.Params.data_base params 0 + 1)
-    e.(2).Ffs.Inode.addr;
+    (Ffs.Inode.addr e.(2));
   check_bool "full blocks still contiguous" true
-    (e.(1).Ffs.Inode.addr = e.(0).Ffs.Inode.addr + fpb);
+    (Ffs.Inode.addr e.(1) = Ffs.Inode.addr e.(0) + fpb);
   Ffs.Check.check_invariants fs
 
 let test_duplicate_name_rejected () =
@@ -100,11 +100,11 @@ let two_runs_and_tail fs =
   let e = entries fs inum in
   let breaks = ref 0 in
   for i = 1 to Array.length e - 1 do
-    if e.(i).Ffs.Inode.addr <> e.(i - 1).Ffs.Inode.addr + e.(i - 1).Ffs.Inode.frags then
+    if Ffs.Inode.addr e.(i) <> Ffs.Inode.addr e.(i - 1) + Ffs.Inode.frags e.(i - 1) then
       incr breaks
   done;
   check_int "four entries" 4 (Array.length e);
-  check_bool "a tail fragment" true (e.(3).Ffs.Inode.frags < fpb);
+  check_bool "a tail fragment" true (Ffs.Inode.frags e.(3) < fpb);
   check_bool "at least two runs" true (!breaks >= 1);
   check_bool "a multi-entry run" true (!breaks < Array.length e - 1);
   inum
@@ -123,7 +123,7 @@ let test_delete_journal_per_entry () =
   in
   Alcotest.(check (list (pair int int)))
     "one Data_clear per entry, in entry order"
-    (Array.to_list (Array.map (fun x -> (x.Ffs.Inode.addr, x.Ffs.Inode.frags)) e))
+    (Array.to_list (Array.map (fun x -> (Ffs.Inode.addr x, Ffs.Inode.frags x)) e))
     clears;
   Ffs.Check.check_invariants fs
 
@@ -188,7 +188,7 @@ let test_files_follow_directory_group () =
   check_int "inode in dir's group" 2 (Ffs.Fs.cg_of_inum fs inum);
   let e = entries fs inum in
   check_int "data in dir's group" 2
-    (Ffs.Params.group_of_frag params e.(0).Ffs.Inode.addr);
+    (Ffs.Params.group_of_frag params (Ffs.Inode.addr e.(0)));
   check_int "parent recorded" d (Ffs.Fs.dir_of_inum fs inum)
 
 let test_dirpref_spreads () =
@@ -295,9 +295,9 @@ let test_indirect_block_switches_group () =
   check_int "16 data runs" 16 (Array.length ino.Ffs.Inode.entries);
   check_int "one indirect block" 1 (Array.length ino.Ffs.Inode.indirect_addrs);
   let cg_of a = Ffs.Params.group_of_frag params a in
-  let first_cg = cg_of ino.Ffs.Inode.entries.(0).Ffs.Inode.addr in
+  let first_cg = cg_of (Ffs.Inode.addr ino.Ffs.Inode.entries.(0)) in
   let ind_cg = cg_of ino.Ffs.Inode.indirect_addrs.(0) in
-  let thirteenth_cg = cg_of ino.Ffs.Inode.entries.(12).Ffs.Inode.addr in
+  let thirteenth_cg = cg_of (Ffs.Inode.addr ino.Ffs.Inode.entries.(12)) in
   check_int "first block in home group" 0 first_cg;
   check_bool "indirect in a different group" true (ind_cg <> first_cg);
   check_int "13th block follows the indirect block" ind_cg thirteenth_cg;
@@ -322,8 +322,8 @@ let test_rotdelay_spaces_blocks () =
   for i = 1 to Array.length e - 1 do
     check_int
       (Fmt.str "gap before block %d" i)
-      (e.(i - 1).Ffs.Inode.addr + (2 * fpb))
-      e.(i).Ffs.Inode.addr
+      (Ffs.Inode.addr e.(i - 1) + (2 * fpb))
+      (Ffs.Inode.addr e.(i))
   done;
   Ffs.Check.check_invariants fs
 
@@ -368,14 +368,14 @@ let test_run_claim_per_block () =
   in
   Alcotest.(check (list (pair int int)))
     "one Data_set per block, in logical order"
-    (Array.to_list (Array.map (fun x -> (x.Ffs.Inode.addr, x.Ffs.Inode.frags)) e))
+    (Array.to_list (Array.map (fun x -> (Ffs.Inode.addr x, Ffs.Inode.frags x)) e))
     sets;
   let home = Ffs.Params.data_base params (Ffs.Fs.cg_of_inum fs inum) in
   let hits = ref 0 and contig = ref 0 in
   for i = 0 to nfull - 1 do
-    let pref = if i = 0 then home else e.(i - 1).Ffs.Inode.addr + fpb in
-    if e.(i).Ffs.Inode.addr = pref then incr hits;
-    if i > 0 && e.(i).Ffs.Inode.addr = pref then incr contig
+    let pref = if i = 0 then home else Ffs.Inode.addr e.(i - 1) + fpb in
+    if Ffs.Inode.addr e.(i) = pref then incr hits;
+    if i > 0 && Ffs.Inode.addr e.(i) = pref then incr contig
   done;
   check_bool "both hits and misses" true (!hits >= 2 && !hits < nfull);
   let after = Ffs.Fs.stats fs in
@@ -404,8 +404,8 @@ let test_rotdelay_claims_singly () =
   let e = (Ffs.Fs.inode fs inum).Ffs.Inode.entries in
   for i = 1 to n - 1 do
     check_int (Fmt.str "block %d one block past its predecessor's end" i)
-      (e.(i - 1).Ffs.Inode.addr + (2 * fpb))
-      e.(i).Ffs.Inode.addr
+      (Ffs.Inode.addr e.(i - 1) + (2 * fpb))
+      (Ffs.Inode.addr e.(i))
   done;
   check_int "every later block a pref hit" (n - 1)
     (Obs.Metrics.counter_value snap "ffs_alloc_pref_hit_total");
@@ -669,6 +669,55 @@ let prop_fork_independence =
         [ s0; s1; s2 ];
       true)
 
+(* --- packed runs ------------------------------------------------------------- *)
+
+(* A run packs into one int and unpacks to what went in, for addresses
+   of either sign (fsck's tests plant negative ones) and every legal
+   fragment count. *)
+let prop_entry_roundtrip =
+  let open QCheck in
+  Test.make ~name:"Inode.entry/addr/frags round-trip" ~count:1000
+    (make
+       Gen.(
+         pair
+           (oneof [ int_range (-1_000_000) 1_000_000; int_range (-(1 lsl 58)) ((1 lsl 58) - 1) ])
+           (int_range 0 15)))
+    (fun (addr, frags) ->
+      let e = Ffs.Inode.entry ~addr ~frags in
+      Ffs.Inode.addr e = addr && Ffs.Inode.frags e = frags)
+
+let test_entry_rejects_frags () =
+  List.iter
+    (fun frags ->
+      match Ffs.Inode.entry ~addr:40 ~frags with
+      | _ -> Alcotest.failf "frags %d was packed" frags
+      | exception Invalid_argument _ -> ())
+    [ -1; 16; 17; max_int; min_int ]
+
+(* the portable form refuses a run that cannot pack *)
+let test_of_portable_rejects_frags () =
+  let fs = fresh () in
+  let inum = Ffs.Fs.create_file_exn fs ~dir:(Ffs.Fs.root fs) ~name:"f" ~size:20_000 in
+  let p = Ffs.Fs.to_portable fs in
+  List.iter
+    (fun frags ->
+      let bad (i, pi) =
+        if i <> inum then (i, pi)
+        else
+          ( i,
+            {
+              pi with
+              Ffs.Fs.pi_entries =
+                Array.map (fun r -> { r with Ffs.Fs.frags }) pi.Ffs.Fs.pi_entries;
+            } )
+      in
+      match Ffs.Fs.of_portable { p with Ffs.Fs.pf_inodes = List.map bad p.Ffs.Fs.pf_inodes } with
+      | _ -> Alcotest.failf "an image with a %d-fragment run loaded" frags
+      | exception Ffs.Error.Error (Ffs.Error.Corrupt _) -> ())
+    [ -1; 16 ];
+  (* and the untouched form still loads to the same digest *)
+  Alcotest.(check string) "round trip" (Ffs.Fs.digest fs) (Ffs.Fs.digest (Ffs.Fs.of_portable p))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fs"
@@ -717,5 +766,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_workload_invariants;
           QCheck_alcotest.to_alcotest prop_fork_independence;
+          QCheck_alcotest.to_alcotest prop_entry_roundtrip;
+          tc "entry rejects frags outside 0..15" test_entry_rejects_frags;
+          tc "of_portable rejects an unpackable run" test_of_portable_rejects_frags;
         ] );
     ]

@@ -98,6 +98,29 @@ let test_bitflip_image () =
       Unix.close fd;
       expect_corrupt "bit flip" (Aging.Image.load ?backend:None ~path))
 
+(* [data/older-small-5d.img] is [aged ()] saved with description
+   "runs as records" by the build whose inodes held their runs as
+   [{addr; frags}] records (commit 63ff6c7). Runs are packed ints now,
+   and the portable form converts on the way in and out: an older
+   image must load to the digest it was written with, re-save byte for
+   byte, and equal this build's own image of the same run. *)
+let older_image = "data/older-small-5d.img"
+let older_image_digest = "6ac228edb737a0695764a6c38578f6c2"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_older_image_compatible () =
+  let loaded = Aging.Image.load_exn ?backend:None ~path:older_image in
+  let fs = loaded.Aging.Image.result.Aging.Replay.fs in
+  Alcotest.(check string) "loads to its digest" older_image_digest (Ffs.Fs.digest fs);
+  check_bool "loaded image audits clean" true (Ffs.Check.is_clean (Ffs.Check.run fs));
+  let older = read_file older_image in
+  with_temp_image (fun path ->
+      Aging.Image.save_exn ~path loaded;
+      check_bool "re-saves byte for byte" true (String.equal older (read_file path)));
+  with_temp_image (fun path ->
+      Aging.Image.save_exn ~path { Aging.Image.days; description = "runs as records"; result = aged () };
+      check_bool "this build writes the same bytes" true (String.equal older (read_file path)))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "image"
@@ -110,5 +133,6 @@ let () =
           tc "error names file" test_error_names_file;
           tc "truncated image" test_truncated_image;
           tc "bit-flipped image" test_bitflip_image;
+          tc "older image loads and re-saves" test_older_image_compatible;
         ] );
     ]

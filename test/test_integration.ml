@@ -116,7 +116,7 @@ let test_metric_matches_manual_count () =
       if Array.length e >= 2 then
         for i = 1 to Array.length e - 1 do
           incr counted;
-          if e.(i).Ffs.Inode.addr = e.(i - 1).Ffs.Inode.addr + e.(i - 1).Ffs.Inode.frags
+          if Ffs.Inode.addr e.(i) = Ffs.Inode.addr e.(i - 1) + Ffs.Inode.frags e.(i - 1)
           then incr optimal
         done);
   let manual = float_of_int !optimal /. float_of_int !counted in

@@ -13,7 +13,7 @@ let inode_of_runs runs =
     Ffs.Inode.inum = 1;
     kind = Ffs.Inode.File;
     size = 8192 * List.length runs;
-    entries = Array.of_list (List.map (fun (addr, frags) -> { Ffs.Inode.addr; frags }) runs);
+    entries = Array.of_list (List.map (fun (addr, frags) -> Ffs.Inode.entry ~addr ~frags) runs);
     indirect_addrs = [||];
     ctime = 0.0;
     mtime = 0.0;
@@ -73,7 +73,7 @@ let test_aggregate_weighting () =
      involvement; we only test the arithmetic). The write goes through
      the entries setter, which keeps the layout counters in step. *)
   let e = ino.Ffs.Inode.entries in
-  let moved = { e.(1) with Ffs.Inode.addr = e.(1).Ffs.Inode.addr + 800 } in
+  let moved = Ffs.Inode.entry ~addr:(Ffs.Inode.addr e.(1) + 800) ~frags:(Ffs.Inode.frags e.(1)) in
   Ffs.Fs.set_entries fs ino [| e.(0); moved |];
   check_float "10 of 11 optimal" (10.0 /. 11.0) (Aging.Layout_score.aggregate fs)
 

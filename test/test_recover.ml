@@ -399,6 +399,55 @@ let test_explore_wider_window_more_states () =
   check_bool "narrow clean" true (Recover.Explore.all_ok narrow);
   check_bool "wide clean" true (Recover.Explore.all_ok wide)
 
+(* [data/]'s two checkpoints are the day-3 and day-4 checkpoints of a
+   straight [build_ops ~seed:77] run with [checkpoint_every:1] and
+   metrics off, written by the build whose inodes held their runs as
+   [{addr; frags}] records (commit 63ff6c7). Resuming the day-3 one
+   here must write the day-4 one byte for byte and finish at that run's
+   digest. *)
+let older_day3 = "data/ckpt-op000000751-day0003.ffsck"
+let older_day4 = "data/ckpt-op000000852-day0004.ffsck"
+let older_final_digest = "fe11598bcd0549328cc152f3e58b1483"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_older_checkpoint_resumes () =
+  let ck =
+    match Aging.Checkpoint.load ~path:older_day3 with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "older checkpoint: %a" Ffs.Error.pp e
+  in
+  let ops = build_ops ~seed:77 in
+  let m = Obs.Metrics.default in
+  let was_enabled = Obs.Metrics.enabled m in
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled m was_enabled)
+    (fun () ->
+      Obs.Metrics.set_enabled m false;
+      Obs.Metrics.reset m;
+      with_temp_dir (fun dir ->
+          let stop = ref false in
+          (match
+             Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0 ~resume:ck
+               ~checkpoint_every:1
+               ~on_checkpoint:(fun next ->
+                 ignore (Aging.Checkpoint.save_exn ~dir ~keep:0 next);
+                 stop := true)
+               ~should_stop:(fun () -> !stop)
+               ops
+           with
+          | `Interrupted _ -> ()
+          | `Completed _ -> Alcotest.fail "expected the run to stop after the checkpoint");
+          let written = Filename.concat dir (Filename.basename older_day4) in
+          check_bool "day-4 checkpoint written" true (Sys.file_exists written);
+          check_bool "day-4 checkpoint byte for byte" true
+            (String.equal (read_file older_day4) (read_file written)));
+      let resumed =
+        completed (Aging.Replay.run_resumable ~params ~days ~crashes:0 ~fault_seed:0 ~resume:ck ops)
+      in
+      Alcotest.(check string)
+        "resumes to the straight run's digest" older_final_digest
+        (Ffs.Fs.digest resumed.Aging.Replay.result.Aging.Replay.fs))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -422,6 +471,7 @@ let () =
           slow "retention and corrupt-fallback" test_checkpoint_retention_and_fallback;
           slow "save acknowledges store CRCs" test_checkpoint_acknowledges_crcs;
           slow "a held checkpoint resumes to the straight run" test_held_checkpoint_resumes;
+          slow "an older checkpoint resumes byte for byte" test_older_checkpoint_resumes;
         ] );
       ( "explore",
         [
