@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the tier-1 gate.
 
-.PHONY: all build test verify fmt perf-smoke perf-pairs profile repro figures crash-matrix crash-explore metrics-smoke freespace-smoke fleet-smoke backend-smoke scrub-smoke chaos-soak clean
+.PHONY: all build test verify fmt perf-smoke perf-pairs profile repro figures crash-matrix crash-explore metrics-smoke freespace-smoke backend-smoke scrub-smoke chaos-soak clean
 
 all: build
 
@@ -15,7 +15,7 @@ test:
 # byte for byte with every shape check passing, the crash-consistency
 # smoke matrix and crash exploration come back fsck-clean, the
 # observability pipeline emits a parseable trace + metrics snapshot,
-# and the free-space, fleet, backend and scrub smokes pass
+# and the free-space, backend and scrub smokes pass
 verify:
 	dune build
 	dune runtest
@@ -25,7 +25,6 @@ verify:
 	$(MAKE) crash-explore
 	$(MAKE) metrics-smoke
 	$(MAKE) freespace-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) scrub-smoke
 
@@ -143,14 +142,6 @@ metrics-smoke:
 fmt:
 	dune build @fmt
 
-# fleet supervision smoke: forced quarantine must degrade gracefully
-# (exit 3, volume reported, never dropped), and a 64-volume fleet with
-# fault injection killed with SIGKILL mid-flight must resume from its
-# manifest to a bit-identical aggregate (digest + allocation totals)
-fleet-smoke:
-	@dune build bin/ffs_fleet.exe bin/ffs_inspect.exe
-	@sh test/fleet_smoke.sh
-
 # storage-backend smoke: the same small aging run on the in-heap store
 # and the mmap'd file store must produce bit-identical images
 # (ffs_inspect --digest on both), the full fault->repair pipeline
@@ -213,10 +204,13 @@ scrub-smoke:
 	@sh test/scrub_smoke.sh
 
 # chaos soak: the scrub smoke's chaos leg cranked up — long runs at
-# aggressive fault rates, serially and across a faulty fleet. Not part
-# of `make verify` (it takes minutes); CI runs it on a schedule
+# aggressive fault rates: a 600-day checkpointed run on faulty devices,
+# then a realloc best-fit run that also crashes three times mid-replay,
+# so crash repair and scrub-and-repair meet on one volume. Each image
+# must pass a zero-fault no-repair fsck. Not part of `make verify` (it
+# takes minutes); CI runs it on a schedule
 chaos-soak:
-	@dune build bin/ffs_age.exe bin/ffs_fsck.exe bin/ffs_fleet.exe
+	@dune build bin/ffs_age.exe bin/ffs_fsck.exe
 	@echo "== chaos soak: 600-day faulty aging run =="
 	@_build/default/bin/ffs_age.exe --fs small --days 600 --seed 1201 \
 		--fault-seed 97 --workload ground-truth -q \
@@ -227,11 +221,16 @@ chaos-soak:
 		--faults 0 --no-repair -q >/dev/null \
 		|| { echo "chaos soak image is not fsck-clean"; exit 1; }
 	@rm -f /tmp/ffs_chaos_soak.img
-	@echo "== chaos soak: faulty fleet =="
-	@_build/default/bin/ffs_fleet.exe --volumes 16 --days 30 --seed 4242 \
-		--jobs 4 --fault-rate 0.25 --device-fault-rate 0.5 --scrub-every 1 \
-		--state-dir /tmp/ffs_chaos_soak_fleet -q
-	@rm -rf /tmp/ffs_chaos_soak_fleet
+	@echo "== chaos soak: crashes on faulty devices =="
+	@_build/default/bin/ffs_age.exe --fs small --days 120 --seed 4242 \
+		--fault-seed 97 --workload ground-truth -q \
+		--realloc --cluster-policy best-fit --crashes 3 \
+		--store-faults transient=0.005,latent=3,bitrot=24,torn=6,horizon=120 \
+		--scrub-every 1 --image /tmp/ffs_chaos_soak_crash.img
+	@_build/default/bin/ffs_fsck.exe --image /tmp/ffs_chaos_soak_crash.img \
+		--faults 0 --no-repair -q >/dev/null \
+		|| { echo "chaos soak crash image is not fsck-clean"; exit 1; }
+	@rm -f /tmp/ffs_chaos_soak_crash.img
 	@echo "chaos soak: OK"
 
 # ffs_inspect --freespace smoke: age a small image, dump the per-group

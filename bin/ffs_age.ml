@@ -30,12 +30,13 @@ let run_multi_seed ~params ~days ~seed ~nseeds ~jobs ~quiet ~kind ~profile_kind 
               discarded.@.";
       Fmt.pr "Re-running with the same --seed and --seeds reproduces the run \
               bit-identically;@.";
-      Fmt.pr "for interruptible multi-volume runs with durable resume, use ffs_fleet.@.");
+      Fmt.pr "for an interruptible run with durable resume, age one seed with \
+              --checkpoint-dir.@.");
   Common.print_timings ~quiet timings;
   match outcome with `Stopped _ -> exit 130 | `Done _ -> ()
 
 (* The one single-seed replay: the serial resumable engine beneath
-   [Replay.run], crash injection, the fleet and Figure 2, so one seed
+   [Replay.run], crash injection and Figure 2, so one seed
    ages one image whatever the flags. Adds periodic durable checkpoints,
    SIGINT-triggered checkpoint-and-exit when a checkpoint directory is
    known, and resume from the newest valid checkpoint. Exits 130 when

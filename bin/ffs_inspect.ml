@@ -83,70 +83,7 @@ let print_freespace fs =
   let total = Array.fold_left (fun a h -> Array.fold_left (fun a (_, n) -> a + n) a h) 0 hists in
   Fmt.pr "@.%d free extents across %d groups@." total (Array.length cgs)
 
-(* --manifest: decode a fleet manifest — container CRC first (a damaged
-   manifest is diagnosed, not decoded), then the per-volume status
-   table and each volume's newest durable checkpoint. *)
-let print_manifest path =
-  (match Recover.Container.inspect ~path with
-  | Error e ->
-      Fmt.epr "cannot inspect %s: %a@." path Ffs.Error.pp e;
-      exit 2
-  | Ok info ->
-      Fmt.pr "manifest:   %s@." path;
-      Fmt.pr "container:  FFSRECOV v%d, kind %s, %d payload bytes@."
-        info.Recover.Container.version info.Recover.Container.kind
-        info.Recover.Container.payload_bytes;
-      Fmt.pr "crc:        0x%08lx %s@." info.Recover.Container.crc_stored
-        (if Recover.Container.crc_ok info then "OK" else "MISMATCH");
-      if not (Recover.Container.crc_ok info) then begin
-        Fmt.epr "manifest payload is corrupt; refusing to decode@.";
-        exit 1
-      end);
-  match Fleet.Manifest.load_file ~path with
-  | Error e ->
-      Fmt.epr "cannot decode %s: %a@." path Ffs.Error.pp e;
-      exit 2
-  | Ok m ->
-      Fmt.pr "fleet seed: %d   spec crc: 0x%08lx@.@." m.Fleet.Manifest.fleet_seed
-        m.Fleet.Manifest.spec_crc;
-      print_string (Fleet.Report.text m);
-      (* checkpoint pointers: what a resume of each volume would load *)
-      let dir = Filename.dirname path in
-      print_newline ();
-      print_string
-        (Util.Chart.table
-           ~header:[ "vol"; "checkpoint dir"; "newest checkpoint" ]
-           ~rows:
-             (Array.to_list
-                (Array.map
-                   (fun (e : Fleet.Manifest.entry) ->
-                     let ckdir = Filename.concat dir e.Fleet.Manifest.checkpoint_dir in
-                     let newest =
-                       match Aging.Checkpoint.load_latest_opt ~dir:ckdir with
-                       | Some (p, ck) ->
-                           Fmt.str "%s (day %d, op %d)" (Filename.basename p)
-                             (Aging.Replay.checkpoint_day ck)
-                             (Aging.Replay.checkpoint_next_op ck)
-                       | None -> "-"
-                     in
-                     [
-                       string_of_int e.Fleet.Manifest.spec.Fleet.Spec.id;
-                       e.Fleet.Manifest.checkpoint_dir;
-                       newest;
-                     ])
-                   m.Fleet.Manifest.entries)))
-
-let run image_path manifest backend header digest freespace metrics metrics_out =
-  (match manifest with
-  | Some path -> print_manifest path; exit 0
-  | None -> ());
-  let image_path =
-    match image_path with
-    | Some p -> p
-    | None ->
-        Fmt.epr "one of --image or --manifest is required@.";
-        exit 2
-  in
+let run image_path backend header digest freespace metrics metrics_out =
   if header then (print_header image_path; exit 0);
   let image = Common.load_image_or_exit ~backend ~path:image_path () in
   let result = image.Aging.Image.result in
@@ -254,20 +191,12 @@ let cmd =
                    as a metrics report (reconstructed from the saved statistics).")
   in
   let image =
-    Arg.(value & opt (some string) None
+    Arg.(required & opt (some string) None
          & info [ "image" ] ~docv:"PATH" ~doc:"Aged image to inspect.")
-  in
-  let manifest =
-    Arg.(value & opt (some string) None
-         & info [ "manifest" ] ~docv:"PATH"
-             ~doc:"Inspect a fleet manifest instead of an image: verify the container \
-                   CRC, then print the per-volume status table, aggregate digest, and \
-                   each volume's newest checkpoint pointer. Exits 1 on a corrupt \
-                   manifest.")
   in
   Cmd.v
     (Cmd.info "ffs_inspect" ~doc:"Fragmentation and free-space report of an aged image")
-    Term.(const run $ image $ manifest $ Common.backend_term $ header $ digest
+    Term.(const run $ image $ Common.backend_term $ header $ digest
           $ freespace $ metrics $ Common.metrics_out_term)
 
 let () = exit (Cmd.eval cmd)

@@ -45,8 +45,6 @@ let load_latest ~dir =
   in
   try_all (list ~dir)
 
-let load_latest_opt ~dir = match load_latest ~dir with Ok v -> Some v | Error _ -> None
-
 (* --- writing --------------------------------------------------------------- *)
 
 let io_error ~path = function

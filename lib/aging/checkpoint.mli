@@ -28,12 +28,6 @@ val load_latest : dir:string -> (string * Replay.checkpoint, Ffs.Error.t) result
     [Error (Corrupt _)] when the directory holds no loadable
     checkpoint. *)
 
-val load_latest_opt : dir:string -> (string * Replay.checkpoint) option
-(** {!load_latest} collapsed to an option: [None] when the directory is
-    missing, empty, or holds no loadable checkpoint — the "start this
-    volume fresh" answer a fleet supervisor wants, where an unreadable
-    store means recompute, not abort. *)
-
 val list : dir:string -> string list
 (** Checkpoint files in [dir], newest first (empty for a missing
     directory). *)

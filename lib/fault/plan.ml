@@ -57,19 +57,6 @@ let crash_points ~rng ~n_ops ~crashes =
     List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) chosen [])
   end
 
-let crashes_for_rate ~rng ~rate =
-  if rate <= 0.0 then 0
-  else begin
-    (* Knuth's Poisson draw: products of uniforms against e^-rate.
-       Fine for the single-digit rates a fleet spec uses. *)
-    let l = exp (-.rate) in
-    let rec go k p =
-      let p = p *. Util.Prng.unit_float rng in
-      if p > l then go (k + 1) p else k
-    in
-    go 0 1.0
-  end
-
 let pp ppf s =
   let field name n rest = if n = 0 then rest else (name, n) :: rest in
   let fields =

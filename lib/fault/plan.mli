@@ -55,12 +55,6 @@ val crash_points : rng:Util.Prng.t -> n_ops:int -> crashes:int -> int list
     operation. Fewer points are returned when the workload is shorter
     than the request. *)
 
-val crashes_for_rate : rng:Util.Prng.t -> rate:float -> int
-(** A Poisson-distributed crash count with mean [rate], drawn from
-    [rng] — how a fleet spec turns a per-volume fault {e rate} into a
-    concrete number of mid-replay power failures. Deterministic in the
-    generator state; 0 when [rate <= 0]. *)
-
 val pp : Format.formatter -> spec -> unit
 
 val logical_seed : fault_seed:int -> int

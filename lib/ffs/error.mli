@@ -41,9 +41,8 @@ type t =
           chunk: its spare regions are exhausted, or a quarantined
           replacement failed too. The volume's remaining data is intact
           but the store can no longer mask device faults — callers
-          should fail the volume gracefully (the fleet supervisor
-          quarantines it) rather than trust further reads. Declared
-          last; see {!Cross_cg}. *)
+          should fail the volume gracefully rather than trust further
+          reads. Declared last; see {!Cross_cg}. *)
 
 exception Error of t
 (** Raised by the [_exn] entry points. Registered with

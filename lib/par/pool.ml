@@ -75,7 +75,6 @@ let () =
     | _ -> None)
 
 let request_stop t = Atomic.set t.stop true
-let stop_requested t = Atomic.get t.stop
 
 let with_sigint t f =
   let prev =

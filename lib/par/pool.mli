@@ -27,8 +27,7 @@
       (lowest index) is re-raised in the caller with its original
       backtrace. The pool remains usable afterwards.
     - Each task runs exactly once. The pool has no retry or timeout
-      policy: a caller that retries (the fleet supervisor) loops inside
-      its own task, sleeping on {!Util.Backoff.delay}. *)
+      policy. *)
 
 type t
 
@@ -67,8 +66,6 @@ exception Interrupted of { completed : int; total : int }
 val request_stop : t -> unit
 (** Ask the pool to stop: safe to call from a signal handler or another
     domain. Idempotent. *)
-
-val stop_requested : t -> bool
 
 val with_sigint : t -> (unit -> 'a) -> 'a
 (** Run [f] with a SIGINT handler that calls {!request_stop} on the

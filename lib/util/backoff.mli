@@ -1,6 +1,5 @@
-(** The one retry-backoff schedule, shared by the resilient store's
-    transient-fault loop ({!Ffs.Store}) and the fleet supervisor's
-    per-volume retries. *)
+(** The retry-backoff schedule of the resilient store's transient-fault
+    loop ({!Ffs.Store}). *)
 
 val delay : base:float -> cap:float -> jitter:float -> seed:int -> attempt:int -> float
 (** The sleep after failed attempt [attempt] (1-based):

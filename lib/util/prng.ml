@@ -39,7 +39,6 @@ let[@inline] top t k = Int64.to_int (Int64.shift_right_logical (next t) (64 - k)
 
 let int64 t = next t
 let split t = of_state (mix64 (next t))
-let bits30 t = top t 30
 
 let int t bound =
   assert (bound > 0);

@@ -35,9 +35,6 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
-val bits30 : t -> int
-(** 30 uniformly random non-negative bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). [bound] must be positive. *)
 

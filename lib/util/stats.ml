@@ -1,14 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
@@ -38,21 +27,6 @@ let percentile xs p =
   let sorted = Array.copy xs in
   Array.sort compare sorted;
   percentile_sorted sorted p
-
-let summarize xs =
-  assert (Array.length xs > 0);
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  {
-    count = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = sorted.(0);
-    max = sorted.(Array.length sorted - 1);
-    p50 = percentile_sorted sorted 50.0;
-    p90 = percentile_sorted sorted 90.0;
-    p99 = percentile_sorted sorted 99.0;
-  }
 
 let ratio a b = if b = 0.0 then nan else a /. b
 

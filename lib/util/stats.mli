@@ -1,21 +1,5 @@
 (** Descriptive statistics and histograms for experiment reporting. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-val summarize : float array -> summary
-(** Summary statistics of a non-empty sample. The input array is not
-    modified. Percentiles use linear interpolation between order
-    statistics. *)
-
 val mean : float array -> float
 (** Arithmetic mean; 0 for an empty array. *)
 

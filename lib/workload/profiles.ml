@@ -8,13 +8,6 @@ let name = function
   | Database -> "database"
   | Personal -> "personal"
 
-let of_name = function
-  | "home" -> Some Home
-  | "news" -> Some News
-  | "database" -> Some Database
-  | "personal" -> Some Personal
-  | _ -> None
-
 let day_seconds = Op.seconds_per_day
 
 (* emit a Create now and queue the inode for deletion later *)

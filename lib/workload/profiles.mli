@@ -21,7 +21,6 @@ type kind = Home | News | Database | Personal
 
 val all : kind list
 val name : kind -> string
-val of_name : string -> kind option
 
 val build : Ffs.Params.t -> kind -> days:int -> seed:int -> Op.t array
 (** A time-sorted, well-formed workload. Deterministic in [seed]. *)

@@ -261,6 +261,26 @@ let test_resume_keeps_ino_map () =
   Alcotest.(check string)
     "same digest" (Ffs.Fs.digest straight.Aging.Replay.fs) (Ffs.Fs.digest resumed.Aging.Replay.fs)
 
+(* Regression: crash repair parks orphans under a lost+found directory
+   it creates on the spot, and that mkdir can recycle the inum of the
+   very file the crash forgot. The replay must then treat the workload's
+   mapping to that inum as lost (the inode exists but is a directory
+   now), not keep rewriting "the file", which used to blow up with
+   [Is_a_directory] two days later. This seed, allocator, crash count
+   and fault seed are the run that found it. *)
+let test_recycled_inum_after_crash_repair () =
+  let days = 2 and crashes = 3 in
+  let ops = Workload.Profiles.build params Workload.Profiles.Home ~days ~seed:4020859452334131612 in
+  match
+    Aging.Replay.run_resumable
+      ~config:{ Ffs.Fs.realloc = true; cluster_policy = `Best_fit }
+      ~params ~days ~crashes ~fault_seed:576625401 ops
+  with
+  | `Completed cr ->
+      check_int "all crashes recovered" crashes (List.length cr.Aging.Replay.recoveries);
+      assert_fsck_clean cr.Aging.Replay.result
+  | `Interrupted _ -> Alcotest.fail "the run was unexpectedly interrupted"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "aging"
@@ -274,6 +294,7 @@ let () =
           tc "realloc beats traditional" test_realloc_beats_traditional;
           tc "progress callback" test_progress_callback;
           tc "hot set" test_hot_inums;
+          tc "recycled inum after crash repair" test_recycled_inum_after_crash_repair;
         ] );
       ( "inode table",
         [

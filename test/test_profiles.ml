@@ -6,16 +6,6 @@ let days = 8
 
 let build kind = Workload.Profiles.build params kind ~days ~seed:7
 
-let test_names () =
-  List.iter
-    (fun kind ->
-      Alcotest.(check (option string))
-        "name roundtrip"
-        (Some (Workload.Profiles.name kind))
-        (Option.map Workload.Profiles.name (Workload.Profiles.of_name (Workload.Profiles.name kind))))
-    Workload.Profiles.all;
-  Alcotest.(check bool) "unknown name" true (Workload.Profiles.of_name "bogus" = None)
-
 let test_all_well_formed () =
   List.iter
     (fun kind ->
@@ -85,7 +75,6 @@ let () =
     [
       ( "profiles",
         [
-          tc "names" test_names;
           tc "well-formed" test_all_well_formed;
           tc "replayable" test_all_replayable;
           tc "deterministic" test_deterministic;

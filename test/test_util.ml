@@ -158,7 +158,6 @@ let test_prng_allocation () =
     per_call "int" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int rng 1000)));
     per_call "int pow2" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int rng 64)));
     per_call "int_in" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.int_in rng (-7) 300)));
-    per_call "bits30" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.bits30 rng)));
     per_call "bool" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.bool rng)));
     per_call "chance" 0.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.chance rng 0.3)));
     per_call "unit_float" 2.0 (fun () -> ignore (Sys.opaque_identity (Util.Prng.unit_float rng)));
@@ -227,15 +226,6 @@ let test_stats_percentile () =
   check_float "p0 = min" 1.0 (Util.Stats.percentile xs 0.0);
   check_float "p100 = max" 4.0 (Util.Stats.percentile xs 100.0);
   check_float "p50 interpolates" 2.5 (Util.Stats.percentile xs 50.0)
-
-let test_stats_summary () =
-  let s = Util.Stats.summarize (Array.init 101 float_of_int) in
-  check_int "count" 101 s.Util.Stats.count;
-  check_float "mean" 50.0 s.Util.Stats.mean;
-  check_float "p50" 50.0 s.Util.Stats.p50;
-  check_float "p90" 90.0 s.Util.Stats.p90;
-  check_float "min" 0.0 s.Util.Stats.min;
-  check_float "max" 100.0 s.Util.Stats.max
 
 let test_stats_ratio_pct () =
   check_float "ratio" 2.0 (Util.Stats.ratio 4.0 2.0);
@@ -390,7 +380,7 @@ let prop_vec_roundtrip =
 (* --- Backoff ---------------------------------------------------------------- *)
 
 let test_backoff_deterministic_and_bounded () =
-  (* the fleet supervisor's schedule shape, then the resilient store's *)
+  (* a coarse schedule, then the resilient store's *)
   List.iter
     (fun (base, cap, jitter, seed) ->
       for attempt = 1 to 6 do
@@ -474,7 +464,6 @@ let () =
         [
           tc "mean/stddev" test_stats_mean_stddev;
           tc "percentile" test_stats_percentile;
-          tc "summary" test_stats_summary;
           tc "ratio/pct" test_stats_ratio_pct;
         ] );
       ( "vec",
