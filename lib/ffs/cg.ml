@@ -5,7 +5,9 @@ type t = {
   region_base : int;  (* byte offset of the group's region in [store] *)
   frag_used : Bitmap.t;  (* one bit per data fragment; set = allocated *)
   block_used : Bitmap.t;  (* one bit per block slot; set = any fragment used *)
-  ext : Extent_index.t;  (* the one derived free-space index over the bitmaps *)
+  mutable ext : Extent_index.t;
+      (* the one derived free-space index over the bitmaps; shared with
+         a fork until either side's first write (see [writable_ext]) *)
   inode_used : Bitmap.t;
   mutable nffree : int;
   mutable nbfree : int;
@@ -52,9 +54,11 @@ let create params ~index =
   create_in ~store ~base:0 params ~index
 
 (* Rebind [t]'s views onto [store] (same layout, same region offset),
-   deep-copying the derived heap state. The caller must already have
-   copied the region's bytes into [store]. *)
+   sharing the extent index: both groups mark it shared, and each clones
+   it before its own first write. The caller must already have copied
+   the region's bytes into [store]. *)
 let rebind t ~store =
+  Extent_index.share t.ext;
   {
     t with
     store;
@@ -66,7 +70,6 @@ let rebind t ~store =
     inode_used =
       Bitmap.of_store store ~base:(Bitmap.base t.inode_used)
         ~len:(Bitmap.length t.inode_used);
-    ext = Extent_index.copy t.ext;
   }
 
 let copy t =
@@ -88,12 +91,20 @@ let block_is_free t b = not (Bitmap.get t.block_used b)
 let frag_is_free t f = not (Bitmap.get t.frag_used f)
 let fpb t = t.params.Params.frags_per_block
 
+(* [t]'s extent index, ready for a write: a shared index is first
+   cloned into [t]. Every index write in this module goes through it;
+   the share check is one atomic load. *)
+let writable_ext t =
+  if Extent_index.is_shared t.ext then t.ext <- Extent_index.copy t.ext;
+  t.ext
+
 (* Re-derive the extent-index entry of each block in [first..last] from
    the fragment bitmap (after loading the bitmaps wholesale). *)
 let sync_index t ~first_block ~last_block =
   let fpb = fpb t in
+  let ext = writable_ext t in
   for b = first_block to last_block do
-    Extent_index.update t.ext b
+    Extent_index.update ext b
       ~maxrun:(Bitmap.max_clear_run t.frag_used ~pos:(b * fpb) ~len:fpb)
   done
 
@@ -113,7 +124,7 @@ let resync_block t b =
       Bitmap.clear t.block_used b;
       t.nbfree <- t.nbfree + 1
     end;
-  Extent_index.update t.ext b ~maxrun
+  Extent_index.update (writable_ext t) b ~maxrun
 
 (* Bring slot bits, counters and the index in line with a fragment span
    that was just claimed ([claim]) or freed: the whole blocks inside
@@ -134,12 +145,12 @@ let sync_span t ~pos ~count ~claim =
     if claim then begin
       Bitmap.set_range t.block_used ~pos:first ~len;
       t.nbfree <- t.nbfree - len;
-      Extent_index.take_range t.ext ~first ~len
+      Extent_index.take_range (writable_ext t) ~first ~len
     end
     else begin
       Bitmap.clear_range t.block_used ~pos:first ~len;
       t.nbfree <- t.nbfree + len;
-      Extent_index.give_range t.ext ~first ~len
+      Extent_index.give_range (writable_ext t) ~first ~len
     end;
     if tail then resync_block t lb
   end
@@ -398,7 +409,7 @@ let reset t =
   Bitmap.clear_range t.block_used ~pos:0 ~len:nblocks;
   (* unconditional: the on-store bitmaps may themselves be corrupt
      (device bit rot), so nothing here may be driven by their contents *)
-  Extent_index.reset t.ext;
+  Extent_index.reset (writable_ext t);
   Bitmap.clear_range t.inode_used ~pos:0 ~len:(Bitmap.length t.inode_used);
   t.nffree <- nfrags;
   t.nbfree <- nblocks;
@@ -436,8 +447,8 @@ let corrupt_clear_inode t i =
 let corrupt_adjust_dirs t delta =
   t.ndirs <- max 0 (t.ndirs + delta)
 
-let corrupt_index_toggle_free t b = Extent_index.corrupt_toggle_free t.ext b
-let corrupt_index_toggle_fit t b ~len = Extent_index.corrupt_toggle_fit t.ext b ~len
+let corrupt_index_toggle_free t b = Extent_index.corrupt_toggle_free (writable_ext t) b
+let corrupt_index_toggle_fit t b ~len = Extent_index.corrupt_toggle_fit (writable_ext t) b ~len
 
 (* --- consistency ---------------------------------------------------------- *)
 

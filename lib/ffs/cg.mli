@@ -30,14 +30,18 @@ val create_in : store:Store.t -> base:int -> Params.t -> index:int -> t
     [base] of a shared volume [store], laid out by {!Store.Layout}. *)
 
 val copy : t -> t
-(** A deep standalone copy (fresh heap store, bytes and derived
-    indexes all duplicated). *)
+(** A standalone copy: a fresh heap store with the bytes duplicated,
+    and the extent index shared until either side's first write of it
+    (as {!rebind}). *)
 
 val rebind : t -> store:Store.t -> t
-(** Rebind [t]'s views onto [store] at the same offsets, deep-copying
-    the derived heap state. The caller must already have blitted the
-    region's bytes into [store] — this is {!Fs.copy}'s plumbing for
-    copying a whole volume with one store-to-store blit. *)
+(** Rebind [t]'s views onto [store] at the same offsets. The extent
+    index is shared, marked so on both sides, and each side clones it
+    before its own next index write (clone-on-write: claims, frees,
+    {!reset}, loads and the [corrupt_index_*] faults). The caller must
+    already have blitted the region's bytes into [store] — this is
+    {!Fs.copy}'s plumbing for copying a whole volume with one
+    store-to-store blit. *)
 
 val index : t -> int
 val data_frags : t -> int

@@ -146,6 +146,7 @@ type t = {
   lengths : Bytes.t;  (* cells: free-block run length, valid at run endpoints only *)
   counts : Bytes.t;  (* cells: cell l = maximal free-block runs of length l *)
   lens : Hier.t;  (* bit l set iff count l > 0 *)
+  shared : bool Atomic.t;  (* some other holder may read this index: clone before a write *)
 }
 
 (* [lengths] and [counts] are tables of 32-bit cells (a group has far
@@ -195,6 +196,7 @@ let create ~nblocks ~fpb =
       lengths = cells (max 1 nblocks);
       counts = cells (nblocks + 1);
       lens = Hier.create (nblocks + 1);
+      shared = Atomic.make false;
     }
   in
   reset t;
@@ -210,7 +212,13 @@ let copy t =
     lengths = Bytes.copy t.lengths;
     counts = Bytes.copy t.counts;
     lens = Hier.copy t.lens;
+    shared = Atomic.make false;
   }
+
+(* Set only, never cleared on an index: several domains may share one
+   at once, and each clones it before its first write. *)
+let share t = if not (Atomic.get t.shared) then Atomic.set t.shared true
+let is_shared t = Atomic.get t.shared
 
 let block_maxrun t b = Char.code (Bytes.get t.maxrun b)
 

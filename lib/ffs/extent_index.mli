@@ -39,6 +39,15 @@ val create : nblocks:int -> fpb:int -> t
 (** Everything free: [nblocks] block slots of [fpb] fragments each. *)
 
 val copy : t -> t
+(** A deep copy, not shared. *)
+
+val share : t -> unit
+(** Mark [t] as held by more than one owner. The flag is never cleared
+    on an index: every holder must clone it ({!copy}) before its next
+    write, which {!Cg} does at each of its write sites. Atomic, so
+    several domains may share one index at once. *)
+
+val is_shared : t -> bool
 
 val reset : t -> unit
 (** Return to the everything-free state (repair pass 2 rebuilds from

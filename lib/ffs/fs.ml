@@ -1362,13 +1362,26 @@ let of_portable ?(backend = Store.Heap_backend) p =
    when their tables were populated in different orders (exactly what
    parallel aging produces) or their bytes live in different backends
    (exactly what the backend differential suite pins). Raw [Marshal] of
-   [t] would have neither property. *)
+   [t] would have neither property. Each part hashes its items'
+   marshalled bytes in place, from one growable buffer allocated per
+   call: digests run on several pool domains at once, and a buffer kept
+   between calls would pin the largest part's bytes for the life of the
+   process. *)
 let digest_parts_of_portable p =
+  let buf = ref (Bytes.create (1 lsl 16)) in
   let part name fill =
-    let buf = Buffer.create (1 lsl 12) in
-    let add v = Buffer.add_string buf (Marshal.to_string v []) in
+    let len = ref 0 in
+    let rec add v =
+      match Marshal.to_buffer !buf !len (Bytes.length !buf - !len) v [] with
+      | n -> len := !len + n
+      | exception Failure _ ->
+          let bigger = Bytes.create (2 * Bytes.length !buf) in
+          Bytes.blit !buf 0 bigger 0 !len;
+          buf := bigger;
+          add v
+    in
     fill add;
-    (name, Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (name, Digest.to_hex (Digest.subbytes !buf 0 !len))
   in
   [
     part "header" (fun add -> add (p.pf_params, p.pf_config, p.pf_clock, p.pf_root));

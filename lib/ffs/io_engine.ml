@@ -47,16 +47,15 @@ let spf t = Params.sectors_per_frag (Fs.params t.fs) ~sector_bytes:(sector_bytes
    it, but metadata walks can be arbitrary). *)
 let request t op ~addr ~frags =
   let params = Fs.params t.fs in
-  let spf = spf t in
   let cap = Disk.Drive.max_transfer_sectors t.drive in
-  let rec go lba sectors =
-    if sectors > 0 then begin
-      let n = min cap sectors in
-      t.clock <- Disk.Drive.service t.drive ~now:(t.clock +. t.host_gap) op ~lba ~nsectors:n;
-      go (lba + n) (sectors - n)
-    end
-  in
-  go (Params.lba_of_frag params ~sector_bytes:(sector_bytes t) addr) (frags * spf)
+  let lba = ref (Params.lba_of_frag params ~sector_bytes:(sector_bytes t) addr) in
+  let sectors = ref (frags * spf t) in
+  while !sectors > 0 do
+    let n = min cap !sectors in
+    t.clock <- Disk.Drive.service t.drive ~now:(t.clock +. t.host_gap) op ~lba:!lba ~nsectors:n;
+    lba := !lba + n;
+    sectors := !sectors - n
+  done
 
 let read_block t ~addr ~frags = request t Disk.Drive.Read ~addr ~frags
 let write_block t ~addr ~frags = request t Disk.Drive.Write ~addr ~frags
@@ -89,52 +88,50 @@ let meta_write t ~addr ~frags =
 
 let fpb t = (Fs.params t.fs).Params.frags_per_block
 
-(* The I/O plan of a file: data extents coalesced up to the cluster
-   limit, with indirect-block fetches interposed at range boundaries. *)
-type step = Data of { addr : int; frags : int } | Indirect of int
-
-let io_plan t ino =
+(* Walk a file's I/O plan, issuing each request as it is found: data
+   extents coalesced up to the cluster limit go out as [data] requests,
+   and the indirect blocks interpose at range boundaries, read through
+   the metadata cache or, when [indirect_write], written. *)
+let request_file t ino ~data ~indirect_write =
   let params = Fs.params t.fs in
   let fpb = params.Params.frags_per_block in
+  let ndaddr = params.Params.ndaddr and nindir = params.Params.nindir in
+  let entries = ino.Inode.entries and indirect = ino.Inode.indirect_addrs in
   (* the kernel's cluster I/O builds transfers up to the controller's
      limit (64 KB here), which exceeds the 7-block allocation cluster *)
   let cluster_frags = Disk.Drive.max_transfer_sectors t.drive / spf t in
-  let steps = Util.Vec.create () in
-  let flush_extent addr frags = if frags > 0 then Util.Vec.push steps (Data { addr; frags }) in
-  let cur_addr = ref (-1) in
-  let cur_frags = ref 0 in
-  let lbn = ref 0 in
-  let next_indirect = ref 0 in
-  Array.iter
-    (fun (e : Inode.entry) ->
-      (* indirect blocks interpose at the range boundaries *)
-      if
-        !lbn >= params.Params.ndaddr
-        && (!lbn - params.Params.ndaddr) mod params.Params.nindir = 0
-        && !next_indirect < Array.length ino.Inode.indirect_addrs
-      then begin
-        flush_extent !cur_addr !cur_frags;
-        cur_frags := 0;
-        let count = if !lbn = params.Params.ndaddr + params.Params.nindir then 2 else 1 in
-        for _ = 1 to count do
-          if !next_indirect < Array.length ino.Inode.indirect_addrs then begin
-            Util.Vec.push steps (Indirect ino.Inode.indirect_addrs.(!next_indirect));
-            incr next_indirect
-          end
-        done
-      end;
-      let contiguous = !cur_frags > 0 && Inode.addr e = !cur_addr + !cur_frags in
-      if contiguous && !cur_frags + Inode.frags e <= cluster_frags then
-        cur_frags := !cur_frags + Inode.frags e
-      else begin
-        flush_extent !cur_addr !cur_frags;
-        cur_addr := Inode.addr e;
-        cur_frags := Inode.frags e
-      end;
-      if Inode.frags e = fpb then incr lbn)
-    ino.Inode.entries;
-  flush_extent !cur_addr !cur_frags;
-  Util.Vec.to_array steps
+  let cur_addr = ref (-1) and cur_frags = ref 0 in
+  let lbn = ref 0 and next_indirect = ref 0 in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    (* indirect blocks interpose at the range boundaries *)
+    if
+      !lbn >= ndaddr
+      && (!lbn - ndaddr) mod nindir = 0
+      && !next_indirect < Array.length indirect
+    then begin
+      if !cur_frags > 0 then request t data ~addr:!cur_addr ~frags:!cur_frags;
+      cur_frags := 0;
+      let count = if !lbn = ndaddr + nindir then 2 else 1 in
+      for _ = 1 to count do
+        if !next_indirect < Array.length indirect then begin
+          let addr = indirect.(!next_indirect) in
+          if indirect_write then write_block t ~addr ~frags:fpb else meta_read t ~addr ~frags:fpb;
+          incr next_indirect
+        end
+      done
+    end;
+    let contiguous = !cur_frags > 0 && Inode.addr e = !cur_addr + !cur_frags in
+    if contiguous && !cur_frags + Inode.frags e <= cluster_frags then
+      cur_frags := !cur_frags + Inode.frags e
+    else begin
+      if !cur_frags > 0 then request t data ~addr:!cur_addr ~frags:!cur_frags;
+      cur_addr := Inode.addr e;
+      cur_frags := Inode.frags e
+    end;
+    if Inode.frags e = fpb then incr lbn
+  done;
+  if !cur_frags > 0 then request t data ~addr:!cur_addr ~frags:!cur_frags
 
 let dir_first_frag t dir =
   let ino = Fs.inode t.fs dir in
@@ -148,11 +145,7 @@ let read_file t ~inum =
   | Some addr -> meta_read t ~addr ~frags:1
   | None -> ());
   meta_read t ~addr:(Params.inode_block_addr params inum) ~frags:(fpb t);
-  Array.iter
-    (function
-      | Data { addr; frags } -> read_block t ~addr ~frags
-      | Indirect addr -> meta_read t ~addr ~frags:(fpb t))
-    (io_plan t ino)
+  request_file t ino ~data:Disk.Drive.Read ~indirect_write:false
 
 let overwrite_file t ~inum =
   let params = Fs.params t.fs in
@@ -161,11 +154,7 @@ let overwrite_file t ~inum =
   | Some addr -> meta_read t ~addr ~frags:1
   | None -> ());
   meta_read t ~addr:(Params.inode_block_addr params inum) ~frags:(fpb t);
-  Array.iter
-    (function
-      | Data { addr; frags } -> write_block t ~addr ~frags
-      | Indirect addr -> meta_read t ~addr ~frags:(fpb t))
-    (io_plan t ino);
+  request_file t ino ~data:Disk.Drive.Write ~indirect_write:false;
   (* mtime update *)
   meta_write t ~addr:(Params.inode_block_addr params inum) ~frags:(fpb t)
 
@@ -178,11 +167,7 @@ let create_and_write t ~dir ~name ~size =
   | Some addr -> meta_write t ~addr ~frags:1
   | None -> ());
   let ino = Fs.inode t.fs inum in
-  Array.iter
-    (function
-      | Data { addr; frags } -> write_block t ~addr ~frags
-      | Indirect addr -> write_block t ~addr ~frags:(fpb t))
-    (io_plan t ino);
+  request_file t ino ~data:Disk.Drive.Write ~indirect_write:true;
   inum
 
 let sync t =

@@ -106,8 +106,12 @@ let read_u64_le s pos =
   done;
   !v
 
-(* Parse the whole file. Returns the header info (with the CRC over what
-   is actually present) and, when intact, the payload. *)
+(* Parse the file piece by piece: the fixed header, then the kind and
+   the payload length, then the payload and the trailer, each read into
+   its own string and the CRC chained over them, so the payload is
+   never copied out of a larger buffer. Returns the header info (with
+   the CRC over what is actually present) and, when intact, the
+   payload. *)
 let parse path =
   if not (Sys.file_exists path) then corrupt path "no such file"
   else begin
@@ -116,39 +120,49 @@ let parse path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let file_len = in_channel_length ic in
-        let contents = really_input_string ic file_len in
         let fixed = String.length magic + 4 + 1 in
         if file_len < fixed then corrupt path "truncated header (%d bytes)" file_len
-        else if String.sub contents 0 (String.length magic) <> magic then
-          corrupt path "not a container (bad magic)"
         else begin
-          let version = Int32.to_int (read_u32_le contents (String.length magic)) in
-          let kind_len = Char.code contents.[String.length magic + 4] in
-          if kind_len = 0 || kind_len > max_kind_len then
-            corrupt path "corrupt header (kind length %d)" kind_len
-          else if file_len < fixed + kind_len + 8 then
-            corrupt path "truncated header (%d bytes)" file_len
+          let head = really_input_string ic fixed in
+          if String.sub head 0 (String.length magic) <> magic then
+            corrupt path "not a container (bad magic)"
           else begin
-            let kind = String.sub contents fixed kind_len in
-            let payload_len = read_u64_le contents (fixed + kind_len) in
-            let payload_off = fixed + kind_len + 8 in
-            if payload_len < 0 || payload_off + payload_len + 4 > file_len then begin
-              (* truncated payload or trailer: report what we can *)
-              Ok
-                ( { version; kind; payload_bytes = payload_len; crc_stored = 0l;
-                    crc_computed = None },
-                  None )
-            end
+            let version = Int32.to_int (read_u32_le head (String.length magic)) in
+            let kind_len = Char.code head.[String.length magic + 4] in
+            if kind_len = 0 || kind_len > max_kind_len then
+              corrupt path "corrupt header (kind length %d)" kind_len
+            else if file_len < fixed + kind_len + 8 then
+              corrupt path "truncated header (%d bytes)" file_len
             else begin
-              let crc_stored = read_u32_le contents (payload_off + payload_len) in
-              let crc_computed =
-                Util.Crc32.(finish (update empty contents ~pos:0 ~len:(payload_off + payload_len)))
-              in
-              let info =
-                { version; kind; payload_bytes = payload_len; crc_stored;
-                  crc_computed = Some crc_computed }
-              in
-              Ok (info, Some (String.sub contents payload_off payload_len))
+              let rest = really_input_string ic (kind_len + 8) in
+              let kind = String.sub rest 0 kind_len in
+              let payload_len = read_u64_le rest kind_len in
+              let payload_off = fixed + kind_len + 8 in
+              if payload_len < 0 || payload_len > Sys.max_string_length then
+                corrupt path "corrupt header (payload length %d)" payload_len
+              else if payload_len > file_len - payload_off - 4 then
+                (* truncated payload or trailer: report what we can. The
+                   comparison subtracts from the file length, so a
+                   length field near [max_int] cannot overflow it *)
+                Ok
+                  ( { version; kind; payload_bytes = payload_len; crc_stored = 0l;
+                      crc_computed = None },
+                    None )
+              else begin
+                let payload = really_input_string ic payload_len in
+                let crc_stored = read_u32_le (really_input_string ic 4) 0 in
+                let crc_computed =
+                  Util.Crc32.(
+                    let crc = update empty head ~pos:0 ~len:fixed in
+                    let crc = update crc rest ~pos:0 ~len:(kind_len + 8) in
+                    finish (update crc payload ~pos:0 ~len:payload_len))
+                in
+                let info =
+                  { version; kind; payload_bytes = payload_len; crc_stored;
+                    crc_computed = Some crc_computed }
+                in
+                Ok (info, Some payload)
+              end
             end
           end
         end)

@@ -42,5 +42,7 @@ val read : path:string -> kind:string -> (string, Ffs.Error.t) result
 
 val inspect : path:string -> (info, Ffs.Error.t) result
 (** Header and checksum status without interpreting the payload — the
-    [ffs_inspect --header] view. Errors only when the file is missing
-    or too short to carry a header at all. *)
+    [ffs_inspect --header] view. Errors only when the file is missing,
+    too short to carry a header at all, or its header fields are
+    impossible (a kind length outside 1..64, a payload length no string
+    can hold); a payload cut short comes back as [crc_computed = None]. *)

@@ -1,6 +1,7 @@
 (** CRC-32 (IEEE 802.3), the checksum behind {!Recover}'s container
     trailer, the workload fingerprints in checkpoints, and the store's
-    per-chunk checksums. Table-driven, dependency free. *)
+    per-chunk checksums. Slicing-by-8 over [int] tables, dependency
+    free. *)
 
 type t
 (** Running checksum state. *)

@@ -4,7 +4,7 @@
 Usage, from the repository root:
 
     dune build @all
-    python3 scripts/profile.py [--top N] -- _build/default/bin/ffs_age.exe -q
+    python3 scripts/profile.py [--top N] [--lines N] -- _build/default/bin/ffs_age.exe -q
 
 or `make profile CMD="_build/default/bin/ffs_age.exe -q"`.
 
@@ -18,7 +18,13 @@ from `nm -n`, the code segment's extent from `readelf -l`; a PC is
 mapped to a symbol after subtracting the executable's load bias (a PIE
 loads at a random base).
 
-The report lists the top functions, then shares by group: one group per
+The report lists the top functions, then (with `--lines N`) the N most
+sampled source lines, then shares by group. Lines come from `addr2line`
+against the same saved copy, through the DWARF line table that `-g`
+puts in every build profile; a line inside inlined code is reported at
+its own source line, not its caller's. Function totals hide a flat
+profile: a loop's cost shows up as one line, where its function may
+spread over many. The groups are one per
 OCaml module (`camlFfs__Cg.*` is `Ffs.Cg`), "workload" for the workload
 generator's modules, "GC/runtime" for the OCaml runtime's C code, and
 "[outside the executable]" for shared libraries and the vDSO. Each
@@ -118,6 +124,36 @@ def group_of(sym):
     return "workload" if module.split(".")[0] == "Workload" else module
 
 
+def source_lines(exe, offs):
+    """`file:line` of each distinct PC in [offs] (None where the line
+    table has no entry), from one `addr2line` run against [exe]."""
+    pcs = sorted(set(offs))
+    out = subprocess.run(
+        ["addr2line", "-e", exe],
+        input="".join("%x\n" % pc for pc in pcs),
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.splitlines()
+    where = {}
+    for pc, loc in zip(pcs, out):
+        loc = loc.split(" (discriminator")[0]
+        where[pc] = None if loc.startswith("??") or loc.endswith(":0") else short_path(loc)
+    return where
+
+
+def short_path(loc):
+    """Drop the build root dune maps to /workspace_root, and the
+    compiler's build directory before the runtime's and the standard
+    library's sources."""
+    if "/workspace_root/" in loc:
+        return loc.split("/workspace_root/", 1)[1]
+    for part in ("/runtime/", "/stdlib/"):
+        if part in loc:
+            return part[1:] + loc.split(part, 1)[1]
+    return loc
+
+
 def load_samples(samples_path):
     """(exe copy, exe digest, path it ran from, PCs relative to its load bias)"""
     exe = samples_path[: -len(".samples")] + ".exe"
@@ -130,20 +166,25 @@ def load_samples(samples_path):
     return exe, digest, header[2] if len(header) > 2 else "?", offs
 
 
-def report(exe, path, offs, runs, top):
+def report(exe, path, offs, runs, top, lines):
     addrs, names, end = text_symbols(exe)
+    where = source_lines(exe, offs) if lines > 0 else {}
     funcs = collections.Counter()
     groups = collections.Counter()
+    locs = collections.Counter()
     resolved = 0
     for off in offs:
         i = bisect.bisect_right(addrs, off) - 1
         if i < 0 or off >= end:
             funcs["[outside the executable]"] += 1
             groups["[outside the executable]"] += 1
+            locs["[outside the executable]"] += 1
             continue
         resolved += 1
         funcs[pretty(names[i])] += 1
         groups[group_of(names[i])] += 1
+        loc = where.get(off)
+        locs["%s  (%s)" % (loc, pretty(names[i])) if loc else "[no line] " + pretty(names[i])] += 1
     n = len(offs)
     print(
         "%s: %d samples from %d process(es), %.1f%% resolved to a symbol"
@@ -152,6 +193,10 @@ def report(exe, path, offs, runs, top):
     print("  top functions:")
     for name, c in funcs.most_common(top):
         print("    %6.2f%%  %6d  %s" % (100.0 * c / n, c, name))
+    if lines > 0:
+        print("  top lines:")
+        for name, c in locs.most_common(lines):
+            print("    %6.2f%%  %6d  %s" % (100.0 * c / n, c, name))
     print("  by group:")
     for name, c in groups.most_common():
         print("    %6.2f%%  %6d  %s" % (100.0 * c / n, c, name))
@@ -161,6 +206,12 @@ def report(exe, path, offs, runs, top):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--top", type=int, default=25, help="functions to list (default 25)")
+    ap.add_argument(
+        "--lines",
+        type=int,
+        default=0,
+        help="also list the N most sampled source lines, via addr2line (default 0: none)",
+    )
     ap.add_argument("--repeat", type=int, default=1, help="runs to pool (default 1)")
     ap.add_argument("cmd", nargs=argparse.REMAINDER, help="-- COMMAND [ARGS...]")
     args = ap.parse_args()
@@ -169,6 +220,8 @@ def main():
         ap.error("no command given")
     if os.path.basename(cmd[0]) == "dune":
         ap.error("run the built executable, not dune (see --help)")
+    if args.lines > 0 and shutil.which("addr2line") is None:
+        ap.error("--lines needs addr2line (binutils) on PATH")
     workdir = tempfile.mkdtemp(prefix="ffs-profile-")
     try:
         env = dict(os.environ, LD_PRELOAD=build_sampler(workdir))
@@ -186,7 +239,7 @@ def main():
             entry[2] += 1
             entry[3].extend(offs)
         for exe, path, runs, offs in sorted(pooled.values(), key=lambda v: -len(v[3])):
-            report(exe, path, offs, runs, args.top)
+            report(exe, path, offs, runs, args.top, args.lines)
         return rc
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

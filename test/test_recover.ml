@@ -59,6 +59,50 @@ let test_crc32_incremental () =
   in
   Alcotest.(check int32) "incremental = one-shot" direct split
 
+(* A bit-at-a-time CRC-32 written from the polynomial alone, sharing
+   nothing with [Util.Crc32]'s tables. *)
+let reference_crc s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* Every substring of a random string of 0-100 bytes, and every two-
+   and three-way chained split of it: each 8-byte body alignment and
+   each tail length of the sliced loop runs against the reference. *)
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = bit-at-a-time reference, every pos/len and split"
+    ~count:200
+    QCheck.(string_gen_of_size Gen.(int_bound 100) Gen.char)
+    (fun s ->
+      let n = String.length s in
+      let crc ~pos ~len = Util.Crc32.(finish (update empty s ~pos ~len)) in
+      for pos = 0 to n do
+        for len = 0 to n - pos do
+          if crc ~pos ~len <> reference_crc s ~pos ~len then
+            QCheck.Test.fail_reportf "pos %d len %d of %d bytes" pos len n
+        done
+      done;
+      let whole = reference_crc s ~pos:0 ~len:n in
+      for a = 0 to n do
+        for b = a to n do
+          let chained =
+            Util.Crc32.(
+              finish
+                (update
+                   (update (update empty s ~pos:0 ~len:a) s ~pos:a ~len:(b - a))
+                   s ~pos:b ~len:(n - b)))
+          in
+          if chained <> whole then
+            QCheck.Test.fail_reportf "splits at %d and %d of %d bytes" a b n
+        done
+      done;
+      true)
+
 (* --- container -------------------------------------------------------------- *)
 
 let test_container_roundtrip () =
@@ -108,6 +152,26 @@ let test_container_truncated () =
           check_bool "crc uncheckable" true (info.Recover.Container.crc_computed = None);
           check_bool "not ok" false (Recover.Container.crc_ok info)
       | Error e -> Alcotest.failf "inspect failed: %a" Ffs.Error.pp e)
+
+(* Overwrite the u64 LE payload-length field of a container whose kind
+   is [kind]: it follows the 8-byte magic, the u32 version, the kind
+   length byte and the kind. *)
+let set_payload_length path ~kind v =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  ignore (Unix.lseek fd (8 + 4 + 1 + String.length kind) Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 8);
+  Unix.close fd
+
+(* A length field near [max_int] must not overflow the reader's bounds
+   arithmetic into an out-of-range read: it is a corrupt header. *)
+let test_container_huge_length () =
+  with_temp_file (fun path ->
+      Recover.Container.write ~path ~kind:"t" (String.make 1000 'x');
+      set_payload_length path ~kind:"t" 0x3FFF_FFFF_FFFF_FFF0L;
+      expect_corrupt "huge length read" (Recover.Container.read ~path ~kind:"t");
+      expect_corrupt "huge length inspect" (Recover.Container.inspect ~path))
 
 (* --- metrics restore -------------------------------------------------------- *)
 
@@ -293,6 +357,23 @@ let test_checkpoint_retention_and_fallback () =
             (path <> old_kind && path <> delta && path <> newest);
           check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
       | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
+      (* a newest checkpoint whose payload-length field is near
+         [max_int]: load refuses it as Corrupt and load_latest skips it *)
+      let huge = Filename.concat dir "ckpt-op999999999-day9999x.ffsck" in
+      (match Aging.Checkpoint.load_latest ~dir with
+      | Ok (path, _) ->
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin huge (fun oc -> Out_channel.output_string oc bytes)
+      | Error e -> Alcotest.failf "no checkpoint to copy: %a" Ffs.Error.pp e);
+      set_payload_length huge ~kind:"aging-checkpoint-4" 0x3FFF_FFFF_FFFF_FFF0L;
+      check_bool "huge-length file listed newest" true (List.hd (Aging.Checkpoint.list ~dir) = huge);
+      expect_corrupt "huge length refused" (Aging.Checkpoint.load ~path:huge);
+      (match Aging.Checkpoint.load_latest ~dir with
+      | Ok (path, ck) ->
+          check_bool "fell back past the huge-length file" true
+            (path <> huge && path <> old_kind && path <> delta && path <> newest);
+          check_bool "older checkpoint" true (Aging.Replay.checkpoint_day ck < newest_day)
+      | Error e -> Alcotest.failf "fallback failed: %a" Ffs.Error.pp e);
       (* with every file corrupted there is nothing to resume from (a
          fresh mask, so the already-flipped newest is not flipped back) *)
       List.iter (fun p -> flip_byte p ~pos:(-100) ~mask:0x04) (Aging.Checkpoint.list ~dir);
@@ -454,7 +535,11 @@ let () =
   Alcotest.run "recover"
     [
       ( "crc32",
-        [ tc "known value" test_crc32_known_value; tc "incremental" test_crc32_incremental ] );
+        [
+          tc "known value" test_crc32_known_value;
+          tc "incremental" test_crc32_incremental;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+        ] );
       ( "container",
         [
           tc "roundtrip" test_container_roundtrip;
@@ -462,6 +547,7 @@ let () =
           tc "bad version" test_container_bad_version;
           tc "payload bit flip" test_container_payload_bitflip;
           tc "truncated" test_container_truncated;
+          tc "payload length near max_int" test_container_huge_length;
         ] );
       ("metrics", [ tc "restore roundtrip" test_metrics_restore_roundtrip ]);
       ( "checkpoint",
